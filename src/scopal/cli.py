@@ -10,19 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .agents import PolicyAgent, make_agent
 from .config import ConfigError, ExperimentConfig, load_config
-from .evaluation import (average_win_rate, head_to_head, iterate, opponent_sweep,
-                         regret, tournament, write_head2head_csv, write_regret_csv,
-                         write_sweep_csv, write_tournament_csv)
+from .csvfile import write_csv
+from .evaluation import (HEAD2HEAD_COLUMNS, ITERATE_COLUMNS, REGRET_COLUMNS, SWEEP_COLUMNS,
+                         TOURNAMENT_COLUMNS, average_win_rate, head_to_head, iterate,
+                         opponent_sweep, regret, tournament)
 from .interaction import collect_trajectories, read_trajectories, write_trajectories
 from .policy import Policy, new_policy
-from .refine import (balance_by_game, build_advantage_steps, train_spag,
-                     train_two_stage, write_metrics_csv)
-from .rewards import (collect_representatives, estimate_rewards, label_steps,
-                      read_labeled, write_labeled)
+from .refine import (METRIC_COLUMNS, balance_by_game, build_advantage_steps, train_spag,
+                     train_two_stage)
+from .rewards import (accumulate_stats, collect_representatives, estimate_rewards,
+                      label_steps, read_labeled, write_labeled)
 from .solvers import SOLVABLE
 
 LADDER = ("random", "self", "mcts:5", "mcts:10", "mcts:100", "mcts:200",
@@ -71,8 +73,6 @@ def cmd_interact(config: ExperimentConfig, run_dir: Path) -> None:
 
 def cmd_estimate(config: ExperimentConfig, run_dir: Path) -> None:
     trajs = read_trajectories(_store_path(config, run_dir))
-    from .rewards import accumulate_stats
-
     stats = accumulate_stats(trajs)
     rewards = estimate_rewards(trajs, stats=stats if config.estimator != "discounted" else None,
                                **config.estimator_kwargs())
@@ -98,7 +98,7 @@ def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:
             dataset = balance_by_game(dataset, config.seed)
         trained, metrics = train_two_stage(policy, dataset, config.train_config())
     trained.save(run_dir / "checkpoint.json")
-    write_metrics_csv(run_dir / "metrics.csv", metrics)
+    write_csv(run_dir / "metrics.csv", METRIC_COLUMNS, metrics)
 
 
 def cmd_evaluate(config: ExperimentConfig, run_dir: Path) -> None:
@@ -107,7 +107,7 @@ def cmd_evaluate(config: ExperimentConfig, run_dir: Path) -> None:
     reports = tournament(agent, config.eval_opponents, config.games,
                          config.eval_episodes, config.seed,
                          eval_temperature=config.eval_temperature)
-    write_tournament_csv(run_dir / "tournament.csv", reports)
+    write_csv(run_dir / "tournament.csv", TOURNAMENT_COLUMNS, map(asdict, reports))
     print(f"average win rate: {average_win_rate(reports):.4f}")
 
 
@@ -119,7 +119,7 @@ def cmd_sweep(config: ExperimentConfig, run_dir: Path) -> None:
                           interact_temperature=config.interact_temperature,
                           eval_temperature=config.eval_temperature,
                           delta=config.delta, jobs=config.effective_jobs())
-    write_sweep_csv(run_dir / "sweep.csv", rows)
+    write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, rows)
 
 
 def cmd_head2head(config: ExperimentConfig, run_dir: Path, agent_specs: list[str]) -> None:
@@ -130,9 +130,11 @@ def cmd_head2head(config: ExperimentConfig, run_dir: Path, agent_specs: list[str
                                                config.eval_temperature, label="base")))
         else:
             agents.append((spec, make_agent(spec, temperature=config.eval_temperature)))
-    labels = [label for label, _ in agents]
     matrix = head_to_head(agents, config.games, config.eval_episodes, config.seed)
-    write_head2head_csv(run_dir / "head2head.csv", labels, matrix)
+    rows = [{"row_agent": row_label, "col_agent": col_label, "win_rate": matrix[i][j]}
+            for i, (row_label, _) in enumerate(agents)
+            for j, (col_label, _) in enumerate(agents)]
+    write_csv(run_dir / "head2head.csv", HEAD2HEAD_COLUMNS, rows)
 
 
 def cmd_iterate(config: ExperimentConfig, run_dir: Path, rounds: int) -> None:
@@ -144,11 +146,7 @@ def cmd_iterate(config: ExperimentConfig, run_dir: Path, rounds: int) -> None:
                          interact_temperature=config.interact_temperature,
                          eval_temperature=config.eval_temperature,
                          delta=config.delta, jobs=config.effective_jobs())
-    columns = ("round", "opponent", "interaction_win_rate", "eval_win_rate", "version")
-    lines = [",".join(columns)]
-    for row in reports:
-        lines.append(",".join(str(row[c]) for c in columns))
-    (run_dir / "iterate.csv").write_text("\n".join(lines) + "\n")
+    write_csv(run_dir / "iterate.csv", ITERATE_COLUMNS, reports)
 
 
 def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
@@ -158,7 +156,7 @@ def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
     policy = _load_policy(config, run_dir)
     agent = PolicyAgent(policy, config.eval_temperature)
     reports = [regret(agent, g, config.eval_episodes, config.seed) for g in games]
-    write_regret_csv(run_dir / "regret.csv", reports)
+    write_csv(run_dir / "regret.csv", REGRET_COLUMNS, map(asdict, reports))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,6 +189,9 @@ def main(argv=None) -> int:
         return 2
     run_dir = _run_dir(config)
     try:
+        if args.command in ("sweep", "iterate") and config.mode == "spag":
+            raise ConfigError(f"train.mode = spag runs only in train and pipeline, "
+                              f"not in {args.command}")
         if args.command == "interact":
             cmd_interact(config, run_dir)
         elif args.command == "estimate":

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Mapping
 
-from .games import GAME_NAMES
+from .games import GAME_NAMES, get_game
 from .refine import TrainConfig
 
 
@@ -119,8 +119,6 @@ class ExperimentConfig:
     eval_temperature: float = 0.2
 
     def validate(self) -> None:
-        from .games import get_game
-
         for name in self.games:
             get_game(name)  # raises UnknownGameError
         if self.episodes < 1:
@@ -141,10 +139,9 @@ class ExperimentConfig:
             raise ConfigError("train.batch_size/grad_accum/epochs must be >= 1")
 
     def train_config(self) -> TrainConfig:
-        mode = self.mode if self.mode != "spag" else "two_stage"
         return TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
                            grad_accum=self.grad_accum, epochs=self.epochs, beta=self.beta,
-                           beta2=self.beta2, delta=self.delta, seed=self.seed, mode=mode)
+                           beta2=self.beta2, seed=self.seed, mode=self.mode)
 
     def estimator_kwargs(self) -> dict:
         return {"method": self.estimator, "tie_weight": self.tie_weight,

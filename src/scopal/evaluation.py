@@ -2,35 +2,33 @@
 iterated training, and exact-solver regret.
 
 Every report is reproducible byte-for-byte from (config, master seed).
-Matches seed by seat pair: episodes 2k and 2k + 1 play the same deal and
-the same per-seat sampling streams with the agents in opposite seats, so
+Matches and regret play through ``interaction.play_episodes``, the one seat
+and seed rule, with paired seeds: episodes 2k and 2k + 1 play the same deal
+and the same per-seat sampling streams with the agents in opposite seats, so
 swapping the two agents replays the same games and gives exactly
-complementary counts. Interaction seeds by episode instead: paired seeds
-would make self-play record every game twice and halve the data.
+complementary counts. Interaction plays unpaired: paired seeds would make
+self-play record every game twice and halve the data.
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .agents import Agent, make_agent
-from .games import Outcome, Player, get_game
-from .interaction import (DEFAULT_MOVE_BOUND, collect_trajectories, episode_seeds,
-                          run_episode, stable_hash)
+from .agents import Agent, PolicyAgent, make_agent
+from .games import Outcome, Player
+from .interaction import (DEFAULT_MOVE_BOUND, agent1_seat, collect_trajectories,
+                          learner_seats, play_episodes, replay, stable_hash)
 from .policy import Policy
 from .refine import TrainConfig, train_two_stage
 from .rewards import (collect_representatives, estimate_rewards, label_counts,
                       label_steps)
 from .solvers import get_solver
 
-TOURNAMENT_COLUMNS = ("game", "agent1", "agent2", "n_win", "n_lose", "n_tie",
-                      "win_rate", "episodes", "seed")
 HEAD2HEAD_COLUMNS = ("row_agent", "col_agent", "win_rate")
 SWEEP_COLUMNS = ("opponent", "interaction_win_rate", "n_desirable", "n_undesirable",
                  "desirable_fraction", "trained_win_rate")
-REGRET_COLUMNS = ("game", "agent", "mean_regret", "moves", "episodes")
+ITERATE_COLUMNS = ("round", "opponent", "interaction_win_rate", "eval_win_rate", "version")
 
 
 def win_rate(n_win: int, n_lose: int, n_tie: int) -> float:
@@ -63,6 +61,18 @@ class RegretReport:
     episodes: int
 
 
+TOURNAMENT_COLUMNS = tuple(f.name for f in fields(MatchReport))
+REGRET_COLUMNS = tuple(f.name for f in fields(RegretReport))
+
+
+def _count_outcomes(outcomes: Iterable[Outcome]) -> tuple[int, int, int]:
+    """(n_win, n_lose, n_tie) of one side's outcomes."""
+    counts = {Outcome.WIN: 0, Outcome.LOSE: 0, Outcome.TIE: 0}
+    for outcome in outcomes:
+        counts[outcome] += 1
+    return counts[Outcome.WIN], counts[Outcome.LOSE], counts[Outcome.TIE]
+
+
 def play_match(game_name: str, agent1: Agent, agent2: Agent, episodes: int,
                master_seed: int, *, move_bound: int = DEFAULT_MOVE_BOUND) -> MatchReport:
     """Seat-paired match; outcome counts from agent1's perspective.
@@ -75,21 +85,9 @@ def play_match(game_name: str, agent1: Agent, agent2: Agent, episodes: int,
     """
     if episodes < 2:
         raise ValueError("matches need at least 2 episodes for seat alternation")
-    game = get_game(game_name)
-    n_win = n_lose = n_tie = 0
-    for i in range(episodes):
-        chance, sampling = episode_seeds(master_seed, game_name, i // 2)
-        first, second = (agent1, agent2) if i % 2 == 0 else (agent2, agent1)
-        traj = run_episode(game, first, second, episode=i, chance_seed=chance,
-                           sampling_seed=sampling, move_bound=move_bound)
-        seat = Player.P1 if i % 2 == 0 else Player.P2
-        outcome = traj.outcome[seat]
-        if outcome is Outcome.WIN:
-            n_win += 1
-        elif outcome is Outcome.LOSE:
-            n_lose += 1
-        else:
-            n_tie += 1
+    trajs = play_episodes(game_name, agent1, agent2, range(episodes), master_seed,
+                          paired=True, move_bound=move_bound)
+    n_win, n_lose, n_tie = _count_outcomes(t.outcome[agent1_seat(t.episode)] for t in trajs)
     return MatchReport(game_name, agent1.label, agent2.label, n_win, n_lose, n_tie,
                        win_rate(n_win, n_lose, n_tie), episodes, master_seed)
 
@@ -136,22 +134,14 @@ def head_to_head(agents: Sequence[tuple[str, Agent]], games: Sequence[str],
 def interaction_stats(trajectories, agent_pair: tuple[str, str], *,
                       estimator_kwargs: dict | None = None,
                       delta: float = 0.5, actors: str = "learner"):
-    """Labeled dataset + the learner's interaction win rate over a store."""
-    from .agents import is_learner_spec
+    """Labeled dataset + the learner's interaction win rate over a store.
 
-    n_win = n_lose = n_tie = 0
-    for traj in trajectories:
-        labels = {Player.P1: traj.first_player_agent,
-                  Player.P2: agent_pair[1] if traj.first_player_agent == agent_pair[0]
-                  else agent_pair[0]}
-        seat = Player.P1 if is_learner_spec(labels[Player.P1]) else Player.P2
-        outcome = traj.outcome[seat]
-        if outcome is Outcome.WIN:
-            n_win += 1
-        elif outcome is Outcome.LOSE:
-            n_lose += 1
-        else:
-            n_tie += 1
+    The win rate counts each trajectory at its first learner seat (P1 when
+    both seats are learners, as in self-play).
+    """
+    n_win, n_lose, n_tie = _count_outcomes(
+        t.outcome[Player.P1 if Player.P1 in learner_seats(t, agent_pair) else Player.P2]
+        for t in trajectories)
     kwargs = dict(estimator_kwargs or {})
     rewards = estimate_rewards(trajectories, **kwargs)
     reps = collect_representatives(trajectories, agent_pair, actors=actors)
@@ -177,7 +167,6 @@ def opponent_sweep(base_policy: Policy, ladder: Sequence[str], games: Sequence[s
         n_d, n_u = label_counts(dataset)
         trained, _ = train_two_stage(base_policy, dataset,
                                      replace(train_config, seed=seed))
-        from .agents import PolicyAgent
         agent = PolicyAgent(trained, eval_temperature, label=f"trained-vs-{rung}")
         reports = tournament(agent, eval_opponents, games, eval_episodes, seed,
                              eval_temperature=eval_temperature)
@@ -222,7 +211,6 @@ def iterate(policy: Policy, rounds: int, games: Sequence[str], episodes: int,
         path = out_dir / f"checkpoint_round{round_no}.json"
         current.save(path)
         checkpoints.append(path)
-        from .agents import PolicyAgent
         agent = PolicyAgent(current, eval_temperature, label=f"iter{round_no}")
         evals = tournament(agent, eval_opponents, games, eval_episodes, seed,
                            eval_temperature=eval_temperature)
@@ -236,57 +224,20 @@ def iterate(policy: Policy, rounds: int, games: Sequence[str], episodes: int,
 
 def regret(agent: Agent, game_name: str, episodes: int, master_seed: int, *,
            opponent_spec: str = "mcts:1000") -> RegretReport:
-    """Mean exact-minimax value loss per agent move vs the ladder opponent."""
+    """Mean exact-minimax value loss per agent move vs the ladder opponent.
+
+    Plays a seat-paired match and scores the agent's moves by replaying
+    each trajectory against the solver.
+    """
     solver = get_solver(game_name)
-    game = get_game(game_name)
     opponent = make_agent(opponent_spec)
+    seed = stable_hash(master_seed, "regret", game_name)
     total = 0.0
     moves = 0
-    for i in range(episodes):
-        chance = stable_hash(master_seed, "regret", game_name, i, "chance")
-        rng_a = random.Random(stable_hash(master_seed, "regret", game_name, i, "a"))
-        rng_o = random.Random(stable_hash(master_seed, "regret", game_name, i, "o"))
-        seat = Player.P1 if i % 2 == 0 else Player.P2
-        state = game.initial_state(chance)
-        while game.outcome(state) is None:
-            if state.to_move is seat:
-                action = agent.act(game, state, rng_a)
+    for traj in play_episodes(game_name, agent, opponent, range(episodes), seed, paired=True):
+        seat = agent1_seat(traj.episode)
+        for state, action, actor in replay(traj):
+            if actor is seat:
                 total += solver.regret(state, action)
                 moves += 1
-            else:
-                action = opponent.act(game, state, rng_o)
-            state = game.apply(state, action)
     return RegretReport(game_name, agent.label, total / max(1, moves), moves, episodes)
-
-
-# -- CSV writers -------------------------------------------------------------
-
-
-def _write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_tournament_csv(path, reports: Iterable[MatchReport]) -> None:
-    _write_csv(path, TOURNAMENT_COLUMNS,
-               [(r.game, r.agent1, r.agent2, r.n_win, r.n_lose, r.n_tie,
-                 r.win_rate, r.episodes, r.seed) for r in reports])
-
-
-def write_head2head_csv(path, labels: Sequence[str], matrix: Sequence[Sequence[float]]) -> None:
-    rows = []
-    for i, row_label in enumerate(labels):
-        for j, col_label in enumerate(labels):
-            rows.append((row_label, col_label, matrix[i][j]))
-    _write_csv(path, HEAD2HEAD_COLUMNS, rows)
-
-
-def write_sweep_csv(path, rows: Iterable[dict]) -> None:
-    _write_csv(path, SWEEP_COLUMNS, [tuple(r[c] for c in SWEEP_COLUMNS) for r in rows])
-
-
-def write_regret_csv(path, reports: Iterable[RegretReport]) -> None:
-    _write_csv(path, REGRET_COLUMNS,
-               [(r.game, r.agent, r.mean_regret, r.moves, r.episodes) for r in reports])

@@ -109,9 +109,6 @@ class Game(ABC):
 
     # -- defaults ------------------------------------------------------
 
-    def is_terminal(self, state: Any) -> bool:
-        return self.outcome(state) is not None
-
     def relative_action(self, state: Any, action: Any) -> Any:
         """Action re-expressed in the mover's observation coordinates.
 

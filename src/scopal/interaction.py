@@ -1,9 +1,14 @@
 """Stage I: run episodes between two agents, alternate seats, record trajectories.
 
-Episode i of a game derives all of its randomness from
-``stable_hash(master_seed, game, i, ...)``, so a store is reproducible
-byte-for-byte from (config, master seed) regardless of worker scheduling:
-determinism is defined over the store sorted by (game, episode index).
+``play_episodes`` is the one episode loop and the one seat and seed rule:
+agent1 sits first on even episodes, and episode i draws its chance and
+sampling seeds from ``stable_hash(master_seed, game, i, ...)``, or from the
+seat-pair index ``i // 2`` when paired. Self-play interaction plays unpaired
+episodes; matches and regret play paired ones (see ``evaluation``). A store
+is reproducible byte-for-byte from (config, master seed) regardless of worker
+scheduling: determinism is defined over the store sorted by (game, episode
+index). ``learner_seats`` is the one rule for which seats the policy under
+training held.
 
 The trajectory store is JSON lines, one trajectory per line, actions in the
 canonical textual notation, named ``<run-id>.traj.jsonl``.
@@ -17,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .agents import Agent, make_agent
+from .agents import Agent, is_learner_spec, make_agent
 from .games import Game, IllegalActionError, Outcome, Player, get_game, tie_outcome
 from .policy import Policy
 
@@ -84,20 +89,51 @@ def episode_seeds(master_seed: int, game_name: str, episode: int) -> tuple[int, 
             stable_hash(master_seed, game_name, episode, "sample"))
 
 
+def play_episodes(game_name: str, agent1: Agent, agent2: Agent, episodes: Iterable[int],
+                  master_seed: int, *, paired: bool,
+                  move_bound: int = DEFAULT_MOVE_BOUND) -> list[Trajectory]:
+    """Play the given episode indices with seats alternating; agent1 is first on even ones.
+
+    Unpaired, episode i draws its seeds from i. Paired, it draws them from
+    the seat pair i // 2, so episodes 2k and 2k + 1 replay one deal and the
+    same per-seat sampling streams with the agents in opposite seats.
+    """
+    game = get_game(game_name)
+    out = []
+    for i in episodes:
+        chance_seed, sampling_seed = episode_seeds(master_seed, game_name,
+                                                   i // 2 if paired else i)
+        first, second = (agent1, agent2) if agent1_seat(i) is Player.P1 else (agent2, agent1)
+        out.append(run_episode(game, first, second, episode=i, chance_seed=chance_seed,
+                               sampling_seed=sampling_seed, move_bound=move_bound))
+    return out
+
+
+def agent1_seat(episode: int) -> Player:
+    """Seat of `play_episodes`' agent1: first on even episodes, second on odd ones."""
+    return Player.P1 if episode % 2 == 0 else Player.P2
+
+
+def learner_seats(traj: Trajectory, agent_pair: tuple[str, str]) -> frozenset[Player]:
+    """Seats held by the policy under training in a trajectory of `agent_pair`.
+
+    The store records only the first player's label; the other seat held
+    the remaining spec of the pair.
+    """
+    first = traj.first_player_agent
+    second = agent_pair[1] if first == agent_pair[0] else agent_pair[0]
+    return frozenset(seat for seat, label in ((Player.P1, first), (Player.P2, second))
+                     if is_learner_spec(label))
+
+
 def _run_range(game_name: str, agent1_spec: str, agent2_spec: str, episodes: Sequence[int],
                master_seed: int, blocks, version: int, temperature: float,
                move_bound: int) -> list[Trajectory]:
     policy = Policy(dict(blocks), version) if blocks is not None else None
     agent1 = make_agent(agent1_spec, policy, temperature)
     agent2 = make_agent(agent2_spec, policy, temperature)
-    game = get_game(game_name)
-    out = []
-    for i in episodes:
-        chance_seed, sampling_seed = episode_seeds(master_seed, game_name, i)
-        first, second = (agent1, agent2) if i % 2 == 0 else (agent2, agent1)
-        out.append(run_episode(game, first, second, episode=i, chance_seed=chance_seed,
-                               sampling_seed=sampling_seed, move_bound=move_bound))
-    return out
+    return play_episodes(game_name, agent1, agent2, episodes, master_seed, paired=False,
+                         move_bound=move_bound)
 
 
 def collect_trajectories(games: Iterable[str], agent1_spec: str, agent2_spec: str,

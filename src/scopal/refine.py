@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .games import Outcome, Player, get_game, split_key
-from .interaction import Trajectory, replay, stable_hash
+from .interaction import Trajectory, learner_seats, replay, stable_hash
 from .policy import Policy, reference_copy
 from .rewards import DESIRABLE, LabeledStep, label_counts
 
@@ -45,9 +45,8 @@ class TrainConfig:
     beta2: float = 0.2
     lambda_d: float | None = None  # None -> auto-balance from label counts
     lambda_u: float | None = None
-    delta: float = 0.5
     seed: int = 0
-    mode: str = "two_stage"  # two_stage | direct_kto | joint | bc_only | bc_dpo
+    mode: str = "two_stage"  # two_stage | direct_kto | joint | bc_only | bc_dpo | spag
     dpo_pair_cap: int = 4
 
 
@@ -259,16 +258,12 @@ def build_advantage_steps(trajectories: Iterable[Trajectory],
     for actions the behavior snapshot actually generated (both seats under
     self-play).
     """
-    from .agents import is_learner_spec
-
     out = []
     for traj in trajectories:
-        first = traj.first_player_agent
-        second = agent_pair[1] if first == agent_pair[0] else agent_pair[0]
-        labels = {Player.P1: first, Player.P2: second}
+        seats = learner_seats(traj, agent_pair)
         rewards = spag_assign_rewards(traj, gamma)
         for (state, action, actor), adv in zip(replay(traj), rewards):
-            if is_learner_spec(labels[actor]):
+            if actor in seats:
                 out.append(AdvantageStep(traj.game, state, action, actor, adv))
     return out
 
@@ -551,11 +546,3 @@ def train_two_stage(policy: Policy, dataset: Sequence[LabeledStep],
     else:
         raise ValueError(f"unknown training mode {mode!r}")
     return trained, metrics
-
-
-def write_metrics_csv(path, rows: Iterable[dict]) -> None:
-    lines = [",".join(METRIC_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in METRIC_COLUMNS))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -12,9 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .agents import is_learner_spec
-from .games import Outcome, Player, get_game
-from .interaction import Trajectory, replay
+from .games import Outcome, get_game
+from .interaction import Trajectory, learner_seats, replay
 
 DESIRABLE = "Desirable"
 UNDESIRABLE = "Undesirable"
@@ -142,29 +141,21 @@ def collect_representatives(trajectories: Iterable[Trajectory],
                             actors: str = "learner") -> dict[str, Representative]:
     """First learner-seat (or any-seat) occurrence of each key, via replay.
 
-    ``actors='learner'`` keeps keys played by policy-controlled seats only
-    (their labels are 'policy', 'self' or 'policy:<path>'); ``'all'`` keeps
-    every seat, which is what strong-player imitation needs. ``agent_pair``
-    is the run's (agent1, agent2) spec pair; the store records the first
-    player's label, the other seat held the remaining spec.
+    ``actors='learner'`` keeps keys played by the seats ``learner_seats``
+    gives for the run's (agent1, agent2) spec pair ``agent_pair``; ``'all'``
+    keeps every seat, which is what strong-player imitation needs.
     """
     if actors not in ("learner", "all"):
         raise ValueError("actors must be 'learner' or 'all'")
     reps: dict[str, Representative] = {}
     for traj in trajectories:
-        labels = _seat_labels(traj, agent_pair)
+        seats = learner_seats(traj, agent_pair)
         for (state, action, actor), step in zip(replay(traj), traj.steps):
-            if actors == "learner" and not is_learner_spec(labels[actor]):
+            if actors == "learner" and actor not in seats:
                 continue
             if step.key not in reps:
                 reps[step.key] = Representative(traj.game, state, action)
     return reps
-
-
-def _seat_labels(traj: Trajectory, agent_pair: tuple[str, str]) -> dict[Player, str]:
-    first = traj.first_player_agent
-    second = agent_pair[1] if first == agent_pair[0] else agent_pair[0]
-    return {Player.P1: first, Player.P2: second}
 
 
 def label_steps(rewards: Mapping[str, float], delta: float,
@@ -210,9 +201,9 @@ def winning_steps_dataset(trajectories: Iterable[Trajectory],
     """
     reps: dict[str, Representative] = {}
     for traj in trajectories:
-        labels = _seat_labels(traj, agent_pair)
+        seats = learner_seats(traj, agent_pair)
         for (state, action, actor), step in zip(replay(traj), traj.steps):
-            if actors == "learner" and not is_learner_spec(labels[actor]):
+            if actors == "learner" and actor not in seats:
                 continue
             if traj.outcome[actor] is Outcome.WIN and step.key not in reps:
                 reps[step.key] = Representative(traj.game, state, action)

@@ -1,0 +1,62 @@
+"""The command-line stages end to end on a tiny Nim config."""
+import pytest
+
+from scopal.cli import main
+
+CONFIG = """\
+[run]
+games = nim
+jobs = 1
+
+[interact]
+episodes = 2
+
+[train]
+epochs = 1
+
+[eval]
+opponents = random
+episodes = 2
+"""
+
+HEADERS = {
+    "tournament.csv": "game,agent1,agent2,n_win,n_lose,n_tie,win_rate,episodes,seed",
+    "metrics.csv": "stage,epoch,loss,n_D,n_U,lambda_D,lambda_U,z0",
+    "regret.csv": "game,agent,mean_regret,moves,episodes",
+    "head2head.csv": "row_agent,col_agent,win_rate",
+    "iterate.csv": "round,opponent,interaction_win_rate,eval_win_rate,version",
+    "sweep.csv": ("opponent,interaction_win_rate,n_desirable,n_undesirable,"
+                  "desirable_fraction,trained_win_rate"),
+}
+
+
+@pytest.fixture
+def run(tmp_path):
+    config = tmp_path / "tiny.ini"
+    config.write_text(CONFIG)
+    out = tmp_path / "runs"
+
+    def run(*command):
+        return main(["--config", str(config), "--out", str(out), *command])
+
+    run.out = out
+    return run
+
+
+def test_every_stage_writes_its_csv(run):
+    for command in (["pipeline"], ["regret"], ["head2head", "--agents", "base,random"],
+                    ["iterate", "--rounds", "2"], ["sweep"]):
+        assert run(*command) == 0, command
+    (run_dir,) = run.out.iterdir()
+    for name, header in HEADERS.items():
+        assert (run_dir / name).read_text().splitlines()[0] == header, name
+    assert len((run_dir / "head2head.csv").read_text().splitlines()) == 1 + 4
+    assert len((run_dir / "iterate.csv").read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "iterate"])
+def test_spag_mode_is_rejected_before_any_work(run, monkeypatch, command):
+    monkeypatch.setenv("SCOPAL_TRAIN_MODE", "spag")
+    assert run(command) == 2
+    (run_dir,) = run.out.iterdir()
+    assert list(run_dir.iterdir()) == []

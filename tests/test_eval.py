@@ -1,13 +1,16 @@
 """Win-rate metric, matches, tournaments, head-to-head, regret, and the
 exact solvers."""
 import random
+from dataclasses import asdict
 
 import pytest
 
 from scopal.agents import MctsAgent, PolicyAgent, RandomAgent, make_agent
-from scopal.evaluation import (MatchReport, head_to_head, play_match, regret,
-                               tournament, win_rate, write_tournament_csv)
+from scopal.csvfile import write_csv
+from scopal.evaluation import (TOURNAMENT_COLUMNS, MatchReport, head_to_head,
+                               interaction_stats, play_match, regret, tournament, win_rate)
 from scopal.games import Outcome, Player, get_game
+from scopal.interaction import collect_trajectories
 from scopal.policy import new_policy
 from scopal.solvers import MinimaxSolver, OptimalAgent, get_solver
 
@@ -52,9 +55,9 @@ def test_tournament_report_grid(tmp_path):
     for r in reports:
         assert r.n_win + r.n_lose + r.n_tie == 10
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_tournament_csv(p1, reports)
+    write_csv(p1, TOURNAMENT_COLUMNS, map(asdict, reports))
     reports2 = tournament(agent, ["random", "mcts:5"], ["tictactoe", "nim"], 10, 3)
-    write_tournament_csv(p2, reports2)
+    write_csv(p2, TOURNAMENT_COLUMNS, map(asdict, reports2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -80,6 +83,18 @@ def test_self_match_with_mirrored_seeds_is_balanced():
     # game twice, once from each side: a win and a loss each, or two ties
     assert report.n_win == report.n_lose
     assert report.win_rate == 0.5
+
+
+def test_interaction_win_rate_counts_the_policy_seat():
+    trajs = collect_trajectories(["nim"], "policy", "random", 30, 4,
+                                 policy=new_policy(["nim"]))
+    _, rate = interaction_stats(trajs, ("policy", "random"))
+    outcomes = [t.outcome[Player.P1 if t.first_player_agent == "policy" else Player.P2]
+                for t in trajs]
+    expected = win_rate(outcomes.count(Outcome.WIN), outcomes.count(Outcome.LOSE),
+                        outcomes.count(Outcome.TIE))
+    assert rate == expected
+    assert 0.0 < rate < 1.0
 
 
 # -- solvers -------------------------------------------------------------------

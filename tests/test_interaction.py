@@ -3,11 +3,11 @@ import json
 
 import pytest
 
-from scopal.agents import make_agent
-from scopal.games import Player, get_game
-from scopal.interaction import (collect_trajectories, read_trajectories, replay,
-                                run_episode, stable_hash, trajectory_record,
-                                write_trajectories)
+from scopal.agents import RandomAgent, make_agent
+from scopal.games import Player, get_game, tie_outcome
+from scopal.interaction import (Trajectory, collect_trajectories, learner_seats,
+                                play_episodes, read_trajectories, replay, run_episode,
+                                stable_hash, trajectory_record, write_trajectories)
 from scopal.policy import new_policy
 
 
@@ -54,6 +54,33 @@ def test_two_episodes_alternate_first_player():
     policy = new_policy(["tictactoe"])
     trajs = collect_trajectories(["tictactoe"], "policy", "mcts:5", 2, 0, policy=policy)
     assert [t.first_player_agent for t in trajs] == ["policy", "mcts:5"]
+
+
+def test_paired_episodes_share_seeds_per_seat_pair():
+    a, b = RandomAgent("a"), RandomAgent("b")
+    paired = play_episodes("kuhn_poker", a, b, range(6), 3, paired=True)
+    assert [t.first_player_agent for t in paired] == ["a", "b"] * 3
+    seeds = [(t.chance_seed, t.sampling_seed) for t in paired]
+    assert seeds[0::2] == seeds[1::2]
+    assert len(set(seeds)) == 3
+    unpaired = play_episodes("kuhn_poker", a, b, range(6), 3, paired=False)
+    assert [t.first_player_agent for t in unpaired] == ["a", "b"] * 3
+    assert len({t.chance_seed for t in unpaired}) == 6
+    assert len({t.sampling_seed for t in unpaired}) == 6
+
+
+def test_learner_seats_follow_the_agent_pair():
+    def seats(first, pair):
+        return learner_seats(Trajectory("nim", 0, [], tie_outcome(), first, 0, 0), pair)
+
+    both = {Player.P1, Player.P2}
+    assert seats("policy", ("policy", "self")) == both
+    assert seats("self", ("policy", "self")) == both
+    assert seats("policy", ("policy", "mcts:5")) == {Player.P1}
+    assert seats("mcts:5", ("policy", "mcts:5")) == {Player.P2}
+    # a frozen checkpoint is an opponent, not a learner
+    assert seats("policy:ckpt.json", ("policy", "policy:ckpt.json")) == {Player.P2}
+    assert seats("policy", ("policy", "policy:ckpt.json")) == {Player.P1}
 
 
 def test_seat_balance_over_many_episodes():

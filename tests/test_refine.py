@@ -488,12 +488,13 @@ def test_divergence_guard_aborts_on_nonfinite_loss():
 
 
 def test_metrics_csv_format(tmp_path):
-    from scopal.refine import METRIC_COLUMNS, write_metrics_csv
+    from scopal.csvfile import write_csv
+    from scopal.refine import METRIC_COLUMNS
     pol = new_policy(["nim"])
     data = [s for s in DATASET if s.game == "nim"]
     _, metrics = train_two_stage(pol, data, TrainConfig(epochs=1, seed=3))
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, metrics)
+    write_csv(path, METRIC_COLUMNS, metrics)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(METRIC_COLUMNS)
     assert len(lines) == len(metrics) + 1
