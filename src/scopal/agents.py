@@ -7,6 +7,7 @@ seat in self-play; same policy object), ``policy:<checkpoint-path>``.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from .games import Game
 from .mcts import MctsConfig, mcts_act
@@ -55,20 +56,37 @@ class PolicyAgent(Agent):
         return self.policy.sample_action(game, state, self.temperature, rng)
 
 
+def parse_spec(spec: str) -> tuple[str, int | str | None]:
+    """(kind, argument) of an agent spec string: the one spec grammar.
+
+    ``random``, ``policy`` and ``self`` take no argument; ``mcts:<n>`` gives
+    ("mcts", n) for n >= 1; ``policy:<path>`` gives ("checkpoint", path) if
+    that file exists. Anything else raises ValueError.
+    """
+    kind, _, argument = spec.partition(":")
+    if spec in ("random", "policy", "self"):
+        return spec, None
+    if kind == "mcts" and argument.isdigit() and int(argument) >= 1:
+        return kind, int(argument)
+    if kind == "policy" and Path(argument).is_file():
+        return "checkpoint", argument
+    raise ValueError(f"unknown agent spec {spec!r}: expected random, mcts:<n >= 1>, "
+                     f"policy, self or policy:<existing checkpoint file>")
+
+
 def make_agent(spec: str, policy: Policy | None = None,
                temperature: float = 0.7) -> Agent:
     """Build an agent from its spec string; policy agents need `policy`."""
-    if spec == "random":
+    kind, argument = parse_spec(spec)
+    if kind == "random":
         return RandomAgent()
-    if spec.startswith("mcts:"):
-        return MctsAgent(int(spec.split(":", 1)[1]))
-    if spec in ("policy", "self"):
-        if policy is None:
-            raise ValueError(f"agent spec {spec!r} needs an in-memory policy")
-        return PolicyAgent(policy, temperature, label=spec)
-    if spec.startswith("policy:"):
-        return PolicyAgent(Policy.load(spec.split(":", 1)[1]), temperature, label=spec)
-    raise ValueError(f"unknown agent spec {spec!r}")
+    if kind == "mcts":
+        return MctsAgent(argument)
+    if kind == "checkpoint":
+        return PolicyAgent(Policy.load(argument), temperature, label=spec)
+    if policy is None:
+        raise ValueError(f"agent spec {spec!r} needs an in-memory policy")
+    return PolicyAgent(policy, temperature, label=spec)
 
 
 def is_learner_spec(spec: str) -> bool:

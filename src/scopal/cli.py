@@ -4,6 +4,10 @@ Subcommands: interact, estimate, train, evaluate, sweep, head2head, iterate,
 regret, pipeline. All artifacts land under ``<out>/<run-id>/`` where the run
 id is the config hash plus seed; a manifest records the resolved config.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
+
+Stage II runs only through ``_label`` and Stage III only through ``_train``,
+so the opponent study (``sweep`` and ``iterate``) labels and trains exactly
+as ``estimate``/``train``/``pipeline`` do, under every setting.
 """
 from __future__ import annotations
 
@@ -16,19 +20,24 @@ from pathlib import Path
 from .agents import PolicyAgent, make_agent
 from .config import ConfigError, ExperimentConfig, load_config
 from .csvfile import write_csv
-from .evaluation import (HEAD2HEAD_COLUMNS, ITERATE_COLUMNS, REGRET_COLUMNS, SWEEP_COLUMNS,
-                         TOURNAMENT_COLUMNS, average_win_rate, head_to_head, iterate,
-                         opponent_sweep, regret, tournament)
-from .interaction import collect_trajectories, read_trajectories, write_trajectories
+from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS,
+                         average_win_rate, head_to_head, interaction_win_rate, regret,
+                         tournament)
+from .interaction import (Trajectory, collect_trajectories, read_trajectories, stable_hash,
+                          write_trajectories)
 from .policy import Policy, new_policy
 from .refine import (METRIC_COLUMNS, balance_by_game, build_advantage_steps, train_spag,
                      train_two_stage)
-from .rewards import (accumulate_stats, collect_representatives, estimate_rewards,
-                      label_steps, read_labeled, write_labeled)
+from .rewards import (LabeledStep, accumulate_stats, collect_representatives,
+                      estimate_rewards, label_counts, label_steps, read_labeled,
+                      write_labeled)
 from .solvers import SOLVABLE
 
 LADDER = ("random", "self", "mcts:5", "mcts:10", "mcts:100", "mcts:200",
           "mcts:500", "mcts:1000")
+SWEEP_COLUMNS = ("opponent", "interaction_win_rate", "n_desirable", "n_undesirable",
+                 "desirable_fraction", "trained_win_rate")
+ITERATE_COLUMNS = ("round", "opponent", "interaction_win_rate", "eval_win_rate", "version")
 
 
 def _run_dir(config: ExperimentConfig) -> Path:
@@ -61,42 +70,77 @@ def _load_policy(config: ExperimentConfig, run_dir: Path) -> Policy:
     return new_policy(config.games)
 
 
+def _interact(config: ExperimentConfig, policy: Policy, agent_pair: tuple[str, str],
+              seed: int) -> list[Trajectory]:
+    """Stage I: `agent_pair` plays `config.episodes` episodes of every game."""
+    return collect_trajectories(config.games, *agent_pair, config.episodes, seed,
+                                policy=policy, temperature=config.interact_temperature,
+                                jobs=config.effective_jobs(), move_bound=config.move_bound)
+
+
+def _label(config: ExperimentConfig, trajs: list[Trajectory],
+           agent_pair: tuple[str, str]) -> list[LabeledStep]:
+    """Stage II: estimate each step's reward over `trajs` and label it."""
+    stats = accumulate_stats(trajs)
+    rewards = estimate_rewards(trajs, stats=stats if config.estimator != "discounted" else None,
+                               **config.estimator_kwargs())
+    reps = collect_representatives(trajs, agent_pair, actors=config.actors)
+    return label_steps(rewards, config.delta, reps, min_count=config.min_count, stats=stats)
+
+
+def _train(config: ExperimentConfig, policy: Policy, data: list,
+           seed: int) -> tuple[Policy, list[dict]]:
+    """Stage III: a trained copy of `policy` and its metrics rows.
+
+    `data` is the labeled set, or the trajectories when the mode is spag.
+    """
+    train_config = config.train_config(seed)
+    if config.mode == "spag":
+        steps = build_advantage_steps(data, (config.agent, config.opponent),
+                                      gamma=config.gamma)
+        trained, metrics = policy.clone(), []
+        train_spag(trained, steps, train_config, metrics)
+        return trained, metrics
+    if config.balance_games:
+        data = balance_by_game(data, seed)
+    return train_two_stage(policy, data, train_config)
+
+
+def _play_label_train(config: ExperimentConfig, policy: Policy, opponent: str, seed: int,
+                      label: str) -> tuple[Policy, list[LabeledStep], float, float]:
+    """One `sweep` rung or `iterate` round: `policy` plays `opponent`, is trained
+    on the labeled steps, then plays the tournament.
+
+    Returns (trained policy, labeled set, interaction win rate, tournament win rate).
+    """
+    pair = ("policy", opponent)
+    trajs = _interact(config, policy, pair, seed)
+    dataset = _label(config, trajs, pair)
+    trained, _ = _train(config, policy, dataset, seed)
+    agent = PolicyAgent(trained, config.eval_temperature, label=label)
+    reports = tournament(agent, config.eval_opponents, config.games, config.eval_episodes,
+                         seed, eval_temperature=config.eval_temperature)
+    return trained, dataset, interaction_win_rate(trajs, pair), average_win_rate(reports)
+
+
 def cmd_interact(config: ExperimentConfig, run_dir: Path) -> None:
-    policy = new_policy(config.games)
-    trajs = collect_trajectories(config.games, config.agent, config.opponent,
-                                 config.episodes, config.seed, policy=policy,
-                                 temperature=config.interact_temperature,
-                                 jobs=config.effective_jobs(),
-                                 move_bound=config.move_bound)
+    trajs = _interact(config, new_policy(config.games), (config.agent, config.opponent),
+                      config.seed)
     write_trajectories(_store_path(config, run_dir), trajs)
 
 
 def cmd_estimate(config: ExperimentConfig, run_dir: Path) -> None:
     trajs = read_trajectories(_store_path(config, run_dir))
-    stats = accumulate_stats(trajs)
-    rewards = estimate_rewards(trajs, stats=stats if config.estimator != "discounted" else None,
-                               **config.estimator_kwargs())
-    reps = collect_representatives(trajs, (config.agent, config.opponent),
-                                   actors=config.actors)
-    dataset = label_steps(rewards, config.delta, reps,
-                          min_count=config.min_count, stats=stats)
-    write_labeled(run_dir / "labeled.jsonl", dataset)
+    write_labeled(run_dir / "labeled.jsonl",
+                  _label(config, trajs, (config.agent, config.opponent)))
 
 
 def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:
-    policy = new_policy(config.games)
     if config.mode == "spag":
-        trajs = read_trajectories(_store_path(config, run_dir))
-        steps = build_advantage_steps(trajs, (config.agent, config.opponent),
-                                      gamma=config.gamma)
-        metrics: list[dict] = []
-        trained = policy.clone()
-        train_spag(trained, steps, config.train_config(), metrics)
+        data = read_trajectories(_store_path(config, run_dir))
     else:
-        dataset = read_labeled(run_dir / "labeled.jsonl")
-        if config.balance_games:
-            dataset = balance_by_game(dataset, config.seed)
-        trained, metrics = train_two_stage(policy, dataset, config.train_config())
+        data = read_labeled(run_dir / "labeled.jsonl")
+    trained, metrics = _train(config, new_policy(config.games), data, config.seed)
     trained.save(run_dir / "checkpoint.json")
     write_csv(run_dir / "metrics.csv", METRIC_COLUMNS, metrics)
 
@@ -112,24 +156,23 @@ def cmd_evaluate(config: ExperimentConfig, run_dir: Path) -> None:
 
 
 def cmd_sweep(config: ExperimentConfig, run_dir: Path) -> None:
-    policy = new_policy(config.games)
-    rows = opponent_sweep(policy, LADDER, config.games, config.episodes,
-                          config.eval_opponents, config.eval_episodes,
-                          config.train_config(), config.seed,
-                          interact_temperature=config.interact_temperature,
-                          eval_temperature=config.eval_temperature,
-                          delta=config.delta, jobs=config.effective_jobs())
+    """Train the base policy once per `LADDER` rung, on its games against that rung."""
+    base = new_policy(config.games)
+    rows = []
+    for rung in LADDER:
+        seed = stable_hash(config.seed, "sweep", rung)
+        _, dataset, interact_wr, trained_wr = _play_label_train(
+            config, base, rung, seed, label=f"trained-vs-{rung}")
+        n_d, n_u = label_counts(dataset)
+        rows.append(dict(zip(SWEEP_COLUMNS, (rung, interact_wr, n_d, n_u,
+                                             n_d / max(1, n_d + n_u), trained_wr))))
     write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, rows)
 
 
 def cmd_head2head(config: ExperimentConfig, run_dir: Path, agent_specs: list[str]) -> None:
-    agents = []
-    for spec in agent_specs:
-        if spec == "base":
-            agents.append(("base", PolicyAgent(new_policy(config.games),
-                                               config.eval_temperature, label="base")))
-        else:
-            agents.append((spec, make_agent(spec, temperature=config.eval_temperature)))
+    agents = [(spec, PolicyAgent(new_policy(config.games), config.eval_temperature, label=spec)
+               if spec == "base" else make_agent(spec, temperature=config.eval_temperature))
+              for spec in agent_specs]
     matrix = head_to_head(agents, config.games, config.eval_episodes, config.seed)
     rows = [{"row_agent": row_label, "col_agent": col_label, "win_rate": matrix[i][j]}
             for i, (row_label, _) in enumerate(agents)
@@ -138,15 +181,24 @@ def cmd_head2head(config: ExperimentConfig, run_dir: Path, agent_specs: list[str
 
 
 def cmd_iterate(config: ExperimentConfig, run_dir: Path, rounds: int) -> None:
-    policy = new_policy(config.games)
-    _, reports = iterate(policy, rounds, config.games, config.episodes,
-                         config.train_config(), config.seed, run_dir,
-                         eval_opponents=config.eval_opponents,
-                         eval_episodes=config.eval_episodes,
-                         interact_temperature=config.interact_temperature,
-                         eval_temperature=config.eval_temperature,
-                         delta=config.delta, jobs=config.effective_jobs())
-    write_csv(run_dir / "iterate.csv", ITERATE_COLUMNS, reports)
+    """Round 1 is self-play; round k >= 2 plays the current policy against
+    checkpoint k - 1. Later rounds may decline; that is reported, not asserted.
+    """
+    if rounds < 1:
+        raise ValueError("iterate: rounds must be >= 1")
+    current = new_policy(config.games)
+    rows = []
+    opponent = "self"
+    for round_no in range(1, rounds + 1):
+        seed = stable_hash(config.seed, "iterate", round_no)
+        current, _, interact_wr, eval_wr = _play_label_train(
+            config, current, opponent, seed, label=f"iter{round_no}")
+        path = run_dir / f"checkpoint_round{round_no}.json"
+        current.save(path)
+        rows.append(dict(zip(ITERATE_COLUMNS, (round_no, opponent, interact_wr, eval_wr,
+                                               current.version))))
+        opponent = f"policy:{path}"
+    write_csv(run_dir / "iterate.csv", ITERATE_COLUMNS, rows)
 
 
 def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
@@ -159,6 +211,12 @@ def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
     write_csv(run_dir / "regret.csv", REGRET_COLUMNS, map(asdict, reports))
 
 
+# the subcommands that take no flag of their own, and the stages each runs
+COMMANDS = {"interact": (cmd_interact,), "estimate": (cmd_estimate,), "train": (cmd_train,),
+            "evaluate": (cmd_evaluate,), "sweep": (cmd_sweep,), "regret": (cmd_regret,),
+            "pipeline": (cmd_interact, cmd_estimate, cmd_train, cmd_evaluate)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scopal",
@@ -169,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, help="episode worker count (default: all cores)")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("interact", "estimate", "train", "evaluate", "sweep", "regret", "pipeline"):
+    for name in COMMANDS:
         sub.add_parser(name)
     h2h = sub.add_parser("head2head")
     h2h.add_argument("--agents", default="base,random",
@@ -192,29 +250,13 @@ def main(argv=None) -> int:
         if args.command in ("sweep", "iterate") and config.mode == "spag":
             raise ConfigError(f"train.mode = spag runs only in train and pipeline, "
                               f"not in {args.command}")
-        if args.command == "interact":
-            cmd_interact(config, run_dir)
-        elif args.command == "estimate":
-            cmd_estimate(config, run_dir)
-        elif args.command == "train":
-            cmd_train(config, run_dir)
-        elif args.command == "evaluate":
-            cmd_evaluate(config, run_dir)
-        elif args.command == "pipeline":
-            cmd_interact(config, run_dir)
-            cmd_estimate(config, run_dir)
-            cmd_train(config, run_dir)
-            cmd_evaluate(config, run_dir)
-        elif args.command == "sweep":
-            cmd_sweep(config, run_dir)
-        elif args.command == "head2head":
+        if args.command == "head2head":
             cmd_head2head(config, run_dir, [s.strip() for s in args.agents.split(",")])
         elif args.command == "iterate":
             cmd_iterate(config, run_dir, args.rounds)
-        elif args.command == "regret":
-            cmd_regret(config, run_dir)
-        else:  # pragma: no cover - argparse enforces choices
-            return 2
+        else:
+            for command in COMMANDS[args.command]:
+                command(config, run_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

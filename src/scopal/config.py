@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Mapping
 
+from .agents import is_learner_spec, parse_spec
 from .games import GAME_NAMES, get_game
 from .refine import TrainConfig
 
@@ -137,11 +138,26 @@ class ExperimentConfig:
             raise ConfigError(f"unknown training mode {self.mode!r}")
         if self.batch_size < 1 or self.grad_accum < 1 or self.epochs < 1:
             raise ConfigError("train.batch_size/grad_accum/epochs must be >= 1")
+        if self.move_bound < 1:
+            raise ConfigError("interact.move_bound must be >= 1")
+        if self.eval_episodes < 2:
+            raise ConfigError("eval.episodes must be >= 2: matches alternate seats in pairs")
+        if not self.eval_opponents:
+            raise ConfigError("eval.opponents must name at least one opponent")
+        for setting, spec in [("interact.agent", self.agent),
+                              ("interact.opponent", self.opponent),
+                              *(("eval.opponents", s) for s in self.eval_opponents)]:
+            try:
+                parse_spec(spec)
+            except ValueError as err:
+                raise ConfigError(f"{setting}: {err}") from err
+            if setting == "eval.opponents" and is_learner_spec(spec):
+                raise ConfigError(f"eval.opponents: {spec!r} is the policy under training")
 
-    def train_config(self) -> TrainConfig:
+    def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
                            grad_accum=self.grad_accum, epochs=self.epochs, beta=self.beta,
-                           beta2=self.beta2, seed=self.seed, mode=self.mode)
+                           beta2=self.beta2, seed=seed, mode=self.mode)
 
     def estimator_kwargs(self) -> dict:
         return {"method": self.estimator, "tie_weight": self.tie_weight,

@@ -1,5 +1,9 @@
-"""Win-rate metric, tournaments, head-to-head matrices, opponent sweep,
-iterated training, and exact-solver regret.
+"""Win-rate metric, matches, tournaments, head-to-head matrices, the
+learner's interaction win rate, and exact-solver regret.
+
+This module plays and scores games only: it neither labels steps nor
+trains. The ``sweep`` and ``iterate`` commands, which do all three, live
+in ``cli``.
 
 Every report is reproducible byte-for-byte from (config, master seed).
 Matches and regret play through ``interaction.play_episodes``, the one seat
@@ -11,24 +15,16 @@ self-play record every game twice and halve the data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .agents import Agent, PolicyAgent, make_agent
-from .games import Outcome, Player
-from .interaction import (DEFAULT_MOVE_BOUND, agent1_seat, collect_trajectories,
-                          learner_seats, play_episodes, replay, stable_hash)
-from .policy import Policy
-from .refine import TrainConfig, train_two_stage
-from .rewards import (collect_representatives, estimate_rewards, label_counts,
-                      label_steps)
+from .agents import Agent, make_agent
+from .games import Outcome
+from .interaction import (DEFAULT_MOVE_BOUND, agent1_seat, learner_seats, play_episodes,
+                          replay, stable_hash)
 from .solvers import get_solver
 
 HEAD2HEAD_COLUMNS = ("row_agent", "col_agent", "win_rate")
-SWEEP_COLUMNS = ("opponent", "interaction_win_rate", "n_desirable", "n_undesirable",
-                 "desirable_fraction", "trained_win_rate")
-ITERATE_COLUMNS = ("round", "opponent", "interaction_win_rate", "eval_win_rate", "version")
 
 
 def win_rate(n_win: int, n_lose: int, n_tie: int) -> float:
@@ -131,95 +127,14 @@ def head_to_head(agents: Sequence[tuple[str, Agent]], games: Sequence[str],
     return matrix
 
 
-def interaction_stats(trajectories, agent_pair: tuple[str, str], *,
-                      estimator_kwargs: dict | None = None,
-                      delta: float = 0.5, actors: str = "learner"):
-    """Labeled dataset + the learner's interaction win rate over a store.
+def interaction_win_rate(trajectories, agent_pair: tuple[str, str]) -> float:
+    """The learner's win rate over a store of `agent_pair` games.
 
-    The win rate counts each trajectory at its first learner seat (P1 when
-    both seats are learners, as in self-play).
+    Each trajectory counts once at every seat the learner held, so a
+    self-play store reads exactly 0.5.
     """
-    n_win, n_lose, n_tie = _count_outcomes(
-        t.outcome[Player.P1 if Player.P1 in learner_seats(t, agent_pair) else Player.P2]
-        for t in trajectories)
-    kwargs = dict(estimator_kwargs or {})
-    rewards = estimate_rewards(trajectories, **kwargs)
-    reps = collect_representatives(trajectories, agent_pair, actors=actors)
-    dataset = label_steps(rewards, delta, reps)
-    return dataset, win_rate(n_win, n_lose, n_tie)
-
-
-def opponent_sweep(base_policy: Policy, ladder: Sequence[str], games: Sequence[str],
-                   interact_episodes: int, eval_opponents: Sequence[str],
-                   eval_episodes: int, train_config: TrainConfig, master_seed: int, *,
-                   interact_temperature: float = 0.7, eval_temperature: float = 0.2,
-                   delta: float = 0.5, jobs: int = 1) -> list[dict]:
-    """Interact/train/evaluate once per ladder rung; one summary row each."""
-    if not ladder:
-        raise ValueError("opponent_sweep: empty ladder")
-    rows = []
-    for rung in ladder:
-        seed = stable_hash(master_seed, "sweep", rung)
-        trajs = collect_trajectories(games, "policy", rung, interact_episodes, seed,
-                                     policy=base_policy, temperature=interact_temperature,
-                                     jobs=jobs)
-        dataset, interact_wr = interaction_stats(trajs, ("policy", rung), delta=delta)
-        n_d, n_u = label_counts(dataset)
-        trained, _ = train_two_stage(base_policy, dataset,
-                                     replace(train_config, seed=seed))
-        agent = PolicyAgent(trained, eval_temperature, label=f"trained-vs-{rung}")
-        reports = tournament(agent, eval_opponents, games, eval_episodes, seed,
-                             eval_temperature=eval_temperature)
-        rows.append({
-            "opponent": rung,
-            "interaction_win_rate": interact_wr,
-            "n_desirable": n_d,
-            "n_undesirable": n_u,
-            "desirable_fraction": n_d / max(1, n_d + n_u),
-            "trained_win_rate": average_win_rate(reports),
-        })
-    return rows
-
-
-def iterate(policy: Policy, rounds: int, games: Sequence[str], episodes: int,
-            train_config: TrainConfig, master_seed: int, out_dir, *,
-            eval_opponents: Sequence[str] = ("random", "mcts:1000"),
-            eval_episodes: int = 100, interact_temperature: float = 0.7,
-            eval_temperature: float = 0.2, delta: float = 0.5,
-            jobs: int = 1) -> tuple[list[Path], list[dict]]:
-    """Round 1 is self-play; round k >= 2 plays current vs previous checkpoint.
-
-    Returns checkpoint paths (version strictly increasing) and per-round
-    evaluation rows. Later rounds may decline; that is reported, not asserted.
-    """
-    if rounds < 1:
-        raise ValueError("iterate: rounds must be >= 1")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    current = policy
-    checkpoints: list[Path] = []
-    reports: list[dict] = []
-    prev_path: Path | None = None
-    for round_no in range(1, rounds + 1):
-        opponent = "self" if prev_path is None else f"policy:{prev_path}"
-        seed = stable_hash(master_seed, "iterate", round_no)
-        trajs = collect_trajectories(games, "policy", opponent, episodes, seed,
-                                     policy=current, temperature=interact_temperature,
-                                     jobs=jobs)
-        dataset, interact_wr = interaction_stats(trajs, ("policy", opponent), delta=delta)
-        current, _ = train_two_stage(current, dataset, replace(train_config, seed=seed))
-        path = out_dir / f"checkpoint_round{round_no}.json"
-        current.save(path)
-        checkpoints.append(path)
-        agent = PolicyAgent(current, eval_temperature, label=f"iter{round_no}")
-        evals = tournament(agent, eval_opponents, games, eval_episodes, seed,
-                           eval_temperature=eval_temperature)
-        reports.append({"round": round_no, "opponent": opponent,
-                        "interaction_win_rate": interact_wr,
-                        "eval_win_rate": average_win_rate(evals),
-                        "version": current.version})
-        prev_path = path
-    return checkpoints, reports
+    return win_rate(*_count_outcomes(t.outcome[seat] for t in trajectories
+                                     for seat in learner_seats(t, agent_pair)))
 
 
 def regret(agent: Agent, game_name: str, episodes: int, master_seed: int, *,

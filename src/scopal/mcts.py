@@ -117,11 +117,3 @@ def mcts_act(game: Game, state, config: MctsConfig):
             best_visits = child.visits
             best_action = action
     return best_action
-
-
-def random_act(game: Game, state, seed: int):
-    """Uniform draw over the canonical legal-action list."""
-    acts = game.legal_actions(state)
-    if not acts:
-        raise ValueError("random_act: state is terminal")
-    return acts[random.Random(seed).randrange(len(acts))]

@@ -14,16 +14,18 @@ Objectives over the labeled step dataset:
 * the discounted self-play baseline: importance-weighted step advantages
   minus a KL penalty toward the data-generating snapshot.
 
-Training is plain gradient descent with the configured epoch/batch/
-accumulation structure; ``lambda_D n_D = lambda_U n_U`` with the larger
-weight at 1.0 unless weights are given explicitly.
+Every objective trains through one loop, ``_descend``: plain gradient
+descent with the configured epoch/batch structure, accumulating gradients
+over ``grad_accum`` batches in the KTO stage. KTO weights satisfy
+``lambda_D n_D = lambda_U n_U`` with the larger weight at 1.0.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import islice, product
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,11 +45,8 @@ class TrainConfig:
     epochs: int = 5
     beta: float = 0.1
     beta2: float = 0.2
-    lambda_d: float | None = None  # None -> auto-balance from label counts
-    lambda_u: float | None = None
     seed: int = 0
     mode: str = "two_stage"  # two_stage | direct_kto | joint | bc_only | bc_dpo | spag
-    dpo_pair_cap: int = 4
 
 
 @dataclass
@@ -169,19 +168,9 @@ def build_dpo_pairs(dataset: Sequence[LabeledStep],
     pairs = []
     for state_key in sorted(by_state):
         pos, neg = by_state[state_key]
-        if not pos or not neg:
-            continue
         pos.sort(key=lambda s: (-s.reward, s.key))
         neg.sort(key=lambda s: (s.reward, s.key))
-        n = 0
-        for p in pos:
-            for q in neg:
-                pairs.append((p, q))
-                n += 1
-                if n >= cap:
-                    break
-            if n >= cap:
-                break
+        pairs.extend(islice(product(pos, neg), cap))
     return pairs
 
 
@@ -381,141 +370,97 @@ def _apply_gradient(policy: Policy, grads: Mapping[str, np.ndarray], lr: float) 
         block -= lr * vec
 
 
-def _batches(items: list, size: int, rng: random.Random):
-    order = list(items)
-    rng.shuffle(order)
-    for i in range(0, len(order), size):
-        yield order[i:i + size]
+def _descend(policy: Policy, items: Sequence, loss: Callable[[list], LossReport],
+             config: TrainConfig, metrics: list[dict], stage: str,
+             counts: tuple[int, int, float, float], accum: int = 1) -> None:
+    """The one Stage III loop: `config.epochs` seeded shuffles of `items` in batches.
 
-
-def _metric_row(stage: str, epoch: int, loss: float, n_d: int, n_u: int,
-                lam_d: float, lam_u: float, z0) -> dict:
-    return {"stage": stage, "epoch": epoch, "loss": loss, "n_D": n_d, "n_U": n_u,
-            "lambda_D": lam_d, "lambda_U": lam_u, "z0": z0}
-
-
-def _guard(loss: float, stage: str) -> None:
-    if not math.isfinite(loss):
-        raise RuntimeError(f"training diverged during {stage}: loss is not finite")
+    A gradient step averages `accum` batches; a trailing partial group is
+    scaled up to a full one. Each epoch appends a metrics row: mean loss,
+    `counts` = (n_D, n_U, lambda_D, lambda_U), mean z0 (empty if the loss has none).
+    """
+    if not items:
+        return
+    for epoch in range(config.epochs):
+        order = list(items)
+        random.Random(stable_hash(config.seed, stage, epoch)).shuffle(order)
+        losses, z0s = [], []
+        grads: dict[str, np.ndarray] = {}
+        pending = 0
+        for start in range(0, len(order), config.batch_size):
+            report = loss(order[start:start + config.batch_size])
+            if not math.isfinite(report.loss):
+                raise RuntimeError(f"training diverged during {stage}: loss is not finite")
+            for name, vec in report.gradient.items():
+                _accumulate(grads, name, vec, 1.0 / accum)
+            pending += 1
+            if pending == accum:
+                _apply_gradient(policy, grads, config.learning_rate)
+                grads, pending = {}, 0
+            losses.append(report.loss)
+            z0s.append(report.z0)
+        if pending:
+            _apply_gradient(policy, {k: v * (accum / pending) for k, v in grads.items()},
+                            config.learning_rate)
+        z0 = "" if None in z0s else sum(z0s) / len(z0s)
+        metrics.append(dict(zip(METRIC_COLUMNS,
+                                (stage, epoch, sum(losses) / len(losses), *counts, z0))))
+    policy.version += 1
 
 
 def train_bc(policy: Policy, steps: Sequence[LabeledStep], config: TrainConfig,
              metrics: list[dict], stage: str = "bc") -> None:
     desirable = [s for s in steps if s.label == DESIRABLE]
-    if not desirable:
-        return
-    for epoch in range(config.epochs):
-        rng = random.Random(stable_hash(config.seed, stage, epoch))
-        losses = []
-        for batch in _batches(desirable, config.batch_size, rng):
-            report = bc_loss(policy, batch)
-            _guard(report.loss, stage)
-            _apply_gradient(policy, report.gradient, config.learning_rate)
-            losses.append(report.loss)
-        metrics.append(_metric_row(stage, epoch, sum(losses) / len(losses),
-                                   len(desirable), 0, 1.0, 0.0, ""))
-    policy.version += 1
+    _descend(policy, desirable, lambda batch: bc_loss(policy, batch), config, metrics,
+             stage, (len(desirable), 0, 1.0, 0.0))
+
+
+def _kto_weights(dataset: Sequence[LabeledStep]) -> tuple[int, int, float, float]:
+    """(n_D, n_U, lambda_D, lambda_U) of a labeled set, with balanced weights."""
+    n_d, n_u = label_counts(dataset)
+    return (n_d, n_u, *balance_lambdas(n_d, n_u))
 
 
 def train_kto(policy: Policy, reference: Policy, dataset: Sequence[LabeledStep],
               config: TrainConfig, metrics: list[dict], stage: str = "kto") -> None:
-    if not dataset:
-        return
-    n_d, n_u = label_counts(dataset)
-    lam_d, lam_u = _lambdas(config, n_d, n_u)
-    for epoch in range(config.epochs):
-        rng = random.Random(stable_hash(config.seed, stage, epoch))
-        losses, z0s = [], []
-        accum: dict[str, np.ndarray] = {}
-        pending = 0
-        for batch in _batches(list(dataset), config.batch_size, rng):
-            report = kto_loss(policy, reference, batch, beta=config.beta,
-                              lambda_d=lam_d, lambda_u=lam_u)
-            _guard(report.loss, stage)
-            for name, vec in report.gradient.items():
-                _accumulate(accum, name, vec, 1.0 / config.grad_accum)
-            pending += 1
-            if pending == config.grad_accum:
-                _apply_gradient(policy, accum, config.learning_rate)
-                accum, pending = {}, 0
-            losses.append(report.loss)
-            z0s.append(report.z0)
-        if pending:
-            _apply_gradient(policy, {k: v * (config.grad_accum / pending)
-                                     for k, v in accum.items()}, config.learning_rate)
-        metrics.append(_metric_row(stage, epoch, sum(losses) / len(losses),
-                                   n_d, n_u, lam_d, lam_u, sum(z0s) / len(z0s)))
-    policy.version += 1
+    counts = _kto_weights(dataset)
+    _descend(policy, dataset, lambda batch: kto_loss(
+        policy, reference, batch, beta=config.beta, lambda_d=counts[2], lambda_u=counts[3]),
+        config, metrics, stage, counts, accum=config.grad_accum)
 
 
 def train_dpo(policy: Policy, reference: Policy, dataset: Sequence[LabeledStep],
               config: TrainConfig, metrics: list[dict], stage: str = "dpo") -> None:
-    pairs = build_dpo_pairs(dataset, config.dpo_pair_cap)
-    if not pairs:
-        return
-    for epoch in range(config.epochs):
-        rng = random.Random(stable_hash(config.seed, stage, epoch))
-        losses = []
-        for batch in _batches(pairs, config.batch_size, rng):
-            report = dpo_loss(policy, reference, batch, config.beta)
-            _guard(report.loss, stage)
-            _apply_gradient(policy, report.gradient, config.learning_rate)
-            losses.append(report.loss)
-        metrics.append(_metric_row(stage, epoch, sum(losses) / len(losses),
-                                   len(pairs), len(pairs), 1.0, 1.0, ""))
-    policy.version += 1
+    pairs = build_dpo_pairs(dataset)
+    _descend(policy, pairs, lambda batch: dpo_loss(policy, reference, batch, config.beta),
+             config, metrics, stage, (len(pairs), len(pairs), 1.0, 1.0))
 
 
 def train_spag(policy: Policy, steps: Sequence[AdvantageStep], config: TrainConfig,
                metrics: list[dict], stage: str = "spag") -> None:
-    if not steps:
-        return
     reference = reference_copy(policy)
-    for epoch in range(config.epochs):
-        rng = random.Random(stable_hash(config.seed, stage, epoch))
-        losses = []
-        for batch in _batches(list(steps), config.batch_size, rng):
-            report = spag_loss(policy, reference, batch, config.beta2)
-            _guard(report.loss, stage)
-            _apply_gradient(policy, report.gradient, config.learning_rate)
-            losses.append(report.loss)
-        metrics.append(_metric_row(stage, epoch, sum(losses) / len(losses),
-                                   len(steps), 0, 1.0, 0.0, ""))
-    policy.version += 1
-
-
-def _lambdas(config: TrainConfig, n_d: int, n_u: int) -> tuple[float, float]:
-    if config.lambda_d is not None and config.lambda_u is not None:
-        return config.lambda_d, config.lambda_u
-    return balance_lambdas(n_d, n_u)
+    _descend(policy, steps, lambda batch: spag_loss(policy, reference, batch, config.beta2),
+             config, metrics, stage, (len(steps), 0, 1.0, 0.0))
 
 
 def _train_joint(policy: Policy, dataset: Sequence[LabeledStep], config: TrainConfig,
                  metrics: list[dict]) -> None:
     reference = reference_copy(policy)
-    n_d, n_u = label_counts(dataset)
-    lam_d, lam_u = _lambdas(config, n_d, n_u)
-    for epoch in range(config.epochs):
-        rng = random.Random(stable_hash(config.seed, "joint", epoch))
-        losses, z0s = [], []
-        for batch in _batches(list(dataset), config.batch_size, rng):
-            report = kto_loss(policy, reference, batch, beta=config.beta,
-                              lambda_d=lam_d, lambda_u=lam_u)
-            grads = dict(report.gradient)
-            loss = report.loss
-            desirable = [s for s in batch if s.label == DESIRABLE]
-            if desirable:
-                bc = bc_loss(policy, desirable)
-                loss += bc.loss
-                for name, vec in bc.gradient.items():
-                    _accumulate(grads, name, vec, 1.0)
-            _guard(loss, "joint")
-            _apply_gradient(policy, grads, config.learning_rate)
-            losses.append(loss)
-            z0s.append(report.z0)
-        metrics.append(_metric_row("joint", epoch, sum(losses) / len(losses),
-                                   n_d, n_u, lam_d, lam_u, sum(z0s) / len(z0s)))
-    policy.version += 1
+    counts = _kto_weights(dataset)
+
+    def loss(batch):
+        """KTO plus BC on the batch's desirable steps; z0 is KTO's."""
+        report = kto_loss(policy, reference, batch, beta=config.beta,
+                          lambda_d=counts[2], lambda_u=counts[3])
+        desirable = [s for s in batch if s.label == DESIRABLE]
+        if not desirable:
+            return report
+        bc = bc_loss(policy, desirable)
+        for name, vec in bc.gradient.items():
+            _accumulate(report.gradient, name, vec, 1.0)
+        return LossReport(report.loss + bc.loss, report.gradient, z0=report.z0)
+
+    _descend(policy, dataset, loss, config, metrics, "joint", counts)
 
 
 def train_two_stage(policy: Policy, dataset: Sequence[LabeledStep],
@@ -525,24 +470,16 @@ def train_two_stage(policy: Policy, dataset: Sequence[LabeledStep],
     Modes: two_stage (BC on desirable steps, then KTO against the post-BC
     snapshot), direct_kto, joint (summed objectives), bc_only, bc_dpo.
     """
+    if config.mode not in ("two_stage", "direct_kto", "joint", "bc_only", "bc_dpo"):
+        raise ValueError(f"unknown training mode {config.mode!r}")
     trained = policy.clone()
     metrics: list[dict] = []
-    mode = config.mode
-    if mode == "two_stage":
+    if config.mode in ("two_stage", "bc_only", "bc_dpo"):
         train_bc(trained, dataset, config, metrics)
-        reference = reference_copy(trained)
-        train_kto(trained, reference, dataset, config, metrics)
-    elif mode == "direct_kto":
-        reference = reference_copy(trained)
-        train_kto(trained, reference, dataset, config, metrics)
-    elif mode == "joint":
+    if config.mode == "joint":
         _train_joint(trained, dataset, config, metrics)
-    elif mode == "bc_only":
-        train_bc(trained, dataset, config, metrics)
-    elif mode == "bc_dpo":
-        train_bc(trained, dataset, config, metrics)
-        reference = reference_copy(trained)
-        train_dpo(trained, reference, dataset, config, metrics)
-    else:
-        raise ValueError(f"unknown training mode {mode!r}")
+    elif config.mode in ("two_stage", "direct_kto"):
+        train_kto(trained, reference_copy(trained), dataset, config, metrics)
+    elif config.mode == "bc_dpo":
+        train_dpo(trained, reference_copy(trained), dataset, config, metrics)
     return trained, metrics

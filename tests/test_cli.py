@@ -60,3 +60,24 @@ def test_spag_mode_is_rejected_before_any_work(run, monkeypatch, command):
     assert run(command) == 2
     (run_dir,) = run.out.iterdir()
     assert list(run_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("setting", [("SCOPAL_INTERACT_MOVE_BOUND", "3"),
+                                     ("SCOPAL_REWARDS_ACTORS", "all")])
+def test_sweep_plays_and_labels_as_the_pipeline_does(run, monkeypatch, setting):
+    assert run("sweep") == 0
+    (default_dir,) = run.out.iterdir()
+    monkeypatch.setenv(*setting)
+    assert run("sweep") == 0
+    (other_dir,) = set(run.out.iterdir()) - {default_dir}
+    assert ((other_dir / "sweep.csv").read_text()
+            != (default_dir / "sweep.csv").read_text())
+
+
+def test_joint_mode_with_an_empty_labeled_set_trains_nothing(run, monkeypatch):
+    monkeypatch.setenv("SCOPAL_TRAIN_MODE", "joint")
+    monkeypatch.setenv("SCOPAL_REWARDS_MIN_COUNT", "1000")
+    assert run("pipeline") == 0
+    (run_dir,) = run.out.iterdir()
+    assert (run_dir / "labeled.jsonl").read_text() == ""
+    assert (run_dir / "metrics.csv").read_text().splitlines() == [HEADERS["metrics.csv"]]

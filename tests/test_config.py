@@ -1,0 +1,76 @@
+"""Config loading: file < environment < flag precedence, the strict schema,
+and the rejections made at load time, before any stage runs."""
+import pytest
+
+from scopal.cli import main
+from scopal.config import ConfigError, load_config
+from scopal.policy import new_policy
+
+
+@pytest.fixture
+def config_file(tmp_path):
+    def write(text):
+        path = tmp_path / "experiment.ini"
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+def test_file_then_environment_then_flag(config_file):
+    path = config_file("[run]\nseed = 1\ngames = nim\n[interact]\nepisodes = 7\n")
+    assert load_config(path, env={}).seed == 1
+    config = load_config(path, env={"SCOPAL_RUN_SEED": "2"})
+    assert (config.seed, config.episodes, config.games) == (2, 7, ("nim",))
+    assert load_config(path, env={"SCOPAL_RUN_SEED": "2"}, seed=3).seed == 3
+    # an unset flag (None) leaves the lower layers alone
+    assert load_config(path, env={"SCOPAL_RUN_SEED": "2"}, seed=None).seed == 2
+
+
+def test_unknown_section_and_key_are_errors(config_file):
+    with pytest.raises(ConfigError, match=r"unknown config section \[nope\]"):
+        load_config(config_file("[nope]\nx = 1\n"), env={})
+    with pytest.raises(ConfigError, match=r"unknown key 'epsiodes' in section \[interact\]"):
+        load_config(config_file("[interact]\nepsiodes = 3\n"), env={})
+
+
+def test_unparsable_values_are_errors(config_file):
+    with pytest.raises(ConfigError, match=r"\[run\] seed"):
+        load_config(config_file("[run]\nseed = one\n"), env={})
+    with pytest.raises(ConfigError, match="SCOPAL_TRAIN_BALANCE_GAMES"):
+        load_config(None, env={"SCOPAL_TRAIN_BALANCE_GAMES": "maybe"})
+
+
+def test_agent_specs_that_parse_are_accepted(tmp_path):
+    checkpoint = tmp_path / "ckpt.json"
+    new_policy(["nim"]).save(checkpoint)
+    config = load_config(None, env={
+        "SCOPAL_INTERACT_OPPONENT": f"policy:{checkpoint}",
+        "SCOPAL_EVAL_OPPONENTS": f"random,mcts:1,policy:{checkpoint}"})
+    assert config.eval_opponents == ("random", "mcts:1", f"policy:{checkpoint}")
+
+
+@pytest.mark.parametrize("variable, value, message", [
+    ("SCOPAL_EVAL_EPISODES", "1", "eval.episodes must be >= 2"),
+    ("SCOPAL_INTERACT_MOVE_BOUND", "0", "interact.move_bound must be >= 1"),
+    ("SCOPAL_EVAL_OPPONENTS", "random,mcts:x", "eval.opponents: unknown agent spec 'mcts:x'"),
+    ("SCOPAL_EVAL_OPPONENTS", "mcts:0", "eval.opponents: unknown agent spec 'mcts:0'"),
+    ("SCOPAL_EVAL_OPPONENTS", "randm", "eval.opponents: unknown agent spec 'randm'"),
+    ("SCOPAL_EVAL_OPPONENTS", "self", "eval.opponents: 'self' is the policy under training"),
+    ("SCOPAL_EVAL_OPPONENTS", ",", "eval.opponents must name at least one opponent"),
+    ("SCOPAL_EVAL_OPPONENTS", "policy:missing.json",
+     "eval.opponents: unknown agent spec 'policy:missing.json'"),
+    ("SCOPAL_INTERACT_AGENT", "mcts:-5", "interact.agent: unknown agent spec 'mcts:-5'"),
+    ("SCOPAL_INTERACT_OPPONENT", "policy:", "interact.opponent: unknown agent spec 'policy:'"),
+    ("SCOPAL_INTERACT_OPPONENT", "policy:missing.json",
+     "interact.opponent: unknown agent spec 'policy:missing.json'"),
+])
+def test_bad_settings_are_rejected_when_they_load(tmp_path, monkeypatch, capsys,
+                                                  variable, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(None, env={variable: value})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(variable, value)
+    out = tmp_path / "runs"
+    assert main(["--out", str(out), "pipeline"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()

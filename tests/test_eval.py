@@ -8,7 +8,7 @@ import pytest
 from scopal.agents import MctsAgent, PolicyAgent, RandomAgent, make_agent
 from scopal.csvfile import write_csv
 from scopal.evaluation import (TOURNAMENT_COLUMNS, MatchReport, head_to_head,
-                               interaction_stats, play_match, regret, tournament, win_rate)
+                               interaction_win_rate, play_match, regret, tournament, win_rate)
 from scopal.games import Outcome, Player, get_game
 from scopal.interaction import collect_trajectories
 from scopal.policy import new_policy
@@ -88,13 +88,23 @@ def test_self_match_with_mirrored_seeds_is_balanced():
 def test_interaction_win_rate_counts_the_policy_seat():
     trajs = collect_trajectories(["nim"], "policy", "random", 30, 4,
                                  policy=new_policy(["nim"]))
-    _, rate = interaction_stats(trajs, ("policy", "random"))
+    rate = interaction_win_rate(trajs, ("policy", "random"))
     outcomes = [t.outcome[Player.P1 if t.first_player_agent == "policy" else Player.P2]
                 for t in trajs]
     expected = win_rate(outcomes.count(Outcome.WIN), outcomes.count(Outcome.LOSE),
                         outcomes.count(Outcome.TIE))
     assert rate == expected
     assert 0.0 < rate < 1.0
+
+
+def test_interaction_win_rate_of_self_play_counts_both_seats():
+    trajs = collect_trajectories(["tictactoe"], "policy", "self", 40, 7,
+                                 policy=new_policy(["tictactoe"]))
+    first_mover = [t.outcome[Player.P1] for t in trajs]
+    # the store is not balanced between the seats ...
+    assert first_mover.count(Outcome.WIN) != first_mover.count(Outcome.LOSE)
+    # ... yet the learner holds both, so it wins exactly the games it loses
+    assert interaction_win_rate(trajs, ("policy", "self")) == 0.5
 
 
 # -- solvers -------------------------------------------------------------------

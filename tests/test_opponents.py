@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from scopal.agents import RandomAgent
 from scopal.games import Player, get_game
-from scopal.mcts import MctsConfig, SearchNode, mcts_act, random_act, uct_score
+from scopal.mcts import MctsConfig, SearchNode, mcts_act, uct_score
 from scopal.solvers import get_solver
 
 
@@ -135,7 +136,7 @@ def test_mcts_hidden_information_games_run():
 def test_random_act_single_action():
     game = get_game("nim")
     s = game.decode_state({"piles": [1, 0, 0, 0], "to_move": "P1", "move_count": 15})
-    assert random_act(game, s, seed=5) == (0, 1)
+    assert RandomAgent().act(game, s, random.Random(5)) == (0, 1)
 
 
 def test_random_act_uniform_over_cells():
@@ -143,7 +144,7 @@ def test_random_act_uniform_over_cells():
     s = game.initial_state(0)
     counts = {}
     for seed in range(9000):
-        a = random_act(game, s, seed)
+        a = RandomAgent().act(game, s, random.Random(seed))
         counts[a] = counts.get(a, 0) + 1
     # chi-square-style bound: each cell expected 1000, allow +-100
     assert set(counts) == set(range(9))
@@ -154,4 +155,5 @@ def test_random_act_uniform_over_cells():
 def test_random_act_deterministic():
     game = get_game("connect4")
     s = game.initial_state(0)
-    assert random_act(game, s, seed=77) == random_act(game, s, seed=77)
+    agent = RandomAgent()
+    assert agent.act(game, s, random.Random(77)) == agent.act(game, s, random.Random(77))
