@@ -18,6 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .agents import PolicyAgent, make_agent
+from .atomic import atomic_open
 from .config import ConfigError, ExperimentConfig, load_config
 from .csvfile import write_csv
 from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS,
@@ -60,14 +61,15 @@ def _write_manifest(config: ExperimentConfig, run_dir: Path) -> None:
         "config": config.resolved(),
         "artifacts": artifacts,
     }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with atomic_open(run_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _load_policy(config: ExperimentConfig, run_dir: Path) -> Policy:
+def _load_policy(run_dir: Path) -> Policy:
     checkpoint = run_dir / "checkpoint.json"
-    if checkpoint.exists():
-        return Policy.load(checkpoint)
-    return new_policy(config.games)
+    if not checkpoint.exists():
+        raise FileNotFoundError(f"no checkpoint.json in {run_dir}: run train first")
+    return Policy.load(checkpoint)
 
 
 def _interact(config: ExperimentConfig, policy: Policy, agent_pair: tuple[str, str],
@@ -146,7 +148,7 @@ def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:
 
 
 def cmd_evaluate(config: ExperimentConfig, run_dir: Path) -> None:
-    policy = _load_policy(config, run_dir)
+    policy = _load_policy(run_dir)
     agent = PolicyAgent(policy, config.eval_temperature)
     reports = tournament(agent, config.eval_opponents, config.games,
                          config.eval_episodes, config.seed,
@@ -188,16 +190,18 @@ def cmd_iterate(config: ExperimentConfig, run_dir: Path, rounds: int) -> None:
         raise ValueError("iterate: rounds must be >= 1")
     current = new_policy(config.games)
     rows = []
-    opponent = "self"
+    opponent = label = "self"
     for round_no in range(1, rounds + 1):
         seed = stable_hash(config.seed, "iterate", round_no)
         current, _, interact_wr, eval_wr = _play_label_train(
             config, current, opponent, seed, label=f"iter{round_no}")
-        path = run_dir / f"checkpoint_round{round_no}.json"
-        current.save(path)
-        rows.append(dict(zip(ITERATE_COLUMNS, (round_no, opponent, interact_wr, eval_wr,
+        name = f"checkpoint_round{round_no}.json"
+        current.save(run_dir / name)
+        rows.append(dict(zip(ITERATE_COLUMNS, (round_no, label, interact_wr, eval_wr,
                                                current.version))))
-        opponent = f"policy:{path}"
+        # the row names the checkpoint relative to the run directory, so the
+        # CSV does not depend on --out
+        opponent, label = f"policy:{run_dir / name}", f"policy:{name}"
     write_csv(run_dir / "iterate.csv", ITERATE_COLUMNS, rows)
 
 
@@ -205,7 +209,7 @@ def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
     games = [g for g in config.games if g in SOLVABLE]
     if not games:
         raise ConfigError(f"regret needs at least one of {SOLVABLE} in run.games")
-    policy = _load_policy(config, run_dir)
+    policy = _load_policy(run_dir)
     agent = PolicyAgent(policy, config.eval_temperature)
     reports = [regret(agent, g, config.eval_episodes, config.seed) for g in games]
     write_csv(run_dir / "regret.csv", REGRET_COLUMNS, map(asdict, reports))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Mapping
@@ -132,12 +133,20 @@ class ExperimentConfig:
             raise ConfigError("rewards.gamma must lie in (0, 1)")
         if self.alpha0 <= 0 or self.beta0 <= 0:
             raise ConfigError("rewards.alpha0 and beta0 must be positive")
+        if not math.isfinite(self.delta):
+            raise ConfigError("rewards.delta must be finite")
         if self.actors not in ("learner", "all"):
             raise ConfigError("rewards.actors must be 'learner' or 'all'")
         if self.mode not in ("two_stage", "direct_kto", "joint", "bc_only", "bc_dpo", "spag"):
             raise ConfigError(f"unknown training mode {self.mode!r}")
         if self.batch_size < 1 or self.grad_accum < 1 or self.epochs < 1:
             raise ConfigError("train.batch_size/grad_accum/epochs must be >= 1")
+        if not self.learning_rate > 0:
+            raise ConfigError("train.learning_rate must be positive")
+        if not self.beta > 0:
+            raise ConfigError("train.beta must be positive")
+        if not self.beta2 >= 0:
+            raise ConfigError("train.beta2 must be >= 0")
         if self.move_bound < 1:
             raise ConfigError("interact.move_bound must be >= 1")
         if self.eval_episodes < 2:

@@ -21,24 +21,32 @@ from .games.tictactoe import LINES
 _KUHN_HIST = {(): 0, ("P",): 1, ("B",): 2, ("P", "B"): 3}
 
 
-def _c4_windows() -> tuple[int, ...]:
+def _c4_windows() -> np.ndarray:
+    """(42, 69) incidence of board cells (row-major, as in the planes) in the 4-windows."""
     wins = []
     for r in range(C4_ROWS):
         for c in range(C4_COLS - 3):
-            wins.append(sum(1 << ((c + i) * 7 + r) for i in range(4)))
+            wins.append([(r, c + i) for i in range(4)])
     for c in range(C4_COLS):
         for r in range(C4_ROWS - 3):
-            wins.append(sum(1 << (c * 7 + r + i) for i in range(4)))
+            wins.append([(r + i, c) for i in range(4)])
     for c in range(C4_COLS - 3):
         for r in range(C4_ROWS - 3):
-            wins.append(sum(1 << ((c + i) * 7 + r + i) for i in range(4)))
+            wins.append([(r + i, c + i) for i in range(4)])
     for c in range(3, C4_COLS):
         for r in range(C4_ROWS - 3):
-            wins.append(sum(1 << ((c - i) * 7 + r + i) for i in range(4)))
-    return tuple(wins)
+            wins.append([(r + i, c - i) for i in range(4)])
+    incidence = np.zeros((C4_ROWS * C4_COLS, len(wins)), dtype=np.int64)
+    for w, cells in enumerate(wins):
+        for r, c in cells:
+            incidence[r * C4_COLS + c, w] = 1
+    return incidence
 
 
 _C4_WINDOWS = _c4_windows()
+# bit of cell r * COLS + c in the column-major bitboard
+_C4_CELL_BITS = np.array([c * 7 + r for r in range(C4_ROWS) for c in range(C4_COLS)],
+                         dtype=np.uint64)
 
 
 def feature_dim(game: Game) -> int:
@@ -58,14 +66,27 @@ def feature_dim(game: Game) -> int:
     raise KeyError(f"no feature encoder for game {name!r}")
 
 
+def feature_matrix(game: Game, state, acts) -> np.ndarray:
+    """(len(acts), d) matrix whose row i is ``features(game, state, acts[i])``.
+
+    Connect Four and Breakthrough encode every action at once; the other
+    games stack their per-action rows.
+    """
+    if not acts:
+        return np.zeros((0, feature_dim(game)))
+    if game.name == "connect4":
+        return _c4(game, state, acts)
+    if isinstance(game, Breakthrough):
+        return _breakthrough(game, state, acts)
+    return np.array([features(game, state, a) for a in acts])
+
+
 def features(game: Game, state, action) -> np.ndarray:
     name = game.name
     if name == "tictactoe":
         return _ttt(game, state, action)
-    if name == "connect4":
-        return _c4(game, state, action)
-    if isinstance(game, Breakthrough):
-        return _breakthrough(game, state, action)
+    if name == "connect4" or isinstance(game, Breakthrough):
+        return feature_matrix(game, state, (action,))[0]
     if name == "nim":
         return _nim(game, state, action)
     if name == "kuhn_poker":
@@ -101,69 +122,52 @@ def _ttt(game, state, action) -> np.ndarray:
     return x
 
 
-def _c4(game, state, action) -> np.ndarray:
+def _c4(game, state, acts) -> np.ndarray:
     mine, theirs = game.observation(state, state.to_move)[2]
-    both = mine | theirs
-    height = ((both >> (action * 7)) & 0x3F).bit_count()
-    mine |= 1 << (action * 7 + height)
-    x = np.zeros(90)
-    i = 0
-    for r in range(C4_ROWS):
-        for c in range(C4_COLS):
-            bit = 1 << (c * 7 + r)
-            if mine & bit:
-                x[i] = 1.0
-            elif theirs & bit:
-                x[42 + i] = 1.0
-            i += 1
-    counts = [0, 0, 0, 0, 0]  # win4, m3, m2, o3, o2
-    for w in _C4_WINDOWS:
-        m = (mine & w).bit_count()
-        o = (theirs & w).bit_count()
-        if o == 0:
-            if m == 4:
-                counts[0] += 1
-            elif m == 3:
-                counts[1] += 1
-            elif m == 2:
-                counts[2] += 1
-        elif m == 0:
-            if o == 3:
-                counts[3] += 1
-            elif o == 2:
-                counts[4] += 1
-    x[84:89] = counts
-    x[89] = 1.0
+    mine_cells = ((np.uint64(mine) >> _C4_CELL_BITS) & np.uint64(1)).astype(np.int64)
+    theirs_cells = ((np.uint64(theirs) >> _C4_CELL_BITS) & np.uint64(1)).astype(np.int64)
+    heights = (mine_cells + theirs_cells).reshape(C4_ROWS, C4_COLS).sum(axis=0)
+    cols = np.array(acts)
+    n = len(cols)
+    after = np.tile(mine_cells, (n, 1))  # my discs after each candidate drop
+    after[np.arange(n), heights[cols] * C4_COLS + cols] = 1
+    m = after @ _C4_WINDOWS
+    o = theirs_cells @ _C4_WINDOWS
+    mine_free = np.where(o == 0, m, 0)  # my count in windows the opponent does not touch
+    theirs_free = np.where(m == 0, o, 0)
+    x = np.zeros((n, 90))
+    x[:, :42] = after
+    x[:, 42:84] = theirs_cells
+    x[:, 84:87] = (mine_free[:, :, None] == [4, 3, 2]).sum(axis=1)  # win4, m3, m2
+    x[:, 87:89] = (theirs_free[:, :, None] == [3, 2]).sum(axis=1)   # o3, o2
+    x[:, 89] = 1.0
     return x
 
 
-def _breakthrough(game: Breakthrough, state, action) -> np.ndarray:
+def _breakthrough(game: Breakthrough, state, acts) -> np.ndarray:
     cols, rows = game.cols, game.rows
-    rel = list(game.observation(state, state.to_move)[2])
-    frm, to = game.relative_action(state, action)
-    rel[frm] = 0
-    rel[to] = 1
     n = cols * rows
-    x = np.zeros(2 * n + 7)
-    mine = theirs = 0
-    my_best = their_best = 0
-    for i, v in enumerate(rel):
-        if v == 1:
-            x[i] = 1.0
-            mine += 1
-            my_best = max(my_best, i // cols)
-        elif v == 2:
-            x[n + i] = 1.0
-            theirs += 1
-            their_best = max(their_best, rows - 1 - i // cols)
+    moves = np.array([game.relative_action(state, a) for a in acts])
+    k = len(moves)
+    boards = np.tile(game.observation(state, state.to_move)[2], (k, 1))
+    boards[np.arange(k), moves[:, 0]] = 0
+    boards[np.arange(k), moves[:, 1]] = 1
+    mine = boards == 1
+    theirs = boards == 2
+    row = np.arange(n) // cols
+    my_best = (mine * row).max(axis=1)
+    their_best = (theirs * (rows - 1 - row)).max(axis=1)
     total = 2 * cols
-    x[2 * n] = mine / total
-    x[2 * n + 1] = theirs / total
-    x[2 * n + 2] = my_best / (rows - 1)
-    x[2 * n + 3] = their_best / (rows - 1)
-    x[2 * n + 4] = 1.0 if my_best == rows - 1 else 0.0       # this move wins
-    x[2 * n + 5] = 1.0 if 2 in rel[cols:2 * cols] else 0.0   # enemy one step from goal
-    x[2 * n + 6] = 1.0
+    x = np.zeros((k, 2 * n + 7))
+    x[:, :n] = mine
+    x[:, n:2 * n] = theirs
+    x[:, 2 * n] = mine.sum(axis=1) / total
+    x[:, 2 * n + 1] = theirs.sum(axis=1) / total
+    x[:, 2 * n + 2] = my_best / (rows - 1)
+    x[:, 2 * n + 3] = their_best / (rows - 1)
+    x[:, 2 * n + 4] = my_best == rows - 1                    # this move wins
+    x[:, 2 * n + 5] = theirs[:, cols:2 * cols].any(axis=1)   # enemy one step from goal
+    x[:, 2 * n + 6] = 1.0
     return x
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import feature_dim, features
+from .atomic import atomic_open
+from .features import feature_dim, feature_matrix
 from .games import Game, get_game
 
 CHECKPOINT_FORMAT = "scopal-policy-v1"
@@ -38,13 +39,11 @@ class Policy:
 
     # -- distribution ---------------------------------------------------
 
-    def logits(self, game: Game, state) -> tuple[tuple, np.ndarray, list[np.ndarray]]:
-        """(legal actions, logit vector, feature vectors) in canonical order."""
+    def logits(self, game: Game, state) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """(legal actions, logit vector, feature matrix) in canonical order."""
         acts = game.legal_actions(state)
-        theta = self.block(game)
-        feats = [features(game, state, a) for a in acts]
-        z = np.array([theta @ f for f in feats])
-        return acts, z, feats
+        feats = feature_matrix(game, state, acts)
+        return acts, feats @ self.block(game), feats
 
     def action_distribution(self, game: Game, state, temperature: float) -> tuple[tuple, np.ndarray]:
         """Probabilities over legal actions; requires a non-terminal state."""
@@ -61,27 +60,13 @@ class Policy:
         if temperature <= 0:
             raise ValueError("temperature must be positive")
         acts, z, feats = self.logits(game, state)
-        try:
-            idx = acts.index(action)
-        except ValueError:
-            raise ValueError(f"{game.name}: action {action!r} is illegal here") from None
-        zs = z / temperature
-        zs -= zs.max()
-        expz = np.exp(zs)
-        probs = expz / expz.sum()
-        logp = float(zs[idx] - np.log(expz.sum()))
-        mean_feat = np.zeros_like(feats[0])
-        for p, f in zip(probs, feats):
-            mean_feat += p * f
-        grad = (feats[idx] - mean_feat) / temperature
-        return logp, grad
+        idx = action_index(game, acts, action)
+        logp = log_softmax(z / temperature)
+        return float(logp[idx]), log_prob_grad(feats, logp, idx) / temperature
 
     def log_prob(self, game: Game, state, action, temperature: float = 1.0) -> float:
         acts, z, _ = self.logits(game, state)
-        idx = acts.index(action)
-        zs = z / temperature
-        zs -= zs.max()
-        return float(zs[idx] - np.log(np.exp(zs).sum()))
+        return float(log_softmax(z / temperature)[action_index(game, acts, action)])
 
     def sample_action(self, game: Game, state, temperature: float, rng: random.Random):
         acts, probs = self.action_distribution(game, state, temperature)
@@ -101,7 +86,8 @@ class Policy:
             "version": self.version,
             "blocks": {name: list(map(float, vec)) for name, vec in sorted(self.blocks.items())},
         }
-        Path(path).write_text(json.dumps(data, sort_keys=True, indent=0) + "\n")
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(data, sort_keys=True, indent=0) + "\n")
 
     @classmethod
     def load(cls, path) -> "Policy":
@@ -128,3 +114,20 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max()
+    return z - np.log(np.exp(z).sum())
+
+
+def log_prob_grad(feats: np.ndarray, logp: np.ndarray, idx: int) -> np.ndarray:
+    """Gradient of ``logp[idx]`` w.r.t. the block, for logits ``feats @ theta``."""
+    return feats[idx] - np.exp(logp) @ feats
+
+
+def action_index(game: Game, acts: tuple, action) -> int:
+    try:
+        return acts.index(action)
+    except ValueError:
+        raise ValueError(f"{game.name}: action {action!r} is illegal here") from None

@@ -25,13 +25,13 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .games import Outcome, Player, get_game, split_key
 from .interaction import Trajectory, learner_seats, replay, stable_hash
-from .policy import Policy, reference_copy
+from .policy import Policy, action_index, log_prob_grad, log_softmax, reference_copy
 from .rewards import DESIRABLE, LabeledStep, label_counts
 
 METRIC_COLUMNS = ("stage", "epoch", "loss", "n_D", "n_U", "lambda_D", "lambda_U", "z0")
@@ -96,25 +96,45 @@ def bc_loss(policy: Policy, batch: Sequence[LabeledStep]) -> LossReport:
     return LossReport(total * inv, grads, n_desirable=len(batch))
 
 
-def kto_mismatch_z0(policy: Policy, reference: Policy, batch: Sequence[LabeledStep]) -> float:
+class _Visit(NamedTuple):
+    """One step's legal actions and feature matrix, the index of its action, and
+    the log-probabilities of every action under the policy and the reference."""
+    acts: tuple
+    feats: np.ndarray
+    index: int
+    logp: np.ndarray
+    ref_logp: np.ndarray
+
+    def log_ratio(self, i: int) -> float:
+        return self.logp[i] - self.ref_logp[i]
+
+    def grad(self) -> np.ndarray:
+        return log_prob_grad(self.feats, self.logp, self.index)
+
+
+def _visit(policy: Policy, reference: Policy, game_name: str, state, action) -> _Visit:
+    """Build the state's feature matrix once; both policies' log-probs come from it."""
+    game = get_game(game_name)
+    acts, z, feats = policy.logits(game, state)
+    return _Visit(acts, feats, action_index(game, acts, action), log_softmax(z),
+                  log_softmax(feats @ reference.block(game)))
+
+
+def kto_mismatch_z0(batch: Sequence[LabeledStep], visits: Sequence[_Visit]) -> float:
     """Batch z0 estimate: mean log ratio over cyclically mismatched pairs.
 
-    The batch is sorted internally, so the estimate is invariant to input
-    permutation. Mismatched actions that are illegal in the paired state
-    (possible here, unlike with free-text outputs) are skipped.
+    `visits[i]` is the visit of `batch[i]`. The batch is sorted internally, so
+    the estimate is invariant to input permutation. Mismatched actions that are
+    illegal in the paired state (possible here, unlike with free-text outputs)
+    are skipped.
     """
-    items = sorted(batch, key=lambda s: (s.game, s.key))
+    order = sorted(range(len(batch)), key=lambda i: (batch[i].game, batch[i].key))
     ratios = []
-    for i, step in enumerate(items):
-        other = items[i - 1]
-        if other.game != step.game:
+    for pos, i in enumerate(order):
+        step, other, visit = batch[i], batch[order[pos - 1]], visits[i]
+        if other.game != step.game or other.action not in visit.acts:
             continue
-        game = get_game(step.game)
-        if other.action not in game.legal_actions(step.state):
-            continue
-        r = (policy.log_prob(game, step.state, other.action)
-             - reference.log_prob(game, step.state, other.action))
-        ratios.append(r)
+        ratios.append(visit.log_ratio(visit.acts.index(other.action)))
     if not ratios:
         return 0.0
     return max(0.0, sum(ratios) / len(ratios))
@@ -132,28 +152,26 @@ def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
         raise ValueError("kto_loss: empty batch")
     if beta <= 0:
         raise ValueError("kto_loss: beta must be positive")
-    z0 = kto_mismatch_z0(policy, reference, batch) if z0_override is None else z0_override
+    visits = [_visit(policy, reference, s.game, s.state, s.action) for s in batch]
+    z0 = kto_mismatch_z0(batch, visits) if z0_override is None else z0_override
     total = 0.0
     grads: dict[str, np.ndarray] = {}
     n_d = n_u = 0
     inv = 1.0 / len(batch)
-    for step in batch:
-        game = get_game(step.game)
-        logp, grad = policy.log_prob_and_grad(game, step.state, step.action)
-        ref_logp = reference.log_prob(game, step.state, step.action)
-        if not math.isfinite(ref_logp):
+    for step, visit in zip(batch, visits):
+        if not math.isfinite(visit.ref_logp[visit.index]):
             raise ValueError(f"reference assigns zero probability to {step.key!r}")
-        r = logp - ref_logp
+        r = visit.log_ratio(visit.index)
         if step.label == DESIRABLE:
             n_d += 1
             s = _sigmoid(beta * (r - z0))
             total += lambda_d * (1.0 - s)
-            _accumulate(grads, step.game, grad, -inv * lambda_d * beta * s * (1.0 - s))
+            _accumulate(grads, step.game, visit.grad(), -inv * lambda_d * beta * s * (1.0 - s))
         else:
             n_u += 1
             s = _sigmoid(beta * (z0 - r))
             total += lambda_u * (1.0 - s)
-            _accumulate(grads, step.game, grad, inv * lambda_u * beta * s * (1.0 - s))
+            _accumulate(grads, step.game, visit.grad(), inv * lambda_u * beta * s * (1.0 - s))
     return LossReport(total * inv, grads, n_d, n_u, z0)
 
 
@@ -183,15 +201,13 @@ def dpo_loss(policy: Policy, reference: Policy,
     grads: dict[str, np.ndarray] = {}
     inv = 1.0 / len(pairs)
     for pos, neg in pairs:
-        game = get_game(pos.game)
-        lp_pos, g_pos = policy.log_prob_and_grad(game, pos.state, pos.action)
-        lp_neg, g_neg = policy.log_prob_and_grad(game, neg.state, neg.action)
-        h = (lp_pos - reference.log_prob(game, pos.state, pos.action)
-             - lp_neg + reference.log_prob(game, neg.state, neg.action))
+        v_pos = _visit(policy, reference, pos.game, pos.state, pos.action)
+        v_neg = _visit(policy, reference, neg.game, neg.state, neg.action)
+        h = v_pos.log_ratio(v_pos.index) - v_neg.log_ratio(v_neg.index)
         total += -_log_sigmoid(beta * h)
         scale = -inv * beta * _sigmoid(-beta * h)
-        _accumulate(grads, pos.game, g_pos, scale)
-        _accumulate(grads, neg.game, g_neg, -scale)
+        _accumulate(grads, pos.game, v_pos.grad(), scale)
+        _accumulate(grads, neg.game, v_neg.grad(), -scale)
     return LossReport(total * inv, grads,
                       n_desirable=len(pairs), n_undesirable=len(pairs))
 
@@ -265,27 +281,17 @@ def spag_loss(policy: Policy, reference: Policy, steps: Sequence[AdvantageStep],
     seat_terms: dict[Player, list[float]] = {Player.P1: [], Player.P2: []}
     seat_grads: dict[Player, dict[str, np.ndarray]] = {Player.P1: {}, Player.P2: {}}
     for step in steps:
-        game = get_game(step.game)
-        acts, z, feats = policy.logits(game, step.state)
-        z = z - z.max()
-        expz = np.exp(z)
-        probs = expz / expz.sum()
-        logps = z - math.log(expz.sum())
-        idx = acts.index(step.action)
-        _, ref_z, _ = reference.logits(game, step.state)
-        ref_z = ref_z - ref_z.max()
-        ref_logps = ref_z - math.log(np.exp(ref_z).sum())
-        if not np.isfinite(ref_logps[idx]):
+        visit = _visit(policy, reference, step.game, step.state, step.action)
+        if not np.isfinite(visit.ref_logp[visit.index]):
             raise ValueError(f"behavior policy assigns zero probability in {step.game}")
-        mean_feat = np.zeros_like(feats[0])
-        for p, f in zip(probs, feats):
-            mean_feat += p * f
-        ratio = math.exp(logps[idx] - ref_logps[idx])
-        kl = float(np.dot(probs, logps - ref_logps))
+        probs = np.exp(visit.logp)
+        log_ratios = visit.logp - visit.ref_logp
+        ratio = math.exp(log_ratios[visit.index])
+        kl = float(probs @ log_ratios)
         seat_terms[step.actor].append(ratio * step.advantage - beta2 * kl)
-        grad = ratio * step.advantage * (feats[idx] - mean_feat)
-        for p, f, lp, rlp in zip(probs, feats, logps, ref_logps):
-            grad -= beta2 * p * (lp - rlp) * (f - mean_feat)
+        centered = visit.feats - probs @ visit.feats
+        grad = (ratio * step.advantage * centered[visit.index]
+                - beta2 * (probs * log_ratios) @ centered)
         _accumulate(seat_grads[step.actor], step.game, grad, 1.0)
     seats = [p for p in Player if seat_terms[p]]
     weight = 1.0 / len(seats)

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .atomic import atomic_open
 from .games import Outcome, get_game
 from .interaction import Trajectory, learner_seats, replay
 
@@ -217,7 +218,7 @@ def winning_steps_dataset(trajectories: Iterable[Trajectory],
 
 
 def write_labeled(path, dataset: Iterable[LabeledStep]) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for step in dataset:
             game = get_game(step.game)
             rec = {"game": step.game, "key": step.key,

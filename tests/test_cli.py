@@ -40,6 +40,7 @@ def run(tmp_path):
         return main(["--config", str(config), "--out", str(out), *command])
 
     run.out = out
+    run.config = config
     return run
 
 
@@ -52,6 +53,27 @@ def test_every_stage_writes_its_csv(run):
         assert (run_dir / name).read_text().splitlines()[0] == header, name
     assert len((run_dir / "head2head.csv").read_text().splitlines()) == 1 + 4
     assert len((run_dir / "iterate.csv").read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("command, artifact", [("evaluate", "tournament.csv"),
+                                               ("regret", "regret.csv")])
+def test_a_stage_without_a_checkpoint_fails_and_says_so(run, capsys, command, artifact):
+    assert run(command) == 1
+    (run_dir,) = run.out.iterdir()
+    assert f"no checkpoint.json in {run_dir}: run train first" in capsys.readouterr().err
+    assert not (run_dir / artifact).exists()
+
+
+def test_iterate_csv_does_not_depend_on_the_output_directory(run, tmp_path):
+    assert run("iterate", "--rounds", "2") == 0
+    other = tmp_path / "elsewhere"
+    assert main(["--config", str(run.config), "--out", str(other),
+                 "iterate", "--rounds", "2"]) == 0
+    (run_dir,) = run.out.iterdir()
+    (other_dir,) = other.iterdir()
+    text = (run_dir / "iterate.csv").read_text()
+    assert text == (other_dir / "iterate.csv").read_text()
+    assert text.splitlines()[2].split(",")[1] == "policy:checkpoint_round1.json"
 
 
 @pytest.mark.parametrize("command", ["sweep", "iterate"])

@@ -63,6 +63,12 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
     ("SCOPAL_INTERACT_OPPONENT", "policy:", "interact.opponent: unknown agent spec 'policy:'"),
     ("SCOPAL_INTERACT_OPPONENT", "policy:missing.json",
      "interact.opponent: unknown agent spec 'policy:missing.json'"),
+    ("SCOPAL_REWARDS_DELTA", "nan", "rewards.delta must be finite"),
+    ("SCOPAL_REWARDS_DELTA", "-inf", "rewards.delta must be finite"),
+    ("SCOPAL_TRAIN_LEARNING_RATE", "0", "train.learning_rate must be positive"),
+    ("SCOPAL_TRAIN_LEARNING_RATE", "nan", "train.learning_rate must be positive"),
+    ("SCOPAL_TRAIN_BETA", "0", "train.beta must be positive"),
+    ("SCOPAL_TRAIN_BETA2", "-0.1", "train.beta2 must be >= 0"),
 ])
 def test_bad_settings_are_rejected_when_they_load(tmp_path, monkeypatch, capsys,
                                                   variable, value, message):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scopal.games import Outcome, Player
+from scopal.games import Outcome, Player, get_game
 from scopal.interaction import Step, Trajectory, collect_trajectories
 from scopal.policy import new_policy
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, StepStats,
                             accumulate_stats, collect_representatives,
                             estimate_rewards, label_counts, label_steps,
-                            merge_stats, winning_steps_dataset)
+                            merge_stats, read_labeled, winning_steps_dataset,
+                            write_labeled)
 
 
 def traj(game, steps, outcome_p1, episode=0):
@@ -198,3 +199,21 @@ def test_winning_steps_dataset_only_contains_winner_actions():
             if t.outcome[s.actor] is Outcome.WIN:
                 winner_keys.add(s.key)
     assert {s.key for s in data} == winner_keys
+
+
+def test_an_interrupted_labeled_write_leaves_the_previous_file(tmp_path):
+    nim = get_game("nim")
+    state = nim.initial_state(0)
+    dataset = [LabeledStep("nim", nim.canonical_key(state, action), state, action, 1.0,
+                           DESIRABLE) for action in nim.legal_actions(state)[:2]]
+    path = tmp_path / "labeled.jsonl"
+    write_labeled(path, dataset)
+
+    def interrupted():
+        yield dataset[1]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_labeled(path, interrupted())
+    assert read_labeled(path) == dataset
+    assert [p.name for p in tmp_path.iterdir()] == ["labeled.jsonl"]
