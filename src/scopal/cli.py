@@ -22,8 +22,8 @@ from .atomic import atomic_open
 from .config import ConfigError, ExperimentConfig, load_config
 from .csvfile import write_csv
 from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS,
-                         average_win_rate, head_to_head, interaction_win_rate, regret,
-                         tournament)
+                         average_win_rate, head_to_head, interaction_win_rate,
+                         regret_reports, tournament)
 from .interaction import (Trajectory, collect_trajectories, read_trajectories, stable_hash,
                           write_trajectories)
 from .policy import Policy, new_policy
@@ -121,7 +121,8 @@ def _play_label_train(config: ExperimentConfig, policy: Policy, opponent: str, s
     trained, _ = _train(config, policy, dataset, seed)
     agent = PolicyAgent(trained, config.eval_temperature, label=label)
     reports = tournament(agent, config.eval_opponents, config.games, config.eval_episodes,
-                         seed, eval_temperature=config.eval_temperature)
+                         seed, eval_temperature=config.eval_temperature,
+                         jobs=config.effective_jobs())
     return trained, dataset, interaction_win_rate(trajs, pair), average_win_rate(reports)
 
 
@@ -152,7 +153,7 @@ def cmd_evaluate(config: ExperimentConfig, run_dir: Path) -> None:
     agent = PolicyAgent(policy, config.eval_temperature)
     reports = tournament(agent, config.eval_opponents, config.games,
                          config.eval_episodes, config.seed,
-                         eval_temperature=config.eval_temperature)
+                         eval_temperature=config.eval_temperature, jobs=config.effective_jobs())
     write_csv(run_dir / "tournament.csv", TOURNAMENT_COLUMNS, map(asdict, reports))
     print(f"average win rate: {average_win_rate(reports):.4f}")
 
@@ -175,7 +176,8 @@ def cmd_head2head(config: ExperimentConfig, run_dir: Path, agent_specs: list[str
     agents = [(spec, PolicyAgent(new_policy(config.games), config.eval_temperature, label=spec)
                if spec == "base" else make_agent(spec, temperature=config.eval_temperature))
               for spec in agent_specs]
-    matrix = head_to_head(agents, config.games, config.eval_episodes, config.seed)
+    matrix = head_to_head(agents, config.games, config.eval_episodes, config.seed,
+                          jobs=config.effective_jobs())
     rows = [{"row_agent": row_label, "col_agent": col_label, "win_rate": matrix[i][j]}
             for i, (row_label, _) in enumerate(agents)
             for j, (col_label, _) in enumerate(agents)]
@@ -211,7 +213,8 @@ def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
         raise ConfigError(f"regret needs at least one of {SOLVABLE} in run.games")
     policy = _load_policy(run_dir)
     agent = PolicyAgent(policy, config.eval_temperature)
-    reports = [regret(agent, g, config.eval_episodes, config.seed) for g in games]
+    reports = regret_reports(agent, games, config.eval_episodes, config.seed,
+                             jobs=config.effective_jobs())
     write_csv(run_dir / "regret.csv", REGRET_COLUMNS, map(asdict, reports))
 
 
@@ -228,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "policy refinement, and evaluation on small adversarial games")
     parser.add_argument("--config", metavar="PATH", help="experiment config file")
     parser.add_argument("--seed", type=int, help="master seed override")
-    parser.add_argument("--jobs", type=int, help="episode worker count (default: all cores)")
+    parser.add_argument("--jobs", type=int,
+                        help="worker processes for interaction, evaluation and regret "
+                             "(default: all cores); never changes an artifact")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:

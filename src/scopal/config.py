@@ -123,6 +123,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         for name in self.games:
             get_game(name)  # raises UnknownGameError
+        if self.jobs < 0:
+            raise ConfigError("run.jobs must be >= 0 (0 = all cores)")
         if self.episodes < 1:
             raise ConfigError("interact.episodes must be >= 1")
         if self.interact_temperature <= 0 or self.eval_temperature <= 0:

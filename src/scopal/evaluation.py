@@ -12,16 +12,23 @@ and the same per-seat sampling streams with the agents in opposite seats, so
 swapping the two agents replays the same games and gives exactly
 complementary counts. Interaction plays unpaired: paired seeds would make
 self-play record every game twice and halve the data.
+
+Tournaments, head-to-head matrices and regret split every match into its
+seat pairs and run them through ``interaction.fan_out`` over ``jobs``
+workers. A seat pair's games depend on its index alone, and the parent
+merges the per-pair reports in episode order, so ``jobs`` never changes a
+report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Iterable, Sequence
 
 from .agents import Agent, make_agent
 from .games import Outcome
-from .interaction import (DEFAULT_MOVE_BOUND, agent1_seat, learner_seats, play_episodes,
-                          replay, stable_hash)
+from .interaction import (DEFAULT_MOVE_BOUND, agent1_seat, fan_out, learner_seats,
+                          play_episodes, replay, stable_hash)
 from .solvers import get_solver
 
 HEAD2HEAD_COLUMNS = ("row_agent", "col_agent", "win_rate")
@@ -55,10 +62,11 @@ class RegretReport:
     mean_regret: float
     moves: int
     episodes: int
+    regrets: tuple[float, ...] = field(default=(), repr=False)  # per agent move, in order
 
 
 TOURNAMENT_COLUMNS = tuple(f.name for f in fields(MatchReport))
-REGRET_COLUMNS = tuple(f.name for f in fields(RegretReport))
+REGRET_COLUMNS = ("game", "agent", "mean_regret", "moves", "episodes")
 
 
 def _count_outcomes(outcomes: Iterable[Outcome]) -> tuple[int, int, int]:
@@ -69,7 +77,12 @@ def _count_outcomes(outcomes: Iterable[Outcome]) -> tuple[int, int, int]:
     return counts[Outcome.WIN], counts[Outcome.LOSE], counts[Outcome.TIE]
 
 
-def play_match(game_name: str, agent1: Agent, agent2: Agent, episodes: int,
+def _seat_pairs(episodes: int) -> list[range]:
+    """Episodes 0..episodes-1 as seat-pair ranges (2k, 2k + 1); an odd last one is alone."""
+    return [range(start, min(start + 2, episodes)) for start in range(0, episodes, 2)]
+
+
+def play_match(game_name: str, agent1: Agent, agent2: Agent, episodes: int | range,
                master_seed: int, *, move_bound: int = DEFAULT_MOVE_BOUND) -> MatchReport:
     """Seat-paired match; outcome counts from agent1's perspective.
 
@@ -77,28 +90,55 @@ def play_match(game_name: str, agent1: Agent, agent2: Agent, episodes: int,
     sits first in 2k and second in 2k + 1. So when `episodes` is even,
     swapping agent1 and agent2 plays exactly the same games and gives
     exactly complementary counts. With an odd count the last episode is
-    unpaired and agent1 plays it first.
+    unpaired and agent1 plays it first. `episodes` is a count (at least 2),
+    or a range of episode indices: one part of a longer match.
     """
-    if episodes < 2:
-        raise ValueError("matches need at least 2 episodes for seat alternation")
-    trajs = play_episodes(game_name, agent1, agent2, range(episodes), master_seed,
+    if isinstance(episodes, int):
+        if episodes < 2:
+            raise ValueError("matches need at least 2 episodes for seat alternation")
+        episodes = range(episodes)
+    trajs = play_episodes(game_name, agent1, agent2, episodes, master_seed,
                           paired=True, move_bound=move_bound)
     n_win, n_lose, n_tie = _count_outcomes(t.outcome[agent1_seat(t.episode)] for t in trajs)
     return MatchReport(game_name, agent1.label, agent2.label, n_win, n_lose, n_tie,
-                       win_rate(n_win, n_lose, n_tie), episodes, master_seed)
+                       win_rate(n_win, n_lose, n_tie), len(episodes), master_seed)
+
+
+def _play_matches(matches: Sequence[tuple[str, Agent, Agent, int]], episodes: int,
+                 jobs: int) -> list[MatchReport]:
+    """One report per (game, agent1, agent2, seed) match of `episodes` episodes.
+
+    Each seat pair of each match is one ``fan_out`` task; a match's report
+    merges its pairs' counts.
+    """
+    if episodes < 2:
+        raise ValueError("matches need at least 2 episodes for seat alternation")
+    pairs = _seat_pairs(episodes)
+    parts = fan_out(play_match, [(game_name, agent1, agent2, pair, seed)
+                                 for game_name, agent1, agent2, seed in matches
+                                 for pair in pairs], jobs)
+    reports = []
+    for match in _groups(parts, len(pairs)):
+        counts = [sum(r.n_win for r in match), sum(r.n_lose for r in match),
+                  sum(r.n_tie for r in match)]
+        first = match[0]
+        reports.append(MatchReport(first.game, first.agent1, first.agent2, *counts,
+                                   win_rate(*counts), episodes, first.seed))
+    return reports
+
+
+def _groups(items: list, size: int) -> list[list]:
+    """`items` cut into consecutive runs of `size`: the parts of one match or regret set."""
+    return [items[start:start + size] for start in range(0, len(items), size)]
 
 
 def tournament(agent: Agent, opponent_specs: Sequence[str], games: Sequence[str],
-               episodes: int, master_seed: int, *,
-               eval_temperature: float = 0.2) -> list[MatchReport]:
+               episodes: int, master_seed: int, *, eval_temperature: float = 0.2,
+               jobs: int = 1) -> list[MatchReport]:
     """One report per (game, opponent); policy-file opponents use eval temperature."""
-    reports = []
-    for game_name in games:
-        for spec in opponent_specs:
-            opponent = make_agent(spec, temperature=eval_temperature)
-            seed = stable_hash(master_seed, "tournament", game_name, spec)
-            reports.append(play_match(game_name, agent, opponent, episodes, seed))
-    return reports
+    return _play_matches([(game_name, agent, make_agent(spec, temperature=eval_temperature),
+                          stable_hash(master_seed, "tournament", game_name, spec))
+                         for game_name in games for spec in opponent_specs], episodes, jobs)
 
 
 def average_win_rate(reports: Iterable[MatchReport]) -> float:
@@ -107,23 +147,23 @@ def average_win_rate(reports: Iterable[MatchReport]) -> float:
 
 
 def head_to_head(agents: Sequence[tuple[str, Agent]], games: Sequence[str],
-                 episodes: int, master_seed: int) -> list[list[float]]:
+                 episodes: int, master_seed: int, *, jobs: int = 1) -> list[list[float]]:
     """Pairwise average win-rate matrix; diagonal fixed at 0.5 by convention.
 
     M[i][j] + M[j][i] = 1 exactly: each unordered pair plays one match set.
     """
     n = len(agents)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    reports = _play_matches([(game_name, agents[i][1], agents[j][1],
+                             stable_hash(master_seed, "h2h", game_name, agents[i][0],
+                                         agents[j][0]))
+                            for i, j in pairs for game_name in games], episodes, jobs)
     matrix = [[0.5] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rates = []
-            for game_name in games:
-                seed = stable_hash(master_seed, "h2h", game_name, agents[i][0], agents[j][0])
-                report = play_match(game_name, agents[i][1], agents[j][1], episodes, seed)
-                rates.append(report.win_rate)
-            avg = sum(rates) / len(rates)
-            matrix[i][j] = avg
-            matrix[j][i] = 1.0 - avg
+    for (i, j), pair_reports in zip(pairs, _groups(reports, len(games))):
+        rates = [r.win_rate for r in pair_reports]
+        avg = sum(rates) / len(rates)
+        matrix[i][j] = avg
+        matrix[j][i] = 1.0 - avg
     return matrix
 
 
@@ -137,22 +177,44 @@ def interaction_win_rate(trajectories, agent_pair: tuple[str, str]) -> float:
                                      for seat in learner_seats(t, agent_pair)))
 
 
-def regret(agent: Agent, game_name: str, episodes: int, master_seed: int, *,
+def regret(agent: Agent, game_name: str, episodes: int | range, master_seed: int, *,
            opponent_spec: str = "mcts:1000") -> RegretReport:
     """Mean exact-minimax value loss per agent move vs the ladder opponent.
 
     Plays a seat-paired match and scores the agent's moves by replaying
-    each trajectory against the solver.
+    each trajectory against the solver. `episodes` is a count, or a range
+    of episode indices: one part of a longer regret set.
     """
     solver = get_solver(game_name)
     opponent = make_agent(opponent_spec)
     seed = stable_hash(master_seed, "regret", game_name)
-    total = 0.0
-    moves = 0
-    for traj in play_episodes(game_name, agent, opponent, range(episodes), seed, paired=True):
+    if isinstance(episodes, int):
+        episodes = range(episodes)
+    regrets = []
+    for traj in play_episodes(game_name, agent, opponent, episodes, seed, paired=True):
         seat = agent1_seat(traj.episode)
-        for state, action, actor in replay(traj):
-            if actor is seat:
-                total += solver.regret(state, action)
-                moves += 1
-    return RegretReport(game_name, agent.label, total / max(1, moves), moves, episodes)
+        regrets.extend(solver.regret(state, action)
+                       for state, action, actor in replay(traj) if actor is seat)
+    return _regret_report(game_name, agent.label, regrets, len(episodes))
+
+
+def _regret_report(game_name: str, label: str, regrets: Sequence[float],
+                   episodes: int) -> RegretReport:
+    return RegretReport(game_name, label, sum(regrets) / max(1, len(regrets)), len(regrets),
+                        episodes, tuple(regrets))
+
+
+def regret_reports(agent: Agent, games: Sequence[str], episodes: int, master_seed: int, *,
+                   opponent_spec: str = "mcts:1000", jobs: int = 1) -> list[RegretReport]:
+    """One `regret` report per game; each seat pair is one ``fan_out`` task.
+
+    Workers score their own pairs, each with its own solver memo; a game's
+    report sums its pairs' per-move regrets in episode order.
+    """
+    pairs = _seat_pairs(episodes)
+    parts = fan_out(partial(regret, opponent_spec=opponent_spec),
+                    [(agent, game_name, pair, master_seed) for game_name in games
+                     for pair in pairs], jobs)
+    return [_regret_report(game_name, agent.label,
+                           [r for part in game_parts for r in part.regrets], episodes)
+            for game_name, game_parts in zip(games, _groups(parts, len(pairs)))]

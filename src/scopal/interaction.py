@@ -4,11 +4,15 @@
 agent1 sits first on even episodes, and episode i draws its chance and
 sampling seeds from ``stable_hash(master_seed, game, i, ...)``, or from the
 seat-pair index ``i // 2`` when paired. Self-play interaction plays unpaired
-episodes; matches and regret play paired ones (see ``evaluation``). A store
-is reproducible byte-for-byte from (config, master seed) regardless of worker
-scheduling: determinism is defined over the store sorted by (game, episode
-index). ``learner_seats`` is the one rule for which seats the policy under
-training held.
+episodes; matches and regret play paired ones (see ``evaluation``).
+``learner_seats`` is the one rule for which seats the policy under training
+held.
+
+``fan_out`` is the one worker pool: interaction, matches and regret split
+their episodes into ranges and run them over ``jobs`` processes. Every
+episode's seeds depend on its index alone and results come back in task
+order, so ``jobs`` never changes an artifact: a store is reproducible
+byte-for-byte from (config, master seed), sorted by (game, episode index).
 
 The trajectory store is JSON lines, one trajectory per line, actions in the
 canonical textual notation, named ``<run-id>.traj.jsonl``.
@@ -20,9 +24,11 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .agents import Agent, is_learner_spec, make_agent
+from .atomic import atomic_open
 from .games import Game, IllegalActionError, Outcome, Player, get_game, tie_outcome
 from .policy import Policy
 
@@ -126,14 +132,21 @@ def learner_seats(traj: Trajectory, agent_pair: tuple[str, str]) -> frozenset[Pl
                      if is_learner_spec(label))
 
 
-def _run_range(game_name: str, agent1_spec: str, agent2_spec: str, episodes: Sequence[int],
-               master_seed: int, blocks, version: int, temperature: float,
-               move_bound: int) -> list[Trajectory]:
-    policy = Policy(dict(blocks), version) if blocks is not None else None
-    agent1 = make_agent(agent1_spec, policy, temperature)
-    agent2 = make_agent(agent2_spec, policy, temperature)
-    return play_episodes(game_name, agent1, agent2, episodes, master_seed, paired=False,
-                         move_bound=move_bound)
+def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
+    """``fn(*task)`` for every task, in task order, over ``min(jobs, len(tasks))`` workers.
+
+    With one worker it runs the tasks in this process and starts no pool.
+    Otherwise `fn` and every task must pickle. Workers start by the
+    platform's default method (fork on Linux, a few milliseconds; spawn would
+    re-import numpy and scopal in every worker of every pool), and each keeps
+    its own caches, such as the solver memo.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        return [future.result() for future in futures]
 
 
 def collect_trajectories(games: Iterable[str], agent1_spec: str, agent2_spec: str,
@@ -148,28 +161,13 @@ def collect_trajectories(games: Iterable[str], agent1_spec: str, agent2_spec: st
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    blocks = policy.blocks if policy is not None else None
-    version = policy.version if policy is not None else 0
-    game_names = list(games)
-    trajectories: list[Trajectory] = []
-    if jobs <= 1:
-        for name in game_names:
-            trajectories.extend(_run_range(name, agent1_spec, agent2_spec, range(episodes),
-                                           master_seed, blocks, version, temperature, move_bound))
-    else:
-        tasks = []
-        chunk = max(1, episodes // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for name in game_names:
-                for start in range(0, episodes, chunk):
-                    span = range(start, min(start + chunk, episodes))
-                    tasks.append(pool.submit(_run_range, name, agent1_spec, agent2_spec,
-                                             span, master_seed, blocks, version,
-                                             temperature, move_bound))
-            for task in tasks:
-                trajectories.extend(task.result())
-    trajectories.sort(key=lambda t: (t.game, t.episode))
-    return trajectories
+    agent1 = make_agent(agent1_spec, policy, temperature)
+    agent2 = make_agent(agent2_spec, policy, temperature)
+    chunk = max(1, episodes // (max(1, jobs) * 4))
+    tasks = [(name, agent1, agent2, range(start, min(start + chunk, episodes)), master_seed)
+             for name in games for start in range(0, episodes, chunk)]
+    parts = fan_out(partial(play_episodes, paired=False, move_bound=move_bound), tasks, jobs)
+    return sorted((t for part in parts for t in part), key=lambda t: (t.game, t.episode))
 
 
 # -- store io ------------------------------------------------------------
@@ -196,9 +194,8 @@ def record_trajectory(data: dict) -> Trajectory:
                       data["seeds"]["sampling"])
 
 
-def write_trajectories(path, trajectories: Iterable[Trajectory], append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode) as fh:
+def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
+    with atomic_open(path) as fh:
         for traj in trajectories:
             fh.write(json.dumps(trajectory_record(traj), sort_keys=True) + "\n")
 

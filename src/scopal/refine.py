@@ -53,8 +53,6 @@ class TrainConfig:
 class LossReport:
     loss: float
     gradient: dict[str, np.ndarray]
-    n_desirable: int = 0
-    n_undesirable: int = 0
     z0: float | None = None
 
 
@@ -93,7 +91,7 @@ def bc_loss(policy: Policy, batch: Sequence[LabeledStep]) -> LossReport:
         logp, grad = policy.log_prob_and_grad(game, step.state, step.action)
         total -= logp
         _accumulate(grads, step.game, grad, -inv)
-    return LossReport(total * inv, grads, n_desirable=len(batch))
+    return LossReport(total * inv, grads)
 
 
 class _Visit(NamedTuple):
@@ -156,23 +154,20 @@ def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
     z0 = kto_mismatch_z0(batch, visits) if z0_override is None else z0_override
     total = 0.0
     grads: dict[str, np.ndarray] = {}
-    n_d = n_u = 0
     inv = 1.0 / len(batch)
     for step, visit in zip(batch, visits):
         if not math.isfinite(visit.ref_logp[visit.index]):
             raise ValueError(f"reference assigns zero probability to {step.key!r}")
         r = visit.log_ratio(visit.index)
         if step.label == DESIRABLE:
-            n_d += 1
             s = _sigmoid(beta * (r - z0))
             total += lambda_d * (1.0 - s)
             _accumulate(grads, step.game, visit.grad(), -inv * lambda_d * beta * s * (1.0 - s))
         else:
-            n_u += 1
             s = _sigmoid(beta * (z0 - r))
             total += lambda_u * (1.0 - s)
             _accumulate(grads, step.game, visit.grad(), inv * lambda_u * beta * s * (1.0 - s))
-    return LossReport(total * inv, grads, n_d, n_u, z0)
+    return LossReport(total * inv, grads, z0)
 
 
 def build_dpo_pairs(dataset: Sequence[LabeledStep],
@@ -208,8 +203,7 @@ def dpo_loss(policy: Policy, reference: Policy,
         scale = -inv * beta * _sigmoid(-beta * h)
         _accumulate(grads, pos.game, v_pos.grad(), scale)
         _accumulate(grads, neg.game, v_neg.grad(), -scale)
-    return LossReport(total * inv, grads,
-                      n_desirable=len(pairs), n_undesirable=len(pairs))
+    return LossReport(total * inv, grads)
 
 
 def _log_sigmoid(x: float) -> float:

@@ -55,6 +55,31 @@ def test_every_stage_writes_its_csv(run):
     assert len((run_dir / "iterate.csv").read_text().splitlines()) == 1 + 2
 
 
+def test_jobs_never_changes_an_artifact(tmp_path):
+    # eval.episodes = 3: every match and regret set ends in an unpaired episode
+    config = tmp_path / "small.ini"
+    config.write_text(CONFIG.replace("games = nim", "games = nim, tictactoe")
+                      .replace("opponents = random\nepisodes = 2",
+                               "opponents = random,mcts:5\nepisodes = 3"))
+    run_dirs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        for command in (["pipeline"], ["regret"], ["head2head", "--agents", "base,random,mcts:5"],
+                        ["sweep"], ["iterate", "--rounds", "2"]):
+            assert main(["--config", str(config), "--out", str(out), "--jobs", jobs,
+                         *command]) == 0, command
+        (run_dir,) = out.iterdir()
+        run_dirs.append(run_dir)
+    artifacts = sorted(p.name for p in run_dirs[0].iterdir() if p.name != "manifest.json")
+    assert {"tournament.csv", "regret.csv", "head2head.csv", "sweep.csv"} <= set(artifacts)
+    assert sorted(p.name for p in run_dirs[1].iterdir() if p.name != "manifest.json") == artifacts
+    for name in artifacts:
+        assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
+    header, *rows = (run_dirs[0] / "tournament.csv").read_text().splitlines()
+    column = header.split(",").index("episodes")
+    assert [row.split(",")[column] for row in rows] == ["3"] * 4
+
+
 @pytest.mark.parametrize("command, artifact", [("evaluate", "tournament.csv"),
                                                ("regret", "regret.csv")])
 def test_a_stage_without_a_checkpoint_fails_and_says_so(run, capsys, command, artifact):

@@ -69,6 +69,7 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
     ("SCOPAL_TRAIN_LEARNING_RATE", "nan", "train.learning_rate must be positive"),
     ("SCOPAL_TRAIN_BETA", "0", "train.beta must be positive"),
     ("SCOPAL_TRAIN_BETA2", "-0.1", "train.beta2 must be >= 0"),
+    ("SCOPAL_RUN_JOBS", "-3", "run.jobs must be >= 0"),
 ])
 def test_bad_settings_are_rejected_when_they_load(tmp_path, monkeypatch, capsys,
                                                   variable, value, message):

@@ -8,9 +8,10 @@ import pytest
 from scopal.agents import MctsAgent, PolicyAgent, RandomAgent, make_agent
 from scopal.csvfile import write_csv
 from scopal.evaluation import (TOURNAMENT_COLUMNS, MatchReport, head_to_head,
-                               interaction_win_rate, play_match, regret, tournament, win_rate)
+                               interaction_win_rate, play_match, regret, regret_reports,
+                               tournament, win_rate)
 from scopal.games import Outcome, Player, get_game
-from scopal.interaction import collect_trajectories
+from scopal.interaction import collect_trajectories, stable_hash
 from scopal.policy import new_policy
 from scopal.solvers import MinimaxSolver, OptimalAgent, get_solver
 
@@ -59,6 +60,29 @@ def test_tournament_report_grid(tmp_path):
     reports2 = tournament(agent, ["random", "mcts:5"], ["tictactoe", "nim"], 10, 3)
     write_csv(p2, TOURNAMENT_COLUMNS, map(asdict, reports2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("episodes", [3, 4])
+def test_split_evaluation_equals_whole_matches(episodes):
+    # tournaments, head-to-head and regret split each match into seat pairs
+    # (an odd last episode alone) and merge them; over two workers the merged
+    # reports must equal matches played whole, in one call each
+    games, opponents = ["tictactoe", "nim"], ["random", "mcts:5"]
+    agent = PolicyAgent(new_policy(games), 0.2)
+    whole = [play_match(g, agent, make_agent(spec, temperature=0.2), episodes,
+                        stable_hash(3, "tournament", g, spec))
+             for g in games for spec in opponents]
+    assert tournament(agent, opponents, games, episodes, 3, jobs=2) == whole
+    agents = [("policy", agent), ("random", RandomAgent()), ("mcts:5", MctsAgent(5))]
+    matrix = head_to_head(agents, games, episodes, 4, jobs=2)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        rates = [play_match(g, agents[i][1], agents[j][1], episodes,
+                            stable_hash(4, "h2h", g, agents[i][0], agents[j][0])).win_rate
+                 for g in games]
+        assert matrix[i][j] == sum(rates) / len(rates)
+    reports = regret_reports(agent, games, episodes, 5, opponent_spec="mcts:5", jobs=2)
+    assert reports == [regret(agent, g, episodes, 5, opponent_spec="mcts:5") for g in games]
+    assert all(r.episodes == episodes and r.moves == len(r.regrets) > 0 for r in reports)
 
 
 def test_head_to_head_matrix_properties():

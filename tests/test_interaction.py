@@ -1,11 +1,13 @@
 """Episode running, seat alternation, the JSONL store, and determinism."""
 import json
+from concurrent.futures import Future
 
 import pytest
 
+from scopal import interaction
 from scopal.agents import RandomAgent, make_agent
 from scopal.games import Player, get_game, tie_outcome
-from scopal.interaction import (Trajectory, collect_trajectories, learner_seats,
+from scopal.interaction import (Trajectory, collect_trajectories, fan_out, learner_seats,
                                 play_episodes, read_trajectories, replay, run_episode,
                                 stable_hash, trajectory_record, write_trajectories)
 from scopal.policy import new_policy
@@ -110,6 +112,44 @@ def test_parallel_workers_match_serial_store(tmp_path):
     assert [trajectory_record(t) for t in serial] == [trajectory_record(t) for t in parallel]
 
 
+def test_one_worker_or_one_task_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(interaction, "ProcessPoolExecutor", no_pool)
+    assert fan_out(pow, [(2, 3), (3, 2)], jobs=1) == [8, 9]
+    assert fan_out(pow, [(2, 5)], jobs=8) == [32]
+    assert fan_out(pow, [], jobs=8) == []
+    trajs = collect_trajectories(["nim"], "random", "random", 6, 1, jobs=1)
+    assert [t.episode for t in trajs] == list(range(6))
+
+
+def test_the_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records its worker count and runs each task at once, in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(interaction, "ProcessPoolExecutor", InlinePool)
+    assert fan_out(pow, [(2, k) for k in range(3)], jobs=64) == [1, 2, 4]
+    assert fan_out(pow, [(2, k) for k in range(5)], jobs=2) == [1, 2, 4, 8, 16]
+    assert started == [3, 2]
+
+
 def test_store_roundtrip(tmp_path):
     policy = new_policy(["kuhn_poker"])
     trajs = collect_trajectories(["kuhn_poker"], "policy", "self", 12, 8, policy=policy)
@@ -121,6 +161,22 @@ def test_store_roundtrip(tmp_path):
     rec = json.loads(path.read_text().splitlines()[0])
     assert set(rec["outcome"]) == {"P1", "P2"}
     assert {"key", "actor", "action", "move_index"} <= set(rec["steps"][0])
+
+
+def test_an_interrupted_store_write_leaves_the_previous_store(tmp_path):
+    trajs = collect_trajectories(["nim"], "random", "random", 2, 5)
+    path = tmp_path / "run.traj.jsonl"
+    write_trajectories(path, trajs)
+    before = path.read_bytes()
+
+    def interrupted():
+        yield trajs[1]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_trajectories(path, interrupted())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.traj.jsonl"]
 
 
 def test_corrupt_store_record_raises(tmp_path):

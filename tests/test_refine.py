@@ -212,7 +212,14 @@ def test_kto_desirable_only_batch_well_defined():
     batch = batch_for_game("tictactoe", 4, rng, label=DESIRABLE)
     report = kto_loss(pol, ref, batch, beta=0.1, lambda_d=1.0, lambda_u=1.0)
     assert math.isfinite(report.loss)
-    assert report.n_undesirable == 0
+    # every step takes the desirable branch, which raises its action's
+    # log-probability: with the reference equal to the policy, r = z0 = 0, so
+    # each step adds -beta * sigmoid'(0) / n times its log-probability gradient
+    game = get_game("tictactoe")
+    expected = sum(pol.log_prob_and_grad(game, s.state, s.action)[1] for s in batch)
+    expected *= -0.1 * 0.25 / len(batch)
+    assert report.z0 == 0.0 and np.abs(expected).max() > 0
+    np.testing.assert_allclose(report.gradient["tictactoe"], expected, rtol=1e-12, atol=1e-15)
 
 
 # -- DPO -------------------------------------------------------------------------
