@@ -153,14 +153,14 @@ def head_to_head(agents: Sequence[tuple[str, Agent]], games: Sequence[str],
     M[i][j] + M[j][i] = 1 exactly: each unordered pair plays one match set.
     """
     n = len(agents)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    matchups = [(i, j) for i in range(n) for j in range(i + 1, n)]
     reports = _play_matches([(game_name, agents[i][1], agents[j][1],
                              stable_hash(master_seed, "h2h", game_name, agents[i][0],
                                          agents[j][0]))
-                            for i, j in pairs for game_name in games], episodes, jobs)
+                            for i, j in matchups for game_name in games], episodes, jobs)
     matrix = [[0.5] * n for _ in range(n)]
-    for (i, j), pair_reports in zip(pairs, _groups(reports, len(games))):
-        rates = [r.win_rate for r in pair_reports]
+    for (i, j), matchup_reports in zip(matchups, _groups(reports, len(games))):
+        rates = [r.win_rate for r in matchup_reports]
         avg = sum(rates) / len(rates)
         matrix[i][j] = avg
         matrix[j][i] = 1.0 - avg
