@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .agents import PolicyAgent, make_agent
@@ -27,8 +27,8 @@ from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS,
 from .interaction import (Trajectory, collect_trajectories, read_trajectories, stable_hash,
                           write_trajectories)
 from .policy import Policy, new_policy
-from .refine import (METRIC_COLUMNS, balance_by_game, build_advantage_steps, train_spag,
-                     train_two_stage)
+from .refine import (METRIC_COLUMNS, TrainConfig, balance_by_game, build_advantage_steps,
+                     train_spag, train_two_stage)
 from .rewards import (LabeledStep, accumulate_stats, collect_representatives,
                       estimate_rewards, label_counts, label_steps, read_labeled,
                       write_labeled)
@@ -85,7 +85,8 @@ def _label(config: ExperimentConfig, trajs: list[Trajectory],
     """Stage II: estimate each step's reward over `trajs` and label it."""
     stats = accumulate_stats(trajs)
     rewards = estimate_rewards(trajs, stats=stats if config.estimator != "discounted" else None,
-                               **config.estimator_kwargs())
+                               method=config.estimator, tie_weight=config.tie_weight,
+                               gamma=config.gamma, alpha0=config.alpha0, beta0=config.beta0)
     reps = collect_representatives(trajs, agent_pair, actors=config.actors)
     return label_steps(rewards, config.delta, reps, min_count=config.min_count, stats=stats)
 
@@ -96,7 +97,9 @@ def _train(config: ExperimentConfig, policy: Policy, data: list,
 
     `data` is the labeled set, or the trajectories when the mode is spag.
     """
-    train_config = config.train_config(seed)
+    # every TrainConfig field but the seed is the ExperimentConfig field of that name
+    train_config = TrainConfig(seed=seed, **{f.name: getattr(config, f.name)
+                                             for f in fields(TrainConfig) if f.name != "seed"})
     if config.mode == "spag":
         steps = build_advantage_steps(data, (config.agent, config.opponent),
                                       gamma=config.gamma)

@@ -1,5 +1,10 @@
 """Experiment configuration: sectioned key-value files with a strict schema.
 
+Each setting is declared once, as an ``ExperimentConfig`` field whose
+metadata names its INI section (and its key, where that differs from the
+field name); ``SCHEMA`` is derived from those fields, with each value's
+parser picked from the type of the field's default.
+
 Files are INI-style; unknown sections or keys are errors (fail fast against
 typos). Environment variables ``SCOPAL_<SECTION>_<KEY>`` override file
 values, and CLI flags override both. Defaults follow the evaluated setup:
@@ -18,12 +23,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .agents import is_learner_spec, parse_spec
 from .games import GAME_NAMES, get_game
-from .refine import TrainConfig
+from .refine import MODES
+from .rewards import ESTIMATORS
 
 
 class ConfigError(ValueError):
@@ -43,47 +49,15 @@ def _parse_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# section -> key -> (attribute, parser)
-SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "run": {
-        "games": ("games", _parse_list),
-        "seed": ("seed", int),
-        "jobs": ("jobs", int),
-        "out": ("out", str),
-    },
-    "interact": {
-        "agent": ("agent", str),
-        "opponent": ("opponent", str),
-        "episodes": ("episodes", int),
-        "temperature": ("interact_temperature", float),
-        "move_bound": ("move_bound", int),
-    },
-    "rewards": {
-        "estimator": ("estimator", str),
-        "tie_weight": ("tie_weight", float),
-        "gamma": ("gamma", float),
-        "alpha0": ("alpha0", float),
-        "beta0": ("beta0", float),
-        "delta": ("delta", float),
-        "min_count": ("min_count", int),
-        "actors": ("actors", str),
-    },
-    "train": {
-        "mode": ("mode", str),
-        "learning_rate": ("learning_rate", float),
-        "batch_size": ("batch_size", int),
-        "grad_accum": ("grad_accum", int),
-        "epochs": ("epochs", int),
-        "beta": ("beta", float),
-        "beta2": ("beta2", float),
-        "balance_games": ("balance_games", _parse_bool),
-    },
-    "eval": {
-        "opponents": ("eval_opponents", _parse_list),
-        "episodes": ("eval_episodes", int),
-        "temperature": ("eval_temperature", float),
-    },
-}
+# the parser of a setting, by the type of its default; bool before int,
+# since a bool is an int
+_PARSERS = ((bool, _parse_bool), (int, int), (float, float), (str, str), (tuple, _parse_list))
+
+
+def _setting(section: str, default, key: str | None = None):
+    """A field read from ``[section] key`` (the field name, unless `key` is given)."""
+    return field(default=default, metadata={"section": section, "key": key})
+
 
 # settings that do not affect results are excluded from the run identity
 _UNHASHED = {"seed", "jobs", "out"}
@@ -91,34 +65,35 @@ _UNHASHED = {"seed", "jobs", "out"}
 
 @dataclass
 class ExperimentConfig:
-    games: tuple[str, ...] = GAME_NAMES
-    seed: int = 0
-    jobs: int = 0  # 0 = available parallelism
-    out: str = "runs"
-    agent: str = "policy"
-    opponent: str = "self"
-    episodes: int = 1000
-    interact_temperature: float = 0.7
-    move_bound: int = 200
-    estimator: str = "win_rate"
-    tie_weight: float = 0.0
-    gamma: float = 0.8
-    alpha0: float = 1.0
-    beta0: float = 1.0
-    delta: float = 0.5
-    min_count: int = 1
-    actors: str = "learner"
-    mode: str = "two_stage"
-    learning_rate: float = 1e-2
-    batch_size: int = 2
-    grad_accum: int = 8
-    epochs: int = 5
-    beta: float = 0.1
-    beta2: float = 0.2
-    balance_games: bool = False
-    eval_opponents: tuple[str, ...] = ("random", "mcts:100", "mcts:500", "mcts:1000")
-    eval_episodes: int = 100
-    eval_temperature: float = 0.2
+    games: tuple[str, ...] = _setting("run", GAME_NAMES)
+    seed: int = _setting("run", 0)
+    jobs: int = _setting("run", 0)  # 0 = available parallelism
+    out: str = _setting("run", "runs")
+    agent: str = _setting("interact", "policy")
+    opponent: str = _setting("interact", "self")
+    episodes: int = _setting("interact", 1000)
+    interact_temperature: float = _setting("interact", 0.7, key="temperature")
+    move_bound: int = _setting("interact", 200)
+    estimator: str = _setting("rewards", "win_rate")
+    tie_weight: float = _setting("rewards", 0.0)
+    gamma: float = _setting("rewards", 0.8)
+    alpha0: float = _setting("rewards", 1.0)
+    beta0: float = _setting("rewards", 1.0)
+    delta: float = _setting("rewards", 0.5)
+    min_count: int = _setting("rewards", 1)
+    actors: str = _setting("rewards", "learner")
+    mode: str = _setting("train", "two_stage")
+    learning_rate: float = _setting("train", 1e-2)
+    batch_size: int = _setting("train", 2)
+    grad_accum: int = _setting("train", 8)
+    epochs: int = _setting("train", 5)
+    beta: float = _setting("train", 0.1)
+    beta2: float = _setting("train", 0.2)
+    balance_games: bool = _setting("train", False)
+    eval_opponents: tuple[str, ...] = _setting(
+        "eval", ("random", "mcts:100", "mcts:500", "mcts:1000"), key="opponents")
+    eval_episodes: int = _setting("eval", 100, key="episodes")
+    eval_temperature: float = _setting("eval", 0.2, key="temperature")
 
     def validate(self) -> None:
         for name in self.games:
@@ -129,7 +104,7 @@ class ExperimentConfig:
             raise ConfigError("interact.episodes must be >= 1")
         if self.interact_temperature <= 0 or self.eval_temperature <= 0:
             raise ConfigError("temperatures must be positive")
-        if self.estimator not in ("win_rate", "discounted", "beta"):
+        if self.estimator not in ESTIMATORS:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if not 0 < self.gamma < 1:
             raise ConfigError("rewards.gamma must lie in (0, 1)")
@@ -139,7 +114,7 @@ class ExperimentConfig:
             raise ConfigError("rewards.delta must be finite")
         if self.actors not in ("learner", "all"):
             raise ConfigError("rewards.actors must be 'learner' or 'all'")
-        if self.mode not in ("two_stage", "direct_kto", "joint", "bc_only", "bc_dpo", "spag"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")
         if self.batch_size < 1 or self.grad_accum < 1 or self.epochs < 1:
             raise ConfigError("train.batch_size/grad_accum/epochs must be >= 1")
@@ -153,8 +128,13 @@ class ExperimentConfig:
             raise ConfigError("interact.move_bound must be >= 1")
         if self.eval_episodes < 2:
             raise ConfigError("eval.episodes must be >= 2: matches alternate seats in pairs")
-        if not self.eval_opponents:
-            raise ConfigError("eval.opponents must name at least one opponent")
+        for setting, noun, names in (("run.games", "game", self.games),
+                                     ("eval.opponents", "opponent", self.eval_opponents)):
+            if not names:
+                raise ConfigError(f"{setting} must name at least one {noun}")
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise ConfigError(f"{setting}: {repeated[0]!r} is listed more than once")
         for setting, spec in [("interact.agent", self.agent),
                               ("interact.opponent", self.opponent),
                               *(("eval.opponents", s) for s in self.eval_opponents)]:
@@ -164,15 +144,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{setting}: {err}") from err
             if setting == "eval.opponents" and is_learner_spec(spec):
                 raise ConfigError(f"eval.opponents: {spec!r} is the policy under training")
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(learning_rate=self.learning_rate, batch_size=self.batch_size,
-                           grad_accum=self.grad_accum, epochs=self.epochs, beta=self.beta,
-                           beta2=self.beta2, seed=seed, mode=self.mode)
-
-    def estimator_kwargs(self) -> dict:
-        return {"method": self.estimator, "tie_weight": self.tie_weight,
-                "gamma": self.gamma, "alpha0": self.alpha0, "beta0": self.beta0}
 
     def resolved(self) -> dict:
         out = {}
@@ -193,6 +164,25 @@ class ExperimentConfig:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
+def _schema() -> dict[str, dict[str, tuple[str, object]]]:
+    """section -> key -> (attribute, parser), in field order."""
+    schema: dict[str, dict[str, tuple[str, object]]] = {}
+    for f in fields(ExperimentConfig):
+        parse = next(parse for kind, parse in _PARSERS if isinstance(f.default, kind))
+        schema.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = (f.name, parse)
+    return schema
+
+
+SCHEMA = _schema()
+
+
+def _parse(where: str, parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
 def load_config(path: str | None = None, env: Mapping[str, str] | None = None,
                 **overrides) -> ExperimentConfig:
     """Resolve file -> environment -> explicit overrides, then validate."""
@@ -209,21 +199,13 @@ def load_config(path: str | None = None, env: Mapping[str, str] | None = None,
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 attr, parse = SCHEMA[section][key]
-                try:
-                    values[attr] = parse(raw)
-                except ConfigError:
-                    raise
-                except ValueError as err:
-                    raise ConfigError(f"[{section}] {key}: {err}") from err
+                values[attr] = _parse(f"[{section}] {key}", parse, raw)
     env = os.environ if env is None else env
     for section, keys in SCHEMA.items():
         for key, (attr, parse) in keys.items():
             var = f"SCOPAL_{section.upper()}_{key.upper()}"
             if var in env:
-                try:
-                    values[attr] = parse(env[var])
-                except ValueError as err:
-                    raise ConfigError(f"{var}: {err}") from err
+                values[attr] = _parse(var, parse, env[var])
     for attr, value in overrides.items():
         if value is not None:
             values[attr] = value

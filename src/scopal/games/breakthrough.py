@@ -103,15 +103,18 @@ class Breakthrough(Game):
         return BtState(tuple(board), state.to_move.other, state.move_count + 1)
 
     def outcome(self, state: BtState) -> Optional[dict[Player, Outcome]]:
+        return self._board_outcome(state.board)
+
+    def _board_outcome(self, board) -> Optional[dict[Player, Outcome]]:
+        """The outcome rule on a bare board, shared by `outcome` and `random_playout`."""
         cols = self.cols
-        top = state.board[(self.rows - 1) * cols:]
-        if 1 in top:
+        if 1 in board[(self.rows - 1) * cols:]:
             return win_for(Player.P1)
-        if 2 in state.board[:cols]:
+        if 2 in board[:cols]:
             return win_for(Player.P2)
-        if 1 not in state.board:
+        if 1 not in board:
             return win_for(Player.P2)
-        if 2 not in state.board:
+        if 2 not in board:
             return win_for(Player.P1)
         return None
 
@@ -175,17 +178,5 @@ class Breakthrough(Game):
             board[frm] = 0
             board[to] = own
             own = 3 - own
-            out = self._outcome_fast(board)
+            out = self._board_outcome(board)
         return out
-
-    def _outcome_fast(self, board: list) -> Optional[dict[Player, Outcome]]:
-        cols = self.cols
-        if 1 in board[(self.rows - 1) * cols:]:
-            return win_for(Player.P1)
-        if 2 in board[:cols]:
-            return win_for(Player.P2)
-        if 1 not in board:
-            return win_for(Player.P2)
-        if 2 not in board:
-            return win_for(Player.P1)
-        return None

@@ -35,6 +35,9 @@ from .policy import Policy, action_index, log_prob_grad, log_softmax, reference_
 from .rewards import DESIRABLE, LabeledStep, label_counts
 
 METRIC_COLUMNS = ("stage", "epoch", "loss", "n_D", "n_U", "lambda_D", "lambda_U", "z0")
+# the training modes: train_two_stage runs all but spag, which trains on
+# trajectories through train_spag
+MODES = ("two_stage", "direct_kto", "joint", "bc_only", "bc_dpo", "spag")
 
 
 @dataclass
@@ -46,7 +49,7 @@ class TrainConfig:
     beta: float = 0.1
     beta2: float = 0.2
     seed: int = 0
-    mode: str = "two_stage"  # two_stage | direct_kto | joint | bc_only | bc_dpo | spag
+    mode: str = "two_stage"  # one of MODES
 
 
 @dataclass
@@ -299,7 +302,7 @@ def spag_loss(policy: Policy, reference: Policy, steps: Sequence[AdvantageStep],
     return LossReport(loss, grads)
 
 
-# -- dataset balancing and scaling -----------------------------------------
+# -- dataset balancing ------------------------------------------------------
 
 
 def _resample(items: list[LabeledStep], target: int, rng: random.Random) -> list[LabeledStep]:
@@ -328,35 +331,6 @@ def balance_by_game(dataset: Sequence[LabeledStep], seed: int = 0) -> list[Label
         items = sorted(by_game[name], key=lambda s: s.key)
         rng = random.Random(stable_hash(seed, "balance", name))
         out.extend(_resample(items, target, rng))
-    out.sort(key=lambda s: (s.game, s.key))
-    return out
-
-
-def scale_dataset(dataset: Sequence[LabeledStep], *, target_total: int | None = None,
-                  target_desirable: int | None = None, target_undesirable: int | None = None,
-                  seed: int = 0) -> list[LabeledStep]:
-    """Upsample by class.
-
-    With ``target_total`` the desirable:undesirable ratio is preserved at the
-    new total; with explicit class targets both are hit exactly. Targets must
-    not fall below current counts (this is an upsampler).
-    """
-    pos = sorted((s for s in dataset if s.label == DESIRABLE), key=lambda s: (s.game, s.key))
-    neg = sorted((s for s in dataset if s.label != DESIRABLE), key=lambda s: (s.game, s.key))
-    n_d, n_u = len(pos), len(neg)
-    if target_total is not None:
-        if target_desirable is not None or target_undesirable is not None:
-            raise ValueError("give either target_total or per-class targets, not both")
-        if target_total < n_d + n_u:
-            raise ValueError("target_total below current dataset size")
-        target_desirable = round(target_total * n_d / (n_d + n_u))
-        target_undesirable = target_total - target_desirable
-    if target_desirable is None or target_undesirable is None:
-        raise ValueError("scaling needs target_total or both class targets")
-    if target_desirable < n_d or target_undesirable < n_u:
-        raise ValueError("class target below current count")
-    out = _resample(pos, target_desirable, random.Random(stable_hash(seed, "scale", "D")))
-    out += _resample(neg, target_undesirable, random.Random(stable_hash(seed, "scale", "U")))
     out.sort(key=lambda s: (s.game, s.key))
     return out
 
@@ -470,7 +444,7 @@ def train_two_stage(policy: Policy, dataset: Sequence[LabeledStep],
     Modes: two_stage (BC on desirable steps, then KTO against the post-BC
     snapshot), direct_kto, joint (summed objectives), bc_only, bc_dpo.
     """
-    if config.mode not in ("two_stage", "direct_kto", "joint", "bc_only", "bc_dpo"):
+    if config.mode not in MODES or config.mode == "spag":
         raise ValueError(f"unknown training mode {config.mode!r}")
     trained = policy.clone()
     metrics: list[dict] = []

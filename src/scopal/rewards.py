@@ -18,6 +18,7 @@ from .interaction import Trajectory, learner_seats, replay
 
 DESIRABLE = "Desirable"
 UNDESIRABLE = "Undesirable"
+ESTIMATORS = ("win_rate", "discounted", "beta")
 
 
 @dataclass
@@ -36,12 +37,6 @@ class StepStats:
         else:
             self.n_lose += 1
 
-    def merge(self, other: "StepStats") -> None:
-        self.n_all += other.n_all
-        self.n_win += other.n_win
-        self.n_tie += other.n_tie
-        self.n_lose += other.n_lose
-
 
 def accumulate_stats(trajectories: Iterable[Trajectory]) -> dict[str, StepStats]:
     """Count each step's key under its actor's terminal outcome."""
@@ -59,19 +54,6 @@ def accumulate_stats(trajectories: Iterable[Trajectory]) -> dict[str, StepStats]
     return stats
 
 
-def merge_stats(*maps: Mapping[str, StepStats]) -> dict[str, StepStats]:
-    """Associative, commutative merge of partial count maps."""
-    out: dict[str, StepStats] = {}
-    for m in maps:
-        for key, st in m.items():
-            entry = out.get(key)
-            if entry is None:
-                out[key] = StepStats(st.n_all, st.n_win, st.n_tie, st.n_lose)
-            else:
-                entry.merge(st)
-    return out
-
-
 def estimate_rewards(trajectories: Iterable[Trajectory] | None = None, *,
                      stats: Mapping[str, StepStats] | None = None,
                      method: str = "win_rate", tie_weight: float = 0.0,
@@ -85,22 +67,8 @@ def estimate_rewards(trajectories: Iterable[Trajectory] | None = None, *,
         episode length.
     beta: posterior mean (alpha0 + wins) / (alpha0 + beta0 + wins + losses).
     """
-    if method in ("win_rate", "beta"):
-        if stats is None:
-            if trajectories is None:
-                raise ValueError(f"{method} estimator needs stats or trajectories")
-            stats = accumulate_stats(trajectories)
-        rewards = {}
-        for key, st in stats.items():
-            if st.n_all == 0:
-                raise ValueError(f"key {key!r} has no occurrences")
-            if method == "win_rate":
-                rewards[key] = (st.n_win + tie_weight * st.n_tie) / st.n_all
-            else:
-                if alpha0 <= 0 or beta0 <= 0:
-                    raise ValueError("beta estimator needs alpha0, beta0 > 0")
-                rewards[key] = (alpha0 + st.n_win) / (alpha0 + beta0 + st.n_win + st.n_lose)
-        return rewards
+    if method not in ESTIMATORS:
+        raise ValueError(f"unknown reward estimation method {method!r}")
     if method == "discounted":
         if trajectories is None:
             raise ValueError("discounted estimator needs trajectories")
@@ -117,7 +85,21 @@ def estimate_rewards(trajectories: Iterable[Trajectory] | None = None, *,
                 total[step.key] = total.get(step.key, 0.0) + gamma ** (horizon - t) * final
                 count[step.key] = count.get(step.key, 0) + 1
         return {k: total[k] / count[k] for k in total}
-    raise ValueError(f"unknown reward estimation method {method!r}")
+    if stats is None:
+        if trajectories is None:
+            raise ValueError(f"{method} estimator needs stats or trajectories")
+        stats = accumulate_stats(trajectories)
+    rewards = {}
+    for key, st in stats.items():
+        if st.n_all == 0:
+            raise ValueError(f"key {key!r} has no occurrences")
+        if method == "win_rate":
+            rewards[key] = (st.n_win + tie_weight * st.n_tie) / st.n_all
+        else:
+            if alpha0 <= 0 or beta0 <= 0:
+                raise ValueError("beta estimator needs alpha0, beta0 > 0")
+            rewards[key] = (alpha0 + st.n_win) / (alpha0 + beta0 + st.n_win + st.n_lose)
+    return rewards
 
 
 @dataclass(frozen=True)
@@ -190,28 +172,6 @@ def label_counts(dataset: Iterable[LabeledStep]) -> tuple[int, int]:
         else:
             n_u += 1
     return n_d, n_u
-
-
-def winning_steps_dataset(trajectories: Iterable[Trajectory],
-                          agent_pair: tuple[str, str], *,
-                          actors: str = "learner") -> list[LabeledStep]:
-    """Trajectory-based BC data: every step whose actor won, all Desirable.
-
-    The reward-based pipeline filters by estimated step reward instead; this
-    variant exists for the BC-data ablation.
-    """
-    reps: dict[str, Representative] = {}
-    for traj in trajectories:
-        seats = learner_seats(traj, agent_pair)
-        for (state, action, actor), step in zip(replay(traj), traj.steps):
-            if actors == "learner" and actor not in seats:
-                continue
-            if traj.outcome[actor] is Outcome.WIN and step.key not in reps:
-                reps[step.key] = Representative(traj.game, state, action)
-    out = [LabeledStep(rep.game, key, rep.state, rep.action, 1.0, DESIRABLE)
-           for key, rep in reps.items()]
-    out.sort(key=lambda s: (s.game, s.key))
-    return out
 
 
 # -- labeled dataset io ----------------------------------------------------

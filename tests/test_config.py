@@ -1,9 +1,11 @@
 """Config loading: file < environment < flag precedence, the strict schema,
 and the rejections made at load time, before any stage runs."""
+from dataclasses import fields
+
 import pytest
 
 from scopal.cli import main
-from scopal.config import ConfigError, load_config
+from scopal.config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from scopal.policy import new_policy
 
 
@@ -36,8 +38,64 @@ def test_unknown_section_and_key_are_errors(config_file):
 def test_unparsable_values_are_errors(config_file):
     with pytest.raises(ConfigError, match=r"\[run\] seed"):
         load_config(config_file("[run]\nseed = one\n"), env={})
+    with pytest.raises(ConfigError,
+                       match=r"\[train\] balance_games: expected a boolean, got 'maybe'"):
+        load_config(config_file("[train]\nbalance_games = maybe\n"), env={})
     with pytest.raises(ConfigError, match="SCOPAL_TRAIN_BALANCE_GAMES"):
         load_config(None, env={"SCOPAL_TRAIN_BALANCE_GAMES": "maybe"})
+
+
+# every setting: (section, key, field), a value that is not its default, and that value parsed
+SETTINGS = [
+    ("run", "games", "games", "nim,tictactoe", ("nim", "tictactoe")),
+    ("run", "seed", "seed", "5", 5),
+    ("run", "jobs", "jobs", "3", 3),
+    ("run", "out", "out", "elsewhere", "elsewhere"),
+    ("interact", "agent", "agent", "random", "random"),
+    ("interact", "opponent", "opponent", "mcts:5", "mcts:5"),
+    ("interact", "episodes", "episodes", "7", 7),
+    ("interact", "temperature", "interact_temperature", "0.5", 0.5),
+    ("interact", "move_bound", "move_bound", "50", 50),
+    ("rewards", "estimator", "estimator", "beta", "beta"),
+    ("rewards", "tie_weight", "tie_weight", "0.5", 0.5),
+    ("rewards", "gamma", "gamma", "0.9", 0.9),
+    ("rewards", "alpha0", "alpha0", "2", 2.0),
+    ("rewards", "beta0", "beta0", "3", 3.0),
+    ("rewards", "delta", "delta", "0.25", 0.25),
+    ("rewards", "min_count", "min_count", "2", 2),
+    ("rewards", "actors", "actors", "all", "all"),
+    ("train", "mode", "mode", "bc_only", "bc_only"),
+    ("train", "learning_rate", "learning_rate", "0.05", 0.05),
+    ("train", "batch_size", "batch_size", "4", 4),
+    ("train", "grad_accum", "grad_accum", "2", 2),
+    ("train", "epochs", "epochs", "3", 3),
+    ("train", "beta", "beta", "0.3", 0.3),
+    ("train", "beta2", "beta2", "0.1", 0.1),
+    ("train", "balance_games", "balance_games", "yes", True),
+    ("eval", "opponents", "eval_opponents", "random,mcts:5", ("random", "mcts:5")),
+    ("eval", "episodes", "eval_episodes", "4", 4),
+    ("eval", "temperature", "eval_temperature", "0.3", 0.3),
+]
+
+
+def test_the_schema_names_every_field_once():
+    derived = [(section, key, attr) for section, keys in SCHEMA.items()
+               for key, (attr, _) in keys.items()]
+    assert derived == [row[:3] for row in SETTINGS]
+    assert sorted(attr for _, _, attr in derived) == sorted(
+        f.name for f in fields(ExperimentConfig))
+    # the run id hashes every field name and default
+    assert ExperimentConfig().run_id() == "bb82f9296f42-s0"
+
+
+@pytest.mark.parametrize("section, key, attr, text, value", SETTINGS)
+def test_every_setting_is_read_from_file_and_environment(config_file, section, key, attr,
+                                                         text, value):
+    assert getattr(ExperimentConfig(), attr) != value
+    path = config_file(f"[{section}]\n{key} = {text}\n")
+    assert getattr(load_config(path, env={}), attr) == value
+    variable = f"SCOPAL_{section.upper()}_{key.upper()}"
+    assert getattr(load_config(None, env={variable: text}), attr) == value
 
 
 def test_agent_specs_that_parse_are_accepted(tmp_path):
@@ -70,6 +128,10 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
     ("SCOPAL_TRAIN_BETA", "0", "train.beta must be positive"),
     ("SCOPAL_TRAIN_BETA2", "-0.1", "train.beta2 must be >= 0"),
     ("SCOPAL_RUN_JOBS", "-3", "run.jobs must be >= 0"),
+    ("SCOPAL_RUN_GAMES", ",", "run.games must name at least one game"),
+    ("SCOPAL_RUN_GAMES", "nim,nim", "run.games: 'nim' is listed more than once"),
+    ("SCOPAL_EVAL_OPPONENTS", "random,mcts:5,random",
+     "eval.opponents: 'random' is listed more than once"),
 ])
 def test_bad_settings_are_rejected_when_they_load(tmp_path, monkeypatch, capsys,
                                                   variable, value, message):

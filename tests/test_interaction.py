@@ -1,9 +1,14 @@
 """Episode running, seat alternation, the JSONL store, and determinism."""
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
+import scopal
 from scopal import interaction
 from scopal.agents import RandomAgent, make_agent
 from scopal.games import Player, get_game, tie_outcome
@@ -148,6 +153,21 @@ def test_the_pool_starts_no_more_workers_than_tasks(monkeypatch):
     assert fan_out(pow, [(2, k) for k in range(3)], jobs=64) == [1, 2, 4]
     assert fan_out(pow, [(2, k) for k in range(5)], jobs=2) == [1, 2, 4, 8, 16]
     assert started == [3, 2]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_the_process_that_forks_workers_runs_one_thread():
+    # a fork copies only the forking thread, so a second thread (OpenBLAS's
+    # pool) could leave a worker on a lock that no one will release
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(scopal.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = ("import scopal.cli\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('Threads:')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "1"
 
 
 def test_store_roundtrip(tmp_path):

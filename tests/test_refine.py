@@ -1,4 +1,4 @@
-"""Loss values and gradients, lambda balancing, dataset balancing/scaling,
+"""Loss values and gradients, lambda balancing, dataset balancing,
 and the two-stage trainer."""
 import math
 import random
@@ -14,7 +14,7 @@ from scopal.interaction import Step, Trajectory, collect_trajectories
 from scopal.policy import Policy, new_policy, reference_copy
 from scopal.refine import (AdvantageStep, TrainConfig, balance_by_game,
                            balance_lambdas, bc_loss, build_advantage_steps,
-                           build_dpo_pairs, dpo_loss, kto_loss, scale_dataset,
+                           build_dpo_pairs, dpo_loss, kto_loss,
                            spag_assign_rewards, spag_loss, train_two_stage)
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep,
                             collect_representatives, estimate_rewards, label_steps)
@@ -369,7 +369,7 @@ def test_spag_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
-# -- balancing and scaling ------------------------------------------------------
+# -- balancing ------------------------------------------------------------------
 
 
 def fake_steps(game, n, label=DESIRABLE, prefix=""):
@@ -411,42 +411,6 @@ def test_balance_preserves_total(spec):
         counts[s.game] = counts.get(s.game, 0) + 1
     lo, hi = min(counts.values()), max(counts.values())
     assert hi - lo <= 1
-
-
-def test_scale1_preserves_ratio_at_figure_counts():
-    # base counts from the weakest-search interaction condition
-    n_d, n_u = 5448, 14999
-    target_total = 12210 + 23906  # the self-play total
-    data = fake_steps("g", n_d) + fake_steps("g", n_u, label=UNDESIRABLE, prefix="u")
-    out = scale_dataset(data, target_total=target_total, seed=5)
-    got_d = sum(1 for s in out if s.label == DESIRABLE)
-    got_u = len(out) - got_d
-    # oracle: ratio-preserving targets computed independently
-    expect_d = round(target_total * n_d / (n_d + n_u))
-    assert (got_d, got_u) == (expect_d, target_total - expect_d) == (9623, 26493)
-    assert got_d / len(out) == pytest.approx(n_d / (n_d + n_u), abs=1 / target_total)
-
-
-def test_scale2_hits_exact_class_targets():
-    data = fake_steps("g", 5448) + fake_steps("g", 14999, label=UNDESIRABLE, prefix="u")
-    out = scale_dataset(data, target_desirable=12210, target_undesirable=23906, seed=6)
-    got_d = sum(1 for s in out if s.label == DESIRABLE)
-    assert (got_d, len(out) - got_d) == (12210, 23906)
-
-
-def test_scale1_identity_at_current_total():
-    data = fake_steps("g", 30) + fake_steps("g", 50, label=UNDESIRABLE, prefix="u")
-    out = scale_dataset(data, target_total=80, seed=7)
-    assert sorted(out, key=lambda s: (s.key, s.label)) == sorted(
-        data, key=lambda s: (s.key, s.label))
-
-
-def test_scale_rejects_target_below_current():
-    data = fake_steps("g", 30)
-    with pytest.raises(ValueError):
-        scale_dataset(data, target_desirable=10, target_undesirable=0, seed=0)
-    with pytest.raises(ValueError):
-        scale_dataset(data, target_total=10, seed=0)
 
 
 # -- training loops ----------------------------------------------------------------

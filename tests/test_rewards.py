@@ -11,8 +11,7 @@ from scopal.policy import new_policy
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, StepStats,
                             accumulate_stats, collect_representatives,
                             estimate_rewards, label_counts, label_steps,
-                            merge_stats, read_labeled, winning_steps_dataset,
-                            write_labeled)
+                            read_labeled, write_labeled)
 
 
 def traj(game, steps, outcome_p1, episode=0):
@@ -65,17 +64,6 @@ def test_brute_force_recount_matches_on_real_store():
     for key, (w, tie, lose) in tally.items():
         st_ = stats[key]
         assert (st_.n_win, st_.n_tie, st_.n_lose, st_.n_all) == (w, tie, lose, w + tie + lose)
-
-
-def test_merge_is_associative_and_commutative():
-    a = {"k": StepStats(2, 1, 0, 1)}
-    b = {"k": StepStats(1, 1, 0, 0), "j": StepStats(1, 0, 1, 0)}
-    c = {"j": StepStats(3, 2, 0, 1)}
-    left = merge_stats(merge_stats(a, b), c)
-    right = merge_stats(a, merge_stats(b, c))
-    swapped = merge_stats(c, b, a)
-    for m in (right, swapped):
-        assert {k: vars(v) for k, v in left.items()} == {k: vars(v) for k, v in m.items()}
 
 
 def test_win_rate_estimator_formula():
@@ -186,19 +174,6 @@ def test_representatives_respect_learner_filter():
         policy_seat = Player.P1 if t.first_player_agent == "policy" else Player.P2
         expected |= {s.key for s in t.steps if s.actor is policy_seat}
     assert set(learner) == expected
-
-
-def test_winning_steps_dataset_only_contains_winner_actions():
-    policy = new_policy(["tictactoe"])
-    trajs = collect_trajectories(["tictactoe"], "policy", "self", 40, 31, policy=policy)
-    data = winning_steps_dataset(trajs, ("policy", "self"))
-    assert data and all(s.label == DESIRABLE for s in data)
-    winner_keys = set()
-    for t in trajs:
-        for s in t.steps:
-            if t.outcome[s.actor] is Outcome.WIN:
-                winner_keys.add(s.key)
-    assert {s.key for s in data} == winner_keys
 
 
 def test_an_interrupted_labeled_write_leaves_the_previous_file(tmp_path):
