@@ -33,17 +33,12 @@ class RandomAgent(Agent):
 
 
 class MctsAgent(Agent):
-    def __init__(self, max_simulations: int, rollout_count: int = 1,
-                 exploration_c: float = 2.0, label: str | None = None):
+    def __init__(self, max_simulations: int):
         self.max_simulations = max_simulations
-        self.rollout_count = rollout_count
-        self.exploration_c = exploration_c
-        self.label = label or f"mcts:{max_simulations}"
+        self.label = f"mcts:{max_simulations}"
 
     def act(self, game, state, rng):
-        config = MctsConfig(self.max_simulations, self.rollout_count,
-                            self.exploration_c, rng.randrange(2 ** 63))
-        return mcts_act(game, state, config)
+        return mcts_act(game, state, MctsConfig(self.max_simulations, rng.randrange(2 ** 63)))
 
 
 class PolicyAgent(Agent):

@@ -5,19 +5,20 @@ regret, pipeline. All artifacts land under ``<out>/<run-id>/`` where the run
 id is the config hash plus seed; a manifest records the resolved config.
 Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
 
-Stage II runs only through ``_label`` and Stage III only through ``_train``,
-so the opponent study (``sweep`` and ``iterate``) labels and trains exactly
-as ``estimate``/``train``/``pipeline`` do, under every setting.
+Stage II runs only through ``_label`` and Stage III only through
+``refine.train_two_stage``, so the opponent study (``sweep`` and
+``iterate``) labels and trains exactly as ``estimate``/``train``/``pipeline``
+do, under every setting.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, replace
 from pathlib import Path
 
-from .agents import PolicyAgent, make_agent
+from .agents import PolicyAgent, make_agent, parse_spec
 from .atomic import atomic_open
 from .config import ConfigError, ExperimentConfig, load_config
 from .csvfile import write_csv
@@ -27,8 +28,7 @@ from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS,
 from .interaction import (Trajectory, collect_trajectories, read_trajectories, stable_hash,
                           write_trajectories)
 from .policy import Policy, new_policy
-from .refine import (METRIC_COLUMNS, TrainConfig, balance_by_game, build_advantage_steps,
-                     train_spag, train_two_stage)
+from .refine import METRIC_COLUMNS, train_two_stage
 from .rewards import (LabeledStep, accumulate_stats, collect_representatives,
                       estimate_rewards, label_counts, label_steps, read_labeled,
                       write_labeled)
@@ -72,10 +72,10 @@ def _load_policy(run_dir: Path) -> Policy:
     return Policy.load(checkpoint)
 
 
-def _interact(config: ExperimentConfig, policy: Policy, agent_pair: tuple[str, str],
-              seed: int) -> list[Trajectory]:
+def _interact(config: ExperimentConfig, policy: Policy,
+              agent_pair: tuple[str, str]) -> list[Trajectory]:
     """Stage I: `agent_pair` plays `config.episodes` episodes of every game."""
-    return collect_trajectories(config.games, *agent_pair, config.episodes, seed,
+    return collect_trajectories(config.games, *agent_pair, config.episodes, config.seed,
                                 policy=policy, temperature=config.interact_temperature,
                                 jobs=config.effective_jobs(), move_bound=config.move_bound)
 
@@ -91,47 +91,26 @@ def _label(config: ExperimentConfig, trajs: list[Trajectory],
     return label_steps(rewards, config.delta, reps, min_count=config.min_count, stats=stats)
 
 
-def _train(config: ExperimentConfig, policy: Policy, data: list,
-           seed: int) -> tuple[Policy, list[dict]]:
-    """Stage III: a trained copy of `policy` and its metrics rows.
-
-    `data` is the labeled set, or the trajectories when the mode is spag.
-    """
-    # every TrainConfig field but the seed is the ExperimentConfig field of that name
-    train_config = TrainConfig(seed=seed, **{f.name: getattr(config, f.name)
-                                             for f in fields(TrainConfig) if f.name != "seed"})
-    if config.mode == "spag":
-        steps = build_advantage_steps(data, (config.agent, config.opponent),
-                                      gamma=config.gamma)
-        trained, metrics = policy.clone(), []
-        train_spag(trained, steps, train_config, metrics)
-        return trained, metrics
-    if config.balance_games:
-        data = balance_by_game(data, seed)
-    return train_two_stage(policy, data, train_config)
-
-
-def _play_label_train(config: ExperimentConfig, policy: Policy, opponent: str, seed: int,
+def _play_label_train(config: ExperimentConfig, policy: Policy, opponent: str,
                       label: str) -> tuple[Policy, list[LabeledStep], float, float]:
-    """One `sweep` rung or `iterate` round: `policy` plays `opponent`, is trained
-    on the labeled steps, then plays the tournament.
+    """One `sweep` rung or `iterate` round, seeded by `config.seed`: `policy` plays
+    `opponent`, is trained on the labeled steps, then plays the tournament.
 
     Returns (trained policy, labeled set, interaction win rate, tournament win rate).
     """
     pair = ("policy", opponent)
-    trajs = _interact(config, policy, pair, seed)
+    trajs = _interact(config, policy, pair)
     dataset = _label(config, trajs, pair)
-    trained, _ = _train(config, policy, dataset, seed)
+    trained, _ = train_two_stage(policy, dataset, config)
     agent = PolicyAgent(trained, config.eval_temperature, label=label)
     reports = tournament(agent, config.eval_opponents, config.games, config.eval_episodes,
-                         seed, eval_temperature=config.eval_temperature,
+                         config.seed, eval_temperature=config.eval_temperature,
                          jobs=config.effective_jobs())
     return trained, dataset, interaction_win_rate(trajs, pair), average_win_rate(reports)
 
 
 def cmd_interact(config: ExperimentConfig, run_dir: Path) -> None:
-    trajs = _interact(config, new_policy(config.games), (config.agent, config.opponent),
-                      config.seed)
+    trajs = _interact(config, new_policy(config.games), (config.agent, config.opponent))
     write_trajectories(_store_path(config, run_dir), trajs)
 
 
@@ -146,7 +125,7 @@ def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:
         data = read_trajectories(_store_path(config, run_dir))
     else:
         data = read_labeled(run_dir / "labeled.jsonl")
-    trained, metrics = _train(config, new_policy(config.games), data, config.seed)
+    trained, metrics = train_two_stage(new_policy(config.games), data, config)
     trained.save(run_dir / "checkpoint.json")
     write_csv(run_dir / "metrics.csv", METRIC_COLUMNS, metrics)
 
@@ -166,9 +145,9 @@ def cmd_sweep(config: ExperimentConfig, run_dir: Path) -> None:
     base = new_policy(config.games)
     rows = []
     for rung in LADDER:
-        seed = stable_hash(config.seed, "sweep", rung)
         _, dataset, interact_wr, trained_wr = _play_label_train(
-            config, base, rung, seed, label=f"trained-vs-{rung}")
+            replace(config, seed=stable_hash(config.seed, "sweep", rung)), base, rung,
+            label=f"trained-vs-{rung}")
         n_d, n_u = label_counts(dataset)
         rows.append(dict(zip(SWEEP_COLUMNS, (rung, interact_wr, n_d, n_u,
                                              n_d / max(1, n_d + n_u), trained_wr))))
@@ -191,15 +170,13 @@ def cmd_iterate(config: ExperimentConfig, run_dir: Path, rounds: int) -> None:
     """Round 1 is self-play; round k >= 2 plays the current policy against
     checkpoint k - 1. Later rounds may decline; that is reported, not asserted.
     """
-    if rounds < 1:
-        raise ValueError("iterate: rounds must be >= 1")
     current = new_policy(config.games)
     rows = []
     opponent = label = "self"
     for round_no in range(1, rounds + 1):
-        seed = stable_hash(config.seed, "iterate", round_no)
         current, _, interact_wr, eval_wr = _play_label_train(
-            config, current, opponent, seed, label=f"iter{round_no}")
+            replace(config, seed=stable_hash(config.seed, "iterate", round_no)), current,
+            opponent, label=f"iter{round_no}")
         name = f"checkpoint_round{round_no}.json"
         current.save(run_dir / name)
         rows.append(dict(zip(ITERATE_COLUMNS, (round_no, label, interact_wr, eval_wr,
@@ -227,6 +204,27 @@ COMMANDS = {"interact": (cmd_interact,), "estimate": (cmd_estimate,), "train": (
             "pipeline": (cmd_interact, cmd_estimate, cmd_train, cmd_evaluate)}
 
 
+def _agent_list(text: str) -> list[str]:
+    """The --agents entries: each `base` or a random, mcts or checkpoint spec, none twice."""
+    specs = [spec.strip() for spec in text.split(",")]
+    for i, spec in enumerate(specs):
+        try:
+            kind = "base" if spec == "base" else parse_spec(spec)[0]
+        except ValueError:
+            kind = None
+        if kind not in ("base", "random", "mcts", "checkpoint") or spec in specs[:i]:
+            raise argparse.ArgumentTypeError(
+                f"{spec!r}: expected base, random, mcts:<n >= 1> or "
+                f"policy:<existing checkpoint file>, each listed once")
+    return specs
+
+
+def _rounds(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scopal",
@@ -242,10 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sub.add_parser(name)
     h2h = sub.add_parser("head2head")
-    h2h.add_argument("--agents", default="base,random",
+    h2h.add_argument("--agents", type=_agent_list, default="base,random",
                      help="comma list of: base, random, mcts:<n>, policy:<checkpoint>")
     it = sub.add_parser("iterate")
-    it.add_argument("--rounds", type=int, default=3)
+    it.add_argument("--rounds", type=_rounds, default=3)
     return parser
 
 
@@ -263,7 +261,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"train.mode = spag runs only in train and pipeline, "
                               f"not in {args.command}")
         if args.command == "head2head":
-            cmd_head2head(config, run_dir, [s.strip() for s in args.agents.split(",")])
+            cmd_head2head(config, run_dir, args.agents)
         elif args.command == "iterate":
             cmd_iterate(config, run_dir, args.rounds)
         else:

@@ -10,7 +10,7 @@ typos). Environment variables ``SCOPAL_<SECTION>_<KEY>`` override file
 values, and CLI flags override both. Defaults follow the evaluated setup:
 1000 interaction / 100 evaluation episodes, temperatures 0.7 / 0.2,
 threshold 0.5, discount 0.8, 5 epochs, batch size 2, gradient accumulation
-8, UCT c=2 with 1 rollout.
+8.
 
 Runs are content-addressed: the run id is a hash of every result-affecting
 setting plus the seed, so reruns land in the same directory and different
@@ -29,7 +29,7 @@ from typing import Mapping
 from .agents import is_learner_spec, parse_spec
 from .games import GAME_NAMES, get_game
 from .refine import MODES
-from .rewards import ESTIMATORS
+from .rewards import ACTORS, ESTIMATORS
 
 
 class ConfigError(ValueError):
@@ -112,7 +112,7 @@ class ExperimentConfig:
             raise ConfigError("rewards.alpha0 and beta0 must be positive")
         if not math.isfinite(self.delta):
             raise ConfigError("rewards.delta must be finite")
-        if self.actors not in ("learner", "all"):
+        if self.actors not in ACTORS:
             raise ConfigError("rewards.actors must be 'learner' or 'all'")
         if self.mode not in MODES:
             raise ConfigError(f"unknown training mode {self.mode!r}")

@@ -64,6 +64,7 @@ class Game(ABC):
     """
 
     name: str
+    state_type: type  # the frozen dataclass of the game's states
     max_moves: int
     perfect_information: bool = True
 
@@ -99,15 +100,16 @@ class Game(ABC):
     def parse_action(self, text: str) -> Any:
         ...
 
-    @abstractmethod
-    def encode_state(self, state: Any) -> Any:
-        """JSON-able encoding, inverse of decode_state."""
-
-    @abstractmethod
-    def decode_state(self, data: Any) -> Any:
-        ...
-
     # -- defaults ------------------------------------------------------
+
+    def encode_state(self, state: Any) -> dict:
+        """The state's fields, `to_move` by name; json writes the tuples as lists."""
+        return dict(vars(state), to_move=state.to_move.name)
+
+    def decode_state(self, data: Mapping) -> Any:
+        """Rebuild a `state_type` from encode_state's fields, lists as tuples."""
+        fields = {name: _tuples(value) for name, value in data.items()}
+        return self.state_type(**dict(fields, to_move=Player[data["to_move"]]))
 
     def relative_action(self, state: Any, action: Any) -> Any:
         """Action re-expressed in the mover's observation coordinates.
@@ -152,6 +154,11 @@ class Game(ABC):
             s = self.apply(s, acts[rng.randrange(len(acts))])
             out = self.outcome(s)
         return out
+
+
+def _tuples(value: Any) -> Any:
+    """`value` with every list in it, at any depth, made a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def split_key(key: str) -> tuple[str, str]:

@@ -28,6 +28,7 @@ class BtState:
 
 
 class Breakthrough(Game):
+    state_type = BtState
     perfect_information = True
 
     def __init__(self, cols: int = 3, rows: int = 8, name: str = "breakthrough"):
@@ -157,13 +158,6 @@ class Breakthrough(Game):
             (int(frm[1:]) - 1) * self.cols + (ord(frm[0]) - ord("a")),
             (int(to[1:]) - 1) * self.cols + (ord(to[0]) - ord("a")),
         )
-
-    def encode_state(self, state: BtState):
-        return {"board": list(state.board), "to_move": state.to_move.value,
-                "move_count": state.move_count}
-
-    def decode_state(self, data) -> BtState:
-        return BtState(tuple(data["board"]), Player(data["to_move"]), data["move_count"])
 
     def random_playout(self, state: BtState, rng: random.Random) -> dict[Player, Outcome]:
         out = self.outcome(state)

@@ -34,6 +34,7 @@ class C4State:
 
 
 class ConnectFour(Game):
+    state_type = C4State
     name = "connect4"
     max_moves = COLS * ROWS
 
@@ -88,13 +89,6 @@ class ConnectFour(Game):
 
     def parse_action(self, text: str) -> int:
         return int(text[1:]) - 1
-
-    def encode_state(self, state: C4State):
-        return {"p1": state.p1, "p2": state.p2, "to_move": state.to_move.value,
-                "move_count": state.move_count}
-
-    def decode_state(self, data) -> C4State:
-        return C4State(data["p1"], data["p2"], Player(data["to_move"]), data["move_count"])
 
     def random_playout(self, state: C4State, rng: random.Random) -> dict[Player, Outcome]:
         bbs = [state.p1, state.p2]

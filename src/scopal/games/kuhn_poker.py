@@ -30,6 +30,7 @@ class KuhnState:
 
 
 class KuhnPoker(Game):
+    state_type = KuhnState
     name = "kuhn_poker"
     max_moves = 3
     perfect_information = False
@@ -74,14 +75,6 @@ class KuhnPoker(Game):
 
     def parse_action(self, text: str) -> str:
         return "B" if text == "<Bet>" else "P"
-
-    def encode_state(self, state: KuhnState):
-        return {"cards": list(state.cards), "history": list(state.history),
-                "to_move": state.to_move.value, "move_count": state.move_count}
-
-    def decode_state(self, data) -> KuhnState:
-        return KuhnState(tuple(data["cards"]), tuple(data["history"]),
-                         Player(data["to_move"]), data["move_count"])
 
     def determinize(self, state: KuhnState, viewer: Player, rng: random.Random) -> KuhnState:
         own = state.cards[0] if viewer is Player.P1 else state.cards[1]

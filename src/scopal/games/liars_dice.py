@@ -34,6 +34,7 @@ class LdState:
 
 
 class LiarsDice(Game):
+    state_type = LdState
     name = "liars_dice"
     max_moves = len(ALL_BIDS) + 1
     perfect_information = False
@@ -97,15 +98,6 @@ class LiarsDice(Game):
         inner = text.strip("<>")
         q_part, f_part = inner.split(",")
         return (int(q_part.split()[0]), int(f_part.split()[0]))
-
-    def encode_state(self, state: LdState):
-        return {"dice": list(state.dice), "bids": [list(b) for b in state.bids],
-                "challenged": state.challenged, "to_move": state.to_move.value,
-                "move_count": state.move_count}
-
-    def decode_state(self, data) -> LdState:
-        return LdState(tuple(data["dice"]), tuple(tuple(b) for b in data["bids"]),
-                       data["challenged"], Player(data["to_move"]), data["move_count"])
 
     def determinize(self, state: LdState, viewer: Player, rng: random.Random) -> LdState:
         opp = rng.randint(1, FACES)

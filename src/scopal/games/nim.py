@@ -20,6 +20,7 @@ class NimState:
 
 
 class Nim(Game):
+    state_type = NimState
     name = "nim"
     max_moves = sum(INITIAL_PILES)
 
@@ -62,10 +63,3 @@ class Nim(Game):
         inner = text.strip("<>")
         pile_part, take_part = inner.split(",")
         return int(pile_part.split(":")[1]) - 1, int(take_part.split(":")[1])
-
-    def encode_state(self, state: NimState):
-        return {"piles": list(state.piles), "to_move": state.to_move.value,
-                "move_count": state.move_count}
-
-    def decode_state(self, data) -> NimState:
-        return NimState(tuple(data["piles"]), Player(data["to_move"]), data["move_count"])

@@ -24,6 +24,7 @@ class TttState:
 
 
 class TicTacToe(Game):
+    state_type = TttState
     name = "tictactoe"
     max_moves = 9
 
@@ -70,13 +71,6 @@ class TicTacToe(Game):
         col = int(text[1])
         row = int(text[3])
         return (row - 1) * 3 + (col - 1)
-
-    def encode_state(self, state: TttState):
-        return {"cells": list(state.cells), "to_move": state.to_move.value,
-                "move_count": state.move_count}
-
-    def decode_state(self, data) -> TttState:
-        return TttState(tuple(data["cells"]), Player(data["to_move"]), data["move_count"])
 
     def random_playout(self, state: TttState, rng: random.Random) -> dict[Player, Outcome]:
         out = self.outcome(state)

@@ -1,9 +1,10 @@
 """UCT Monte Carlo tree search with a tunable simulation budget.
 
-One search = ``max_simulations`` iterations of select / expand / rollout /
-backpropagate. Node statistics are credited to the player who chooses the
-node (the mover at its parent), so UCT selection maximizes each mover's own
-win estimate; the root is credited to the searching player.
+One search = ``max_simulations`` iterations of select / expand / one random
+rollout / backpropagate, with UCT exploration constant c = 2. Node
+statistics are credited to the player who chooses the node (the mover at its
+parent), so UCT selection maximizes each mover's own win estimate; the root
+is credited to the searching player.
 
 Hidden-information games are handled by determinizing once per simulation:
 the opponent's private card/die is resampled consistently with the searching
@@ -18,21 +19,17 @@ from dataclasses import dataclass
 
 from .games import Game, Player, outcome_value
 
+EXPLORATION_C = 2.0
+
 
 @dataclass
 class MctsConfig:
     max_simulations: int = 1000
-    rollout_count: int = 1
-    exploration_c: float = 2.0
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_simulations < 1:
             raise ValueError("max_simulations must be >= 1")
-        if self.rollout_count < 1:
-            raise ValueError("rollout_count must be >= 1")
-        if self.exploration_c < 0:
-            raise ValueError("exploration_c must be >= 0")
 
 
 class SearchNode:
@@ -62,7 +59,6 @@ def mcts_act(game: Game, state, config: MctsConfig):
     rng = random.Random(config.rng_seed)
     root_player = state.to_move
     root = SearchNode()
-    c = config.exploration_c
 
     for _ in range(config.max_simulations):
         s = game.determinize(state, root_player, rng)
@@ -85,12 +81,8 @@ def mcts_act(game: Game, state, config: MctsConfig):
                 node.children[action] = child
                 s = game.apply(s, action)
                 path.append((child, mover))
-                total = {Player.P1: 0.0, Player.P2: 0.0}
-                for _ in range(config.rollout_count):
-                    rollout = game.random_playout(s, rng)
-                    for p in Player:
-                        total[p] += outcome_value(rollout, p)
-                values = {p: total[p] / config.rollout_count for p in Player}
+                rollout = game.random_playout(s, rng)
+                values = {p: outcome_value(rollout, p) for p in Player}
                 break
             # select: all children visited at least once
             best_action = None
@@ -98,7 +90,7 @@ def mcts_act(game: Game, state, config: MctsConfig):
             parent_visits = node.visits
             for action in node.actions:
                 child = node.children[action]
-                score = uct_score(child, parent_visits, c)
+                score = uct_score(child, parent_visits, EXPLORATION_C)
                 if score > best_score:
                     best_score = score
                     best_action = action

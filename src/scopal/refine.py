@@ -14,10 +14,16 @@ Objectives over the labeled step dataset:
 * the discounted self-play baseline: importance-weighted step advantages
   minus a KL penalty toward the data-generating snapshot.
 
-Every objective trains through one loop, ``_descend``: plain gradient
-descent with the configured epoch/batch structure, accumulating gradients
-over ``grad_accum`` batches in the KTO stage. KTO weights satisfy
-``lambda_D n_D = lambda_U n_U`` with the larger weight at 1.0.
+``train_two_stage`` is the one Stage III entry. ``MODES`` maps each training
+mode to its objectives, run in order on a copy of the policy: two_stage runs
+bc then kto, bc_dpo runs bc then dpo, and direct_kto (kto), joint (KTO plus
+BC, summed), bc_only (bc) and spag run one each. Each objective freezes its
+own reference from the policy as it starts, so KTO after BC measures ratios
+against the post-BC snapshot. Every objective trains through one loop,
+``_descend``: plain gradient descent with the configured epoch/batch
+structure, accumulating gradients over ``grad_accum`` batches in the KTO
+stage. KTO weights satisfy ``lambda_D n_D = lambda_U n_U`` with the larger
+weight at 1.0.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,22 +40,12 @@ from .interaction import Trajectory, learner_seats, replay, stable_hash
 from .policy import Policy, action_index, log_prob_grad, log_softmax, reference_copy
 from .rewards import DESIRABLE, LabeledStep, label_counts
 
+if TYPE_CHECKING:  # config imports MODES from here
+    from .config import ExperimentConfig
+
 METRIC_COLUMNS = ("stage", "epoch", "loss", "n_D", "n_U", "lambda_D", "lambda_U", "z0")
-# the training modes: train_two_stage runs all but spag, which trains on
-# trajectories through train_spag
-MODES = ("two_stage", "direct_kto", "joint", "bc_only", "bc_dpo", "spag")
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-2  # scale-appropriate for the compact policy
-    batch_size: int = 2
-    grad_accum: int = 8  # applied in the KTO stage
-    epochs: int = 5
-    beta: float = 0.1
-    beta2: float = 0.2
-    seed: int = 0
-    mode: str = "two_stage"  # one of MODES
+MODES = {"two_stage": ("bc", "kto"), "direct_kto": ("kto",), "joint": ("joint",),
+         "bc_only": ("bc",), "bc_dpo": ("bc", "dpo"), "spag": ("spag",)}
 
 
 @dataclass
@@ -345,7 +341,7 @@ def _apply_gradient(policy: Policy, grads: Mapping[str, np.ndarray], lr: float) 
 
 
 def _descend(policy: Policy, items: Sequence, loss: Callable[[list], LossReport],
-             config: TrainConfig, metrics: list[dict], stage: str,
+             config: ExperimentConfig, metrics: list[dict], stage: str,
              counts: tuple[int, int, float, float], accum: int = 1) -> None:
     """The one Stage III loop: `config.epochs` seeded shuffles of `items` in batches.
 
@@ -382,11 +378,11 @@ def _descend(policy: Policy, items: Sequence, loss: Callable[[list], LossReport]
     policy.version += 1
 
 
-def train_bc(policy: Policy, steps: Sequence[LabeledStep], config: TrainConfig,
-             metrics: list[dict], stage: str = "bc") -> None:
+def train_bc(policy: Policy, steps: Sequence[LabeledStep], config: ExperimentConfig,
+             metrics: list[dict]) -> None:
     desirable = [s for s in steps if s.label == DESIRABLE]
     _descend(policy, desirable, lambda batch: bc_loss(policy, batch), config, metrics,
-             stage, (len(desirable), 0, 1.0, 0.0))
+             "bc", (len(desirable), 0, 1.0, 0.0))
 
 
 def _kto_weights(dataset: Sequence[LabeledStep]) -> tuple[int, int, float, float]:
@@ -395,30 +391,32 @@ def _kto_weights(dataset: Sequence[LabeledStep]) -> tuple[int, int, float, float
     return (n_d, n_u, *balance_lambdas(n_d, n_u))
 
 
-def train_kto(policy: Policy, reference: Policy, dataset: Sequence[LabeledStep],
-              config: TrainConfig, metrics: list[dict], stage: str = "kto") -> None:
+def train_kto(policy: Policy, dataset: Sequence[LabeledStep], config: ExperimentConfig,
+              metrics: list[dict]) -> None:
+    reference = reference_copy(policy)
     counts = _kto_weights(dataset)
     _descend(policy, dataset, lambda batch: kto_loss(
         policy, reference, batch, beta=config.beta, lambda_d=counts[2], lambda_u=counts[3]),
-        config, metrics, stage, counts, accum=config.grad_accum)
+        config, metrics, "kto", counts, accum=config.grad_accum)
 
 
-def train_dpo(policy: Policy, reference: Policy, dataset: Sequence[LabeledStep],
-              config: TrainConfig, metrics: list[dict], stage: str = "dpo") -> None:
+def train_dpo(policy: Policy, dataset: Sequence[LabeledStep], config: ExperimentConfig,
+              metrics: list[dict]) -> None:
+    reference = reference_copy(policy)
     pairs = build_dpo_pairs(dataset)
     _descend(policy, pairs, lambda batch: dpo_loss(policy, reference, batch, config.beta),
-             config, metrics, stage, (len(pairs), len(pairs), 1.0, 1.0))
+             config, metrics, "dpo", (len(pairs), len(pairs), 1.0, 1.0))
 
 
-def train_spag(policy: Policy, steps: Sequence[AdvantageStep], config: TrainConfig,
-               metrics: list[dict], stage: str = "spag") -> None:
+def train_spag(policy: Policy, steps: Sequence[AdvantageStep], config: ExperimentConfig,
+               metrics: list[dict]) -> None:
     reference = reference_copy(policy)
     _descend(policy, steps, lambda batch: spag_loss(policy, reference, batch, config.beta2),
-             config, metrics, stage, (len(steps), 0, 1.0, 0.0))
+             config, metrics, "spag", (len(steps), 0, 1.0, 0.0))
 
 
-def _train_joint(policy: Policy, dataset: Sequence[LabeledStep], config: TrainConfig,
-                 metrics: list[dict]) -> None:
+def train_joint(policy: Policy, dataset: Sequence[LabeledStep], config: ExperimentConfig,
+                metrics: list[dict]) -> None:
     reference = reference_copy(policy)
     counts = _kto_weights(dataset)
 
@@ -437,23 +435,21 @@ def _train_joint(policy: Policy, dataset: Sequence[LabeledStep], config: TrainCo
     _descend(policy, dataset, loss, config, metrics, "joint", counts)
 
 
-def train_two_stage(policy: Policy, dataset: Sequence[LabeledStep],
-                    config: TrainConfig) -> tuple[Policy, list[dict]]:
-    """Train a copy of `policy` on the labeled dataset; returns (policy, metrics).
-
-    Modes: two_stage (BC on desirable steps, then KTO against the post-BC
-    snapshot), direct_kto, joint (summed objectives), bc_only, bc_dpo.
-    """
-    if config.mode not in MODES or config.mode == "spag":
+def train_two_stage(policy: Policy, data: Sequence,
+                    config: ExperimentConfig) -> tuple[Policy, list[dict]]:
+    """Stage III: (a copy of `policy` trained by the objectives of `MODES[config.mode]`
+    in order, its metrics rows); `data` is the labeled set, or the trajectories
+    when the mode is spag."""
+    if config.mode not in MODES:
         raise ValueError(f"unknown training mode {config.mode!r}")
-    trained = policy.clone()
-    metrics: list[dict] = []
-    if config.mode in ("two_stage", "bc_only", "bc_dpo"):
-        train_bc(trained, dataset, config, metrics)
-    if config.mode == "joint":
-        _train_joint(trained, dataset, config, metrics)
-    elif config.mode in ("two_stage", "direct_kto"):
-        train_kto(trained, reference_copy(trained), dataset, config, metrics)
-    elif config.mode == "bc_dpo":
-        train_dpo(trained, reference_copy(trained), dataset, config, metrics)
+    # looked up per call, so a wrapped module attribute is the one that runs
+    trainers = {"bc": train_bc, "kto": train_kto, "dpo": train_dpo, "joint": train_joint,
+                "spag": train_spag}
+    if config.mode == "spag":
+        data = build_advantage_steps(data, (config.agent, config.opponent), gamma=config.gamma)
+    elif config.balance_games:
+        data = balance_by_game(data, config.seed)
+    trained, metrics = policy.clone(), []
+    for objective in MODES[config.mode]:
+        trainers[objective](trained, data, config, metrics)
     return trained, metrics

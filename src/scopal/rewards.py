@@ -19,6 +19,7 @@ from .interaction import Trajectory, learner_seats, replay
 DESIRABLE = "Desirable"
 UNDESIRABLE = "Undesirable"
 ESTIMATORS = ("win_rate", "discounted", "beta")
+ACTORS = ("learner", "all")
 
 
 @dataclass
@@ -128,7 +129,7 @@ def collect_representatives(trajectories: Iterable[Trajectory],
     gives for the run's (agent1, agent2) spec pair ``agent_pair``; ``'all'``
     keeps every seat, which is what strong-player imitation needs.
     """
-    if actors not in ("learner", "all"):
+    if actors not in ACTORS:
         raise ValueError("actors must be 'learner' or 'all'")
     reps: dict[str, Representative] = {}
     for traj in trajectories:

@@ -2,6 +2,7 @@
 import pytest
 
 from scopal.cli import main
+from scopal.policy import Policy
 
 CONFIG = """\
 [run]
@@ -128,3 +129,26 @@ def test_joint_mode_with_an_empty_labeled_set_trains_nothing(run, monkeypatch):
     (run_dir,) = run.out.iterdir()
     assert (run_dir / "labeled.jsonl").read_text() == ""
     assert (run_dir / "metrics.csv").read_text().splitlines() == [HEADERS["metrics.csv"]]
+
+
+def test_spag_pipeline_trains_on_the_store(run, monkeypatch):
+    monkeypatch.setenv("SCOPAL_TRAIN_MODE", "spag")
+    monkeypatch.setenv("SCOPAL_INTERACT_OPPONENT", "mcts:5")
+    assert run("pipeline") == 0
+    (run_dir,) = run.out.iterdir()
+    header, *rows = (run_dir / "metrics.csv").read_text().splitlines()
+    assert rows and all(row.startswith("spag,") for row in rows)
+    assert Policy.load(run_dir / "checkpoint.json").version == 1
+
+
+@pytest.mark.parametrize("command", [["iterate", "--rounds", "0"],
+                                     ["head2head", "--agents", "base,mcts:0"],
+                                     ["head2head", "--agents", "base,,random"],
+                                     ["head2head", "--agents", "base,policy"],
+                                     ["head2head", "--agents", "base,base"]],
+                         ids=["rounds-0", "mcts-0", "empty-entry", "policy", "repeated"])
+def test_bad_flags_exit_2_before_any_run_directory(run, command):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*command)
+    assert exit_info.value.code == 2
+    assert not run.out.exists()

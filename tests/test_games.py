@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scopal.games import (GAME_NAMES, IllegalActionError, Outcome, Player,
+from scopal.games import (GAME_NAMES, Game, IllegalActionError, Outcome, Player,
                           UnknownGameError, get_game, split_key)
 
 ALL_GAMES = [get_game(n) for n in GAME_NAMES]
@@ -315,18 +315,22 @@ def test_terminal_iff_no_legal_actions(name):
         assert (game.outcome(s) is not None) == (len(game.legal_actions(s)) == 0)
 
 
-@pytest.mark.parametrize("name", GAME_NAMES)
+@pytest.mark.parametrize("name", [*GAME_NAMES, "breakthrough_6x6"])
 def test_specialized_playout_agrees_with_generic_contract(name):
+    """Each fast playout draws the same moves as the generic loop, so it ends
+    in the same outcome under the same seed."""
     game = get_game(name)
     rng = random.Random(13)
     for _ in range(300):
         s = random_state(game, rng)
         if game.outcome(s) is not None:
             continue
-        out = game.random_playout(s, random.Random(rng.randrange(1000)))
+        seed = rng.randrange(1000)
+        out = game.random_playout(s, random.Random(seed))
         assert set(out) == {Player.P1, Player.P2}
         vals = {out[Player.P1], out[Player.P2]}
         assert vals in ({Outcome.WIN, Outcome.LOSE}, {Outcome.TIE})
+        assert out == Game.random_playout(game, s, random.Random(seed))
 
 
 @given(st.integers(min_value=0, max_value=10_000))

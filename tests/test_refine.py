@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scopal.config import ExperimentConfig
 from scopal.features import feature_dim
 from scopal.games import Outcome, Player, get_game
 from scopal.interaction import Step, Trajectory, collect_trajectories
 from scopal.policy import Policy, new_policy, reference_copy
-from scopal.refine import (AdvantageStep, TrainConfig, balance_by_game,
-                           balance_lambdas, bc_loss, build_advantage_steps,
-                           build_dpo_pairs, dpo_loss, kto_loss,
+from scopal.refine import (MODES, AdvantageStep, balance_by_game, balance_lambdas, bc_loss,
+                           build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss,
                            spag_assign_rewards, spag_loss, train_two_stage)
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep,
                             collect_representatives, estimate_rewards, label_steps)
@@ -418,7 +418,7 @@ def test_balance_preserves_total(spec):
 
 def test_two_stage_training_is_deterministic():
     pol = new_policy(list(GAME_ROTATION))
-    cfg = TrainConfig(epochs=2, seed=4)
+    cfg = ExperimentConfig(epochs=2, seed=4)
     t1, m1 = train_two_stage(pol, DATASET, cfg)
     t2, m2 = train_two_stage(pol, DATASET, cfg)
     assert m1 == m2
@@ -427,24 +427,35 @@ def test_two_stage_training_is_deterministic():
     assert t1.version == 2  # one bump per completed stage
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_runs_its_objectives_in_order(mode):
+    """Each mode runs its objectives in order, one metrics row per epoch and
+    one version bump per objective, and moves the policy."""
+    pol = new_policy(["tictactoe"])
+    data = [x for x in (TRAJS if mode == "spag" else DATASET) if x.game == "tictactoe"]
+    trained, metrics = train_two_stage(pol, data, ExperimentConfig(epochs=2, seed=1, mode=mode))
+    assert [m["stage"] for m in metrics] == [o for o in MODES[mode] for _ in range(2)]
+    assert trained.version == len(MODES[mode])
+    assert not (trained.blocks["tictactoe"] == pol.blocks["tictactoe"]).all()
+
+
 def test_training_modes_produce_metrics_and_distinct_results():
     pol = new_policy(["tictactoe"])
     data = [s for s in DATASET if s.game == "tictactoe"]
-    cfg = TrainConfig(epochs=1, seed=1)
     out = {}
     for mode in ("two_stage", "direct_kto", "joint", "bc_only", "bc_dpo"):
-        trained, metrics = train_two_stage(pol, data, TrainConfig(epochs=1, seed=1, mode=mode))
+        trained, metrics = train_two_stage(pol, data, ExperimentConfig(epochs=1, seed=1, mode=mode))
         assert metrics, mode
         out[mode] = trained.blocks["tictactoe"].copy()
     assert not (out["two_stage"] == out["direct_kto"]).all()
     with pytest.raises(ValueError):
-        train_two_stage(pol, data, TrainConfig(mode="nonsense"))
+        train_two_stage(pol, data, ExperimentConfig(mode="nonsense"))
 
 
 def test_two_stage_with_no_undesirable_steps():
     data = [s for s in DATASET if s.label == DESIRABLE][:40]
     pol = new_policy(list(GAME_ROTATION))
-    trained, metrics = train_two_stage(pol, data, TrainConfig(epochs=1, seed=2))
+    trained, metrics = train_two_stage(pol, data, ExperimentConfig(epochs=1, seed=2))
     assert any(m["stage"] == "kto" for m in metrics)
     assert all(math.isfinite(m["loss"]) for m in metrics)
 
@@ -455,7 +466,7 @@ def test_divergence_guard_aborts_on_nonfinite_loss():
     pol.blocks["tictactoe"][:] = float("inf")
     data = [s for s in DATASET if s.game == "tictactoe"][:8]
     with pytest.raises(RuntimeError, match="diverged"):
-        train_two_stage(pol, data, TrainConfig(epochs=1, seed=0, mode="bc_only"))
+        train_two_stage(pol, data, ExperimentConfig(epochs=1, seed=0, mode="bc_only"))
 
 
 def test_metrics_csv_format(tmp_path):
@@ -463,7 +474,7 @@ def test_metrics_csv_format(tmp_path):
     from scopal.refine import METRIC_COLUMNS
     pol = new_policy(["nim"])
     data = [s for s in DATASET if s.game == "nim"]
-    _, metrics = train_two_stage(pol, data, TrainConfig(epochs=1, seed=3))
+    _, metrics = train_two_stage(pol, data, ExperimentConfig(epochs=1, seed=3))
     path = tmp_path / "metrics.csv"
     write_csv(path, METRIC_COLUMNS, metrics)
     lines = path.read_text().splitlines()
