@@ -252,14 +252,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, seed=args.seed, jobs=args.jobs, out=args.out)
+        if args.command in ("sweep", "iterate") and config.mode == "spag":
+            raise ConfigError(f"train.mode = spag runs only in train and pipeline, "
+                              f"not in {args.command}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     run_dir = _run_dir(config)
     try:
-        if args.command in ("sweep", "iterate") and config.mode == "spag":
-            raise ConfigError(f"train.mode = spag runs only in train and pipeline, "
-                              f"not in {args.command}")
         if args.command == "head2head":
             cmd_head2head(config, run_dir, args.agents)
         elif args.command == "iterate":

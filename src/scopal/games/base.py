@@ -144,8 +144,10 @@ class Game(ABC):
     def random_playout(self, state: Any, rng: random.Random) -> dict[Player, Outcome]:
         """Play uniformly random legal moves to termination.
 
-        Subclasses override with faster specialized loops; behavior contract
-        is the same (some terminal outcome of a uniformly random playout).
+        Each ply draws ``rng.randrange(len(legal_actions(s)))`` once and plays
+        that action in canonical order. Subclasses override this with faster
+        loops that make exactly the same ``rng`` draws, so an override ends in
+        the same outcome, and leaves ``rng`` in the same state, as this loop.
         """
         s = state
         out = self.outcome(s)

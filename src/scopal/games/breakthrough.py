@@ -8,6 +8,13 @@ diagonal moves may capture. First player to reach the opposite home row
 
 The observation is mirrored for P2 (rows flipped, ownership swapped), so
 both seats see themselves advancing toward higher rows.
+
+The rules run on two bitboards built from the board tuple: bit ``row*cols + col``
+of a seat's bitboard is set when that seat holds the square. A piece on bit ``i``
+moves to ``i + cols - 1``, ``i + cols`` or ``i + cols + 1`` for P1 (left
+diagonal, straight, right diagonal: a shift up by ``cols``, give or take one)
+and to ``i - cols - 1``, ``i - cols`` or ``i - cols + 1`` for P2 (a shift down).
+A diagonal's "from" mask drops the edge column its shift would wrap across.
 """
 from __future__ import annotations
 
@@ -18,6 +25,8 @@ from typing import Optional
 from .base import Game, Outcome, Player, IllegalActionError, win_for
 
 _OWN = {Player.P1: 1, Player.P2: 2}
+_SEATS = (Player.P1, Player.P2)
+_DIGITS = (bytes.maketrans(b"\0\1\2", b"010"), bytes.maketrans(b"\0\1\2", b"001"))
 
 
 @dataclass(frozen=True)
@@ -36,47 +45,59 @@ class Breakthrough(Game):
             raise ValueError("breakthrough board must be at least 2x4")
         if rows > 9:
             raise ValueError("move notation supports single-digit rows only")
-        self.cols = cols
-        self.rows = rows
-        self.name = name
+        self.cols, self.rows, self.name = cols, rows, name
         # every move advances one piece one row; termination is forced
         self.max_moves = 2 * cols * (2 * rows - 3)
+        n = cols * rows
+        self._full = (1 << n) - 1
+        first_col = sum(1 << (r * cols) for r in range(rows))
+        self._not_first_col = self._full ^ first_col
+        self._not_last_col = self._full ^ (first_col << (cols - 1))
+        self._goal = (self._full ^ ((1 << (n - cols)) - 1), (1 << cols) - 1)  # per seat
+        self._steps = ((cols - 1, cols, cols + 1), (-cols - 1, -cols, -cols + 1))
+        # the squares below i, in each of random_playout's three stacked n-bit masks
+        self._prefix = tuple(((1 << i) - 1) * (1 | 1 << n | 1 << 2 * n) for i in range(n + 1))
 
     def initial_state(self, chance_seed: int) -> BtState:
-        board = [0] * (self.cols * self.rows)
-        for c in range(self.cols):
-            board[c] = board[self.cols + c] = 1
-            board[(self.rows - 1) * self.cols + c] = 2
-            board[(self.rows - 2) * self.cols + c] = 2
-        return BtState(tuple(board), Player.P1, 0)
+        home = 2 * self.cols
+        board = (1,) * home + (0,) * (self.cols * self.rows - 2 * home) + (2,) * home
+        return BtState(board, Player.P1, 0)
 
-    def _moves_from(self, board, idx: int, own: int) -> list[tuple[int, int]]:
-        cols = self.cols
-        r, c = divmod(idx, cols)
-        nr = r + 1 if own == 1 else r - 1
-        if not 0 <= nr < self.rows:
-            return []
-        out = []
-        for nc in (c - 1, c, c + 1):  # canonical: target column ascending
-            if not 0 <= nc < cols:
-                continue
-            target = board[nr * cols + nc]
-            if nc == c:
-                if target == 0:
-                    out.append((idx, nr * cols + nc))
-            elif target != own:
-                out.append((idx, nr * cols + nc))
-        return out
+    def _position(self, state: BtState) -> tuple[Optional[Player], int, int, int]:
+        """(winner or None, mover's bits, opponent's bits, mover's seat index)."""
+        digits = bytes(state.board)[::-1]
+        p1, p2 = int(digits.translate(_DIGITS[0]), 2), int(digits.translate(_DIGITS[1]), 2)
+        winner = (Player.P1 if p1 & self._goal[0] else
+                  Player.P2 if p2 & self._goal[1] or not p1 else
+                  None if p2 else Player.P1)
+        return (winner, p1, p2, 0) if state.to_move is Player.P1 else (winner, p2, p1, 1)
+
+    def _from_masks(self, mine: int, theirs: int, seat: int) -> tuple[int, int, int]:
+        """The mover's squares with a left-diagonal, a straight and a right-diagonal move."""
+        c = self.cols
+        empty = self._full ^ (mine | theirs)
+        open_ = self._full ^ mine  # a diagonal may land on an empty or an enemy square
+        if seat == 0:
+            return (mine & self._not_first_col & (open_ >> (c - 1)), mine & (empty >> c),
+                    mine & self._not_last_col & (open_ >> (c + 1)))
+        return (mine & self._not_first_col & (open_ << (c + 1)), mine & (empty << c),
+                mine & self._not_last_col & (open_ << (c - 1)))
 
     def legal_actions(self, state: BtState) -> tuple[tuple[int, int], ...]:
         # canonical order: (from row, from col, to col) ascending
-        if self.outcome(state) is not None:
+        winner, mine, theirs, seat = self._position(state)
+        if winner is not None:
             return ()
-        own = _OWN[state.to_move]
-        acts: list[tuple[int, int]] = []
-        for idx, v in enumerate(state.board):
-            if v == own:
-                acts.extend(self._moves_from(state.board, idx, own))
+        masks = self._from_masks(mine, theirs, seat)
+        acts = []
+        pending = masks[0] | masks[1] | masks[2]
+        while pending:
+            low = pending & -pending
+            frm = low.bit_length() - 1
+            for mask, step in zip(masks, self._steps[seat]):
+                if mask & low:
+                    acts.append((frm, frm + step))
+            pending ^= low
         return tuple(acts)
 
     def apply(self, state: BtState, action: tuple[int, int]) -> BtState:
@@ -88,8 +109,7 @@ class Breakthrough(Game):
         if state.board[frm] != own:
             raise IllegalActionError(
                 f"{self.name}: {self._square(frm)} does not hold a {state.to_move.value} piece")
-        fr, fc = divmod(frm, self.cols)
-        tr, tc = divmod(to, self.cols)
+        (fr, fc), (tr, tc) = divmod(frm, self.cols), divmod(to, self.cols)
         if tr - fr != (1 if own == 1 else -1) or abs(tc - fc) > 1:
             raise IllegalActionError(f"{self.name}: pieces move one square forward, "
                                      f"got {self.action_text(action)}")
@@ -99,35 +119,19 @@ class Breakthrough(Game):
         if target == own:
             raise IllegalActionError(f"{self.name}: cannot capture own piece")
         board = list(state.board)
-        board[frm] = 0
-        board[to] = own
+        board[frm], board[to] = 0, own
         return BtState(tuple(board), state.to_move.other, state.move_count + 1)
 
     def outcome(self, state: BtState) -> Optional[dict[Player, Outcome]]:
-        return self._board_outcome(state.board)
-
-    def _board_outcome(self, board) -> Optional[dict[Player, Outcome]]:
-        """The outcome rule on a bare board, shared by `outcome` and `random_playout`."""
-        cols = self.cols
-        if 1 in board[(self.rows - 1) * cols:]:
-            return win_for(Player.P1)
-        if 2 in board[:cols]:
-            return win_for(Player.P2)
-        if 1 not in board:
-            return win_for(Player.P2)
-        if 2 not in board:
-            return win_for(Player.P1)
-        return None
+        winner = self._position(state)[0]
+        return None if winner is None else win_for(winner)
 
     def _rel_board(self, state: BtState, viewer: Player) -> tuple[int, ...]:
         if viewer is Player.P1:
             return state.board
         cols = self.cols
-        flipped = []
-        for r in range(self.rows - 1, -1, -1):
-            row = state.board[r * cols:(r + 1) * cols]
-            flipped.extend(3 - v if v else 0 for v in row)
-        return tuple(flipped)
+        return tuple(3 - v if v else 0 for r in range(self.rows - 1, -1, -1)
+                     for v in state.board[r * cols:(r + 1) * cols])
 
     def observation(self, state: BtState, viewer: Player):
         return (viewer.value, viewer is state.to_move, self._rel_board(state, viewer))
@@ -147,30 +151,39 @@ class Breakthrough(Game):
         return self._square(action[0]) + self._square(action[1])
 
     def relative_action(self, state: BtState, action: tuple[int, int]) -> tuple[int, int]:
-        if state.to_move is Player.P1:
-            return action
-        return (self._flip(action[0]), self._flip(action[1]))
+        return action if state.to_move is Player.P1 else tuple(map(self._flip, action))
 
     def parse_action(self, text: str) -> tuple[int, int]:
         half = len(text) // 2
-        frm, to = text[:half], text[half:]
-        return (
-            (int(frm[1:]) - 1) * self.cols + (ord(frm[0]) - ord("a")),
-            (int(to[1:]) - 1) * self.cols + (ord(to[0]) - ord("a")),
-        )
+        return tuple((int(sq[1:]) - 1) * self.cols + ord(sq[0]) - ord("a")
+                     for sq in (text[:half], text[half:]))
 
     def random_playout(self, state: BtState, rng: random.Random) -> dict[Player, Outcome]:
-        out = self.outcome(state)
-        board = list(state.board)
-        own = _OWN[state.to_move]
-        while out is None:
-            acts = []
-            for idx, v in enumerate(board):
-                if v == own:
-                    acts.extend(self._moves_from(board, idx, own))
-            frm, to = acts[rng.randrange(len(acts))]
-            board[frm] = 0
-            board[to] = own
-            own = 3 - own
-            out = self._board_outcome(board)
-        return out
+        winner, mine, theirs, seat = self._position(state)
+        if winner is not None:
+            return win_for(winner)
+        n = self.cols * self.rows
+        prefix, randrange = self._prefix, rng.randrange
+        while True:
+            masks = self._from_masks(mine, theirs, seat)
+            moves = masks[0] | masks[1] << n | masks[2] << 2 * n
+            k = randrange(moves.bit_count())
+            # the k-th canonical move leaves frm: before = count(prefix[frm]) <= k
+            frm, hi, before = 0, n, 0
+            while hi - frm > 1:
+                mid = (frm + hi) >> 1
+                count = (moves & prefix[mid]).bit_count()
+                if count <= k:
+                    frm, before = mid, count
+                else:
+                    hi = mid
+            for mask, step in zip(masks, self._steps[seat]):
+                if mask >> frm & 1:
+                    if k == before:
+                        break
+                    before += 1
+            to = frm + step
+            mine, theirs = mine ^ (1 << frm | 1 << to), theirs & ~(1 << to)
+            if mine & self._goal[seat] or not theirs:  # only the mover can have won
+                return win_for(_SEATS[seat])
+            mine, theirs, seat = theirs, mine, seat ^ 1

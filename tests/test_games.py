@@ -168,6 +168,87 @@ def test_liars_dice_exact_bid_defeats_challenger():
     assert g.outcome(s2)[Player.P1] is Outcome.LOSE
 
 
+BREAKTHROUGHS = ["breakthrough", "breakthrough_6x6", "breakthrough_7x7", "breakthrough_8x8"]
+
+
+def _reference_breakthrough_moves(game, state):
+    """Breakthrough's legal moves by a plain scan of every cell, in canonical order."""
+    board, cols, rows = state.board, game.cols, game.rows
+    if (1 in board[(rows - 1) * cols:] or 2 in board[:cols]
+            or 1 not in board or 2 not in board):
+        return ()
+    own = 1 if state.to_move is Player.P1 else 2
+    moves = []
+    for idx, v in enumerate(board):
+        r, c = divmod(idx, cols)
+        nr = r + 1 if own == 1 else r - 1
+        if v != own or not 0 <= nr < rows:
+            continue
+        for nc in (c - 1, c, c + 1):
+            if 0 <= nc < cols:
+                target = board[nr * cols + nc]
+                if (target == 0) if nc == c else (target != own):
+                    moves.append((idx, nr * cols + nc))
+    return tuple(moves)
+
+
+def _random_breakthrough_states(game, rng, count):
+    """Played states, then boards with random pieces on every square, some terminal."""
+    states = [random_state(game, rng) for _ in range(count)]
+    for _ in range(count):
+        board = [rng.choice((0, 0, 1, 2)) for _ in range(game.cols * game.rows)]
+        states.append(game.decode_state({"board": board, "to_move": rng.choice(["P1", "P2"]),
+                                         "move_count": 0}))
+    return states
+
+
+@pytest.mark.parametrize("name", BREAKTHROUGHS)
+def test_breakthrough_legal_actions_match_a_per_cell_scan(name):
+    game = get_game(name)
+    rng = random.Random(31)
+    terminal = edge_captures = 0
+    for s in _random_breakthrough_states(game, rng, 300):
+        expected = _reference_breakthrough_moves(game, s)
+        assert game.legal_actions(s) == expected
+        terminal += game.outcome(s) is not None
+        edge_captures += sum(frm % game.cols in (0, game.cols - 1) and s.board[to] != 0
+                             for frm, to in expected)
+    assert terminal > 0 and edge_captures > 0
+
+
+@pytest.mark.parametrize("name", BREAKTHROUGHS)
+def test_breakthrough_apply_accepts_exactly_the_legal_actions(name):
+    game = get_game(name)
+    rng = random.Random(37)
+    n = game.cols * game.rows
+    checked = 0
+    for s in _random_breakthrough_states(game, rng, 10):
+        if game.outcome(s) is not None:
+            continue
+        checked += 1
+        legal = set(game.legal_actions(s))
+        for action in ((frm, to) for frm in range(n) for to in range(n)):
+            if action in legal:
+                game.apply(s, action)
+            else:
+                with pytest.raises(IllegalActionError):
+                    game.apply(s, action)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("action, message", [
+    ((0, 24), "out of range"),
+    ((21, 18), "a8 does not hold a P1 piece"),
+    ((3, 9), "one square forward"),
+    ((0, 3), "straight move onto an occupied square"),
+    ((0, 4), "cannot capture own piece"),
+])
+def test_breakthrough_apply_names_the_broken_rule(action, message):
+    game = get_game("breakthrough")
+    with pytest.raises(IllegalActionError, match=message):
+        game.apply(game.initial_state(0), action)
+
+
 def test_breakthrough_reaching_home_row_wins():
     g = get_game("breakthrough")
     board = [0] * 24
@@ -315,10 +396,10 @@ def test_terminal_iff_no_legal_actions(name):
         assert (game.outcome(s) is not None) == (len(game.legal_actions(s)) == 0)
 
 
-@pytest.mark.parametrize("name", [*GAME_NAMES, "breakthrough_6x6"])
+@pytest.mark.parametrize("name", [*GAME_NAMES, *BREAKTHROUGHS[1:]])
 def test_specialized_playout_agrees_with_generic_contract(name):
     """Each fast playout draws the same moves as the generic loop, so it ends
-    in the same outcome under the same seed."""
+    in the same outcome under the same seed and leaves the rng in the same state."""
     game = get_game(name)
     rng = random.Random(13)
     for _ in range(300):
@@ -326,11 +407,13 @@ def test_specialized_playout_agrees_with_generic_contract(name):
         if game.outcome(s) is not None:
             continue
         seed = rng.randrange(1000)
-        out = game.random_playout(s, random.Random(seed))
+        fast, generic = random.Random(seed), random.Random(seed)
+        out = game.random_playout(s, fast)
         assert set(out) == {Player.P1, Player.P2}
         vals = {out[Player.P1], out[Player.P2]}
         assert vals in ({Outcome.WIN, Outcome.LOSE}, {Outcome.TIE})
-        assert out == Game.random_playout(game, s, random.Random(seed))
+        assert out == Game.random_playout(game, s, generic)
+        assert fast.getstate() == generic.getstate()
 
 
 @given(st.integers(min_value=0, max_value=10_000))
