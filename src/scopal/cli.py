@@ -80,14 +80,12 @@ def _interact(config: ExperimentConfig, policy: Policy,
                                 jobs=config.effective_jobs(), move_bound=config.move_bound)
 
 
-def _label(config: ExperimentConfig, trajs: list[Trajectory],
-           agent_pair: tuple[str, str]) -> list[LabeledStep]:
+def _label(config: ExperimentConfig, trajs: list[Trajectory]) -> list[LabeledStep]:
     """Stage II: estimate each step's reward over `trajs` and label it."""
-    stats = accumulate_stats(trajs)
-    rewards = estimate_rewards(trajs, stats=stats if config.estimator != "discounted" else None,
-                               method=config.estimator, tie_weight=config.tie_weight,
-                               gamma=config.gamma, alpha0=config.alpha0, beta0=config.beta0)
-    reps = collect_representatives(trajs, agent_pair, actors=config.actors)
+    stats = accumulate_stats(trajs, config.gamma)
+    rewards = estimate_rewards(stats, method=config.estimator, tie_weight=config.tie_weight,
+                               alpha0=config.alpha0, beta0=config.beta0)
+    reps = collect_representatives(trajs, actors=config.actors)
     return label_steps(rewards, config.delta, reps, min_count=config.min_count, stats=stats)
 
 
@@ -98,15 +96,14 @@ def _play_label_train(config: ExperimentConfig, policy: Policy, opponent: str,
 
     Returns (trained policy, labeled set, interaction win rate, tournament win rate).
     """
-    pair = ("policy", opponent)
-    trajs = _interact(config, policy, pair)
-    dataset = _label(config, trajs, pair)
+    trajs = _interact(config, policy, ("policy", opponent))
+    dataset = _label(config, trajs)
     trained, _ = train_two_stage(policy, dataset, config)
     agent = PolicyAgent(trained, config.eval_temperature, label=label)
     reports = tournament(agent, config.eval_opponents, config.games, config.eval_episodes,
                          config.seed, eval_temperature=config.eval_temperature,
                          jobs=config.effective_jobs())
-    return trained, dataset, interaction_win_rate(trajs, pair), average_win_rate(reports)
+    return trained, dataset, interaction_win_rate(trajs), average_win_rate(reports)
 
 
 def cmd_interact(config: ExperimentConfig, run_dir: Path) -> None:
@@ -116,8 +113,7 @@ def cmd_interact(config: ExperimentConfig, run_dir: Path) -> None:
 
 def cmd_estimate(config: ExperimentConfig, run_dir: Path) -> None:
     trajs = read_trajectories(_store_path(config, run_dir))
-    write_labeled(run_dir / "labeled.jsonl",
-                  _label(config, trajs, (config.agent, config.opponent)))
+    write_labeled(run_dir / "labeled.jsonl", _label(config, trajs))
 
 
 def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:
@@ -188,12 +184,9 @@ def cmd_iterate(config: ExperimentConfig, run_dir: Path, rounds: int) -> None:
 
 
 def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
-    games = [g for g in config.games if g in SOLVABLE]
-    if not games:
-        raise ConfigError(f"regret needs at least one of {SOLVABLE} in run.games")
-    policy = _load_policy(run_dir)
-    agent = PolicyAgent(policy, config.eval_temperature)
-    reports = regret_reports(agent, games, config.eval_episodes, config.seed,
+    agent = PolicyAgent(_load_policy(run_dir), config.eval_temperature)
+    reports = regret_reports(agent, [g for g in config.games if g in SOLVABLE],
+                             config.eval_episodes, config.seed,
                              jobs=config.effective_jobs())
     write_csv(run_dir / "regret.csv", REGRET_COLUMNS, map(asdict, reports))
 
@@ -255,6 +248,8 @@ def main(argv=None) -> int:
         if args.command in ("sweep", "iterate") and config.mode == "spag":
             raise ConfigError(f"train.mode = spag runs only in train and pipeline, "
                               f"not in {args.command}")
+        if args.command == "regret" and not any(g in SOLVABLE for g in config.games):
+            raise ConfigError(f"regret needs at least one of {SOLVABLE} in run.games")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -267,9 +262,6 @@ def main(argv=None) -> int:
         else:
             for command in COMMANDS[args.command]:
                 command(config, run_dir)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except Exception as err:  # noqa: BLE001 - CLI boundary
         print(f"error: {err}", file=sys.stderr)
         return 1

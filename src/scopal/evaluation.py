@@ -167,14 +167,14 @@ def head_to_head(agents: Sequence[tuple[str, Agent]], games: Sequence[str],
     return matrix
 
 
-def interaction_win_rate(trajectories, agent_pair: tuple[str, str]) -> float:
-    """The learner's win rate over a store of `agent_pair` games.
+def interaction_win_rate(trajectories) -> float:
+    """The learner's win rate over a store, at the seats ``learner_seats`` reads.
 
     Each trajectory counts once at every seat the learner held, so a
     self-play store reads exactly 0.5.
     """
     return win_rate(*_count_outcomes(t.outcome[seat] for t in trajectories
-                                     for seat in learner_seats(t, agent_pair)))
+                                     for seat in learner_seats(t)))
 
 
 def regret(agent: Agent, game_name: str, episodes: int | range, master_seed: int, *,

@@ -6,7 +6,7 @@ sampling seeds from ``stable_hash(master_seed, game, i, ...)``, or from the
 seat-pair index ``i // 2`` when paired. Self-play interaction plays unpaired
 episodes; matches and regret play paired ones (see ``evaluation``).
 ``learner_seats`` is the one rule for which seats the policy under training
-held.
+held: it reads the seat labels the store records.
 
 ``fan_out`` is the one worker pool: interaction, matches and regret split
 their episodes into ranges and run them over ``jobs`` processes. Every
@@ -14,8 +14,11 @@ episode's seeds depend on its index alone and results come back in task
 order, so ``jobs`` never changes an artifact: a store is reproducible
 byte-for-byte from (config, master seed), sorted by (game, episode index).
 
-The trajectory store is JSON lines, one trajectory per line, actions in the
-canonical textual notation, named ``<run-id>.traj.jsonl``.
+The trajectory store is JSON lines named ``<run-id>.traj.jsonl``, one
+trajectory per line: game, episode, steps (key, actor, action in the
+canonical textual notation, move index), each seat's outcome, each seat's
+agent label (``"agents": {"P1": ..., "P2": ...}``) and the chance and
+sampling seeds. Stage II and SPAG read the store and the config alone.
 """
 from __future__ import annotations
 
@@ -56,7 +59,7 @@ class Trajectory:
     episode: int
     steps: list[Step]
     outcome: dict[Player, Outcome]
-    first_player_agent: str
+    agents: dict[Player, str]  # each seat's agent label
     chance_seed: int
     sampling_seed: int
 
@@ -86,7 +89,7 @@ def run_episode(game: Game, agent_p1: Agent, agent_p2: Agent, *, episode: int = 
     if outcome is None:
         outcome = tie_outcome()
     return Trajectory(game.name, episode, steps, dict(outcome),
-                      agent_p1.label, chance_seed, sampling_seed)
+                      {p: agents[p].label for p in Player}, chance_seed, sampling_seed)
 
 
 def episode_seeds(master_seed: int, game_name: str, episode: int) -> tuple[int, int]:
@@ -120,16 +123,9 @@ def agent1_seat(episode: int) -> Player:
     return Player.P1 if episode % 2 == 0 else Player.P2
 
 
-def learner_seats(traj: Trajectory, agent_pair: tuple[str, str]) -> frozenset[Player]:
-    """Seats held by the policy under training in a trajectory of `agent_pair`.
-
-    The store records only the first player's label; the other seat held
-    the remaining spec of the pair.
-    """
-    first = traj.first_player_agent
-    second = agent_pair[1] if first == agent_pair[0] else agent_pair[0]
-    return frozenset(seat for seat, label in ((Player.P1, first), (Player.P2, second))
-                     if is_learner_spec(label))
+def learner_seats(traj: Trajectory) -> frozenset[Player]:
+    """Seats held by the policy under training, by the recorded seat labels."""
+    return frozenset(seat for seat, label in traj.agents.items() if is_learner_spec(label))
 
 
 def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
@@ -180,7 +176,7 @@ def trajectory_record(traj: Trajectory) -> dict:
         "steps": [{"key": s.key, "actor": s.actor.value, "action": s.action,
                    "move_index": s.move_index} for s in traj.steps],
         "outcome": {p.value: traj.outcome[p].value for p in Player},
-        "first_player_agent": traj.first_player_agent,
+        "agents": {p.value: traj.agents[p] for p in Player},
         "seeds": {"chance": traj.chance_seed, "sampling": traj.sampling_seed},
     }
 
@@ -189,9 +185,9 @@ def record_trajectory(data: dict) -> Trajectory:
     steps = [Step(s["key"], Player(s["actor"]), s["action"], s["move_index"])
              for s in data["steps"]]
     outcome = {Player(p): Outcome(v) for p, v in data["outcome"].items()}
-    return Trajectory(data["game"], data["episode"], steps, outcome,
-                      data["first_player_agent"], data["seeds"]["chance"],
-                      data["seeds"]["sampling"])
+    agents = {p: data["agents"][p.value] for p in Player}
+    return Trajectory(data["game"], data["episode"], steps, outcome, agents,
+                      data["seeds"]["chance"], data["seeds"]["sampling"])
 
 
 def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
@@ -209,7 +205,7 @@ def read_trajectories(path) -> list[Trajectory]:
                 continue
             try:
                 out.append(record_trajectory(json.loads(line)))
-            except (KeyError, ValueError) as err:
+            except (KeyError, TypeError, ValueError) as err:
                 raise ValueError(f"{path}:{line_no}: corrupt trajectory record: {err}") from err
     return out
 

@@ -54,24 +54,25 @@ def mcts_act(game: Game, state, config: MctsConfig):
     Deterministic for a fixed (state, config) including the seed; visit ties
     break toward the lowest canonical action order.
     """
-    if game.outcome(state) is not None:
-        raise ValueError("mcts_act: state is terminal")
     rng = random.Random(config.rng_seed)
     root_player = state.to_move
     root = SearchNode()
+    root.actions = game.legal_actions(state)
+    if not root.actions:
+        raise ValueError("mcts_act: state is terminal")
 
     for _ in range(config.max_simulations):
         s = game.determinize(state, root_player, rng)
         node = root
         path = [(root, root_player)]
-        outcomes = None
         while True:
-            outcomes = game.outcome(s)
-            if outcomes is not None:
-                values = {p: outcome_value(outcomes, p) for p in Player}
-                break
             if node.actions is None:
                 node.actions = game.legal_actions(s)
+            if not node.actions:
+                # a state is terminal iff it has no legal action
+                outcomes = game.outcome(s)
+                values = {p: outcome_value(outcomes, p) for p in Player}
+                break
             mover = s.to_move
             if node.next_untried < len(node.actions):
                 # expand the first untried action in canonical order

@@ -9,7 +9,6 @@ exactly, so save -> load -> distribution is bit-identical.
 """
 from __future__ import annotations
 
-import copy
 import json
 import random
 from dataclasses import dataclass, field
@@ -103,11 +102,6 @@ def new_policy(game_names) -> Policy:
     for name in game_names:
         pol.block(get_game(name))
     return pol
-
-
-def reference_copy(policy: Policy) -> Policy:
-    """Frozen deep copy used as the KTO/DPO/SPAG reference."""
-    return copy.deepcopy(policy)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

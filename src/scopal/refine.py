@@ -37,7 +37,7 @@ import numpy as np
 
 from .games import Outcome, Player, get_game, split_key
 from .interaction import Trajectory, learner_seats, replay, stable_hash
-from .policy import Policy, action_index, log_prob_grad, log_softmax, reference_copy
+from .policy import Policy, action_index, log_prob_grad, log_softmax
 from .rewards import DESIRABLE, LabeledStep, label_counts
 
 if TYPE_CHECKING:  # config imports MODES from here
@@ -248,7 +248,6 @@ class AdvantageStep:
 
 
 def build_advantage_steps(trajectories: Iterable[Trajectory],
-                          agent_pair: tuple[str, str] = ("policy", "self"),
                           gamma: float = 0.8) -> list[AdvantageStep]:
     """Per-occurrence rewarded steps for the discounted baseline.
 
@@ -258,7 +257,7 @@ def build_advantage_steps(trajectories: Iterable[Trajectory],
     """
     out = []
     for traj in trajectories:
-        seats = learner_seats(traj, agent_pair)
+        seats = learner_seats(traj)
         rewards = spag_assign_rewards(traj, gamma)
         for (state, action, actor), adv in zip(replay(traj), rewards):
             if actor in seats:
@@ -393,7 +392,7 @@ def _kto_weights(dataset: Sequence[LabeledStep]) -> tuple[int, int, float, float
 
 def train_kto(policy: Policy, dataset: Sequence[LabeledStep], config: ExperimentConfig,
               metrics: list[dict]) -> None:
-    reference = reference_copy(policy)
+    reference = policy.clone()
     counts = _kto_weights(dataset)
     _descend(policy, dataset, lambda batch: kto_loss(
         policy, reference, batch, beta=config.beta, lambda_d=counts[2], lambda_u=counts[3]),
@@ -402,7 +401,7 @@ def train_kto(policy: Policy, dataset: Sequence[LabeledStep], config: Experiment
 
 def train_dpo(policy: Policy, dataset: Sequence[LabeledStep], config: ExperimentConfig,
               metrics: list[dict]) -> None:
-    reference = reference_copy(policy)
+    reference = policy.clone()
     pairs = build_dpo_pairs(dataset)
     _descend(policy, pairs, lambda batch: dpo_loss(policy, reference, batch, config.beta),
              config, metrics, "dpo", (len(pairs), len(pairs), 1.0, 1.0))
@@ -410,14 +409,14 @@ def train_dpo(policy: Policy, dataset: Sequence[LabeledStep], config: Experiment
 
 def train_spag(policy: Policy, steps: Sequence[AdvantageStep], config: ExperimentConfig,
                metrics: list[dict]) -> None:
-    reference = reference_copy(policy)
+    reference = policy.clone()
     _descend(policy, steps, lambda batch: spag_loss(policy, reference, batch, config.beta2),
              config, metrics, "spag", (len(steps), 0, 1.0, 0.0))
 
 
 def train_joint(policy: Policy, dataset: Sequence[LabeledStep], config: ExperimentConfig,
                 metrics: list[dict]) -> None:
-    reference = reference_copy(policy)
+    reference = policy.clone()
     counts = _kto_weights(dataset)
 
     def loss(batch):
@@ -446,7 +445,7 @@ def train_two_stage(policy: Policy, data: Sequence,
     trainers = {"bc": train_bc, "kto": train_kto, "dpo": train_dpo, "joint": train_joint,
                 "spag": train_spag}
     if config.mode == "spag":
-        data = build_advantage_steps(data, (config.agent, config.opponent), gamma=config.gamma)
+        data = build_advantage_steps(data, gamma=config.gamma)
     elif config.balance_games:
         data = balance_by_game(data, config.seed)
     trained, metrics = policy.clone(), []

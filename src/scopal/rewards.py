@@ -1,10 +1,13 @@
 """Stage II: step-wise reward estimation over the trajectory store.
 
-Every step of every trajectory is counted under its actor's outcome: the
-reward of a canonical (state, action) key is the empirical win rate
-``n_win / n_all`` (ties creditable via ``tie_weight``), or the discounted /
-Beta-posterior variants. Keys with reward above the threshold are labeled
-Desirable, the rest Undesirable.
+``accumulate_stats`` is the one pass over the store's steps: it counts each
+canonical (state, action) key's occurrences under its actor's outcome and
+sums their discounted returns. The three estimators are formulas over that
+one count table: the empirical win rate ``n_win / n_all`` (ties creditable
+via ``tie_weight``), the mean discounted return, or the Beta-posterior mean.
+Keys with reward above the threshold are labeled Desirable, the rest
+Undesirable. Which seats count as the learner's comes from the seat labels
+the store records, so Stage II needs the store and the config alone.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ DESIRABLE = "Desirable"
 UNDESIRABLE = "Undesirable"
 ESTIMATORS = ("win_rate", "discounted", "beta")
 ACTORS = ("learner", "all")
+FINAL_RETURN = {Outcome.WIN: 1.0, Outcome.TIE: 0.0, Outcome.LOSE: -1.0}
 
 
 @dataclass
@@ -28,8 +32,9 @@ class StepStats:
     n_win: int = 0
     n_tie: int = 0
     n_lose: int = 0
+    discounted: float = 0.0  # sum over occurrences of gamma^(T-t) * R_T
 
-    def add(self, outcome: Outcome) -> None:
+    def add(self, outcome: Outcome, discount: float) -> None:
         self.n_all += 1
         if outcome is Outcome.WIN:
             self.n_win += 1
@@ -37,70 +42,52 @@ class StepStats:
             self.n_tie += 1
         else:
             self.n_lose += 1
+        self.discounted += discount * FINAL_RETURN[outcome]
 
 
-def accumulate_stats(trajectories: Iterable[Trajectory]) -> dict[str, StepStats]:
-    """Count each step's key under its actor's terminal outcome."""
+def accumulate_stats(trajectories: Iterable[Trajectory], gamma: float) -> dict[str, StepStats]:
+    """Count each step's key under its actor's terminal outcome R_T in {+1 win,
+    -1 loss, 0 tie}, and sum gamma^(T-t) * R_T, with t the 1-based global move
+    index and T the episode length."""
+    if not 0 < gamma < 1:
+        raise ValueError("accumulate_stats needs 0 < gamma < 1")
     stats: dict[str, StepStats] = {}
     empty = True
     for traj in trajectories:
         empty = False
+        horizon = len(traj.steps)
         for step in traj.steps:
             entry = stats.get(step.key)
             if entry is None:
                 entry = stats[step.key] = StepStats()
-            entry.add(traj.outcome[step.actor])
+            entry.add(traj.outcome[step.actor], gamma ** (horizon - step.move_index - 1))
     if empty:
         raise ValueError("accumulate_stats: empty trajectory set")
     return stats
 
 
-def estimate_rewards(trajectories: Iterable[Trajectory] | None = None, *,
-                     stats: Mapping[str, StepStats] | None = None,
-                     method: str = "win_rate", tie_weight: float = 0.0,
-                     gamma: float = 0.8, alpha0: float = 1.0,
+def estimate_rewards(stats: Mapping[str, StepStats], *, method: str = "win_rate",
+                     tie_weight: float = 0.0, alpha0: float = 1.0,
                      beta0: float = 1.0) -> dict[str, float]:
-    """Per-key reward estimates.
+    """Per-key reward estimates, each a formula over the key's counts.
 
-    win_rate: (n_win + tie_weight * n_tie) / n_all over the key's occurrences.
-    discounted: mean over occurrences of gamma^(T-t) * R_T with R_T in
-        {+1 win, -1 loss, 0 tie}, t the 1-based global move index, T the
-        episode length.
+    win_rate: (n_win + tie_weight * n_tie) / n_all.
+    discounted: the mean of gamma^(T-t) * R_T over the key's occurrences.
     beta: posterior mean (alpha0 + wins) / (alpha0 + beta0 + wins + losses).
     """
-    if method not in ESTIMATORS:
+    formulas = {
+        "win_rate": lambda st: (st.n_win + tie_weight * st.n_tie) / st.n_all,
+        "discounted": lambda st: st.discounted / st.n_all,
+        "beta": lambda st: (alpha0 + st.n_win) / (alpha0 + beta0 + st.n_win + st.n_lose),
+    }
+    if method not in formulas:
         raise ValueError(f"unknown reward estimation method {method!r}")
-    if method == "discounted":
-        if trajectories is None:
-            raise ValueError("discounted estimator needs trajectories")
-        if not 0 < gamma < 1:
-            raise ValueError("discounted estimator needs 0 < gamma < 1")
-        total: dict[str, float] = {}
-        count: dict[str, int] = {}
-        for traj in trajectories:
-            horizon = len(traj.steps)
-            for step in traj.steps:
-                o = traj.outcome[step.actor]
-                final = 1.0 if o is Outcome.WIN else (-1.0 if o is Outcome.LOSE else 0.0)
-                t = step.move_index + 1
-                total[step.key] = total.get(step.key, 0.0) + gamma ** (horizon - t) * final
-                count[step.key] = count.get(step.key, 0) + 1
-        return {k: total[k] / count[k] for k in total}
-    if stats is None:
-        if trajectories is None:
-            raise ValueError(f"{method} estimator needs stats or trajectories")
-        stats = accumulate_stats(trajectories)
-    rewards = {}
-    for key, st in stats.items():
-        if st.n_all == 0:
-            raise ValueError(f"key {key!r} has no occurrences")
-        if method == "win_rate":
-            rewards[key] = (st.n_win + tie_weight * st.n_tie) / st.n_all
-        else:
-            if alpha0 <= 0 or beta0 <= 0:
-                raise ValueError("beta estimator needs alpha0, beta0 > 0")
-            rewards[key] = (alpha0 + st.n_win) / (alpha0 + beta0 + st.n_win + st.n_lose)
-    return rewards
+    if method == "beta" and (alpha0 <= 0 or beta0 <= 0):
+        raise ValueError("beta estimator needs alpha0, beta0 > 0")
+    empty = [key for key, st in stats.items() if st.n_all == 0]
+    if empty:
+        raise ValueError(f"key {empty[0]!r} has no occurrences")
+    return {key: formulas[method](st) for key, st in stats.items()}
 
 
 @dataclass(frozen=True)
@@ -120,20 +107,19 @@ class Representative:
     action: object
 
 
-def collect_representatives(trajectories: Iterable[Trajectory],
-                            agent_pair: tuple[str, str], *,
+def collect_representatives(trajectories: Iterable[Trajectory], *,
                             actors: str = "learner") -> dict[str, Representative]:
     """First learner-seat (or any-seat) occurrence of each key, via replay.
 
     ``actors='learner'`` keeps keys played by the seats ``learner_seats``
-    gives for the run's (agent1, agent2) spec pair ``agent_pair``; ``'all'``
-    keeps every seat, which is what strong-player imitation needs.
+    reads from each trajectory; ``'all'`` keeps every seat, which is what
+    strong-player imitation needs.
     """
     if actors not in ACTORS:
         raise ValueError("actors must be 'learner' or 'all'")
     reps: dict[str, Representative] = {}
     for traj in trajectories:
-        seats = learner_seats(traj, agent_pair)
+        seats = learner_seats(traj)
         for (state, action, actor), step in zip(replay(traj), traj.steps):
             if actors == "learner" and actor not in seats:
                 continue

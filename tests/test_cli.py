@@ -109,6 +109,13 @@ def test_spag_mode_is_rejected_before_any_work(run, monkeypatch, command):
     assert not run.out.exists()
 
 
+def test_regret_without_a_solvable_game_is_rejected_before_any_work(run, capsys):
+    run.config.write_text(CONFIG.replace("games = nim", "games = kuhn_poker"))
+    assert run("regret") == 2
+    assert "regret needs at least one of" in capsys.readouterr().err
+    assert not run.out.exists()
+
+
 @pytest.mark.parametrize("setting", [("SCOPAL_INTERACT_MOVE_BOUND", "3"),
                                      ("SCOPAL_REWARDS_ACTORS", "all")])
 def test_sweep_plays_and_labels_as_the_pipeline_does(run, monkeypatch, setting):

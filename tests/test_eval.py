@@ -112,8 +112,8 @@ def test_self_match_with_mirrored_seeds_is_balanced():
 def test_interaction_win_rate_counts_the_policy_seat():
     trajs = collect_trajectories(["nim"], "policy", "random", 30, 4,
                                  policy=new_policy(["nim"]))
-    rate = interaction_win_rate(trajs, ("policy", "random"))
-    outcomes = [t.outcome[Player.P1 if t.first_player_agent == "policy" else Player.P2]
+    rate = interaction_win_rate(trajs)
+    outcomes = [t.outcome[Player.P1 if t.agents[Player.P1] == "policy" else Player.P2]
                 for t in trajs]
     expected = win_rate(outcomes.count(Outcome.WIN), outcomes.count(Outcome.LOSE),
                         outcomes.count(Outcome.TIE))
@@ -128,7 +128,7 @@ def test_interaction_win_rate_of_self_play_counts_both_seats():
     # the store is not balanced between the seats ...
     assert first_mover.count(Outcome.WIN) != first_mover.count(Outcome.LOSE)
     # ... yet the learner holds both, so it wins exactly the games it loses
-    assert interaction_win_rate(trajs, ("policy", "self")) == 0.5
+    assert interaction_win_rate(trajs) == 0.5
 
 
 # -- solvers -------------------------------------------------------------------

@@ -13,9 +13,10 @@ from scopal import refine
 from scopal.features import feature_dim, feature_matrix, features
 from scopal.games import GAME_NAMES, get_game
 from scopal.interaction import collect_trajectories
-from scopal.policy import new_policy, reference_copy
+from scopal.policy import new_policy
 from scopal.refine import build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss, spag_loss
-from scopal.rewards import collect_representatives, estimate_rewards, label_steps
+from scopal.rewards import (accumulate_stats, collect_representatives, estimate_rewards,
+                            label_steps)
 
 # breakthrough_6x6 is the board of the spag_vs_uct benchmark workload
 NAMES = GAME_NAMES + ("breakthrough_6x6",)
@@ -73,11 +74,10 @@ BOARDS = ["connect4", "breakthrough"]
 @pytest.fixture(scope="module")
 def board_steps():
     """(labeled steps, advantage steps) from self-play on the vectorized boards."""
-    pair = ("policy", "self")
-    trajs = collect_trajectories(BOARDS, *pair, 8, 5, policy=new_policy(BOARDS))
-    labeled = label_steps(estimate_rewards(trajs, method="win_rate"), 0.5,
-                          collect_representatives(trajs, pair))
-    return labeled, build_advantage_steps(trajs, pair)
+    trajs = collect_trajectories(BOARDS, "policy", "self", 8, 5, policy=new_policy(BOARDS))
+    labeled = label_steps(estimate_rewards(accumulate_stats(trajs, 0.8), method="win_rate"),
+                          0.5, collect_representatives(trajs))
+    return labeled, build_advantage_steps(trajs)
 
 
 @pytest.fixture
@@ -99,7 +99,7 @@ def matrix_calls(monkeypatch):
 def test_each_loss_builds_one_matrix_per_step(board_steps, matrix_calls, loss):
     labeled, advantage = board_steps
     policy = new_policy(BOARDS)
-    reference = reference_copy(policy)
+    reference = policy.clone()
     if loss == "kto":
         batch = labeled[::len(labeled) // 8][:8]
         kto_loss(policy, reference, batch, beta=0.1)

@@ -33,7 +33,7 @@ def test_policy_vs_random_nim_episode_is_deterministic_and_bounded():
     t2 = run_episode(game, a1, a2, chance_seed=4, sampling_seed=9)
     assert trajectory_record(t1) == trajectory_record(t2)
     assert len(t1.steps) <= 16
-    assert t1.first_player_agent == "policy"
+    assert t1.agents[Player.P1] == "policy"
 
 
 def test_replay_reproduces_recorded_outcome():
@@ -60,41 +60,71 @@ def test_step_indices_strictly_increase_and_keys_match_states():
 def test_two_episodes_alternate_first_player():
     policy = new_policy(["tictactoe"])
     trajs = collect_trajectories(["tictactoe"], "policy", "mcts:5", 2, 0, policy=policy)
-    assert [t.first_player_agent for t in trajs] == ["policy", "mcts:5"]
+    assert [t.agents[Player.P1] for t in trajs] == ["policy", "mcts:5"]
 
 
 def test_paired_episodes_share_seeds_per_seat_pair():
     a, b = RandomAgent("a"), RandomAgent("b")
     paired = play_episodes("kuhn_poker", a, b, range(6), 3, paired=True)
-    assert [t.first_player_agent for t in paired] == ["a", "b"] * 3
+    assert [t.agents[Player.P1] for t in paired] == ["a", "b"] * 3
     seeds = [(t.chance_seed, t.sampling_seed) for t in paired]
     assert seeds[0::2] == seeds[1::2]
     assert len(set(seeds)) == 3
     unpaired = play_episodes("kuhn_poker", a, b, range(6), 3, paired=False)
-    assert [t.first_player_agent for t in unpaired] == ["a", "b"] * 3
+    assert [t.agents[Player.P1] for t in unpaired] == ["a", "b"] * 3
     assert len({t.chance_seed for t in unpaired}) == 6
     assert len({t.sampling_seed for t in unpaired}) == 6
 
 
 def test_learner_seats_follow_the_agent_pair():
-    def seats(first, pair):
-        return learner_seats(Trajectory("nim", 0, [], tie_outcome(), first, 0, 0), pair)
+    def seats(p1, p2):
+        agents = {Player.P1: p1, Player.P2: p2}
+        return learner_seats(Trajectory("nim", 0, [], tie_outcome(), agents, 0, 0))
 
     both = {Player.P1, Player.P2}
-    assert seats("policy", ("policy", "self")) == both
-    assert seats("self", ("policy", "self")) == both
-    assert seats("policy", ("policy", "mcts:5")) == {Player.P1}
-    assert seats("mcts:5", ("policy", "mcts:5")) == {Player.P2}
+    assert seats("policy", "self") == both
+    assert seats("self", "policy") == both
+    assert seats("policy", "mcts:5") == {Player.P1}
+    assert seats("mcts:5", "policy") == {Player.P2}
     # a frozen checkpoint is an opponent, not a learner
-    assert seats("policy:ckpt.json", ("policy", "policy:ckpt.json")) == {Player.P2}
-    assert seats("policy", ("policy", "policy:ckpt.json")) == {Player.P1}
+    assert seats("policy:ckpt.json", "policy") == {Player.P2}
+    assert seats("policy", "policy:ckpt.json") == {Player.P1}
+
+
+def test_the_store_records_both_seat_labels(tmp_path):
+    policy = new_policy(["tictactoe"])
+    path = tmp_path / "run.traj.jsonl"
+    write_trajectories(path, collect_trajectories(["tictactoe"], "policy", "mcts:5", 4, 3,
+                                                  policy=policy))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["agents"] for r in records] == [{"P1": "policy", "P2": "mcts:5"},
+                                              {"P1": "mcts:5", "P2": "policy"}] * 2
+    assert all("first_player_agent" not in r for r in records)
+    loaded = read_trajectories(path)
+    assert [learner_seats(t) for t in loaded] == [{Player.P1}, {Player.P2}] * 2
+    write_trajectories(path, collect_trajectories(["tictactoe"], "policy", "self", 2, 3,
+                                                  policy=policy))
+    assert [learner_seats(t) for t in read_trajectories(path)] == [{Player.P1, Player.P2}] * 2
+
+
+@pytest.mark.parametrize("field", ["first_player_agent", "agents"])
+def test_a_store_without_seat_labels_is_refused(tmp_path, field):
+    """A record of the older format, with only the first player's label, and a
+    record whose seat labels are not a map are both corrupt."""
+    trajs = collect_trajectories(["nim"], "random", "random", 1, 5)
+    record = trajectory_record(trajs[0])
+    record[field] = record.pop("agents")[Player.P1.value]
+    path = tmp_path / "old.traj.jsonl"
+    path.write_text(json.dumps(record, sort_keys=True) + "\n")
+    with pytest.raises(ValueError, match="corrupt trajectory record"):
+        read_trajectories(path)
 
 
 def test_seat_balance_over_many_episodes():
     policy = new_policy(["nim"])
     n = 31
     trajs = collect_trajectories(["nim"], "policy", "random", n, 1, policy=policy)
-    firsts = sum(1 for t in trajs if t.first_player_agent == "policy")
+    firsts = sum(1 for t in trajs if t.agents[Player.P1] == "policy")
     assert abs(firsts - n / 2) <= 1
 
 

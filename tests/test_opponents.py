@@ -1,6 +1,7 @@
 """UCT scoring, search behavior, and the seeded random opponent."""
 import math
 import random
+import sys
 
 import pytest
 
@@ -88,6 +89,33 @@ def test_mcts_rejects_terminal_state():
     s = _state_after(game, (0, 3, 1, 4, 2))
     with pytest.raises(ValueError):
         mcts_act(game, s, MctsConfig(max_simulations=10, rng_seed=0))
+
+
+@pytest.mark.parametrize("name", ["tictactoe", "connect4", "nim", "kuhn_poker"])
+def test_mcts_asks_for_the_outcome_only_of_states_without_a_legal_action(monkeypatch, name):
+    """Terminality is read from the node's cached legal actions; rollouts aside,
+    the search asks for an outcome only to score a terminal state."""
+    game = get_game(name)
+    outcome = type(game).outcome
+    asked = []
+
+    def recording(self, state):
+        if sys._getframe(1).f_code is mcts_act.__code__:
+            asked.append(state)
+        return outcome(self, state)
+
+    monkeypatch.setattr(type(game), "outcome", recording)
+    rng = random.Random(5)
+    for depth in range(0, 40, 4):
+        s = game.initial_state(rng.randrange(100))
+        for _ in range(depth):
+            after = game.apply(s, rng.choice(game.legal_actions(s)))
+            if not game.legal_actions(after):
+                break
+            s = after
+        mcts_act(game, s, MctsConfig(max_simulations=200, rng_seed=rng.randrange(100)))
+    assert asked
+    assert all(game.legal_actions(state) == () for state in asked)
 
 
 def test_root_statistics_are_credited_to_the_root_player():

@@ -12,11 +12,11 @@ from scopal.config import ExperimentConfig
 from scopal.features import feature_dim
 from scopal.games import Outcome, Player, get_game
 from scopal.interaction import Step, Trajectory, collect_trajectories
-from scopal.policy import Policy, new_policy, reference_copy
+from scopal.policy import new_policy
 from scopal.refine import (MODES, AdvantageStep, balance_by_game, balance_lambdas, bc_loss,
                            build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss,
                            spag_assign_rewards, spag_loss, train_two_stage)
-from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep,
+from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, accumulate_stats,
                             collect_representatives, estimate_rewards, label_steps)
 
 GAME_ROTATION = ("tictactoe", "nim", "kuhn_poker")
@@ -26,8 +26,8 @@ def make_dataset(games=GAME_ROTATION, episodes=25, seed=3, delta=0.5):
     policy = new_policy(list(games))
     trajs = collect_trajectories(list(games), "policy", "self", episodes, seed,
                                  policy=policy)
-    rewards = estimate_rewards(trajs, method="win_rate")
-    reps = collect_representatives(trajs, ("policy", "self"))
+    rewards = estimate_rewards(accumulate_stats(trajs, 0.8), method="win_rate")
+    reps = collect_representatives(trajs)
     return label_steps(rewards, delta, reps), trajs
 
 
@@ -133,7 +133,7 @@ def test_bc_drives_unique_desirable_action_probability_up():
 
 def test_kto_fixed_point_at_reference():
     pol = rand_policy(GAME_ROTATION, random.Random(1))
-    ref = reference_copy(pol)
+    ref = pol.clone()
     rng = random.Random(2)
     batch = (batch_for_game("tictactoe", 3, rng) + batch_for_game("nim", 3, rng)
              + batch_for_game("kuhn_poker", 2, rng))
@@ -166,7 +166,7 @@ def test_kto_desirable_loss_vanishes_as_ratio_saturates():
     s = game.initial_state(0)
     action = game.legal_actions(s)[0]
     pol = new_policy(["nim"])
-    ref = reference_copy(pol)
+    ref = pol.clone()
     from scopal.features import features
     # policy concentrates on the action while the reference flees it: r grows
     pol.blocks["nim"] += 80.0 * features(game, s, action)
@@ -208,7 +208,7 @@ def test_kto_gradient_matches_finite_differences():
 def test_kto_desirable_only_batch_well_defined():
     rng = random.Random(11)
     pol = rand_policy(["tictactoe"], rng)
-    ref = reference_copy(pol)
+    ref = pol.clone()
     batch = batch_for_game("tictactoe", 4, rng, label=DESIRABLE)
     report = kto_loss(pol, ref, batch, beta=0.1, lambda_d=1.0, lambda_u=1.0)
     assert math.isfinite(report.loss)
@@ -250,7 +250,7 @@ def test_dpo_pair_cap_limits_per_state():
 
 def test_dpo_loss_is_ln2_at_reference():
     pol = rand_policy(GAME_ROTATION, random.Random(12))
-    ref = reference_copy(pol)
+    ref = pol.clone()
     pairs = dpo_pairs_from_dataset()[:6]
     report = dpo_loss(pol, ref, pairs, beta=0.1)
     assert report.loss == pytest.approx(math.log(2), abs=1e-9)
@@ -262,7 +262,7 @@ def test_dpo_loss_vanishes_when_positive_ratio_saturates():
     pos = LabeledStep("tictactoe", game.canonical_key(s, 4), s, 4, 1.0, DESIRABLE)
     neg = LabeledStep("tictactoe", game.canonical_key(s, 0), s, 0, 0.0, UNDESIRABLE)
     pol = new_policy(["tictactoe"])
-    ref = reference_copy(pol)
+    ref = pol.clone()
     from scopal.features import features
     pol.blocks["tictactoe"] += 90.0 * features(game, s, 4)
     report = dpo_loss(pol, ref, [(pos, neg)], beta=1.0)
@@ -298,7 +298,7 @@ def spag_traj(outcome_p1, n_steps=6):
     outcome = {Player.P1: outcome_p1,
                Player.P2: {Outcome.WIN: Outcome.LOSE, Outcome.LOSE: Outcome.WIN,
                            Outcome.TIE: Outcome.TIE}[outcome_p1]}
-    return Trajectory("g", 0, steps, outcome, "policy", 0, 0)
+    return Trajectory("g", 0, steps, outcome, {Player.P1: "policy", Player.P2: "self"}, 0, 0)
 
 
 def test_spag_reward_values_match_closed_form():
@@ -328,13 +328,13 @@ def test_spag_last_move_carries_largest_magnitude():
 
 
 def advantage_steps_fixture():
-    return build_advantage_steps(TRAJS, ("policy", "self"), gamma=0.8)
+    return build_advantage_steps(TRAJS, gamma=0.8)
 
 
 def test_spag_loss_at_reference_is_negative_seat_mean_advantage():
     steps = [s for s in advantage_steps_fixture() if s.game == "tictactoe"][:20]
     pol = rand_policy(["tictactoe"], random.Random(14))
-    ref = reference_copy(pol)
+    ref = pol.clone()
     report = spag_loss(pol, ref, steps, beta2=0.2)
     seat_means = []
     for p in (Player.P1, Player.P2):
@@ -348,7 +348,7 @@ def test_spag_loss_zero_when_rewards_zero_at_reference():
     steps = [AdvantageStep(s.game, s.state, s.action, s.actor, 0.0)
              for s in advantage_steps_fixture()[:10]]
     pol = rand_policy(GAME_ROTATION, random.Random(15))
-    ref = reference_copy(pol)
+    ref = pol.clone()
     report = spag_loss(pol, ref, steps, beta2=0.5)
     assert report.loss == pytest.approx(0.0, abs=1e-12)  # ratio 1, KL 0
 
