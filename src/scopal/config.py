@@ -110,8 +110,6 @@ class ExperimentConfig:
             raise ConfigError("rewards.gamma must lie in (0, 1)")
         if self.alpha0 <= 0 or self.beta0 <= 0:
             raise ConfigError("rewards.alpha0 and beta0 must be positive")
-        if not math.isfinite(self.delta):
-            raise ConfigError("rewards.delta must be finite")
         if self.actors not in ACTORS:
             raise ConfigError("rewards.actors must be 'learner' or 'all'")
         if self.mode not in MODES:
@@ -144,6 +142,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{setting}: {err}") from err
             if setting == "eval.opponents" and is_learner_spec(spec):
                 raise ConfigError(f"eval.opponents: {spec!r} is the policy under training")
+        for section, keys in SCHEMA.items():
+            for key, (attr, parse) in keys.items():
+                if parse is float and not math.isfinite(getattr(self, attr)):
+                    raise ConfigError(f"{section}.{key} must be finite")
 
     def resolved(self) -> dict:
         out = {}

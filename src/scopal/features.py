@@ -5,15 +5,20 @@ from the mover's perspective, plus a few line/threat counts; Nim adds
 nim-sum indicators of the resulting piles; the two hidden-information games
 are small enough for exact one-hot tabular features.
 
+``_ENCODERS`` gives each game class its encoder and whether that encodes
+every legal action in one call. A game's feature width is written nowhere:
+it is the width of its initial state's matrix, computed once per game.
+
 Feature vectors depend only on the mover's observation and the action, never
 on hidden opponent information.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .games import Game
-from .games.breakthrough import Breakthrough
+from .games import Breakthrough, ConnectFour, Game, KuhnPoker, LiarsDice, Nim, TicTacToe
 from .games.connect_four import COLS as C4_COLS, ROWS as C4_ROWS
 from .games.liars_dice import ALL_BIDS, CHALLENGE, FACES
 from .games.tictactoe import LINES
@@ -49,51 +54,28 @@ _C4_CELL_BITS = np.array([c * 7 + r for r in range(C4_ROWS) for c in range(C4_CO
                          dtype=np.uint64)
 
 
+@functools.cache
 def feature_dim(game: Game) -> int:
-    name = game.name
-    if name == "tictactoe":
-        return 22
-    if name == "connect4":
-        return 90
-    if isinstance(game, Breakthrough):
-        return 2 * game.cols * game.rows + 7
-    if name == "nim":
-        return 24
-    if name == "kuhn_poker":
-        return 24
-    if name == "liars_dice":
-        return FACES * 13 * 13
-    raise KeyError(f"no feature encoder for game {name!r}")
+    """Width of `game`'s feature vectors: that of its initial state's matrix."""
+    encode, batched = _ENCODERS[type(game)]
+    state = game.initial_state(0)
+    acts = game.legal_actions(state)
+    return (encode(game, state, acts) if batched else encode(game, state, acts[0])).shape[-1]
 
 
 def feature_matrix(game: Game, state, acts) -> np.ndarray:
-    """(len(acts), d) matrix whose row i is ``features(game, state, acts[i])``.
-
-    Connect Four and Breakthrough encode every action at once; the other
-    games stack their per-action rows.
-    """
+    """(len(acts), d) matrix whose row i is ``features(game, state, acts[i])``."""
+    encode, batched = _ENCODERS[type(game)]
     if not acts:
         return np.zeros((0, feature_dim(game)))
-    if game.name == "connect4":
-        return _c4(game, state, acts)
-    if isinstance(game, Breakthrough):
-        return _breakthrough(game, state, acts)
+    if batched:
+        return encode(game, state, acts)
     return np.array([features(game, state, a) for a in acts])
 
 
 def features(game: Game, state, action) -> np.ndarray:
-    name = game.name
-    if name == "tictactoe":
-        return _ttt(game, state, action)
-    if name == "connect4" or isinstance(game, Breakthrough):
-        return feature_matrix(game, state, (action,))[0]
-    if name == "nim":
-        return _nim(game, state, action)
-    if name == "kuhn_poker":
-        return _kuhn(game, state, action)
-    if name == "liars_dice":
-        return _liars_dice(game, state, action)
-    raise KeyError(f"no feature encoder for game {name!r}")
+    encode, batched = _ENCODERS[type(game)]
+    return encode(game, state, (action,))[0] if batched else encode(game, state, action)
 
 
 def _ttt(game, state, action) -> np.ndarray:
@@ -207,3 +189,14 @@ def _liars_dice(game, state, action) -> np.ndarray:
     x = np.zeros(FACES * 13 * 13)
     x[((own - 1) * 13 + last) * 13 + act] = 1.0
     return x
+
+
+# game class -> (encoder, whether it encodes every legal action in one call)
+_ENCODERS = {
+    TicTacToe: (_ttt, False),
+    ConnectFour: (_c4, True),
+    Breakthrough: (_breakthrough, True),
+    Nim: (_nim, False),
+    KuhnPoker: (_kuhn, False),
+    LiarsDice: (_liars_dice, False),
+}

@@ -7,8 +7,9 @@ from .base import (
     Outcome,
     OutcomeMap,
     Player,
+    RETURN,
+    SCORE,
     UnknownGameError,
-    outcome_value,
     split_key,
     tie_outcome,
     win_for,
@@ -47,6 +48,6 @@ def get_game(name: str) -> Game:
 
 __all__ = [
     "Game", "Player", "Outcome", "OutcomeMap", "IllegalActionError", "UnknownGameError",
-    "outcome_value", "tie_outcome", "win_for", "split_key",
+    "SCORE", "RETURN", "tie_outcome", "win_for", "split_key",
     "get_game", "GAME_NAMES",
 ]

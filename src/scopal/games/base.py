@@ -2,6 +2,10 @@
 
 States are immutable values: ``apply`` returns a new state and never touches
 its input, so states can be shared freely across episode workers.
+
+Outcomes become numbers through two tables only: ``SCORE`` (win 1, tie 0.5,
+loss 0) for UCT backups, and ``RETURN`` (win 1, tie 0, loss -1) for Stage II
+discounted returns, SPAG step rewards and minimax values.
 """
 from __future__ import annotations
 
@@ -26,6 +30,9 @@ class Outcome(Enum):
     TIE = "Tie"
 
 
+SCORE = {Outcome.WIN: 1.0, Outcome.TIE: 0.5, Outcome.LOSE: 0.0}
+RETURN = {Outcome.WIN: 1.0, Outcome.TIE: 0.0, Outcome.LOSE: -1.0}
+
 OutcomeMap = Mapping[Player, Outcome]
 
 
@@ -35,16 +42,6 @@ def win_for(player: Player) -> dict[Player, Outcome]:
 
 def tie_outcome() -> dict[Player, Outcome]:
     return {Player.P1: Outcome.TIE, Player.P2: Outcome.TIE}
-
-
-def outcome_value(outcomes: OutcomeMap, player: Player) -> float:
-    """Score an outcome for one player: win 1, tie 0.5, loss 0."""
-    o = outcomes[player]
-    if o is Outcome.WIN:
-        return 1.0
-    if o is Outcome.TIE:
-        return 0.5
-    return 0.0
 
 
 class IllegalActionError(ValueError):
@@ -119,10 +116,6 @@ class Game(ABC):
         """
         return action
 
-    def relative_action_text(self, state: Any, action: Any) -> str:
-        """Action text from the mover's perspective (used only in keys)."""
-        return self.action_text(self.relative_action(state, action))
-
     def canonical_state_key(self, state: Any) -> str:
         return f"{self.name}|{self.observation_key(state, state.to_move)}"
 
@@ -132,7 +125,8 @@ class Game(ABC):
         Built from the mover's observation, so states differing only in the
         opponent's hidden card/die share keys, and mirrored seats aggregate.
         """
-        return f"{self.canonical_state_key(state)}|{self.relative_action_text(state, action)}"
+        action_text = self.action_text(self.relative_action(state, action))
+        return f"{self.canonical_state_key(state)}|{action_text}"
 
     def determinize(self, state: Any, viewer: Player, rng: random.Random) -> Any:
         """Resample hidden information consistently with viewer's observation.

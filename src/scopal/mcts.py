@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .games import Game, Player, outcome_value
+from .games import SCORE, Game
 
 EXPLORATION_C = 2.0
 
@@ -71,7 +71,6 @@ def mcts_act(game: Game, state, config: MctsConfig):
             if not node.actions:
                 # a state is terminal iff it has no legal action
                 outcomes = game.outcome(s)
-                values = {p: outcome_value(outcomes, p) for p in Player}
                 break
             mover = s.to_move
             if node.next_untried < len(node.actions):
@@ -82,8 +81,7 @@ def mcts_act(game: Game, state, config: MctsConfig):
                 node.children[action] = child
                 s = game.apply(s, action)
                 path.append((child, mover))
-                rollout = game.random_playout(s, rng)
-                values = {p: outcome_value(rollout, p) for p in Player}
+                outcomes = game.random_playout(s, rng)
                 break
             # select: all children visited at least once
             best_action = None
@@ -100,7 +98,7 @@ def mcts_act(game: Game, state, config: MctsConfig):
             path.append((node, mover))
         for nd, player in path:
             nd.visits += 1
-            nd.wins += values[player]
+            nd.wins += SCORE[outcomes[player]]
 
     best_action = None
     best_visits = -1

@@ -29,9 +29,10 @@ class Policy:
     version: int = 0
 
     def block(self, game: Game) -> np.ndarray:
-        if game.name not in self.blocks:
-            self.blocks[game.name] = np.zeros(feature_dim(game))
-        return self.blocks[game.name]
+        try:
+            return self.blocks[game.name]
+        except KeyError:
+            raise ValueError(f"the policy has no parameters for game {game.name!r}") from None
 
     def clone(self) -> "Policy":
         return Policy({k: v.copy() for k, v in self.blocks.items()}, self.version)
@@ -98,10 +99,8 @@ class Policy:
 
 
 def new_policy(game_names) -> Policy:
-    pol = Policy()
-    for name in game_names:
-        pol.block(get_game(name))
-    return pol
+    """A zero (uniform) policy with one block per named game."""
+    return Policy({name: np.zeros(feature_dim(get_game(name))) for name in game_names})
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .games import Outcome, Player, get_game, split_key
+from .games import RETURN, Player, get_game, split_key
 from .interaction import Trajectory, learner_seats, replay, stable_hash
 from .policy import Policy, action_index, log_prob_grad, log_softmax
 from .rewards import DESIRABLE, LabeledStep, label_counts
@@ -229,12 +229,8 @@ def spag_assign_rewards(traj: Trajectory, gamma: float = 0.8) -> list[float]:
     for step in traj.steps:
         index[step.actor] += 1
         t, horizon = index[step.actor], totals[step.actor]
-        outcome = traj.outcome[step.actor]
-        if outcome is Outcome.TIE:
-            rewards.append(0.0)
-            continue
         magnitude = (1 - gamma) * gamma ** (horizon - t) / (1 - gamma ** (horizon + 1))
-        rewards.append(magnitude if outcome is Outcome.WIN else -magnitude)
+        rewards.append(RETURN[traj.outcome[step.actor]] * magnitude)
     return rewards
 
 

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .atomic import atomic_open
-from .games import Outcome, get_game
+from .games import RETURN, Outcome, get_game
 from .interaction import Trajectory, learner_seats, replay
 
 DESIRABLE = "Desirable"
 UNDESIRABLE = "Undesirable"
 ESTIMATORS = ("win_rate", "discounted", "beta")
 ACTORS = ("learner", "all")
-FINAL_RETURN = {Outcome.WIN: 1.0, Outcome.TIE: 0.0, Outcome.LOSE: -1.0}
 
 
 @dataclass
@@ -42,7 +41,7 @@ class StepStats:
             self.n_tie += 1
         else:
             self.n_lose += 1
-        self.discounted += discount * FINAL_RETURN[outcome]
+        self.discounted += discount * RETURN[outcome]
 
 
 def accumulate_stats(trajectories: Iterable[Trajectory], gamma: float) -> dict[str, StepStats]:
@@ -178,14 +177,17 @@ def write_labeled(path, dataset: Iterable[LabeledStep]) -> None:
 def read_labeled(path) -> list[LabeledStep]:
     out = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            game = get_game(rec["game"])
-            out.append(LabeledStep(rec["game"], rec["key"],
-                                   game.decode_state(rec["state"]),
-                                   game.parse_action(rec["action"]),
-                                   rec["reward"], rec["label"]))
+            try:
+                rec = json.loads(line)
+                game = get_game(rec["game"])
+                out.append(LabeledStep(rec["game"], rec["key"],
+                                       game.decode_state(rec["state"]),
+                                       game.parse_action(rec["action"]),
+                                       rec["reward"], rec["label"]))
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValueError(f"{path}:{line_no}: corrupt labeled record: {err}") from err
     return out

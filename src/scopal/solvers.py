@@ -1,17 +1,15 @@
 """Exhaustive minimax for the exactly solvable games (Tic-Tac-Toe, Nim).
 
-Values are in {-1, 0, +1} from the mover's perspective, memoized on the
-mover-relative state key (sound: the games are symmetric under seat
-relabeling). Per-move regret is the minimax value loss of the chosen move,
-scaled from the value gap [0, 2] down to [0, 1].
+Values are outcome ``RETURN``s, in {-1, 0, +1} from the mover's perspective,
+memoized on the mover-relative state key (sound: the games are symmetric
+under seat relabeling). Per-move regret is the minimax value loss of the
+chosen move, scaled from the value gap [0, 2] down to [0, 1].
 """
 from __future__ import annotations
 
-from .games import Game, Outcome, Player, get_game
+from .games import RETURN, Game, get_game
 
 SOLVABLE = ("tictactoe", "nim")
-
-_VALUE = {Outcome.WIN: 1, Outcome.TIE: 0, Outcome.LOSE: -1}
 
 
 class MinimaxSolver:
@@ -19,18 +17,18 @@ class MinimaxSolver:
         if game.name not in SOLVABLE:
             raise ValueError(f"{game.name!r} is not supported by the exhaustive solver")
         self.game = game
-        self._memo: dict[str, int] = {}
+        self._memo: dict[str, float] = {}
 
-    def value(self, state) -> int:
+    def value(self, state) -> float:
         """Game value for the player to move under optimal play by both."""
         outcome = self.game.outcome(state)
         if outcome is not None:
-            return _VALUE[outcome[state.to_move]]
+            return RETURN[outcome[state.to_move]]
         key = self.game.canonical_state_key(state)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        best = -1
+        best = -1.0
         for action in self.game.legal_actions(state):
             q = -self.value(self.game.apply(state, action))
             if q > best:
@@ -40,7 +38,7 @@ class MinimaxSolver:
         self._memo[key] = best
         return best
 
-    def action_value(self, state, action) -> int:
+    def action_value(self, state, action) -> float:
         return -self.value(self.game.apply(state, action))
 
     def best_action(self, state):

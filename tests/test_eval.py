@@ -134,6 +134,15 @@ def test_interaction_win_rate_of_self_play_counts_both_seats():
 # -- solvers -------------------------------------------------------------------
 
 
+def test_a_checkpoint_without_the_match_game_is_refused(tmp_path):
+    checkpoint = tmp_path / "nim.json"
+    new_policy(["nim"]).save(checkpoint)
+    opponent = make_agent(f"policy:{checkpoint}")
+    with pytest.raises(ValueError, match="'tictactoe'"):
+        play_match("tictactoe", RandomAgent(), opponent, 2, 0)
+    assert set(opponent.policy.blocks) == {"nim"}
+
+
 def test_solver_values_for_known_positions():
     ttt = get_solver("tictactoe")
     game = get_game("tictactoe")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from scopal import features as features_module
+from scopal import games as games_module
 from scopal import policy as policy_module
 from scopal import refine
 from scopal.features import feature_dim, feature_matrix, features
@@ -64,6 +65,29 @@ def test_matrices_match_the_recorded_checksums(name):
     for game, state, acts in playout_states(name):
         digest.update(feature_matrix(game, state, acts).astype("<f8").tobytes())
     assert digest.hexdigest()[:16] == GOLDEN[name]
+
+
+# Feature width of every registered game. Checkpoints store one block of this
+# width per game, so a changed width breaks every saved policy.
+WIDTHS = {
+    "tictactoe": 22,
+    "connect4": 90,
+    "nim": 24,
+    "kuhn_poker": 24,
+    "liars_dice": 1014,
+    **{name: 2 * cols * rows + 7 for name, cols, rows in (
+        ("breakthrough", 3, 8), ("breakthrough_6x6", 6, 6),
+        ("breakthrough_7x7", 7, 7), ("breakthrough_8x8", 8, 8))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(games_module._FACTORIES))
+def test_each_game_has_its_recorded_feature_width(name):
+    game = get_game(name)
+    assert feature_dim(game) == WIDTHS[name]
+    state = game.initial_state(0)
+    assert feature_matrix(game, state, game.legal_actions(state)).shape[1] == WIDTHS[name]
+    assert new_policy([name]).block(game).shape == (WIDTHS[name],)
 
 
 # -- one matrix per step visit --------------------------------------------------

@@ -1,5 +1,6 @@
 """Counting, the three reward estimators, and threshold labeling."""
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -211,3 +212,20 @@ def test_an_interrupted_labeled_write_leaves_the_previous_file(tmp_path):
         write_labeled(path, interrupted())
     assert read_labeled(path) == dataset
     assert [p.name for p in tmp_path.iterdir()] == ["labeled.jsonl"]
+
+
+def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
+    nim = get_game("nim")
+    state = nim.initial_state(0)
+    action = nim.legal_actions(state)[0]
+    path = tmp_path / "labeled.jsonl"
+    write_labeled(path, [LabeledStep("nim", nim.canonical_key(state, action), state, action,
+                                     1.0, DESIRABLE)])
+    good = path.read_text()
+    path.write_text(good + good[:len(good) // 2] + "\n")  # a truncated second line
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
+        read_labeled(path)
+    path.write_text(good + good.replace('"state"', '"status"'))  # a missing field
+    message = re.escape(f"{path}:2: corrupt labeled record: 'state'")
+    with pytest.raises(ValueError, match=message):
+        read_labeled(path)
