@@ -5,8 +5,10 @@ from the mover's perspective, plus a few line/threat counts; Nim adds
 nim-sum indicators of the resulting piles; the two hidden-information games
 are small enough for exact one-hot tabular features.
 
-``_ENCODERS`` gives each game class its encoder and whether that encodes
-every legal action in one call. A game's feature width is written nowhere:
+``_ENCODERS`` gives each game class its encoder and whether that is batched:
+a batched encoder (Connect Four, Breakthrough) stacks the rows of many states
+in one matrix, paying its fixed NumPy cost once per call, not once per state;
+the others give one row per call. A game's feature width is written nowhere:
 it is the width of its initial state's matrix, computed once per game.
 
 Feature vectors depend only on the mover's observation and the action, never
@@ -15,10 +17,11 @@ on hidden opponent information.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
-from .games import Breakthrough, ConnectFour, Game, KuhnPoker, LiarsDice, Nim, TicTacToe
+from .games import Breakthrough, ConnectFour, Game, KuhnPoker, LiarsDice, Nim, Player, TicTacToe
 from .games.connect_four import COLS as C4_COLS, ROWS as C4_ROWS
 from .games.liars_dice import ALL_BIDS, CHALLENGE, FACES
 from .games.tictactoe import LINES
@@ -28,24 +31,14 @@ _KUHN_HIST = {(): 0, ("P",): 1, ("B",): 2, ("P", "B"): 3}
 
 def _c4_windows() -> np.ndarray:
     """(42, 69) incidence of board cells (row-major, as in the planes) in the 4-windows."""
-    wins = []
-    for r in range(C4_ROWS):
-        for c in range(C4_COLS - 3):
-            wins.append([(r, c + i) for i in range(4)])
-    for c in range(C4_COLS):
-        for r in range(C4_ROWS - 3):
-            wins.append([(r + i, c) for i in range(4)])
-    for c in range(C4_COLS - 3):
-        for r in range(C4_ROWS - 3):
-            wins.append([(r + i, c + i) for i in range(4)])
-    for c in range(3, C4_COLS):
-        for r in range(C4_ROWS - 3):
-            wins.append([(r + i, c - i) for i in range(4)])
-    incidence = np.zeros((C4_ROWS * C4_COLS, len(wins)), dtype=np.int64)
-    for w, cells in enumerate(wins):
-        for r, c in cells:
-            incidence[r * C4_COLS + c, w] = 1
-    return incidence
+    windows = []
+    for dr, dc in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        for r in range(C4_ROWS - 3 * dr):
+            for c in range(max(0, -3 * dc), C4_COLS - max(0, 3 * dc)):
+                window = np.zeros(C4_ROWS * C4_COLS)
+                window[[(r + i * dr) * C4_COLS + c + i * dc for i in range(4)]] = 1.0
+                windows.append(window)
+    return np.array(windows).T
 
 
 _C4_WINDOWS = _c4_windows()
@@ -60,22 +53,28 @@ def feature_dim(game: Game) -> int:
     encode, batched = _ENCODERS[type(game)]
     state = game.initial_state(0)
     acts = game.legal_actions(state)
-    return (encode(game, state, acts) if batched else encode(game, state, acts[0])).shape[-1]
+    return (encode(game, (state,), (acts,)) if batched else encode(game, state, acts[0])).shape[-1]
+
+
+def feature_matrices(game: Game, states, acts_list) -> list[np.ndarray]:
+    """One (len(acts), d) matrix per state, row i being ``features(game, state, acts[i])``."""
+    encode, batched = _ENCODERS[type(game)]
+    if batched:
+        stacked = encode(game, states, acts_list)
+        ends = itertools.accumulate(len(acts) for acts in acts_list)
+        return [stacked[end - len(acts):end] for acts, end in zip(acts_list, ends)]
+    return [np.array([features(game, state, a) for a in acts]) if acts
+            else np.zeros((0, feature_dim(game))) for state, acts in zip(states, acts_list)]
 
 
 def feature_matrix(game: Game, state, acts) -> np.ndarray:
-    """(len(acts), d) matrix whose row i is ``features(game, state, acts[i])``."""
-    encode, batched = _ENCODERS[type(game)]
-    if not acts:
-        return np.zeros((0, feature_dim(game)))
-    if batched:
-        return encode(game, state, acts)
-    return np.array([features(game, state, a) for a in acts])
+    """The one-state case of `feature_matrices`."""
+    return feature_matrices(game, (state,), (acts,))[0]
 
 
 def features(game: Game, state, action) -> np.ndarray:
     encode, batched = _ENCODERS[type(game)]
-    return encode(game, state, (action,))[0] if batched else encode(game, state, action)
+    return encode(game, (state,), ((action,),))[0] if batched else encode(game, state, action)
 
 
 def _ttt(game, state, action) -> np.ndarray:
@@ -104,41 +103,57 @@ def _ttt(game, state, action) -> np.ndarray:
     return x
 
 
-def _c4(game, state, acts) -> np.ndarray:
-    mine, theirs = game.observation(state, state.to_move)[2]
-    mine_cells = ((np.uint64(mine) >> _C4_CELL_BITS) & np.uint64(1)).astype(np.int64)
-    theirs_cells = ((np.uint64(theirs) >> _C4_CELL_BITS) & np.uint64(1)).astype(np.int64)
-    heights = (mine_cells + theirs_cells).reshape(C4_ROWS, C4_COLS).sum(axis=0)
-    cols = np.array(acts)
+def _stack(states, acts_list) -> tuple[np.ndarray, np.ndarray]:
+    """(the index of each row's state, all the actions in one array)."""
+    owner = np.repeat(np.arange(len(states)), [len(acts) for acts in acts_list])
+    return owner, np.array(list(itertools.chain.from_iterable(acts_list)), dtype=np.intp)
+
+
+def _c4(game, states, acts_list) -> np.ndarray:
+    boards = np.array([game.observation(s, s.to_move)[2] for s in states], dtype=np.uint64)
+    cells = ((boards[:, :, None] >> _C4_CELL_BITS) & np.uint64(1)).astype(float)
+    mine, theirs = cells[:, 0], cells[:, 1]
+    heights = (mine + theirs).reshape(-1, C4_ROWS, C4_COLS).sum(axis=1).astype(np.intp)
+    owner, cols = _stack(states, acts_list)
     n = len(cols)
-    after = np.tile(mine_cells, (n, 1))  # my discs after each candidate drop
-    after[np.arange(n), heights[cols] * C4_COLS + cols] = 1
-    m = after @ _C4_WINDOWS
-    o = theirs_cells @ _C4_WINDOWS
-    mine_free = np.where(o == 0, m, 0)  # my count in windows the opponent does not touch
-    theirs_free = np.where(m == 0, o, 0)
+    after = mine[owner]  # my discs after each candidate drop
+    after[np.arange(n), heights[owner, cols] * C4_COLS + cols] = 1.0
+    m = after @ _C4_WINDOWS  # exact: every count is at most 4
+    o = (theirs @ _C4_WINDOWS)[owner]
+    # per row, bin v counts the windows holding v of mine and none of theirs,
+    # bin 5 + v those holding v of theirs and none of mine
+    bins = np.concatenate([np.where(o == 0, m, 0), np.where(m == 0, o, 0) + 5], axis=1)
+    bins = bins.astype(np.intp) + 10 * np.arange(n)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=10 * n).reshape(n, 10)
     x = np.zeros((n, 90))
     x[:, :42] = after
-    x[:, 42:84] = theirs_cells
-    x[:, 84:87] = (mine_free[:, :, None] == [4, 3, 2]).sum(axis=1)  # win4, m3, m2
-    x[:, 87:89] = (theirs_free[:, :, None] == [3, 2]).sum(axis=1)   # o3, o2
+    x[:, 42:84] = theirs[owner]
+    x[:, 84:87] = counts[:, [4, 3, 2]]  # win4, m3, m2
+    x[:, 87:89] = counts[:, [8, 7]]     # o3, o2
     x[:, 89] = 1.0
     return x
 
 
-def _breakthrough(game: Breakthrough, state, acts) -> np.ndarray:
+def _breakthrough(game: Breakthrough, states, acts_list) -> np.ndarray:
     cols, rows = game.cols, game.rows
     n = cols * rows
-    moves = np.array([game.relative_action(state, a) for a in acts])
+    boards = np.array([game.observation(s, s.to_move)[2] for s in states], dtype=np.int8)
+    owner, moves = _stack(states, acts_list)
+    moves = moves.reshape(-1, 2)
     k = len(moves)
-    boards = np.tile(game.observation(state, state.to_move)[2], (k, 1))
-    boards[np.arange(k), moves[:, 0]] = 0
-    boards[np.arange(k), moves[:, 1]] = 1
-    mine = boards == 1
-    theirs = boards == 2
+    # P2 sees the board mirrored, so its moves are mirrored too
+    flip = np.arange(n).reshape(rows, cols)[::-1].ravel()
+    p2 = np.array([s.to_move is Player.P2 for s in states], dtype=bool)[owner]
+    moves[p2] = flip[moves[p2]]
+    at = np.arange(k)
+    mine = (boards == 1)[owner]
+    mine[at, moves[:, 0]] = False
+    mine[at, moves[:, 1]] = True
+    theirs = (boards == 2)[owner]
+    theirs[at, moves[:, 1]] = False
     row = np.arange(n) // cols
-    my_best = (mine * row).max(axis=1)
-    their_best = (theirs * (rows - 1 - row)).max(axis=1)
+    my_best = (mine * row).max(axis=1, initial=0)
+    their_best = (theirs * (rows - 1 - row)).max(axis=1, initial=0)
     total = 2 * cols
     x = np.zeros((k, 2 * n + 7))
     x[:, :n] = mine

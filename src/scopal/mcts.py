@@ -10,6 +10,7 @@ Hidden-information games are handled by determinizing once per simulation:
 the opponent's private card/die is resampled consistently with the searching
 player's observation at the root. Public legal-action sets in these games do
 not depend on the hidden sample, so one tree serves all determinizations.
+In perfect-information games each node keeps its state, so selection applies no moves.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ class MctsConfig:
 
 
 class SearchNode:
-    __slots__ = ("wins", "visits", "children", "actions", "next_untried")
+    __slots__ = ("wins", "visits", "children", "actions", "next_untried", "state")
 
     def __init__(self):
         self.wins = 0.0
@@ -41,6 +42,7 @@ class SearchNode:
         self.children: dict = {}
         self.actions = None  # legal actions, filled on first arrival
         self.next_untried = 0
+        self.state = None  # the state after the node's action, set on expansion
 
 
 def uct_score(node: SearchNode, parent_visits: int, c: float) -> float:
@@ -55,6 +57,7 @@ def mcts_act(game: Game, state, config: MctsConfig):
     break toward the lowest canonical action order.
     """
     rng = random.Random(config.rng_seed)
+    perfect = game.perfect_information
     root_player = state.to_move
     root = SearchNode()
     root.actions = game.legal_actions(state)
@@ -79,7 +82,7 @@ def mcts_act(game: Game, state, config: MctsConfig):
                 node.next_untried += 1
                 child = SearchNode()
                 node.children[action] = child
-                s = game.apply(s, action)
+                s = child.state = game.apply(s, action)
                 path.append((child, mover))
                 outcomes = game.random_playout(s, rng)
                 break
@@ -93,8 +96,8 @@ def mcts_act(game: Game, state, config: MctsConfig):
                 if score > best_score:
                     best_score = score
                     best_action = action
-            s = game.apply(s, best_action)
             node = node.children[best_action]
+            s = node.state if perfect else game.apply(s, best_action)
             path.append((node, mover))
         for nd, player in path:
             nd.visits += 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .features import feature_dim, feature_matrix
-from .games import Game, get_game
+from .games import Game, UnknownGameError, get_game
 
 CHECKPOINT_FORMAT = "scopal-policy-v1"
 
@@ -95,6 +95,13 @@ class Policy:
         if data.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format in {path}")
         blocks = {name: np.array(vec, dtype=float) for name, vec in data["blocks"].items()}
+        for name, vec in blocks.items():
+            try:
+                width = feature_dim(get_game(name))
+            except UnknownGameError:
+                raise ValueError(f"{path}: block for unknown game {name!r}") from None
+            if vec.shape != (width,):
+                raise ValueError(f"{path}: the {name!r} block has width {vec.size}, not {width}")
         return cls(blocks, data["version"])
 
 

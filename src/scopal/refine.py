@@ -24,18 +24,25 @@ against the post-BC snapshot. Every objective trains through one loop,
 structure, accumulating gradients over ``grad_accum`` batches in the KTO
 stage. KTO weights satisfy ``lambda_D n_D = lambda_U n_U`` with the larger
 weight at 1.0.
+
+Features do not depend on the parameters, so ``_descend`` encodes whole
+batches about ``_CHUNK`` items at a time, one ``feature_matrices`` call per
+game. ``feats @ block`` and the log-softmax stay per state, so the chunk size
+changes no bit of the result.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, product
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .games import RETURN, Player, get_game, split_key
+from .features import feature_matrices
 from .interaction import Trajectory, learner_seats, replay, stable_hash
 from .policy import Policy, action_index, log_prob_grad, log_softmax
 from .rewards import DESIRABLE, LabeledStep, label_counts
@@ -43,6 +50,7 @@ from .rewards import DESIRABLE, LabeledStep, label_counts
 if TYPE_CHECKING:  # config imports MODES from here
     from .config import ExperimentConfig
 
+_CHUNK = 128  # items (steps or DPO pairs) whose feature matrices _descend builds at once
 METRIC_COLUMNS = ("stage", "epoch", "loss", "n_D", "n_U", "lambda_D", "lambda_U", "z0")
 MODES = {"two_stage": ("bc", "kto"), "direct_kto": ("kto",), "joint": ("joint",),
          "bc_only": ("bc",), "bc_dpo": ("bc", "dpo"), "spag": ("spag",)}
@@ -78,18 +86,37 @@ def _accumulate(grads: dict[str, np.ndarray], name: str, vec: np.ndarray, scale:
         grads[name] = scale * vec
 
 
-def bc_loss(policy: Policy, batch: Sequence[LabeledStep]) -> LossReport:
+def _rows(items: Sequence) -> dict[int, tuple[tuple, np.ndarray]]:
+    """``id(state)`` -> (legal actions, feature matrix) for every step in `items`
+    (DPO pairs flattened), with one `feature_matrices` call per game."""
+    by_game: dict[str, dict[int, object]] = {}
+    for item in items:
+        for step in item if isinstance(item, tuple) else (item,):
+            by_game.setdefault(step.game, {})[id(step.state)] = step.state
+    rows = {}
+    for name, states in by_game.items():
+        game = get_game(name)
+        acts_list = [game.legal_actions(state) for state in states.values()]
+        matrices = feature_matrices(game, list(states.values()), acts_list)
+        rows.update(zip(states, zip(acts_list, matrices)))
+    return rows
+
+
+def bc_loss(policy: Policy, batch: Sequence[LabeledStep], rows: dict | None = None) -> LossReport:
     """Mean negative log-likelihood of the batch actions at temperature 1."""
     if not batch:
         raise ValueError("bc_loss: empty batch")
+    rows = _rows(batch) if rows is None else rows
     total = 0.0
     grads: dict[str, np.ndarray] = {}
     inv = 1.0 / len(batch)
     for step in batch:
         game = get_game(step.game)
-        logp, grad = policy.log_prob_and_grad(game, step.state, step.action)
-        total -= logp
-        _accumulate(grads, step.game, grad, -inv)
+        acts, feats = rows[id(step.state)]
+        idx = action_index(game, acts, step.action)
+        logp = log_softmax(feats @ policy.block(game))
+        total -= float(logp[idx])
+        _accumulate(grads, step.game, log_prob_grad(feats, logp, idx), -inv)
     return LossReport(total * inv, grads)
 
 
@@ -109,11 +136,12 @@ class _Visit(NamedTuple):
         return log_prob_grad(self.feats, self.logp, self.index)
 
 
-def _visit(policy: Policy, reference: Policy, game_name: str, state, action) -> _Visit:
-    """Build the state's feature matrix once; both policies' log-probs come from it."""
-    game = get_game(game_name)
-    acts, z, feats = policy.logits(game, state)
-    return _Visit(acts, feats, action_index(game, acts, action), log_softmax(z),
+def _visit(policy: Policy, reference: Policy, rows: dict, step) -> _Visit:
+    """Both policies' log-probs of the step's state, from its one feature matrix in `rows`."""
+    game = get_game(step.game)
+    acts, feats = rows[id(step.state)]
+    return _Visit(acts, feats, action_index(game, acts, step.action),
+                  log_softmax(feats @ policy.block(game)),
                   log_softmax(feats @ reference.block(game)))
 
 
@@ -139,7 +167,7 @@ def kto_mismatch_z0(batch: Sequence[LabeledStep], visits: Sequence[_Visit]) -> f
 
 def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
              beta: float, lambda_d: float = 1.0, lambda_u: float = 1.0,
-             z0_override: float | None = None) -> LossReport:
+             z0_override: float | None = None, rows: dict | None = None) -> LossReport:
     """Mean of lambda_y - v(x, y) over the batch, with analytic gradient.
 
     ``z0_override`` freezes the baseline (used by finite-difference checks;
@@ -149,7 +177,8 @@ def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
         raise ValueError("kto_loss: empty batch")
     if beta <= 0:
         raise ValueError("kto_loss: beta must be positive")
-    visits = [_visit(policy, reference, s.game, s.state, s.action) for s in batch]
+    rows = _rows(batch) if rows is None else rows
+    visits = [_visit(policy, reference, rows, s) for s in batch]
     z0 = kto_mismatch_z0(batch, visits) if z0_override is None else z0_override
     total = 0.0
     grads: dict[str, np.ndarray] = {}
@@ -187,16 +216,18 @@ def build_dpo_pairs(dataset: Sequence[LabeledStep],
 
 
 def dpo_loss(policy: Policy, reference: Policy,
-             pairs: Sequence[tuple[LabeledStep, LabeledStep]], beta: float) -> LossReport:
+             pairs: Sequence[tuple[LabeledStep, LabeledStep]], beta: float,
+             rows: dict | None = None) -> LossReport:
     """Mean -log sigmoid(beta * (log-ratio(a+) - log-ratio(a-)))."""
     if not pairs:
         raise ValueError("dpo_loss: no constructible pairs")
+    rows = _rows(pairs) if rows is None else rows
     total = 0.0
     grads: dict[str, np.ndarray] = {}
     inv = 1.0 / len(pairs)
     for pos, neg in pairs:
-        v_pos = _visit(policy, reference, pos.game, pos.state, pos.action)
-        v_neg = _visit(policy, reference, neg.game, neg.state, neg.action)
+        v_pos = _visit(policy, reference, rows, pos)
+        v_neg = _visit(policy, reference, rows, neg)
         h = v_pos.log_ratio(v_pos.index) - v_neg.log_ratio(v_neg.index)
         total += -_log_sigmoid(beta * h)
         scale = -inv * beta * _sigmoid(-beta * h)
@@ -262,14 +293,15 @@ def build_advantage_steps(trajectories: Iterable[Trajectory],
 
 
 def spag_loss(policy: Policy, reference: Policy, steps: Sequence[AdvantageStep],
-              beta2: float) -> LossReport:
+              beta2: float, rows: dict | None = None) -> LossReport:
     """Negated seat-averaged mean of ratio*advantage - beta2*KL(pi||pi_ref)."""
     if not steps:
         raise ValueError("spag_loss: no steps")
+    rows = _rows(steps) if rows is None else rows
     seat_terms: dict[Player, list[float]] = {Player.P1: [], Player.P2: []}
     seat_grads: dict[Player, dict[str, np.ndarray]] = {Player.P1: {}, Player.P2: {}}
     for step in steps:
-        visit = _visit(policy, reference, step.game, step.state, step.action)
+        visit = _visit(policy, reference, rows, step)
         if not np.isfinite(visit.ref_logp[visit.index]):
             raise ValueError(f"behavior policy assigns zero probability in {step.game}")
         probs = np.exp(visit.logp)
@@ -335,7 +367,7 @@ def _apply_gradient(policy: Policy, grads: Mapping[str, np.ndarray], lr: float) 
         block -= lr * vec
 
 
-def _descend(policy: Policy, items: Sequence, loss: Callable[[list], LossReport],
+def _descend(policy: Policy, items: Sequence, loss: Callable[[list, dict], LossReport],
              config: ExperimentConfig, metrics: list[dict], stage: str,
              counts: tuple[int, int, float, float], accum: int = 1) -> None:
     """The one Stage III loop: `config.epochs` seeded shuffles of `items` in batches.
@@ -346,6 +378,7 @@ def _descend(policy: Policy, items: Sequence, loss: Callable[[list], LossReport]
     """
     if not items:
         return
+    chunk = max(1, _CHUNK // config.batch_size) * config.batch_size
     for epoch in range(config.epochs):
         order = list(items)
         random.Random(stable_hash(config.seed, stage, epoch)).shuffle(order)
@@ -353,7 +386,9 @@ def _descend(policy: Policy, items: Sequence, loss: Callable[[list], LossReport]
         grads: dict[str, np.ndarray] = {}
         pending = 0
         for start in range(0, len(order), config.batch_size):
-            report = loss(order[start:start + config.batch_size])
+            if start % chunk == 0:
+                rows = _rows(order[start:start + chunk])
+            report = loss(order[start:start + config.batch_size], rows=rows)
             if not math.isfinite(report.loss):
                 raise RuntimeError(f"training diverged during {stage}: loss is not finite")
             for name, vec in report.gradient.items():
@@ -376,7 +411,7 @@ def _descend(policy: Policy, items: Sequence, loss: Callable[[list], LossReport]
 def train_bc(policy: Policy, steps: Sequence[LabeledStep], config: ExperimentConfig,
              metrics: list[dict]) -> None:
     desirable = [s for s in steps if s.label == DESIRABLE]
-    _descend(policy, desirable, lambda batch: bc_loss(policy, batch), config, metrics,
+    _descend(policy, desirable, partial(bc_loss, policy), config, metrics,
              "bc", (len(desirable), 0, 1.0, 0.0))
 
 
@@ -390,23 +425,23 @@ def train_kto(policy: Policy, dataset: Sequence[LabeledStep], config: Experiment
               metrics: list[dict]) -> None:
     reference = policy.clone()
     counts = _kto_weights(dataset)
-    _descend(policy, dataset, lambda batch: kto_loss(
-        policy, reference, batch, beta=config.beta, lambda_d=counts[2], lambda_u=counts[3]),
-        config, metrics, "kto", counts, accum=config.grad_accum)
+    _descend(policy, dataset, partial(kto_loss, policy, reference, beta=config.beta,
+                                      lambda_d=counts[2], lambda_u=counts[3]),
+             config, metrics, "kto", counts, accum=config.grad_accum)
 
 
 def train_dpo(policy: Policy, dataset: Sequence[LabeledStep], config: ExperimentConfig,
               metrics: list[dict]) -> None:
     reference = policy.clone()
     pairs = build_dpo_pairs(dataset)
-    _descend(policy, pairs, lambda batch: dpo_loss(policy, reference, batch, config.beta),
+    _descend(policy, pairs, partial(dpo_loss, policy, reference, beta=config.beta),
              config, metrics, "dpo", (len(pairs), len(pairs), 1.0, 1.0))
 
 
 def train_spag(policy: Policy, steps: Sequence[AdvantageStep], config: ExperimentConfig,
                metrics: list[dict]) -> None:
     reference = policy.clone()
-    _descend(policy, steps, lambda batch: spag_loss(policy, reference, batch, config.beta2),
+    _descend(policy, steps, partial(spag_loss, policy, reference, beta2=config.beta2),
              config, metrics, "spag", (len(steps), 0, 1.0, 0.0))
 
 
@@ -415,14 +450,14 @@ def train_joint(policy: Policy, dataset: Sequence[LabeledStep], config: Experime
     reference = policy.clone()
     counts = _kto_weights(dataset)
 
-    def loss(batch):
+    def loss(batch, rows):
         """KTO plus BC on the batch's desirable steps; z0 is KTO's."""
         report = kto_loss(policy, reference, batch, beta=config.beta,
-                          lambda_d=counts[2], lambda_u=counts[3])
+                          lambda_d=counts[2], lambda_u=counts[3], rows=rows)
         desirable = [s for s in batch if s.label == DESIRABLE]
         if not desirable:
             return report
-        bc = bc_loss(policy, desirable)
+        bc = bc_loss(policy, desirable, rows)
         for name, vec in bc.gradient.items():
             _accumulate(report.gradient, name, vec, 1.0)
         return LossReport(report.loss + bc.loss, report.gradient, z0=report.z0)

@@ -1,6 +1,7 @@
 """Feature encoders: the matrix encoder agrees with the per-action one, both
-reproduce checksums recorded from the per-action loop encoders, and each
-Stage III loss builds one feature matrix per step."""
+reproduce checksums recorded from the per-action loop encoders, many states
+encode as each state alone, and each Stage III loss encodes its batch in one
+call per game."""
 import hashlib
 import random
 
@@ -9,13 +10,13 @@ import pytest
 
 from scopal import features as features_module
 from scopal import games as games_module
-from scopal import policy as policy_module
 from scopal import refine
-from scopal.features import feature_dim, feature_matrix, features
-from scopal.games import GAME_NAMES, get_game
+from scopal.features import feature_dim, feature_matrices, feature_matrix, features
+from scopal.games import GAME_NAMES, Player, get_game
 from scopal.interaction import collect_trajectories
 from scopal.policy import new_policy
-from scopal.refine import build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss, spag_loss
+from scopal.refine import (bc_loss, build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss,
+                           spag_loss)
 from scopal.rewards import (accumulate_stats, collect_representatives, estimate_rewards,
                             label_steps)
 
@@ -67,6 +68,29 @@ def test_matrices_match_the_recorded_checksums(name):
     assert digest.hexdigest()[:16] == GOLDEN[name]
 
 
+def terminal_state(game, seed=0):
+    rng = random.Random(seed)
+    state = game.initial_state(rng.randrange(10**6))
+    while acts := game.legal_actions(state):
+        state = game.apply(state, acts[rng.randrange(len(acts))])
+    return state
+
+
+@pytest.mark.parametrize("name", sorted(games_module._FACTORIES))
+def test_many_states_encode_as_each_state_alone(name):
+    """One call over both seats' states, with a terminal state in the middle."""
+    game = get_game(name)
+    states = [state for _, state, _ in playout_states(name, playouts=2)]
+    states.insert(len(states) // 2, terminal_state(game))
+    assert {state.to_move for state in states} == set(Player)
+    acts_list = [game.legal_actions(state) for state in states]
+    matrices = feature_matrices(game, states, acts_list)
+    assert len(matrices) == len(states)
+    for state, acts, matrix in zip(states, acts_list, matrices):
+        assert matrix.shape == (len(acts), feature_dim(game))
+        assert matrix.tobytes() == feature_matrix(game, state, acts).tobytes()
+
+
 # Feature width of every registered game. Checkpoints store one block of this
 # width per game, so a changed width breaks every saved policy.
 WIDTHS = {
@@ -106,25 +130,31 @@ def board_steps():
 
 @pytest.fixture
 def matrix_calls(monkeypatch):
-    """Names of the games whose feature matrices are built while the test runs."""
+    """(game name, number of states) of each `feature_matrices` call while the test runs."""
     calls = []
 
-    def counting(game, state, acts):
-        calls.append(game.name)
-        return feature_matrix(game, state, acts)
+    def counting(game, states, acts_list):
+        calls.append((game.name, len(states)))
+        return feature_matrices(game, states, acts_list)
 
-    for module in (features_module, policy_module, refine):
-        if hasattr(module, "feature_matrix"):
-            monkeypatch.setattr(module, "feature_matrix", counting)
+    # feature_matrix, and so Policy.logits, reach it through the features module
+    for module in (features_module, refine):
+        monkeypatch.setattr(module, "feature_matrices", counting)
     return calls
 
 
-@pytest.mark.parametrize("loss", ["kto", "dpo", "spag"])
+@pytest.mark.parametrize("loss", ["bc", "kto", "dpo", "spag"])
 def test_each_loss_builds_one_matrix_per_step(board_steps, matrix_calls, loss):
+    """A loss call encodes its batch in one call per game, at most one state per step."""
     labeled, advantage = board_steps
     policy = new_policy(BOARDS)
     reference = policy.clone()
-    if loss == "kto":
+    if loss == "bc":
+        batch = [s for s in labeled if s.game == "connect4"][:4]
+        batch += [s for s in labeled if s.game == "breakthrough"][:4]
+        bc_loss(policy, batch)
+        steps = len(batch)
+    elif loss == "kto":
         batch = labeled[::len(labeled) // 8][:8]
         kto_loss(policy, reference, batch, beta=0.1)
         steps = len(batch)
@@ -139,5 +169,5 @@ def test_each_loss_builds_one_matrix_per_step(board_steps, matrix_calls, loss):
         batch = advantage[::len(advantage) // 8][:8]
         spag_loss(policy, reference, batch, beta2=0.2)
         steps = len(batch)
-    assert set(matrix_calls) == set(BOARDS)
-    assert len(matrix_calls) <= steps
+    assert sorted(name for name, _ in matrix_calls) == sorted(BOARDS)
+    assert sum(states for _, states in matrix_calls) <= steps

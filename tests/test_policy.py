@@ -215,6 +215,24 @@ def test_checkpoint_roundtrip_is_bit_identical(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_a_checkpoint_block_of_the_wrong_width_is_refused(tmp_path):
+    path = tmp_path / "policy.json"
+    Policy({"nim": np.zeros(10)}).save(path)
+    with pytest.raises(ValueError) as err:
+        Policy.load(path)
+    message = str(err.value)
+    assert str(path) in message and "'nim'" in message
+    assert f"width 10, not {feature_dim(get_game('nim'))}" in message
+
+
+def test_a_checkpoint_block_for_an_unknown_game_is_refused(tmp_path):
+    path = tmp_path / "policy.json"
+    Policy({"chess": np.zeros(10)}).save(path)
+    with pytest.raises(ValueError) as err:
+        Policy.load(path)
+    assert str(path) in str(err.value) and "'chess'" in str(err.value)
+
+
 @given(st.floats(min_value=0.05, max_value=5.0))
 @settings(max_examples=25, deadline=None)
 def test_distribution_valid_at_any_temperature(tau):

@@ -12,6 +12,7 @@ from scopal.config import ExperimentConfig
 from scopal.features import feature_dim
 from scopal.games import Outcome, Player, get_game
 from scopal.interaction import Step, Trajectory, collect_trajectories
+from scopal import refine
 from scopal.policy import new_policy
 from scopal.refine import (MODES, AdvantageStep, balance_by_game, balance_lambdas, bc_loss,
                            build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss,
@@ -437,6 +438,24 @@ def test_each_mode_runs_its_objectives_in_order(mode):
     assert [m["stage"] for m in metrics] == [o for o in MODES[mode] for _ in range(2)]
     assert trained.version == len(MODES[mode])
     assert not (trained.blocks["tictactoe"] == pol.blocks["tictactoe"]).all()
+
+
+BOARD_DATASET, BOARD_TRAJS = make_dataset(("connect4", "breakthrough", "nim"), episodes=6)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 200])
+@pytest.mark.parametrize("mode", MODES)
+def test_encoding_in_chunks_does_not_change_training(monkeypatch, mode, batch_size):
+    """Features built once per chunk of batches train as features built per batch."""
+    pol = new_policy(["connect4", "breakthrough", "nim"])
+    data = BOARD_TRAJS if mode == "spag" else BOARD_DATASET
+    cfg = ExperimentConfig(epochs=2, seed=5, mode=mode, batch_size=batch_size)
+    chunked, chunked_metrics = train_two_stage(pol, data, cfg)
+    monkeypatch.setattr(refine, "_CHUNK", 1)
+    alone, alone_metrics = train_two_stage(pol, data, cfg)
+    assert chunked_metrics == alone_metrics
+    for name, block in alone.blocks.items():
+        assert block.tobytes() == chunked.blocks[name].tobytes()
 
 
 def test_training_modes_produce_metrics_and_distinct_results():
