@@ -185,3 +185,64 @@ def test_random_act_deterministic():
     s = game.initial_state(0)
     agent = RandomAgent()
     assert agent.act(game, s, random.Random(77)) == agent.act(game, s, random.Random(77))
+
+
+# One mid-game state per game, as encode_state writes it, with the action and
+# root-child (visits, wins) in canonical order that mcts_act gave for it at
+# 400 simulations and rng_seed 29. Any change to the search's draws or scores
+# shows up here.
+GOLDEN_SEARCHES = {
+    "tictactoe": (
+        {"cells": [0, 0, 0, 1, 0, 0, 0, 1, 2], "to_move": "P2", "move_count": 3},
+        2, [(56, 24.0), (55, 23.0), (101, 60.0), (72, 36.0), (63, 29.0), (53, 21.5)]),
+    "connect4": (
+        {"p1": 17592464965632, "p2": 13194680598528, "to_move": "P1", "move_count": 8},
+        2, [(39, 16.0), (67, 41.0), (115, 87.0), (47, 23.0), (54, 29.0), (32, 11.0),
+            (46, 22.0)]),
+    "breakthrough": (
+        {"board": [1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 2, 2, 0, 2, 2, 2, 0],
+         "to_move": "P1", "move_count": 6},
+        (1, 4), [(50, 28.0), (75, 52.0), (42, 21.0), (48, 26.0), (43, 22.0), (50, 28.0),
+                 (45, 23.0), (47, 25.0)]),
+    "kuhn_poker": (
+        {"cards": [2, 1], "history": ["P"], "to_move": "P2", "move_count": 1},
+        "B", [(268, 161.0), (132, 62.0)]),
+    "liars_dice": (
+        {"dice": [5, 3], "bids": [[2, 2]], "challenged": False, "to_move": "P2",
+         "move_count": 1},
+        ("challenge",), [(33, 14.0), (26, 8.0), (21, 4.0), (15, 0.0), (305, 305.0)]),
+    "nim": (
+        {"piles": [1, 3, 5, 1], "to_move": "P2", "move_count": 1},
+        (2, 3), [(48, 26.0), (31, 11.0), (37, 16.0), (35, 15.0), (41, 20.0), (47, 25.0),
+                 (55, 32.0), (35, 15.0), (29, 10.0), (42, 21.0)]),
+    "breakthrough_6x6": (
+        {"board": [1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 2, 0, 0, 0,
+                   0, 0, 0, 1, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0],
+         "to_move": "P1", "move_count": 8},
+        (21, 28), [(22, 13.0), (20, 11.0), (20, 11.0), (13, 3.0), (14, 4.0), (17, 7.0),
+                   (18, 8.0), (13, 3.0), (18, 8.0), (25, 16.0), (21, 12.0), (17, 7.0),
+                   (17, 7.0), (19, 10.0), (19, 9.0), (20, 11.0), (24, 15.0), (13, 3.0),
+                   (17, 7.0), (26, 18.0), (27, 19.0)]),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SEARCHES)
+def test_search_is_pinned_to_its_recorded_statistics(monkeypatch, name):
+    """A speed-up of the search or of a rollout must keep every draw and score."""
+    import scopal.mcts as mcts_mod
+
+    encoded, action, child_stats = GOLDEN_SEARCHES[name]
+    game = get_game(name)
+    state = game.decode_state(encoded)
+    nodes = []
+
+    class Recording(mcts_mod.SearchNode):
+        def __init__(self):
+            super().__init__()
+            nodes.append(self)
+
+    monkeypatch.setattr(mcts_mod, "SearchNode", Recording)
+    assert mcts_act(game, state, MctsConfig(max_simulations=400, rng_seed=29)) == action
+    root = nodes[0]
+    assert [(root.children[a].visits, root.children[a].wins)
+            for a in game.legal_actions(state)] == child_stats
