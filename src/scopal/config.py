@@ -28,6 +28,7 @@ from typing import Mapping
 
 from .agents import is_learner_spec, parse_spec
 from .games import GAME_NAMES, get_game
+from .policy import Policy
 from .refine import MODES
 from .rewards import ACTORS, ESTIMATORS
 
@@ -137,11 +138,18 @@ class ExperimentConfig:
                               ("interact.opponent", self.opponent),
                               *(("eval.opponents", s) for s in self.eval_opponents)]:
             try:
-                parse_spec(spec)
+                kind, argument = parse_spec(spec)
+                if kind == "checkpoint":
+                    blocks = Policy.load(argument).blocks
             except ValueError as err:
                 raise ConfigError(f"{setting}: {err}") from err
             if setting == "eval.opponents" and is_learner_spec(spec):
                 raise ConfigError(f"eval.opponents: {spec!r} is the policy under training")
+            if kind == "checkpoint":
+                missing = [name for name in self.games if name not in blocks]
+                if missing:
+                    raise ConfigError(f"{setting}: {argument} has no parameters for game "
+                                      f"{missing[0]!r}")
         for section, keys in SCHEMA.items():
             for key, (attr, parse) in keys.items():
                 if parse is float and not math.isfinite(getattr(self, attr)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import Any, Hashable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Mapping, Optional
 
 
 class Player(Enum):
@@ -140,8 +140,9 @@ class Game(ABC):
 
         Each ply draws ``rng.randrange(len(legal_actions(s)))`` once and plays
         that action in canonical order. Subclasses override this with faster
-        loops that make exactly the same ``rng`` draws, so an override ends in
-        the same outcome, and leaves ``rng`` in the same state, as this loop.
+        loops that draw each index through ``draw_below(rng.getrandbits, n)``,
+        so an override ends in the same outcome, and leaves ``rng`` in the
+        same state, as this loop.
         """
         s = state
         out = self.outcome(s)
@@ -150,6 +151,21 @@ class Game(ABC):
             s = self.apply(s, acts[rng.randrange(len(acts))])
             out = self.outcome(s)
         return out
+
+
+def draw_below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, given ``rng.getrandbits``.
+
+    CPython's ``Random.randrange(n)`` draws ``getrandbits(n.bit_length())``
+    until the value is below n; this makes the same calls, so it returns the
+    same value and leaves the rng in the same state, in one Python frame
+    instead of three.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _tuples(value: Any) -> Any:

@@ -15,6 +15,8 @@ moves to ``i + cols - 1``, ``i + cols`` or ``i + cols + 1`` for P1 (left
 diagonal, straight, right diagonal: a shift up by ``cols``, give or take one)
 and to ``i - cols - 1``, ``i - cols`` or ``i - cols + 1`` for P2 (a shift down).
 A diagonal's "from" mask drops the edge column its shift would wrap across.
+UCT rollouts draw an index k and reach the k-th legal move by walking the
+from-squares upward without building a move list.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, win_for
+from .base import Game, Outcome, Player, IllegalActionError, draw_below, win_for
 
 _OWN = {Player.P1: 1, Player.P2: 2}
 _SEATS = (Player.P1, Player.P2)
@@ -55,8 +57,6 @@ class Breakthrough(Game):
         self._not_last_col = self._full ^ (first_col << (cols - 1))
         self._goal = (self._full ^ ((1 << (n - cols)) - 1), (1 << cols) - 1)  # per seat
         self._steps = ((cols - 1, cols, cols + 1), (-cols - 1, -cols, -cols + 1))
-        # the squares below i, in each of random_playout's three stacked n-bit masks
-        self._prefix = tuple(((1 << i) - 1) * (1 | 1 << n | 1 << 2 * n) for i in range(n + 1))
 
     def initial_state(self, chance_seed: int) -> BtState:
         home = 2 * self.cols
@@ -162,28 +162,34 @@ class Breakthrough(Game):
         winner, mine, theirs, seat = self._position(state)
         if winner is not None:
             return win_for(winner)
-        n = self.cols * self.rows
-        prefix, randrange = self._prefix, rng.randrange
+        getrandbits, goal, steps = rng.getrandbits, self._goal, self._steps
         while True:
-            masks = self._from_masks(mine, theirs, seat)
-            moves = masks[0] | masks[1] << n | masks[2] << 2 * n
-            k = randrange(moves.bit_count())
-            # the k-th canonical move leaves frm: before = count(prefix[frm]) <= k
-            frm, hi, before = 0, n, 0
-            while hi - frm > 1:
-                mid = (frm + hi) >> 1
-                count = (moves & prefix[mid]).bit_count()
-                if count <= k:
-                    frm, before = mid, count
-                else:
-                    hi = mid
-            for mask, step in zip(masks, self._steps[seat]):
-                if mask >> frm & 1:
-                    if k == before:
+            left, straight, right = self._from_masks(mine, theirs, seat)
+            k = draw_below(getrandbits, left.bit_count() + straight.bit_count() + right.bit_count())
+            # walk the canonical order to the k-th move: from-squares upward,
+            # each square's moves in step order
+            pending = left | straight | right
+            while True:
+                low = pending & -pending
+                if left & low:
+                    if not k:
+                        step = steps[seat][0]
                         break
-                    before += 1
+                    k -= 1
+                if straight & low:
+                    if not k:
+                        step = steps[seat][1]
+                        break
+                    k -= 1
+                if right & low:
+                    if not k:
+                        step = steps[seat][2]
+                        break
+                    k -= 1
+                pending ^= low
+            frm = low.bit_length() - 1
             to = frm + step
             mine, theirs = mine ^ (1 << frm | 1 << to), theirs & ~(1 << to)
-            if mine & self._goal[seat] or not theirs:  # only the mover can have won
+            if mine & goal[seat] or not theirs:  # only the mover can have won
                 return win_for(_SEATS[seat])
             mine, theirs, seat = theirs, mine, seat ^ 1

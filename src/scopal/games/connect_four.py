@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, tie_outcome, win_for
+from .base import Game, Outcome, Player, IllegalActionError, draw_below, tie_outcome, win_for
 
 COLS = 7
 ROWS = 6
@@ -99,9 +99,9 @@ class ConnectFour(Game):
         heights = [self._height(state, c) for c in range(COLS)]
         legal = [c for c in range(COLS) if heights[c] < ROWS]
         tm = 0 if state.to_move is Player.P1 else 1
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         while legal:
-            c = legal[randrange(len(legal))]
+            c = legal[draw_below(getrandbits, len(legal))]
             bbs[tm] |= 1 << (c * 7 + heights[c])
             heights[c] += 1
             if heights[c] == ROWS:

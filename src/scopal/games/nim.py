@@ -4,10 +4,11 @@ Moves are written ``<pile:x, take:y>`` with 1-based pile numbers.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, win_for
+from .base import Game, Outcome, Player, IllegalActionError, draw_below, win_for
 
 INITIAL_PILES = (1, 3, 5, 7)
 
@@ -63,3 +64,22 @@ class Nim(Game):
         inner = text.strip("<>")
         pile_part, take_part = inner.split(",")
         return int(pile_part.split(":")[1]) - 1, int(take_part.split(":")[1])
+
+    def random_playout(self, state: NimState, rng: random.Random) -> dict[Player, Outcome]:
+        # the k-th legal action takes k' + 1 from pile p, where k' is k less the
+        # matches in the piles before p; there is one action per match left
+        piles = list(state.piles)
+        left = sum(piles)
+        flip = False  # whether the player to move is now the other one
+        getrandbits = rng.getrandbits
+        while left:
+            k = draw_below(getrandbits, left)
+            p = 0
+            while k >= piles[p]:
+                k -= piles[p]
+                p += 1
+            piles[p] -= k + 1
+            left -= k + 1
+            flip = not flip
+        # misere: whoever is to move when no match is left wins
+        return win_for(state.to_move.other if flip else state.to_move)

@@ -5,7 +5,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, tie_outcome, win_for
+from .base import Game, Outcome, Player, IllegalActionError, draw_below, tie_outcome, win_for
 
 LINES = (
     (0, 1, 2), (3, 4, 5), (6, 7, 8),
@@ -79,8 +79,9 @@ class TicTacToe(Game):
         cells = list(state.cells)
         empty = [i for i in range(9) if cells[i] == 0]
         mark = _MARK[state.to_move]
+        getrandbits = rng.getrandbits
         while empty:
-            i = empty.pop(rng.randrange(len(empty)))
+            i = empty.pop(draw_below(getrandbits, len(empty)))
             cells[i] = mark
             for a, b, c in LINES:
                 if cells[a] == cells[b] == cells[c] == mark:

@@ -4,7 +4,8 @@ One search = ``max_simulations`` iterations of select / expand / one random
 rollout / backpropagate, with UCT exploration constant c = 2. Node
 statistics are credited to the player who chooses the node (the mover at its
 parent), so UCT selection maximizes each mover's own win estimate; the root
-is credited to the searching player.
+is credited to the searching player. Selection takes ln N of the parent's
+visits once per node and scores every child with it.
 
 Hidden-information games are handled by determinizing once per simulation:
 the opponent's private card/die is resampled consistently with the searching
@@ -18,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .games import SCORE, Game
+from .games import SCORE, Game, Player
 
 EXPLORATION_C = 2.0
 
@@ -45,9 +46,9 @@ class SearchNode:
         self.state = None  # the state after the node's action, set on expansion
 
 
-def uct_score(node: SearchNode, parent_visits: int, c: float) -> float:
-    """w/n + c*sqrt(ln N / n); callers treat unvisited nodes as +inf."""
-    return node.wins / node.visits + c * math.sqrt(math.log(parent_visits) / node.visits)
+def uct_score(node: SearchNode, log_parent_visits: float, c: float) -> float:
+    """w/n + c*sqrt(ln N / n), given ln N; callers treat unvisited nodes as +inf."""
+    return node.wins / node.visits + c * math.sqrt(log_parent_visits / node.visits)
 
 
 def mcts_act(game: Game, state, config: MctsConfig):
@@ -64,6 +65,7 @@ def mcts_act(game: Game, state, config: MctsConfig):
     if not root.actions:
         raise ValueError("mcts_act: state is terminal")
 
+    p1, p2 = Player.P1, Player.P2
     for _ in range(config.max_simulations):
         s = game.determinize(state, root_player, rng)
         node = root
@@ -89,19 +91,20 @@ def mcts_act(game: Game, state, config: MctsConfig):
             # select: all children visited at least once
             best_action = None
             best_score = -math.inf
-            parent_visits = node.visits
+            log_visits = math.log(node.visits)
+            children = node.children
             for action in node.actions:
-                child = node.children[action]
-                score = uct_score(child, parent_visits, EXPLORATION_C)
+                score = uct_score(children[action], log_visits, EXPLORATION_C)
                 if score > best_score:
                     best_score = score
                     best_action = action
-            node = node.children[best_action]
+            node = children[best_action]
             s = node.state if perfect else game.apply(s, best_action)
             path.append((node, mover))
+        p1_score, p2_score = SCORE[outcomes[p1]], SCORE[outcomes[p2]]
         for nd, player in path:
             nd.visits += 1
-            nd.wins += SCORE[outcomes[player]]
+            nd.wins += p1_score if player is p1 else p2_score
 
     best_action = None
     best_visits = -1

@@ -1,11 +1,13 @@
 """Config loading: file < environment < flag precedence, the strict schema,
 and the rejections made at load time, before any stage runs."""
+import re
 from dataclasses import fields
 
 import pytest
 
 from scopal.cli import main
 from scopal.config import SCHEMA, ConfigError, ExperimentConfig, load_config
+from scopal.games import GAME_NAMES
 from scopal.policy import new_policy
 
 
@@ -100,7 +102,7 @@ def test_every_setting_is_read_from_file_and_environment(config_file, section, k
 
 def test_agent_specs_that_parse_are_accepted(tmp_path):
     checkpoint = tmp_path / "ckpt.json"
-    new_policy(["nim"]).save(checkpoint)
+    new_policy(GAME_NAMES).save(checkpoint)
     config = load_config(None, env={
         "SCOPAL_INTERACT_OPPONENT": f"policy:{checkpoint}",
         "SCOPAL_EVAL_OPPONENTS": f"random,mcts:1,policy:{checkpoint}"})
@@ -145,4 +147,24 @@ def test_bad_settings_are_rejected_when_they_load(tmp_path, monkeypatch, capsys,
     out = tmp_path / "runs"
     assert main(["--out", str(out), "pipeline"]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variable, setting", [("SCOPAL_INTERACT_AGENT", "interact.agent"),
+                                               ("SCOPAL_INTERACT_OPPONENT", "interact.opponent"),
+                                               ("SCOPAL_EVAL_OPPONENTS", "eval.opponents")])
+def test_a_checkpoint_without_a_run_game_is_rejected_when_it_loads(tmp_path, monkeypatch, capsys,
+                                                                   variable, setting):
+    checkpoint = tmp_path / "nim.json"
+    new_policy(["nim"]).save(checkpoint)
+    env = {"SCOPAL_RUN_GAMES": "nim,tictactoe", variable: f"policy:{checkpoint}"}
+    message = f"{setting}: {checkpoint} has no parameters for game 'tictactoe'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(None, env=env)
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "runs"
+    assert main(["--out", str(out), "interact"]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from scopal.games import (GAME_NAMES, Game, IllegalActionError, Outcome, Player,
                           UnknownGameError, get_game, split_key)
+from scopal.games.base import draw_below
 
 ALL_GAMES = [get_game(n) for n in GAME_NAMES]
 
@@ -394,6 +395,17 @@ def test_terminal_iff_no_legal_actions(name):
     for _ in range(300):
         s = random_state(game, rng)
         assert (game.outcome(s) is not None) == (len(game.legal_actions(s)) == 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_draw_below_draws_as_randrange_does(seed):
+    """The specialized playouts rely on this: the same value and the same rng
+    state afterwards as ``Random.randrange(n)``, for every n tried."""
+    ours, reference = random.Random(seed), random.Random(seed)
+    for n in range(1, 301):
+        for _ in range(3):
+            assert draw_below(ours.getrandbits, n) == reference.randrange(n)
+            assert ours.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("name", [*GAME_NAMES, *BREAKTHROUGHS[1:]])

@@ -19,19 +19,19 @@ def make_node(wins, visits):
 
 
 def test_uct_score_formula():
-    got = uct_score(make_node(3, 4), parent_visits=16, c=2.0)
+    got = uct_score(make_node(3, 4), log_parent_visits=math.log(16), c=2.0)
     expected = 0.75 + 2.0 * math.sqrt(math.log(16) / 4)
     assert got == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(2.4152, abs=5e-4)
 
 
 def test_uct_score_zero_exploration():
-    assert uct_score(make_node(0, 1), parent_visits=1, c=0.0) == 0.0
+    assert uct_score(make_node(0, 1), log_parent_visits=math.log(1), c=0.0) == 0.0
 
 
 def test_uct_prefers_less_visited_sibling_at_equal_mean():
-    a = uct_score(make_node(2, 4), parent_visits=20, c=2.0)
-    b = uct_score(make_node(4, 8), parent_visits=20, c=2.0)
+    a = uct_score(make_node(2, 4), log_parent_visits=math.log(20), c=2.0)
+    b = uct_score(make_node(4, 8), log_parent_visits=math.log(20), c=2.0)
     assert a > b
 
 
