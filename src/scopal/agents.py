@@ -22,6 +22,14 @@ class Agent:
     def act(self, game: Game, state, rng: random.Random):
         raise NotImplementedError
 
+    def act_many(self, game: Game, states, rngs) -> list:
+        """One action per (state, rng) pair, each as `act` picks it: by default, one `act` each."""
+        return [self.act(game, state, rng) for state, rng in zip(states, rngs)]
+
+    def group(self):
+        """Agents of one group share each `act_many` call; by default each is alone."""
+        return id(self)
+
 
 class RandomAgent(Agent):
     def __init__(self, label: str = "random"):
@@ -49,6 +57,12 @@ class PolicyAgent(Agent):
 
     def act(self, game, state, rng):
         return self.policy.sample_action(game, state, self.temperature, rng)
+
+    def act_many(self, game, states, rngs):
+        return self.policy.sample_actions(game, states, self.temperature, rngs)
+
+    def group(self):
+        return id(self.policy), self.temperature  # in self-play, both seats
 
 
 def parse_spec(spec: str) -> tuple[str, int | str | None]:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .agents import PolicyAgent, make_agent, parse_spec
 from .atomic import atomic_open
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_agent_spec, load_config
 from .csvfile import write_csv
 from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS,
                          average_win_rate, head_to_head, interaction_win_rate,
@@ -250,6 +250,9 @@ def main(argv=None) -> int:
                               f"not in {args.command}")
         if args.command == "regret" and not any(g in SOLVABLE for g in config.games):
             raise ConfigError(f"regret needs at least one of {SOLVABLE} in run.games")
+        for spec in (args.agents if args.command == "head2head" else ()):
+            if spec != "base":
+                check_agent_spec("--agents", spec, config.games)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

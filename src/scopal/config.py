@@ -60,6 +60,20 @@ def _setting(section: str, default, key: str | None = None):
     return field(default=default, metadata={"section": section, "key": key})
 
 
+def check_agent_spec(setting: str, spec: str, games) -> None:
+    """Refuse a spec that does not parse, or a checkpoint that lacks one of `games`."""
+    try:
+        kind, argument = parse_spec(spec)
+        if kind != "checkpoint":
+            return
+        blocks = Policy.load(argument).blocks
+    except ValueError as err:
+        raise ConfigError(f"{setting}: {err}") from err
+    missing = [name for name in games if name not in blocks]
+    if missing:
+        raise ConfigError(f"{setting}: {argument} has no parameters for game {missing[0]!r}")
+
+
 # settings that do not affect results are excluded from the run identity
 _UNHASHED = {"seed", "jobs", "out"}
 
@@ -137,19 +151,9 @@ class ExperimentConfig:
         for setting, spec in [("interact.agent", self.agent),
                               ("interact.opponent", self.opponent),
                               *(("eval.opponents", s) for s in self.eval_opponents)]:
-            try:
-                kind, argument = parse_spec(spec)
-                if kind == "checkpoint":
-                    blocks = Policy.load(argument).blocks
-            except ValueError as err:
-                raise ConfigError(f"{setting}: {err}") from err
+            check_agent_spec(setting, spec, self.games)
             if setting == "eval.opponents" and is_learner_spec(spec):
                 raise ConfigError(f"eval.opponents: {spec!r} is the policy under training")
-            if kind == "checkpoint":
-                missing = [name for name in self.games if name not in blocks]
-                if missing:
-                    raise ConfigError(f"{setting}: {argument} has no parameters for game "
-                                      f"{missing[0]!r}")
         for section, keys in SCHEMA.items():
             for key, (attr, parse) in keys.items():
                 if parse is float and not math.isfinite(getattr(self, attr)):

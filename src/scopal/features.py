@@ -5,11 +5,12 @@ from the mover's perspective, plus a few line/threat counts; Nim adds
 nim-sum indicators of the resulting piles; the two hidden-information games
 are small enough for exact one-hot tabular features.
 
-``_ENCODERS`` gives each game class its encoder and whether that is batched:
-a batched encoder (Connect Four, Breakthrough) stacks the rows of many states
-in one matrix, paying its fixed NumPy cost once per call, not once per state;
-the others give one row per call. A game's feature width is written nowhere:
-it is the width of its initial state's matrix, computed once per game.
+Every encoder is batched: ``_ENCODERS`` gives each game class one encoder
+``(game, states, acts_list)`` that stacks the rows of many states in one
+matrix, paying its fixed NumPy cost once per call, not once per state.
+``features`` and ``feature_dim`` are its one-state cases. A game's feature
+width is written nowhere: it is the width of its initial state's matrix,
+computed once per game.
 
 Feature vectors depend only on the mover's observation and the action, never
 on hidden opponent information.
@@ -27,6 +28,8 @@ from .games.liars_dice import ALL_BIDS, CHALLENGE, FACES
 from .games.tictactoe import LINES
 
 _KUHN_HIST = {(): 0, ("P",): 1, ("B",): 2, ("P", "B"): 3}
+# (9, 8) incidence of the board cells in the eight lines
+_TTT_LINES = (np.arange(9)[:, None, None] == np.array(LINES)).any(axis=2).astype(np.intp)
 
 
 def _c4_windows() -> np.ndarray:
@@ -50,21 +53,15 @@ _C4_CELL_BITS = np.array([c * 7 + r for r in range(C4_ROWS) for c in range(C4_CO
 @functools.cache
 def feature_dim(game: Game) -> int:
     """Width of `game`'s feature vectors: that of its initial state's matrix."""
-    encode, batched = _ENCODERS[type(game)]
     state = game.initial_state(0)
-    acts = game.legal_actions(state)
-    return (encode(game, (state,), (acts,)) if batched else encode(game, state, acts[0])).shape[-1]
+    return _ENCODERS[type(game)](game, (state,), (game.legal_actions(state),)).shape[1]
 
 
 def feature_matrices(game: Game, states, acts_list) -> list[np.ndarray]:
     """One (len(acts), d) matrix per state, row i being ``features(game, state, acts[i])``."""
-    encode, batched = _ENCODERS[type(game)]
-    if batched:
-        stacked = encode(game, states, acts_list)
-        ends = itertools.accumulate(len(acts) for acts in acts_list)
-        return [stacked[end - len(acts):end] for acts, end in zip(acts_list, ends)]
-    return [np.array([features(game, state, a) for a in acts]) if acts
-            else np.zeros((0, feature_dim(game))) for state, acts in zip(states, acts_list)]
+    stacked = _ENCODERS[type(game)](game, states, acts_list)
+    ends = itertools.accumulate(len(acts) for acts in acts_list)
+    return [stacked[end - len(acts):end] for acts, end in zip(acts_list, ends)]
 
 
 def feature_matrix(game: Game, state, acts) -> np.ndarray:
@@ -73,33 +70,22 @@ def feature_matrix(game: Game, state, acts) -> np.ndarray:
 
 
 def features(game: Game, state, action) -> np.ndarray:
-    encode, batched = _ENCODERS[type(game)]
-    return encode(game, (state,), ((action,),))[0] if batched else encode(game, state, action)
+    return _ENCODERS[type(game)](game, (state,), ((action,),))[0]
 
 
-def _ttt(game, state, action) -> np.ndarray:
-    rel = list(game.observation(state, state.to_move)[2])
-    rel[action] = 1  # the candidate move, mover-relative
-    x = np.zeros(22)
-    for i, v in enumerate(rel):
-        if v == 1:
-            x[i] = 1.0
-        elif v == 2:
-            x[9 + i] = 1.0
-    wins = twos = threats = 0
-    for a, b, c in LINES:
-        m = (rel[a] == 1) + (rel[b] == 1) + (rel[c] == 1)
-        o = (rel[a] == 2) + (rel[b] == 2) + (rel[c] == 2)
-        if m == 3:
-            wins += 1
-        elif m == 2 and o == 0:
-            twos += 1
-        elif o == 2 and m == 0:
-            threats += 1
-    x[18] = float(wins)
-    x[19] = float(twos)
-    x[20] = float(threats)
-    x[21] = 1.0
+def _ttt(game, states, acts_list) -> np.ndarray:
+    boards = np.array([game.observation(s, s.to_move)[2] for s in states], dtype=np.intp)
+    owner, cells = _stack(states, acts_list)
+    after = boards[owner]
+    after[np.arange(len(cells)), cells] = 1  # the candidate move, mover-relative
+    mine, theirs = after == 1, after == 2
+    m, o = mine @ _TTT_LINES, theirs @ _TTT_LINES
+    x = np.zeros((len(cells), 22))
+    x[:, :18] = np.hstack([mine, theirs])
+    x[:, 18] = (m == 3).sum(axis=1)                # wins
+    x[:, 19] = ((m == 2) & (o == 0)).sum(axis=1)   # twos
+    x[:, 20] = ((o == 2) & (m == 0)).sum(axis=1)   # threats
+    x[:, 21] = 1.0
     return x
 
 
@@ -168,50 +154,50 @@ def _breakthrough(game: Breakthrough, states, acts_list) -> np.ndarray:
     return x
 
 
-def _nim(game, state, action) -> np.ndarray:
-    piles = list(game.observation(state, state.to_move)[2])
-    pile, take = action
-    piles[pile] -= take
-    x = np.zeros(24)
-    offset = 0
-    for i, count in enumerate(piles):
-        x[offset + count] = 1.0
-        offset += 2 + 2 * i  # pile capacities 1, 3, 5, 7
-    nimsum = 0
-    for count in piles:
-        nimsum ^= count
-    all_small = all(count <= 1 for count in piles)
-    ones = sum(1 for count in piles if count == 1)
-    x[20] = 1.0 if (not all_small and nimsum == 0) else 0.0
-    x[21] = 1.0 if (all_small and ones % 2 == 1) else 0.0
-    x[22] = 1.0 if all_small else 0.0
-    x[23] = 1.0
+def _nim(game, states, acts_list) -> np.ndarray:
+    piles = np.array([game.observation(s, s.to_move)[2] for s in states], dtype=np.intp)
+    owner, moves = _stack(states, acts_list)
+    moves = moves.reshape(-1, 2)
+    at = np.arange(len(moves))
+    after = piles[owner]
+    after[at, moves[:, 0]] -= moves[:, 1]
+    x = np.zeros((len(moves), 24))
+    x[at[:, None], after + (0, 2, 6, 12)] = 1.0  # pile capacities 1, 3, 5, 7
+    nimsum = np.bitwise_xor.reduce(after, axis=1)
+    all_small = (after <= 1).all(axis=1)
+    x[:, 20] = ~all_small & (nimsum == 0)
+    x[:, 21] = all_small & ((after == 1).sum(axis=1) % 2 == 1)
+    x[:, 22] = all_small
+    x[:, 23] = 1.0
     return x
 
 
-def _kuhn(game, state, action) -> np.ndarray:
+def _one_hot(width: int, index, game, states, acts_list) -> np.ndarray:
+    """Tabular rows: each is one-hot at ``index(game, state, action)``."""
+    hot = np.array([index(game, state, action) for state, acts in zip(states, acts_list)
+                    for action in acts], dtype=np.intp)
+    x = np.zeros((len(hot), width))
+    x[np.arange(len(hot)), hot] = 1.0
+    return x
+
+
+def _kuhn(game, state, action) -> int:
     own, hist = game.observation(state, state.to_move)[2]
-    x = np.zeros(24)
-    idx = (own * 4 + _KUHN_HIST[hist]) * 2 + (0 if action == "B" else 1)
-    x[idx] = 1.0
-    return x
+    return (own * 4 + _KUHN_HIST[hist]) * 2 + (0 if action == "B" else 1)
 
 
-def _liars_dice(game, state, action) -> np.ndarray:
+def _liars_dice(game, state, action) -> int:
     own, bids, _ = game.observation(state, state.to_move)[2]
     last = 0 if not bids else 1 + ALL_BIDS.index(bids[-1])
     act = 12 if action == CHALLENGE else ALL_BIDS.index(action)
-    x = np.zeros(FACES * 13 * 13)
-    x[((own - 1) * 13 + last) * 13 + act] = 1.0
-    return x
+    return ((own - 1) * 13 + last) * 13 + act
 
 
-# game class -> (encoder, whether it encodes every legal action in one call)
 _ENCODERS = {
-    TicTacToe: (_ttt, False),
-    ConnectFour: (_c4, True),
-    Breakthrough: (_breakthrough, True),
-    Nim: (_nim, False),
-    KuhnPoker: (_kuhn, False),
-    LiarsDice: (_liars_dice, False),
+    TicTacToe: _ttt,
+    ConnectFour: _c4,
+    Breakthrough: _breakthrough,
+    Nim: _nim,
+    KuhnPoker: functools.partial(_one_hot, 24, _kuhn),
+    LiarsDice: functools.partial(_one_hot, FACES * 13 * 13, _liars_dice),
 }

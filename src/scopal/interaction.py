@@ -1,10 +1,12 @@
 """Stage I: run episodes between two agents, alternate seats, record trajectories.
 
-``play_episodes`` is the one episode loop and the one seat and seed rule:
-agent1 sits first on even episodes, and episode i draws its chance and
-sampling seeds from ``stable_hash(master_seed, game, i, ...)``, or from the
-seat-pair index ``i // 2`` when paired. Self-play interaction plays unpaired
-episodes; matches and regret play paired ones (see ``evaluation``).
+``play_lockstep`` is the one episode loop: each ply asks each agent once for
+the moves of all the live episodes where it is to move. ``run_episode`` is
+its one-episode case. ``play_episodes`` is the one seat and seed rule: agent1
+sits first on even episodes, and episode i draws its chance and sampling
+seeds from ``stable_hash(master_seed, game, i, ...)``, or from the seat-pair
+index ``i // 2`` when paired. Self-play interaction plays unpaired episodes;
+matches and regret play paired ones (see ``evaluation``).
 ``learner_seats`` is the one rule for which seats the policy under training
 held: it reads the seat labels the store records.
 
@@ -67,29 +69,46 @@ class Trajectory:
 def run_episode(game: Game, agent_p1: Agent, agent_p2: Agent, *, episode: int = 0,
                 chance_seed: int = 0, sampling_seed: int = 0,
                 move_bound: int = DEFAULT_MOVE_BOUND) -> Trajectory:
-    """Play one episode to termination (or the safety move bound -> tie)."""
-    agents = {Player.P1: agent_p1, Player.P2: agent_p2}
-    rngs = {p: random.Random(stable_hash(sampling_seed, p.value)) for p in Player}
-    state = game.initial_state(chance_seed)
-    steps: list[Step] = []
+    """Play one episode to termination (or the safety move bound -> tie): the
+    one-episode case of `play_lockstep`."""
+    return play_lockstep(game, [(episode, agent_p1, agent_p2, chance_seed, sampling_seed)],
+                         move_bound)[0]
+
+
+def play_lockstep(game: Game, seatings: Sequence[tuple[int, Agent, Agent, int, int]],
+                  move_bound: int = DEFAULT_MOVE_BOUND) -> list[Trajectory]:
+    """Play each seating (episode, P1 agent, P2 agent, chance seed, sampling seed)
+    to its end in lockstep: each ply makes one ``act_many`` call per agent group
+    (``Agent.group``). Each episode keeps its own per-seat rngs, steps, move
+    bound and terminal check, so it plays exactly as it would alone."""
     bound = min(move_bound, game.max_moves)
-    outcome = game.outcome(state)
-    while outcome is None and state.move_count < bound:
-        actor = state.to_move
-        action = agents[actor].act(game, state, rngs[actor])
-        key = game.canonical_key(state, action)
-        try:
-            next_state = game.apply(state, action)
-        except IllegalActionError as err:
-            raise IllegalActionError(
-                f"agent {agents[actor].label!r} returned an illegal action: {err}") from err
-        steps.append(Step(key, actor, game.action_text(action), state.move_count))
-        state = next_state
-        outcome = game.outcome(state)
-    if outcome is None:
-        outcome = tie_outcome()
-    return Trajectory(game.name, episode, steps, dict(outcome),
-                      {p: agents[p].label for p in Player}, chance_seed, sampling_seed)
+    agents = [{Player.P1: p1, Player.P2: p2} for _, p1, p2, _, _ in seatings]
+    rngs = [{p: random.Random(stable_hash(seed, p.value)) for p in Player} for *_, seed in seatings]
+    states = [game.initial_state(chance_seed) for _, _, _, chance_seed, _ in seatings]
+    steps: list[list[Step]] = [[] for _ in seatings]
+    outcomes = [game.outcome(state) for state in states]
+    live = range(len(seatings))
+    while live := [i for i in live if outcomes[i] is None and states[i].move_count < bound]:
+        groups: dict = {}
+        for i in live:
+            agent = agents[i][states[i].to_move]
+            groups.setdefault(agent.group(), (agent, []))[1].append(i)
+        for agent, members in groups.values():
+            actions = agent.act_many(game, [states[i] for i in members],
+                                     [rngs[i][states[i].to_move] for i in members])
+            for i, action in zip(members, actions):
+                state, actor = states[i], states[i].to_move
+                key = game.canonical_key(state, action)
+                try:
+                    states[i] = game.apply(state, action)
+                except IllegalActionError as err:
+                    raise IllegalActionError(f"agent {agents[i][actor].label!r} returned an "
+                                             f"illegal action: {err}") from err
+                steps[i].append(Step(key, actor, game.action_text(action), state.move_count))
+                outcomes[i] = game.outcome(states[i])
+    return [Trajectory(game.name, episode, steps[i], dict(outcomes[i] or tie_outcome()),
+                       {p: agents[i][p].label for p in Player}, chance_seed, sampling_seed)
+            for i, (episode, _, _, chance_seed, sampling_seed) in enumerate(seatings)]
 
 
 def episode_seeds(master_seed: int, game_name: str, episode: int) -> tuple[int, int]:
@@ -107,15 +126,12 @@ def play_episodes(game_name: str, agent1: Agent, agent2: Agent, episodes: Iterab
     the seat pair i // 2, so episodes 2k and 2k + 1 replay one deal and the
     same per-seat sampling streams with the agents in opposite seats.
     """
-    game = get_game(game_name)
-    out = []
+    seatings = []
     for i in episodes:
-        chance_seed, sampling_seed = episode_seeds(master_seed, game_name,
-                                                   i // 2 if paired else i)
         first, second = (agent1, agent2) if agent1_seat(i) is Player.P1 else (agent2, agent1)
-        out.append(run_episode(game, first, second, episode=i, chance_seed=chance_seed,
-                               sampling_seed=sampling_seed, move_bound=move_bound))
-    return out
+        seatings.append((i, first, second,
+                         *episode_seeds(master_seed, game_name, i // 2 if paired else i)))
+    return play_lockstep(get_game(game_name), seatings, move_bound)
 
 
 def agent1_seat(episode: int) -> Player:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .features import feature_dim, feature_matrix
+from .features import feature_dim, feature_matrices, feature_matrix
 from .games import Game, UnknownGameError, get_game
 
 CHECKPOINT_FORMAT = "scopal-policy-v1"
@@ -47,12 +47,20 @@ class Policy:
 
     def action_distribution(self, game: Game, state, temperature: float) -> tuple[tuple, np.ndarray]:
         """Probabilities over legal actions; requires a non-terminal state."""
+        return self.action_distributions(game, (state,), temperature)[0]
+
+    def action_distributions(self, game: Game, states, temperature: float) -> list[tuple]:
+        """`action_distribution` of each state, all encoded in one `feature_matrices` call."""
         if temperature <= 0:
             raise ValueError("temperature must be positive")
-        acts, z, _ = self.logits(game, state)
-        if not acts:
-            raise ValueError("action_distribution: state is terminal")
-        return acts, _softmax(z / temperature)
+        acts_list = [game.legal_actions(state) for state in states]
+        block = self.block(game)
+        out = []
+        for acts, feats in zip(acts_list, feature_matrices(game, states, acts_list)):
+            if not acts:
+                raise ValueError("action_distribution: state is terminal")
+            out.append((acts, _softmax((feats @ block) / temperature)))
+        return out
 
     def log_prob_and_grad(self, game: Game, state, action,
                           temperature: float = 1.0) -> tuple[float, np.ndarray]:
@@ -69,14 +77,22 @@ class Policy:
         return float(log_softmax(z / temperature)[action_index(game, acts, action)])
 
     def sample_action(self, game: Game, state, temperature: float, rng: random.Random):
-        acts, probs = self.action_distribution(game, state, temperature)
-        r = rng.random()
-        acc = 0.0
-        for a, p in zip(acts, probs):
-            acc += p
-            if r < acc:
-                return a
-        return acts[-1]
+        """The one-state case of `sample_actions`."""
+        return self.sample_actions(game, (state,), temperature, (rng,))[0]
+
+    def sample_actions(self, game: Game, states, temperature: float, rngs) -> list:
+        """One action per (state, rng) pair: the first whose cumulative probability
+        exceeds one ``rng.random()``, so each pick is that state's pick alone."""
+        picks = []
+        for (acts, probs), rng in zip(self.action_distributions(game, states, temperature), rngs):
+            r = rng.random()
+            acc = 0.0
+            for a, p in zip(acts, probs):
+                acc += p
+                if r < acc:
+                    break
+            picks.append(a)  # the last action if rounding leaves r above the total
+        return picks
 
     # -- persistence ------------------------------------------------------
 

@@ -7,6 +7,7 @@ chosen move, scaled from the value gap [0, 2] down to [0, 1].
 """
 from __future__ import annotations
 
+from .agents import Agent
 from .games import RETURN, Game, get_game
 
 SOLVABLE = ("tictactoe", "nim")
@@ -65,7 +66,7 @@ def get_solver(game_name: str) -> MinimaxSolver:
     return _SOLVERS[game_name]
 
 
-class OptimalAgent:
+class OptimalAgent(Agent):
     """Plays the solver's best move; used by the exact-solver sanity checks."""
 
     def __init__(self, game_name: str):

@@ -2,7 +2,7 @@
 import pytest
 
 from scopal.cli import main
-from scopal.policy import Policy
+from scopal.policy import Policy, new_policy
 
 CONFIG = """\
 [run]
@@ -157,4 +157,14 @@ def test_bad_flags_exit_2_before_any_run_directory(run, command):
     with pytest.raises(SystemExit) as exit_info:
         run(*command)
     assert exit_info.value.code == 2
+    assert not run.out.exists()
+
+
+def test_head2head_refuses_a_checkpoint_without_a_run_game(run, monkeypatch, tmp_path, capsys):
+    checkpoint = tmp_path / "nim.json"
+    new_policy(["nim"]).save(checkpoint)
+    monkeypatch.setenv("SCOPAL_RUN_GAMES", "tictactoe")
+    assert run("head2head", "--agents", f"random,policy:{checkpoint}") == 2
+    err = capsys.readouterr().err
+    assert f"--agents: {checkpoint} has no parameters for game 'tictactoe'" in err
     assert not run.out.exists()

@@ -1,20 +1,23 @@
 """Episode running, seat alternation, the JSONL store, and determinism."""
 import json
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures import Future
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scopal
 from scopal import interaction
 from scopal.agents import RandomAgent, make_agent
-from scopal.games import Player, get_game, tie_outcome
-from scopal.interaction import (Trajectory, collect_trajectories, fan_out, learner_seats,
-                                play_episodes, read_trajectories, replay, run_episode,
-                                stable_hash, trajectory_record, write_trajectories)
+from scopal.games import GAME_NAMES, Player, get_game, tie_outcome
+from scopal.interaction import (DEFAULT_MOVE_BOUND, Trajectory, collect_trajectories,
+                                episode_seeds, fan_out, learner_seats, play_episodes,
+                                read_trajectories, replay, run_episode, stable_hash,
+                                trajectory_record, write_trajectories)
 from scopal.policy import new_policy
 
 
@@ -256,3 +259,38 @@ def test_move_bound_yields_tie(monkeypatch):
 def test_episode_count_validation():
     with pytest.raises(ValueError):
         collect_trajectories(["nim"], "random", "random", 0, 1)
+
+
+LOCKSTEP_PAIRS = [("policy", "self"), ("policy", "mcts:3"), ("random", "policy")]
+
+
+@pytest.mark.parametrize("pair", LOCKSTEP_PAIRS, ids="-".join)
+@pytest.mark.parametrize("name", GAME_NAMES + ("breakthrough_6x6",))
+def test_lockstep_episodes_equal_one_episode_at_a_time(name, pair):
+    """`play_episodes` over a range plays each episode as `run_episode` does alone,
+    unbounded and under a move bound that cuts the longest episodes."""
+    game = get_game(name)
+    rng = random.Random(4)
+    policy = new_policy([name])
+    policy.blocks[name] = np.array([rng.gauss(0, 0.5) for _ in policy.blocks[name]])
+    agent1, agent2 = (make_agent(spec, policy, 0.7) for spec in pair)
+    episodes = range(3, 11)
+
+    def alone(move_bound):
+        out = []
+        for i in episodes:
+            first, second = (agent1, agent2) if i % 2 == 0 else (agent2, agent1)
+            chance_seed, sampling_seed = episode_seeds(7, name, i)
+            out.append(trajectory_record(run_episode(
+                game, first, second, episode=i, chance_seed=chance_seed,
+                sampling_seed=sampling_seed, move_bound=move_bound)))
+        return out
+
+    unbounded = alone(DEFAULT_MOVE_BOUND)
+    lengths = [len(record["steps"]) for record in unbounded]
+    assert min(lengths) < max(lengths)  # the episodes end at different plies
+    for move_bound, expected in ((DEFAULT_MOVE_BOUND, unbounded),
+                                 (max(lengths) - 1, alone(max(lengths) - 1))):
+        lockstep = play_episodes(name, agent1, agent2, episodes, 7, paired=False,
+                                 move_bound=move_bound)
+        assert [trajectory_record(t) for t in lockstep] == expected

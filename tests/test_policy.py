@@ -242,3 +242,32 @@ def test_distribution_valid_at_any_temperature(tau):
     _, probs = pol.action_distribution(game, s, tau)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert (probs > 0).all()
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_sample_actions_picks_and_draws_as_sample_action(name):
+    """Over states of both seats and many plies, each pick and each rng's state
+    after it equal those of `sample_action` on that state alone."""
+    game = get_game(name)
+    pol = randomized_policy([name], random.Random(3))
+    rng = random.Random(11)
+    states = [random_nonterminal(game, rng) for _ in range(12)]
+    batch_rngs = [random.Random(seed) for seed in range(len(states))]
+    alone_rngs = [random.Random(seed) for seed in range(len(states))]
+    picks = pol.sample_actions(game, states, 0.7, batch_rngs)
+    assert picks == [pol.sample_action(game, s, 0.7, r) for s, r in zip(states, alone_rngs)]
+    assert [r.getstate() for r in batch_rngs] == [r.getstate() for r in alone_rngs]
+
+
+def test_sample_actions_refuses_a_terminal_state_or_a_temperature_at_most_0():
+    game = get_game("tictactoe")
+    pol = new_policy(["tictactoe"])
+    s = game.initial_state(0)
+    for action in (0, 3, 1, 4, 2):
+        s = game.apply(s, action)
+    states = [game.initial_state(0), s]
+    with pytest.raises(ValueError, match="terminal"):
+        pol.sample_actions(game, states, 0.7, [random.Random(0), random.Random(1)])
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            pol.sample_actions(game, states[:1], tau, [random.Random(0)])
