@@ -29,7 +29,7 @@ from .games.tictactoe import LINES
 
 _KUHN_HIST = {(): 0, ("P",): 1, ("B",): 2, ("P", "B"): 3}
 # (9, 8) incidence of the board cells in the eight lines
-_TTT_LINES = (np.arange(9)[:, None, None] == np.array(LINES)).any(axis=2).astype(np.intp)
+_TTT_LINES = np.array([[cell in line for line in LINES] for cell in range(9)], dtype=np.intp)
 
 
 def _c4_windows() -> np.ndarray:
