@@ -5,19 +5,23 @@ its input, so states can be shared freely across episode workers.
 
 Outcomes become numbers through two tables only: ``SCORE`` (win 1, tie 0.5,
 loss 0) for UCT backups, and ``RETURN`` (win 1, tie 0, loss -1) for Stage II
-discounted returns, SPAG step rewards and minimax values.
+discounted returns, SPAG step rewards and minimax values. An outcome map is one
+of three shared read-only maps (``win_for`` each seat, ``tie_outcome``); a
+caller that keeps one to change it copies it first.
 """
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Callable, Hashable, Mapping, Optional
 
 
 class Player(Enum):
     P1 = "P1"
     P2 = "P2"
+    __hash__ = object.__hash__  # members are singletons; cheaper than Enum's name hash
 
     @property
     def other(self) -> "Player":
@@ -28,6 +32,7 @@ class Outcome(Enum):
     WIN = "Win"
     LOSE = "Lose"
     TIE = "Tie"
+    __hash__ = object.__hash__
 
 
 SCORE = {Outcome.WIN: 1.0, Outcome.TIE: 0.5, Outcome.LOSE: 0.0}
@@ -36,12 +41,16 @@ RETURN = {Outcome.WIN: 1.0, Outcome.TIE: 0.0, Outcome.LOSE: -1.0}
 OutcomeMap = Mapping[Player, Outcome]
 
 
-def win_for(player: Player) -> dict[Player, Outcome]:
-    return {player: Outcome.WIN, player.other: Outcome.LOSE}
+_WINS = {p: MappingProxyType({p: Outcome.WIN, p.other: Outcome.LOSE}) for p in Player}
+_TIE = MappingProxyType({Player.P1: Outcome.TIE, Player.P2: Outcome.TIE})
 
 
-def tie_outcome() -> dict[Player, Outcome]:
-    return {Player.P1: Outcome.TIE, Player.P2: Outcome.TIE}
+def win_for(player: Player) -> OutcomeMap:
+    return _WINS[player]
+
+
+def tie_outcome() -> OutcomeMap:
+    return _TIE
 
 
 class IllegalActionError(ValueError):
@@ -78,7 +87,7 @@ class Game(ABC):
         ...
 
     @abstractmethod
-    def outcome(self, state: Any) -> Optional[dict[Player, Outcome]]:
+    def outcome(self, state: Any) -> Optional[OutcomeMap]:
         ...
 
     @abstractmethod
@@ -135,7 +144,7 @@ class Game(ABC):
         """
         return state
 
-    def random_playout(self, state: Any, rng: random.Random) -> dict[Player, Outcome]:
+    def random_playout(self, state: Any, rng: random.Random) -> OutcomeMap:
         """Play uniformly random legal moves to termination.
 
         Each ply draws ``rng.randrange(len(legal_actions(s)))`` once and plays

@@ -9,33 +9,36 @@ diagonal moves may capture. First player to reach the opposite home row
 The observation is mirrored for P2 (rows flipped, ownership swapped), so
 both seats see themselves advancing toward higher rows.
 
-The rules run on two bitboards built from the board tuple: bit ``row*cols + col``
-of a seat's bitboard is set when that seat holds the square. A piece on bit ``i``
-moves to ``i + cols - 1``, ``i + cols`` or ``i + cols + 1`` for P1 (left
-diagonal, straight, right diagonal: a shift up by ``cols``, give or take one)
-and to ``i - cols - 1``, ``i - cols`` or ``i - cols + 1`` for P2 (a shift down).
-A diagonal's "from" mask drops the edge column its shift would wrap across.
-UCT rollouts draw an index k and reach the k-th legal move by walking the
-from-squares upward without building a move list.
+The rules run on bitboards with three bits per square: square ``i = row*cols
++ col`` is bit ``3i`` of the bitboard of the seat holding it. A state carries
+both in one int, the board read as octal digits (P1's bits at 3i, P2's at
+3i + 1); ``apply`` derives a child's from its parent's, and an initial or
+decoded state has it built from the board. A piece on square i moves one row
+forward to column ``col - 1``, ``col`` or ``col + 1`` (move j = 0 left, 1
+straight, 2 right). The mover's moves form one mask, with bit ``3i + j`` set
+when the piece on square i has move j. So the canonical order (from-square
+ascending, then left, straight, right) is the mask's bit order, and a UCT
+rollout reaches the k-th legal move by clearing the mask's k lowest bits.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, draw_below, win_for
+from .base import Game, OutcomeMap, Player, IllegalActionError, draw_below, win_for
 
-_OWN = {Player.P1: 1, Player.P2: 2}
 _SEATS = (Player.P1, Player.P2)
-_DIGITS = (bytes.maketrans(b"\0\1\2", b"010"), bytes.maketrans(b"\0\1\2", b"001"))
+_DIGITS = bytes.maketrans(b"\0\1\2", b"012")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BtState:
     board: tuple[int, ...]  # row*cols + col; 0 empty / 1 P1 / 2 P2
     to_move: Player
     move_count: int
+    # the board as an octal int, square i's value at bit 3i; not part of the state's value
+    bits: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 class Breakthrough(Game):
@@ -51,80 +54,93 @@ class Breakthrough(Game):
         # every move advances one piece one row; termination is forced
         self.max_moves = 2 * cols * (2 * rows - 3)
         n = cols * rows
-        self._full = (1 << n) - 1
-        first_col = sum(1 << (r * cols) for r in range(rows))
-        self._not_first_col = self._full ^ first_col
-        self._not_last_col = self._full ^ (first_col << (cols - 1))
-        self._goal = (self._full ^ ((1 << (n - cols)) - 1), (1 << cols) - 1)  # per seat
-        self._steps = ((cols - 1, cols, cols + 1), (-cols - 1, -cols, -cols + 1))
+        self._full = full = sum(1 << 3 * i for i in range(n))
+        first_col = sum(1 << 3 * r * cols for r in range(rows))
+        self._not_first_col = full ^ first_col
+        self._not_last_col = full ^ (first_col << 3 * (cols - 1))
+        self._goal = (full ^ ((1 << 3 * (n - cols)) - 1), (1 << 3 * cols) - 1)  # per seat
+        # per seat (P1 a row up, P2 down), move bit 3i + j -> its action, or None off the board
+        self._moves = tuple([(i, i + d * cols + j - 1) if 0 <= i // cols + d < rows
+                             and 0 <= i % cols + j - 1 < cols else None
+                             for i in range(n) for j in range(3)] for d in (1, -1))
+        # the bits a move flips in the mover's bitboard; only the to bit can be the other's
+        self._flips = tuple([move and 1 << 3 * move[0] | 1 << 3 * move[1] for move in moves]
+                            for moves in self._moves)
+        # each move on an empty board -> whether it is straight
+        self._reach = tuple({move: abs(move[1] - move[0]) == cols for move in filter(None, moves)}
+                            for moves in self._moves)
+        self._start = (1,) * 2 * cols + (0,) * (n - 4 * cols) + (2,) * 2 * cols
 
     def initial_state(self, chance_seed: int) -> BtState:
-        home = 2 * self.cols
-        board = (1,) * home + (0,) * (self.cols * self.rows - 2 * home) + (2,) * home
-        return BtState(board, Player.P1, 0)
+        return BtState(self._start, Player.P1, 0, self._bits(self._start))
+
+    @staticmethod
+    def _bits(board: tuple[int, ...]) -> int:
+        return int(bytes(board)[::-1].translate(_DIGITS), 8)  # an octal digit per square
 
     def _position(self, state: BtState) -> tuple[Optional[Player], int, int, int]:
         """(winner or None, mover's bits, opponent's bits, mover's seat index)."""
-        digits = bytes(state.board)[::-1]
-        p1, p2 = int(digits.translate(_DIGITS[0]), 2), int(digits.translate(_DIGITS[1]), 2)
+        bits = state.bits or self._bits(state.board)
+        p1, p2 = bits & self._full, bits >> 1 & self._full
         winner = (Player.P1 if p1 & self._goal[0] else
                   Player.P2 if p2 & self._goal[1] or not p1 else
                   None if p2 else Player.P1)
         return (winner, p1, p2, 0) if state.to_move is Player.P1 else (winner, p2, p1, 1)
 
-    def _from_masks(self, mine: int, theirs: int, seat: int) -> tuple[int, int, int]:
-        """The mover's squares with a left-diagonal, a straight and a right-diagonal move."""
-        c = self.cols
+    def _move_mask(self, mine: int, theirs: int, seat: int) -> int:
+        """The mover's moves: bit 3i + j for move j of the piece on square i."""
+        c = 3 * self.cols
         empty = self._full ^ (mine | theirs)
         open_ = self._full ^ mine  # a diagonal may land on an empty or an enemy square
         if seat == 0:
-            return (mine & self._not_first_col & (open_ >> (c - 1)), mine & (empty >> c),
-                    mine & self._not_last_col & (open_ >> (c + 1)))
-        return (mine & self._not_first_col & (open_ << (c + 1)), mine & (empty << c),
-                mine & self._not_last_col & (open_ << (c - 1)))
+            return (mine & self._not_first_col & (open_ >> (c - 3)) | (mine & (empty >> c)) << 1
+                    | (mine & self._not_last_col & (open_ >> (c + 3))) << 2)
+        return (mine & self._not_first_col & (open_ << (c + 3)) | (mine & (empty << c)) << 1
+                | (mine & self._not_last_col & (open_ << (c - 3))) << 2)
 
     def legal_actions(self, state: BtState) -> tuple[tuple[int, int], ...]:
-        # canonical order: (from row, from col, to col) ascending
         winner, mine, theirs, seat = self._position(state)
         if winner is not None:
             return ()
-        masks = self._from_masks(mine, theirs, seat)
-        acts = []
-        pending = masks[0] | masks[1] | masks[2]
-        while pending:
-            low = pending & -pending
-            frm = low.bit_length() - 1
-            for mask, step in zip(masks, self._steps[seat]):
-                if mask & low:
-                    acts.append((frm, frm + step))
-            pending ^= low
+        mask, moves, acts = self._move_mask(mine, theirs, seat), self._moves[seat], []
+        while mask:
+            low = mask & -mask
+            acts.append(moves[low.bit_length() - 1])
+            mask ^= low
         return tuple(acts)
 
     def apply(self, state: BtState, action: tuple[int, int]) -> BtState:
         frm, to = action
-        own = _OWN[state.to_move]
+        p1_moves = state.to_move is Player.P1
+        own = 1 if p1_moves else 2
         n = self.cols * self.rows
         if not (0 <= frm < n and 0 <= to < n):
             raise IllegalActionError(f"{self.name}: square out of range in {action!r}")
         if state.board[frm] != own:
             raise IllegalActionError(
                 f"{self.name}: {self._square(frm)} does not hold a {state.to_move.value} piece")
-        (fr, fc), (tr, tc) = divmod(frm, self.cols), divmod(to, self.cols)
-        if tr - fr != (1 if own == 1 else -1) or abs(tc - fc) > 1:
+        straight = self._reach[own - 1].get((frm, to))
+        if straight is None:
             raise IllegalActionError(f"{self.name}: pieces move one square forward, "
                                      f"got {self.action_text(action)}")
         target = state.board[to]
-        if tc == fc and target != 0:
+        if straight and target != 0:
             raise IllegalActionError(f"{self.name}: straight move onto an occupied square")
         if target == own:
             raise IllegalActionError(f"{self.name}: cannot capture own piece")
         board = list(state.board)
         board[frm], board[to] = 0, own
-        return BtState(tuple(board), state.to_move.other, state.move_count + 1)
+        bits = state.bits or self._bits(state.board)
+        bits ^= own << 3 * frm ^ (own ^ target) << 3 * to  # the two squares' octal digits
+        return BtState(tuple(board), Player.P2 if p1_moves else Player.P1, state.move_count + 1,
+                       bits)
 
-    def outcome(self, state: BtState) -> Optional[dict[Player, Outcome]]:
+    def outcome(self, state: BtState) -> Optional[OutcomeMap]:
         winner = self._position(state)[0]
         return None if winner is None else win_for(winner)
+
+    def encode_state(self, state: BtState) -> dict:
+        return {"board": state.board, "to_move": state.to_move.name, "move_count": state.move_count}
 
     def _rel_board(self, state: BtState, viewer: Player) -> tuple[int, ...]:
         if viewer is Player.P1:
@@ -158,38 +174,27 @@ class Breakthrough(Game):
         return tuple((int(sq[1:]) - 1) * self.cols + ord(sq[0]) - ord("a")
                      for sq in (text[:half], text[half:]))
 
-    def random_playout(self, state: BtState, rng: random.Random) -> dict[Player, Outcome]:
+    def random_playout(self, state: BtState, rng: random.Random) -> OutcomeMap:
         winner, mine, theirs, seat = self._position(state)
         if winner is not None:
             return win_for(winner)
-        getrandbits, goal, steps = rng.getrandbits, self._goal, self._steps
+        getrandbits, goal, flips, full = rng.getrandbits, self._goal, self._flips, self._full
+        first, last, c = self._not_first_col, self._not_last_col, 3 * self.cols
         while True:
-            left, straight, right = self._from_masks(mine, theirs, seat)
-            k = draw_below(getrandbits, left.bit_count() + straight.bit_count() + right.bit_count())
-            # walk the canonical order to the k-th move: from-squares upward,
-            # each square's moves in step order
-            pending = left | straight | right
-            while True:
-                low = pending & -pending
-                if left & low:
-                    if not k:
-                        step = steps[seat][0]
-                        break
-                    k -= 1
-                if straight & low:
-                    if not k:
-                        step = steps[seat][1]
-                        break
-                    k -= 1
-                if right & low:
-                    if not k:
-                        step = steps[seat][2]
-                        break
-                    k -= 1
-                pending ^= low
-            frm = low.bit_length() - 1
-            to = frm + step
-            mine, theirs = mine ^ (1 << frm | 1 << to), theirs & ~(1 << to)
+            # _move_mask, inlined: a call per ply would cost a tenth of the rollout
+            empty, open_ = full ^ (mine | theirs), full ^ mine
+            if seat:
+                mask = (mine & first & (open_ << (c + 3)) | (mine & (empty << c)) << 1
+                        | (mine & last & (open_ << (c - 3))) << 2)
+            else:
+                mask = (mine & first & (open_ >> (c - 3)) | (mine & (empty >> c)) << 1
+                        | (mine & last & (open_ >> (c + 3))) << 2)
+            k = draw_below(getrandbits, mask.bit_count())
+            while k:  # the k-th move is the k-th lowest bit
+                mask &= mask - 1
+                k -= 1
+            flip = flips[seat][(mask & -mask).bit_length() - 1]
+            mine, theirs = mine ^ flip, theirs & ~flip
             if mine & goal[seat] or not theirs:  # only the mover can have won
                 return win_for(_SEATS[seat])
             mine, theirs, seat = theirs, mine, seat ^ 1

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, draw_below, tie_outcome, win_for
+from .base import Game, OutcomeMap, Player, IllegalActionError, draw_below, tie_outcome, win_for
 
 COLS = 7
 ROWS = 6
@@ -62,7 +62,7 @@ class ConnectFour(Game):
             return C4State(state.p1 | bit, state.p2, Player.P2, state.move_count + 1)
         return C4State(state.p1, state.p2 | bit, Player.P1, state.move_count + 1)
 
-    def outcome(self, state: C4State) -> Optional[dict[Player, Outcome]]:
+    def outcome(self, state: C4State) -> Optional[OutcomeMap]:
         if _has_win(state.p1):
             return win_for(Player.P1)
         if _has_win(state.p2):
@@ -90,13 +90,14 @@ class ConnectFour(Game):
     def parse_action(self, text: str) -> int:
         return int(text[1:]) - 1
 
-    def random_playout(self, state: C4State, rng: random.Random) -> dict[Player, Outcome]:
+    def random_playout(self, state: C4State, rng: random.Random) -> OutcomeMap:
         bbs = [state.p1, state.p2]
         if _has_win(bbs[0]):
             return win_for(Player.P1)
         if _has_win(bbs[1]):
             return win_for(Player.P2)
-        heights = [self._height(state, c) for c in range(COLS)]
+        both = state.p1 | state.p2
+        heights = [((both >> (c * 7)) & _FULL_COL).bit_count() for c in range(COLS)]
         legal = [c for c in range(COLS) if heights[c] < ROWS]
         tm = 0 if state.to_move is Player.P1 else 1
         getrandbits = rng.getrandbits

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, win_for
+from .base import Game, OutcomeMap, Player, IllegalActionError, win_for
 
 CARDS = "JQK"
 # histories after which the game is over
@@ -53,7 +53,7 @@ class KuhnPoker(Game):
         return KuhnState(state.cards, state.history + (action,),
                          state.to_move.other, state.move_count + 1)
 
-    def outcome(self, state: KuhnState) -> Optional[dict[Player, Outcome]]:
+    def outcome(self, state: KuhnState) -> Optional[OutcomeMap]:
         if state.history not in _TERMINAL:
             return None
         fold_winner = _FOLDS.get(state.history)

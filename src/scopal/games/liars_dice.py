@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, win_for
+from .base import Game, OutcomeMap, Player, IllegalActionError, win_for
 
 FACES = 6
 TOTAL_DICE = 2
@@ -69,7 +69,7 @@ class LiarsDice(Game):
         return LdState(state.dice, state.bids + (action,), False,
                        state.to_move.other, state.move_count + 1)
 
-    def outcome(self, state: LdState) -> Optional[dict[Player, Outcome]]:
+    def outcome(self, state: LdState) -> Optional[OutcomeMap]:
         if not state.challenged:
             return None
         quantity, face = state.bids[-1]

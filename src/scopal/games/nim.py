@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, draw_below, win_for
+from .base import Game, OutcomeMap, Player, IllegalActionError, draw_below, win_for
 
 INITIAL_PILES = (1, 3, 5, 7)
 
@@ -45,7 +45,7 @@ class Nim(Game):
         piles[pile] -= take
         return NimState(tuple(piles), state.to_move.other, state.move_count + 1)
 
-    def outcome(self, state: NimState) -> Optional[dict[Player, Outcome]]:
+    def outcome(self, state: NimState) -> Optional[OutcomeMap]:
         if any(state.piles):
             return None
         # misere rule: the previous mover took the final match and loses
@@ -65,7 +65,7 @@ class Nim(Game):
         pile_part, take_part = inner.split(",")
         return int(pile_part.split(":")[1]) - 1, int(take_part.split(":")[1])
 
-    def random_playout(self, state: NimState, rng: random.Random) -> dict[Player, Outcome]:
+    def random_playout(self, state: NimState, rng: random.Random) -> OutcomeMap:
         # the k-th legal action takes k' + 1 from pile p, where k' is k less the
         # matches in the piles before p; there is one action per match left
         piles = list(state.piles)

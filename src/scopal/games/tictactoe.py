@@ -5,7 +5,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Game, Outcome, Player, IllegalActionError, draw_below, tie_outcome, win_for
+from .base import Game, OutcomeMap, Player, IllegalActionError, draw_below, tie_outcome, win_for
 
 LINES = (
     (0, 1, 2), (3, 4, 5), (6, 7, 8),
@@ -46,7 +46,7 @@ class TicTacToe(Game):
         cells[action] = _MARK[state.to_move]
         return TttState(tuple(cells), state.to_move.other, state.move_count + 1)
 
-    def outcome(self, state: TttState) -> Optional[dict[Player, Outcome]]:
+    def outcome(self, state: TttState) -> Optional[OutcomeMap]:
         cells = state.cells
         for a, b, c in LINES:
             v = cells[a]
@@ -72,7 +72,7 @@ class TicTacToe(Game):
         row = int(text[3])
         return (row - 1) * 3 + (col - 1)
 
-    def random_playout(self, state: TttState, rng: random.Random) -> dict[Player, Outcome]:
+    def random_playout(self, state: TttState, rng: random.Random) -> OutcomeMap:
         out = self.outcome(state)
         if out is not None:
             return out

@@ -1,5 +1,12 @@
 """The command-line stages end to end on a tiny Nim config."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import scopal
 
 from scopal.cli import main
 from scopal.policy import Policy, new_policy
@@ -168,3 +175,30 @@ def test_head2head_refuses_a_checkpoint_without_a_run_game(run, monkeypatch, tmp
     err = capsys.readouterr().err
     assert f"--agents: {checkpoint} has no parameters for game 'tictactoe'" in err
     assert not run.out.exists()
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """Players and outcomes hash by identity and strings by a per-process seed,
+    so no artifact may follow the iteration order of a set or a dict keyed by them."""
+    config = tmp_path / "hashed.ini"
+    config.write_text(CONFIG.replace("games = nim", "games = nim, breakthrough_6x6")
+                      .replace("episodes = 2\n\n[train]",
+                               "episodes = 4\nopponent = mcts:5\n\n[train]")
+                      .replace("opponents = random", "opponents = random,mcts:5"))
+    run_dirs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            [str(Path(scopal.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        for command in ("pipeline", "regret"):
+            subprocess.run([sys.executable, "-m", "scopal.cli", "--config", str(config),
+                            "--out", str(out), command], env=env, check=True,
+                           capture_output=True)
+        (run_dir,) = out.iterdir()
+        run_dirs.append(run_dir)
+    artifacts = sorted(p.name for p in run_dirs[0].iterdir() if p.name != "manifest.json")
+    assert {"labeled.jsonl", "checkpoint.json", "metrics.csv", "tournament.csv",
+            "regret.csv"} <= set(artifacts)
+    assert any(name.endswith(".traj.jsonl") for name in artifacts)
+    for name in artifacts:
+        assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name

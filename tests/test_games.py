@@ -1,5 +1,7 @@
 """Rules-level tests for the six games: construction, legality, outcomes,
 canonical keys, and the exhaustive-search oracles."""
+import json
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scopal.games import (GAME_NAMES, Game, IllegalActionError, Outcome, Player,
-                          UnknownGameError, get_game, split_key)
+                          UnknownGameError, get_game, split_key, tie_outcome, win_for)
 from scopal.games.base import draw_below
 
 ALL_GAMES = [get_game(n) for n in GAME_NAMES]
@@ -258,6 +260,41 @@ def test_breakthrough_reaching_home_row_wins():
     s = g.decode_state({"board": board, "to_move": "P1", "move_count": 20})
     final = g.apply(s, g.parse_action("b7b8"))
     assert g.outcome(final)[Player.P1] is Outcome.WIN
+
+
+@pytest.mark.parametrize("name", BREAKTHROUGHS[:2])
+def test_breakthrough_carried_bitboards_never_leak(name):
+    """A state reached by `apply` carries its bitboards; the same state decoded,
+    which has to build them from the board, is equal to it in every respect."""
+    game = get_game(name)
+    rng = random.Random(43)
+    for _ in range(200):
+        s = random_state(game, rng)
+        assert s.bits is not None
+        decoded = game.decode_state(json.loads(json.dumps(game.encode_state(s))))
+        assert decoded.bits is None
+        assert decoded == s and hash(decoded) == hash(s) and repr(decoded) == repr(s)
+        text = json.dumps(game.encode_state(s))
+        assert text == json.dumps(game.encode_state(decoded))
+        assert set(json.loads(text)) == {"board", "to_move", "move_count"}
+        assert game.legal_actions(decoded) == game.legal_actions(s)
+        assert game.outcome(decoded) == game.outcome(s)
+        if game.outcome(s) is None:
+            seed = rng.randrange(1000)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert game.random_playout(decoded, ours) == game.random_playout(s, theirs)
+            assert ours.getstate() == theirs.getstate()
+        assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_outcome_maps_are_shared_and_read_only():
+    assert win_for(Player.P1) is win_for(Player.P1)
+    assert tie_outcome() is tie_outcome()
+    assert dict(win_for(Player.P2)) == {Player.P2: Outcome.WIN, Player.P1: Outcome.LOSE}
+    for outcome in (win_for(Player.P1), win_for(Player.P2), tie_outcome()):
+        with pytest.raises(TypeError):
+            outcome[Player.P1] = Outcome.TIE
+    assert win_for(Player.P1)[Player.P1] is Outcome.WIN
 
 
 # -- canonical keys -----------------------------------------------------------

@@ -13,11 +13,12 @@ import pytest
 import scopal
 from scopal import interaction
 from scopal.agents import RandomAgent, make_agent
-from scopal.games import GAME_NAMES, Player, get_game, tie_outcome
+from scopal.games import GAME_NAMES, Outcome, Player, get_game, tie_outcome, win_for
 from scopal.interaction import (DEFAULT_MOVE_BOUND, Trajectory, collect_trajectories,
                                 episode_seeds, fan_out, learner_seats, play_episodes,
-                                read_trajectories, replay, run_episode, stable_hash,
-                                trajectory_record, write_trajectories)
+                                play_lockstep, read_trajectories, record_trajectory, replay,
+                                run_episode, stable_hash, trajectory_record,
+                                write_trajectories)
 from scopal.policy import new_policy
 
 
@@ -254,6 +255,22 @@ def test_move_bound_yields_tie(monkeypatch):
     traj = run_episode(game, a, a, chance_seed=0, sampling_seed=0, move_bound=4)
     assert len(traj.steps) == 4
     assert all(o.value == "Tie" for o in traj.outcome.values())
+
+
+def test_each_trajectory_owns_its_outcome_dict():
+    """Games return shared read-only outcome maps; a trajectory keeps a dict of its own."""
+    game = get_game("tictactoe")
+    agent = RandomAgent()
+    played = play_lockstep(game, [(i, agent, agent, i, i) for i in range(6)])
+    recorded = [record_trajectory(trajectory_record(t)) for t in played]
+    shared = [win_for(Player.P1), win_for(Player.P2), tie_outcome()]
+    outcomes = [t.outcome for t in played + recorded]
+    assert len({id(outcome) for outcome in outcomes + shared}) == len(outcomes) + 3
+    for outcome in outcomes:
+        assert type(outcome) is dict
+        outcome[Player.P1] = Outcome.TIE  # a caller may change its own copy
+    assert win_for(Player.P1)[Player.P1] is Outcome.WIN
+    assert set(tie_outcome().values()) == {Outcome.TIE}
 
 
 def test_episode_count_validation():

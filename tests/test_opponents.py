@@ -7,7 +7,7 @@ import pytest
 
 from scopal.agents import RandomAgent
 from scopal.games import Player, get_game
-from scopal.mcts import MctsConfig, SearchNode, mcts_act, uct_score
+from scopal.mcts import EXPLORATION_C, MctsConfig, SearchNode, mcts_act, select_child, uct_score
 from scopal.solvers import get_solver
 
 
@@ -33,6 +33,23 @@ def test_uct_prefers_less_visited_sibling_at_equal_mean():
     a = uct_score(make_node(2, 4), log_parent_visits=math.log(20), c=2.0)
     b = uct_score(make_node(4, 8), log_parent_visits=math.log(20), c=2.0)
     assert a > b
+
+
+def test_select_child_is_the_first_child_with_the_highest_uct_score():
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(500):
+        node = SearchNode()
+        for action in range(rng.randrange(1, 9)):
+            visits = rng.choice((1, 2, 4, 7))
+            node.children[action] = make_node(visits * rng.choice((0.0, 0.5, 1.0)), visits)
+        node.visits = sum(child.visits for child in node.children.values()) + 1
+        log_visits = math.log(node.visits)
+        children = list(node.children.values())
+        scores = [uct_score(child, log_visits, EXPLORATION_C) for child in children]
+        assert select_child(node, log_visits) is children[scores.index(max(scores))]
+        ties += scores.count(max(scores)) > 1
+    assert ties > 50
 
 
 def _state_after(game, moves):
