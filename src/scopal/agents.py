@@ -69,13 +69,14 @@ def parse_spec(spec: str) -> tuple[str, int | str | None]:
     """(kind, argument) of an agent spec string: the one spec grammar.
 
     ``random``, ``policy`` and ``self`` take no argument; ``mcts:<n>`` gives
-    ("mcts", n) for n >= 1; ``policy:<path>`` gives ("checkpoint", path) if
+    ("mcts", n) for n >= 1 written without leading zeros, so each budget has
+    one spelling; ``policy:<path>`` gives ("checkpoint", path) if
     that file exists. Anything else raises ValueError.
     """
     kind, _, argument = spec.partition(":")
     if spec in ("random", "policy", "self"):
         return spec, None
-    if kind == "mcts" and argument.isdigit() and int(argument) >= 1:
+    if kind == "mcts" and argument.isascii() and argument.isdigit() and argument[0] != "0":
         return kind, int(argument)
     if kind == "policy" and Path(argument).is_file():
         return "checkpoint", argument

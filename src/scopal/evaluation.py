@@ -6,29 +6,24 @@ trains. The ``sweep`` and ``iterate`` commands, which do all three, live
 in ``cli``.
 
 Every report is reproducible byte-for-byte from (config, master seed).
-Matches and regret play through ``interaction.play_episodes``, the one seat
-and seed rule, with paired seeds: episodes 2k and 2k + 1 play the same deal
-and the same per-seat sampling streams with the agents in opposite seats, so
-swapping the two agents replays the same games and gives exactly
-complementary counts. Interaction plays unpaired: paired seeds would make
-self-play record every game twice and halve the data.
-
-Tournaments, head-to-head matrices and regret split every match into its
-seat pairs and run them through ``interaction.fan_out`` over ``jobs``
-workers. A seat pair's games depend on its index alone, and the parent
-merges the per-pair reports in episode order, so ``jobs`` never changes a
-report.
+Matches and regret play through ``interaction.play_sets``, the one episode
+scheduler, and so through ``play_episodes``, the one seat and seed rule,
+with paired seeds: episodes 2k and 2k + 1 play the same deal and the same
+per-seat sampling streams with the agents in opposite seats, so swapping the
+two agents replays the same games and gives exactly complementary counts.
+Interaction plays unpaired: paired seeds would make self-play record every
+game twice and halve the data. The parent process counts each match's
+outcomes and scores each regret move from the trajectories it gets back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .agents import Agent, make_agent
 from .games import Outcome
-from .interaction import (DEFAULT_MOVE_BOUND, agent1_seat, fan_out, learner_seats,
-                          play_episodes, replay, stable_hash)
+from .interaction import (DEFAULT_MOVE_BOUND, agent1_seat, learner_seats, play_sets, replay,
+                          stable_hash)
 from .solvers import get_solver
 
 HEAD2HEAD_COLUMNS = ("row_agent", "col_agent", "win_rate")
@@ -62,11 +57,10 @@ class RegretReport:
     mean_regret: float
     moves: int
     episodes: int
-    regrets: tuple[float, ...] = field(default=(), repr=False)  # per agent move, in order
 
 
 TOURNAMENT_COLUMNS = tuple(f.name for f in fields(MatchReport))
-REGRET_COLUMNS = ("game", "agent", "mean_regret", "moves", "episodes")
+REGRET_COLUMNS = tuple(f.name for f in fields(RegretReport))
 
 
 def _count_outcomes(outcomes: Iterable[Outcome]) -> tuple[int, int, int]:
@@ -77,59 +71,33 @@ def _count_outcomes(outcomes: Iterable[Outcome]) -> tuple[int, int, int]:
     return counts[Outcome.WIN], counts[Outcome.LOSE], counts[Outcome.TIE]
 
 
-def _seat_pairs(episodes: int) -> list[range]:
-    """Episodes 0..episodes-1 as seat-pair ranges (2k, 2k + 1); an odd last one is alone."""
-    return [range(start, min(start + 2, episodes)) for start in range(0, episodes, 2)]
-
-
-def play_match(game_name: str, agent1: Agent, agent2: Agent, episodes: int | range,
-               master_seed: int, *, move_bound: int = DEFAULT_MOVE_BOUND) -> MatchReport:
+def play_match(game_name: str, agent1: Agent, agent2: Agent, episodes: int,
+               master_seed: int) -> MatchReport:
     """Seat-paired match; outcome counts from agent1's perspective.
 
     Episodes 2k and 2k + 1 share their chance and sampling seeds, and agent1
     sits first in 2k and second in 2k + 1. So when `episodes` is even,
     swapping agent1 and agent2 plays exactly the same games and gives
     exactly complementary counts. With an odd count the last episode is
-    unpaired and agent1 plays it first. `episodes` is a count (at least 2),
-    or a range of episode indices: one part of a longer match.
+    unpaired and agent1 plays it first. `episodes` must be at least 2.
     """
-    if isinstance(episodes, int):
-        if episodes < 2:
-            raise ValueError("matches need at least 2 episodes for seat alternation")
-        episodes = range(episodes)
-    trajs = play_episodes(game_name, agent1, agent2, episodes, master_seed,
-                          paired=True, move_bound=move_bound)
-    n_win, n_lose, n_tie = _count_outcomes(t.outcome[agent1_seat(t.episode)] for t in trajs)
-    return MatchReport(game_name, agent1.label, agent2.label, n_win, n_lose, n_tie,
-                       win_rate(n_win, n_lose, n_tie), len(episodes), master_seed)
+    return _play_matches([(game_name, agent1, agent2, master_seed)], episodes, 1)[0]
 
 
 def _play_matches(matches: Sequence[tuple[str, Agent, Agent, int]], episodes: int,
-                 jobs: int) -> list[MatchReport]:
-    """One report per (game, agent1, agent2, seed) match of `episodes` episodes.
-
-    Each seat pair of each match is one ``fan_out`` task; a match's report
-    merges its pairs' counts.
-    """
+                  jobs: int) -> list[MatchReport]:
+    """One `play_match` report per (game, agent1, agent2, seed) match of `episodes`
+    episodes, all played by one ``play_sets`` call and counted here."""
     if episodes < 2:
         raise ValueError("matches need at least 2 episodes for seat alternation")
-    pairs = _seat_pairs(episodes)
-    parts = fan_out(play_match, [(game_name, agent1, agent2, pair, seed)
-                                 for game_name, agent1, agent2, seed in matches
-                                 for pair in pairs], jobs)
     reports = []
-    for match in _groups(parts, len(pairs)):
-        counts = [sum(r.n_win for r in match), sum(r.n_lose for r in match),
-                  sum(r.n_tie for r in match)]
-        first = match[0]
-        reports.append(MatchReport(first.game, first.agent1, first.agent2, *counts,
-                                   win_rate(*counts), episodes, first.seed))
+    for (game_name, agent1, agent2, seed), trajs in zip(
+            matches, play_sets(matches, episodes, jobs, paired=True,
+                               move_bound=DEFAULT_MOVE_BOUND)):
+        counts = _count_outcomes(t.outcome[agent1_seat(t.episode)] for t in trajs)
+        reports.append(MatchReport(game_name, agent1.label, agent2.label, *counts,
+                                   win_rate(*counts), episodes, seed))
     return reports
-
-
-def _groups(items: list, size: int) -> list[list]:
-    """`items` cut into consecutive runs of `size`: the parts of one match or regret set."""
-    return [items[start:start + size] for start in range(0, len(items), size)]
 
 
 def tournament(agent: Agent, opponent_specs: Sequence[str], games: Sequence[str],
@@ -159,8 +127,8 @@ def head_to_head(agents: Sequence[tuple[str, Agent]], games: Sequence[str],
                                          agents[j][0]))
                             for i, j in matchups for game_name in games], episodes, jobs)
     matrix = [[0.5] * n for _ in range(n)]
-    for (i, j), matchup_reports in zip(matchups, _groups(reports, len(games))):
-        rates = [r.win_rate for r in matchup_reports]
+    for k, (i, j) in enumerate(matchups):
+        rates = [r.win_rate for r in reports[k * len(games):(k + 1) * len(games)]]
         avg = sum(rates) / len(rates)
         matrix[i][j] = avg
         matrix[j][i] = 1.0 - avg
@@ -177,44 +145,30 @@ def interaction_win_rate(trajectories) -> float:
                                      for seat in learner_seats(t)))
 
 
-def regret(agent: Agent, game_name: str, episodes: int | range, master_seed: int, *,
+def regret(agent: Agent, game_name: str, episodes: int, master_seed: int, *,
            opponent_spec: str = "mcts:1000") -> RegretReport:
-    """Mean exact-minimax value loss per agent move vs the ladder opponent.
-
-    Plays a seat-paired match and scores the agent's moves by replaying
-    each trajectory against the solver. `episodes` is a count, or a range
-    of episode indices: one part of a longer regret set.
-    """
-    solver = get_solver(game_name)
-    opponent = make_agent(opponent_spec)
-    seed = stable_hash(master_seed, "regret", game_name)
-    if isinstance(episodes, int):
-        episodes = range(episodes)
-    regrets = []
-    for traj in play_episodes(game_name, agent, opponent, episodes, seed, paired=True):
-        seat = agent1_seat(traj.episode)
-        regrets.extend(solver.regret(state, action)
-                       for state, action, actor in replay(traj) if actor is seat)
-    return _regret_report(game_name, agent.label, regrets, len(episodes))
-
-
-def _regret_report(game_name: str, label: str, regrets: Sequence[float],
-                   episodes: int) -> RegretReport:
-    return RegretReport(game_name, label, sum(regrets) / max(1, len(regrets)), len(regrets),
-                        episodes, tuple(regrets))
+    """The one-game case of `regret_reports`."""
+    return regret_reports(agent, [game_name], episodes, master_seed,
+                          opponent_spec=opponent_spec)[0]
 
 
 def regret_reports(agent: Agent, games: Sequence[str], episodes: int, master_seed: int, *,
                    opponent_spec: str = "mcts:1000", jobs: int = 1) -> list[RegretReport]:
-    """One `regret` report per game; each seat pair is one ``fan_out`` task.
+    """Mean exact-minimax value loss per agent move vs the ladder opponent, per game.
 
-    Workers score their own pairs, each with its own solver memo; a game's
-    report sums its pairs' per-move regrets in episode order.
+    Plays one seat-paired match per game through ``play_sets``, then scores
+    the agent's moves here, by replaying each trajectory against the game's
+    solver in episode order.
     """
-    pairs = _seat_pairs(episodes)
-    parts = fan_out(partial(regret, opponent_spec=opponent_spec),
-                    [(agent, game_name, pair, master_seed) for game_name in games
-                     for pair in pairs], jobs)
-    return [_regret_report(game_name, agent.label,
-                           [r for part in game_parts for r in part.regrets], episodes)
-            for game_name, game_parts in zip(games, _groups(parts, len(pairs)))]
+    solvers = [get_solver(game_name) for game_name in games]
+    opponent = make_agent(opponent_spec)
+    matches = [(game_name, agent, opponent, stable_hash(master_seed, "regret", game_name))
+               for game_name in games]
+    reports = []
+    for game_name, solver, trajs in zip(games, solvers, play_sets(
+            matches, episodes, jobs, paired=True, move_bound=DEFAULT_MOVE_BOUND)):
+        regrets = [solver.regret(state, action) for traj in trajs
+                   for state, action, actor in replay(traj) if actor is agent1_seat(traj.episode)]
+        reports.append(RegretReport(game_name, agent.label,
+                                    sum(regrets) / max(1, len(regrets)), len(regrets), episodes))
+    return reports

@@ -10,11 +10,13 @@ matches and regret play paired ones (see ``evaluation``).
 ``learner_seats`` is the one rule for which seats the policy under training
 held: it reads the seat labels the store records.
 
-``fan_out`` is the one worker pool: interaction, matches and regret split
-their episodes into ranges and run them over ``jobs`` processes. Every
-episode's seeds depend on its index alone and results come back in task
-order, so ``jobs`` never changes an artifact: a store is reproducible
-byte-for-byte from (config, master seed), sorted by (game, episode index).
+``play_sets`` is the one episode scheduler: interaction, matches and regret
+all hand it their (game, agent1, agent2, master seed) sets, and it cuts each
+set's episodes into ranges and runs them through ``fan_out``, the one worker
+pool, over ``jobs`` processes. Every episode's seeds depend on its index
+alone and results come back in task order, so ``jobs`` never changes an
+artifact: a store is reproducible byte-for-byte from (config, master seed),
+sorted by (game, episode index).
 
 The trajectory store is JSON lines named ``<run-id>.traj.jsonl``, one
 trajectory per line: game, episode, steps (key, actor, action in the
@@ -150,8 +152,7 @@ def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
     With one worker it runs the tasks in this process and starts no pool.
     Otherwise `fn` and every task must pickle. Workers start by the
     platform's default method (fork on Linux, a few milliseconds; spawn would
-    re-import numpy and scopal in every worker of every pool), and each keeps
-    its own caches, such as the solver memo.
+    re-import numpy and scopal in every worker of every pool).
     """
     workers = min(jobs, len(tasks))
     if workers <= 1:
@@ -159,6 +160,26 @@ def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         return [future.result() for future in futures]
+
+
+def play_sets(sets: Sequence[tuple[str, Agent, Agent, int]], episodes: int, jobs: int, *,
+              paired: bool, move_bound: int) -> list[list[Trajectory]]:
+    """Episodes 0..episodes-1 of each (game, agent1, agent2, master seed) set, by
+    `play_episodes`; one list per set, in episode order.
+
+    Each set's episodes are cut into ranges of ``max(2, episodes // (4 jobs))``,
+    and each range is one ``fan_out`` task: about four tasks per worker, and
+    ranges long enough for `play_lockstep` to batch the agents' moves.
+    """
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    size = max(2, episodes // (4 * max(1, jobs)))
+    ranges = [range(start, min(start + size, episodes)) for start in range(0, episodes, size)]
+    parts = fan_out(partial(play_episodes, paired=paired, move_bound=move_bound),
+                    [(name, agent1, agent2, part, seed)
+                     for name, agent1, agent2, seed in sets for part in ranges], jobs)
+    return [[t for part in parts[start:start + len(ranges)] for t in part]
+            for start in range(0, len(parts), len(ranges))]
 
 
 def collect_trajectories(games: Iterable[str], agent1_spec: str, agent2_spec: str,
@@ -171,15 +192,11 @@ def collect_trajectories(games: Iterable[str], agent1_spec: str, agent2_spec: st
     player exactly episodes/2 times (up to rounding). Results are sorted by
     (game, episode) and independent of `jobs`.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
     agent1 = make_agent(agent1_spec, policy, temperature)
     agent2 = make_agent(agent2_spec, policy, temperature)
-    chunk = max(1, episodes // (max(1, jobs) * 4))
-    tasks = [(name, agent1, agent2, range(start, min(start + chunk, episodes)), master_seed)
-             for name in games for start in range(0, episodes, chunk)]
-    parts = fan_out(partial(play_episodes, paired=False, move_bound=move_bound), tasks, jobs)
-    return sorted((t for part in parts for t in part), key=lambda t: (t.game, t.episode))
+    per_game = play_sets([(name, agent1, agent2, master_seed) for name in games], episodes,
+                         jobs, paired=False, move_bound=move_bound)
+    return sorted((t for trajs in per_game for t in trajs), key=lambda t: (t.game, t.episode))
 
 
 # -- store io ------------------------------------------------------------

@@ -107,18 +107,33 @@ class Policy:
 
     @classmethod
     def load(cls, path) -> "Policy":
-        data = json.loads(Path(path).read_text())
-        if data.get("format") != CHECKPOINT_FORMAT:
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not a JSON checkpoint: {err}") from None
+        if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format in {path}")
-        blocks = {name: np.array(vec, dtype=float) for name, vec in data["blocks"].items()}
+        version, blocks = data.get("version"), data.get("blocks")
+        if type(version) is not int:
+            raise ValueError(f"{path}: the checkpoint has no integer version")
+        if not isinstance(blocks, dict) or not all(
+                isinstance(vec, list) and all(type(x) in (int, float) for x in vec)
+                for vec in blocks.values()):
+            raise ValueError(f"{path}: blocks must map each game to a list of numbers")
+        try:
+            blocks = {name: np.array(vec, dtype=float) for name, vec in blocks.items()}
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{path}: a block holds a value that is not finite") from None
         for name, vec in blocks.items():
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: the {name!r} block holds a value that is not finite")
             try:
                 width = feature_dim(get_game(name))
             except UnknownGameError:
                 raise ValueError(f"{path}: block for unknown game {name!r}") from None
             if vec.shape != (width,):
                 raise ValueError(f"{path}: the {name!r} block has width {vec.size}, not {width}")
-        return cls(blocks, data["version"])
+        return cls(blocks, version)
 
 
 def new_policy(game_names) -> Policy:

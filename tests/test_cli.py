@@ -158,8 +158,10 @@ def test_spag_pipeline_trains_on_the_store(run, monkeypatch):
                                      ["head2head", "--agents", "base,mcts:0"],
                                      ["head2head", "--agents", "base,,random"],
                                      ["head2head", "--agents", "base,policy"],
-                                     ["head2head", "--agents", "base,base"]],
-                         ids=["rounds-0", "mcts-0", "empty-entry", "policy", "repeated"])
+                                     ["head2head", "--agents", "base,base"],
+                                     ["head2head", "--agents", "mcts:3,mcts:03"]],
+                         ids=["rounds-0", "mcts-0", "empty-entry", "policy", "repeated",
+                              "mcts-leading-zero"])
 def test_bad_flags_exit_2_before_any_run_directory(run, command):
     with pytest.raises(SystemExit) as exit_info:
         run(*command)
@@ -174,6 +176,15 @@ def test_head2head_refuses_a_checkpoint_without_a_run_game(run, monkeypatch, tmp
     assert run("head2head", "--agents", f"random,policy:{checkpoint}") == 2
     err = capsys.readouterr().err
     assert f"--agents: {checkpoint} has no parameters for game 'tictactoe'" in err
+    assert not run.out.exists()
+
+
+def test_head2head_refuses_a_malformed_checkpoint(run, tmp_path, capsys):
+    checkpoint = tmp_path / "x.json"
+    checkpoint.write_text('{"format": "scopal-policy-v1"}')
+    assert run("head2head", "--agents", f"random,policy:{checkpoint}") == 2
+    assert f"--agents: {checkpoint}: the checkpoint has no integer version" in (
+        capsys.readouterr().err)
     assert not run.out.exists()
 
 

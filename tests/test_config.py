@@ -134,6 +134,7 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
     ("SCOPAL_RUN_GAMES", "nim,nim", "run.games: 'nim' is listed more than once"),
     ("SCOPAL_EVAL_OPPONENTS", "random,mcts:5,random",
      "eval.opponents: 'random' is listed more than once"),
+    ("SCOPAL_EVAL_OPPONENTS", "mcts:5,mcts:05", "eval.opponents: unknown agent spec 'mcts:05'"),
     ("SCOPAL_EVAL_TEMPERATURE", "nan", "eval.temperature must be finite"),
     ("SCOPAL_REWARDS_TIE_WEIGHT", "nan", "rewards.tie_weight must be finite"),
     ("SCOPAL_TRAIN_BETA", "inf", "train.beta must be finite"),

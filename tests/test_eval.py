@@ -7,11 +7,11 @@ import pytest
 
 from scopal.agents import MctsAgent, PolicyAgent, RandomAgent, make_agent
 from scopal.csvfile import write_csv
-from scopal.evaluation import (TOURNAMENT_COLUMNS, MatchReport, head_to_head,
+from scopal.evaluation import (TOURNAMENT_COLUMNS, MatchReport, RegretReport, head_to_head,
                                interaction_win_rate, play_match, regret, regret_reports,
                                tournament, win_rate)
 from scopal.games import Outcome, Player, get_game
-from scopal.interaction import collect_trajectories, stable_hash
+from scopal.interaction import collect_trajectories, play_episodes, replay, stable_hash
 from scopal.policy import new_policy
 from scopal.solvers import MinimaxSolver, OptimalAgent, get_solver
 
@@ -62,27 +62,47 @@ def test_tournament_report_grid(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("episodes", [3, 4])
-def test_split_evaluation_equals_whole_matches(episodes):
-    # tournaments, head-to-head and regret split each match into seat pairs
-    # (an odd last episode alone) and merge them; over two workers the merged
-    # reports must equal matches played whole, in one call each
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("episodes", [3, 4, 27])
+def test_split_evaluation_equals_whole_matches(episodes, jobs):
+    # tournaments, head-to-head and regret cut each match into episode
+    # ranges, some shorter and some longer than a seat pair, and run them
+    # over `jobs` workers; the reports must equal matches played whole, in
+    # one `play_episodes` call each and counted and scored here
+    def whole(game, agent1, agent2, seed):
+        return play_episodes(game, agent1, agent2, range(episodes), seed, paired=True)
+
+    def counts(trajs):
+        outcomes = [t.outcome[Player.P1 if t.episode % 2 == 0 else Player.P2] for t in trajs]
+        return [outcomes.count(o) for o in (Outcome.WIN, Outcome.LOSE, Outcome.TIE)]
+
     games, opponents = ["tictactoe", "nim"], ["random", "mcts:5"]
     agent = PolicyAgent(new_policy(games), 0.2)
-    whole = [play_match(g, agent, make_agent(spec, temperature=0.2), episodes,
-                        stable_hash(3, "tournament", g, spec))
-             for g in games for spec in opponents]
-    assert tournament(agent, opponents, games, episodes, 3, jobs=2) == whole
+    reports = tournament(agent, opponents, games, episodes, 3, jobs=jobs)
+    expected = []
+    for g in games:
+        for spec in opponents:
+            seed = stable_hash(3, "tournament", g, spec)
+            n = counts(whole(g, agent, make_agent(spec, temperature=0.2), seed))
+            expected.append(MatchReport(g, "policy", spec, *n, win_rate(*n), episodes, seed))
+    assert reports == expected
     agents = [("policy", agent), ("random", RandomAgent()), ("mcts:5", MctsAgent(5))]
-    matrix = head_to_head(agents, games, episodes, 4, jobs=2)
+    matrix = head_to_head(agents, games, episodes, 4, jobs=jobs)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        rates = [play_match(g, agents[i][1], agents[j][1], episodes,
-                            stable_hash(4, "h2h", g, agents[i][0], agents[j][0])).win_rate
+        rates = [win_rate(*counts(whole(g, agents[i][1], agents[j][1],
+                                        stable_hash(4, "h2h", g, agents[i][0], agents[j][0]))))
                  for g in games]
         assert matrix[i][j] == sum(rates) / len(rates)
-    reports = regret_reports(agent, games, episodes, 5, opponent_spec="mcts:5", jobs=2)
-    assert reports == [regret(agent, g, episodes, 5, opponent_spec="mcts:5") for g in games]
-    assert all(r.episodes == episodes and r.moves == len(r.regrets) > 0 for r in reports)
+    reports = regret_reports(agent, games, episodes, 5, opponent_spec="mcts:5", jobs=jobs)
+    for report, g in zip(reports, games):
+        solver = get_solver(g)
+        regrets = [solver.regret(state, action)
+                   for t in whole(g, agent, MctsAgent(5), stable_hash(5, "regret", g))
+                   for state, action, actor in replay(t)
+                   if actor is (Player.P1 if t.episode % 2 == 0 else Player.P2)]
+        assert report == RegretReport(g, "policy", sum(regrets) / len(regrets), len(regrets),
+                                      episodes)
+        assert report.moves > 0
 
 
 def test_head_to_head_matrix_properties():

@@ -142,12 +142,13 @@ def test_equal_master_seed_gives_byte_identical_stores(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_parallel_workers_match_serial_store(tmp_path):
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_parallel_workers_match_serial_store(tmp_path, jobs):
     policy = new_policy(["tictactoe"])
     serial = collect_trajectories(["tictactoe"], "policy", "random", 24, 3,
                                   policy=policy, jobs=1)
     parallel = collect_trajectories(["tictactoe"], "policy", "random", 24, 3,
-                                    policy=policy, jobs=2)
+                                    policy=policy, jobs=jobs)
     assert [trajectory_record(t) for t in serial] == [trajectory_record(t) for t in parallel]
 
 

@@ -1,5 +1,6 @@
 """Distribution semantics, gradients vs finite differences, sampling,
 and checkpoint round-trips."""
+import json
 import math
 import random
 
@@ -231,6 +232,38 @@ def test_a_checkpoint_block_for_an_unknown_game_is_refused(tmp_path):
     with pytest.raises(ValueError) as err:
         Policy.load(path)
     assert str(path) in str(err.value) and "'chess'" in str(err.value)
+
+
+def _checkpoint(**fields) -> str:
+    """Checkpoint text with the right format tag; NaN and Infinity dump as JSON extensions."""
+    return json.dumps({"format": "scopal-policy-v1", **fields})
+
+
+NIM_ZEROS = [0.0] * feature_dim(get_game("nim"))
+
+
+@pytest.mark.parametrize("text, message", [
+    (_checkpoint(), "no integer version"),
+    (_checkpoint(version=0), "blocks must map"),
+    (_checkpoint(blocks={"nim": NIM_ZEROS}), "no integer version"),
+    (_checkpoint(version="0", blocks={"nim": NIM_ZEROS}), "no integer version"),
+    (_checkpoint(version=0, blocks=[0.0]), "blocks must map"),
+    (_checkpoint(version=0, blocks={"nim": "0"}), "blocks must map"),
+    (_checkpoint(version=0, blocks={"nim": ["0"] * len(NIM_ZEROS)}), "blocks must map"),
+    (_checkpoint(version=0, blocks={"nim": [[0.0]] * len(NIM_ZEROS)}), "blocks must map"),
+    (_checkpoint(version=0, blocks={"nim": [math.nan] + NIM_ZEROS[1:]}), "not finite"),
+    (_checkpoint(version=0, blocks={"nim": NIM_ZEROS[1:] + [-math.inf]}), "not finite"),
+    (_checkpoint(version=0, blocks={"nim": [10 ** 400] + NIM_ZEROS[1:]}), "not finite"),
+    ('["scopal-policy-v1"]', "unsupported checkpoint format"),
+    (_checkpoint(version=0)[:-1] + ', "blocks": {', "not a JSON checkpoint"),
+], ids=["bare", "no-blocks", "no-version", "string-version", "blocks-list", "block-string",
+        "string-entries", "nested-entries", "nan", "infinity", "huge-int", "not-an-object", "not-json"])
+def test_a_malformed_checkpoint_is_refused_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "policy.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        Policy.load(path)
+    assert str(path) in str(err.value) and message in str(err.value)
 
 
 @given(st.floats(min_value=0.05, max_value=5.0))
