@@ -1,9 +1,11 @@
-"""Atomic artifact writes: a reader sees the previous file or the complete new one."""
+"""Atomic artifact writes, and the one writer and reader of JSON-lines artifacts."""
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 
 @contextmanager
@@ -23,3 +25,22 @@ def atomic_open(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_records(path, records: Iterable[dict]) -> None:
+    """Each record as one line of JSON, keys sorted, written atomically."""
+    with atomic_open(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def read_records(path, parse: Callable[[dict], object], kind: str) -> Iterator:
+    """`parse` of each non-blank line's JSON object, lazily; a corrupt line is a ValueError."""
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    record = parse(json.loads(line))
+                except (AttributeError, KeyError, SyntaxError, TypeError, ValueError) as err:
+                    raise ValueError(f"{path}:{line_no}: corrupt {kind} record: {err}") from err
+                yield record

@@ -25,8 +25,8 @@ from .csvfile import write_csv
 from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS,
                          average_win_rate, head_to_head, interaction_win_rate,
                          regret_reports, tournament)
-from .interaction import (Trajectory, collect_trajectories, read_trajectories, stable_hash,
-                          write_trajectories)
+from .interaction import (Trajectory, collect_trajectories, read_game_blocks,
+                          read_trajectories, stable_hash, write_trajectories)
 from .policy import Policy, new_policy
 from .refine import METRIC_COLUMNS, train_two_stage
 from .rewards import (LabeledStep, accumulate_stats, collect_representatives,
@@ -86,7 +86,11 @@ def _label(config: ExperimentConfig, trajs: list[Trajectory]) -> list[LabeledSte
     rewards = estimate_rewards(stats, method=config.estimator, tie_weight=config.tie_weight,
                                alpha0=config.alpha0, beta0=config.beta0)
     reps = collect_representatives(trajs, actors=config.actors)
-    return label_steps(rewards, config.delta, reps, min_count=config.min_count, stats=stats)
+    dataset = label_steps(rewards, config.delta, reps, min_count=config.min_count, stats=stats)
+    if unlabelled := {t.game for t in trajs} - {step.game for step in dataset}:
+        raise ValueError(f"Stage II labels no step of {min(unlabelled)} (rewards.min_count = "
+                         f"{config.min_count}, rewards.actors = {config.actors})")
+    return dataset
 
 
 def _play_label_train(config: ExperimentConfig, policy: Policy, opponent: str,
@@ -112,8 +116,9 @@ def cmd_interact(config: ExperimentConfig, run_dir: Path) -> None:
 
 
 def cmd_estimate(config: ExperimentConfig, run_dir: Path) -> None:
-    trajs = read_trajectories(_store_path(config, run_dir))
-    write_labeled(run_dir / "labeled.jsonl", _label(config, trajs))
+    blocks = read_game_blocks(_store_path(config, run_dir))
+    write_labeled(run_dir / "labeled.jsonl",
+                  (step for trajs in blocks for step in _label(config, trajs)))
 
 
 def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:

@@ -125,6 +125,10 @@ class ExperimentConfig:
             raise ConfigError("rewards.gamma must lie in (0, 1)")
         if self.alpha0 <= 0 or self.beta0 <= 0:
             raise ConfigError("rewards.alpha0 and beta0 must be positive")
+        if self.tie_weight < 0 or self.tie_weight > 1:  # nan fails the finite check below
+            raise ConfigError("rewards.tie_weight must lie in [0, 1]")
+        if self.min_count < 1:
+            raise ConfigError("rewards.min_count must be >= 1")
         if self.actors not in ACTORS:
             raise ConfigError("rewards.actors must be 'learner' or 'all'")
         if self.mode not in MODES:

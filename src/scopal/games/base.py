@@ -1,7 +1,10 @@
 """Uniform turn-based game abstraction shared by all six games.
 
 States are immutable values: ``apply`` returns a new state and never touches
-its input, so states can be shared freely across episode workers.
+its input, so states can be shared freely across episode workers. A state's
+text is one line, ``<to_move> <move_count> <payload>``: the payload is a row of
+digits for a board or Nim's piles (``P2 1 1351``), Connect Four's two bitboard
+ints, and a Python literal for the card games (``P2 1 ((2, 1), ('P',))``).
 
 Outcomes become numbers through two tables only: ``SCORE`` (win 1, tie 0.5,
 loss 0) for UCT backups, and ``RETURN`` (win 1, tie 0, loss -1) for Stage II
@@ -11,6 +14,7 @@ caller that keeps one to change it copies it first.
 """
 from __future__ import annotations
 
+import ast
 import random
 from abc import ABC, abstractmethod
 from enum import Enum
@@ -73,6 +77,7 @@ class Game(ABC):
     state_type: type  # the frozen dataclass of the game's states
     max_moves: int
     perfect_information: bool = True
+    digit_row: str | None = None  # the state's one other field, if a tuple of single digits
 
     @abstractmethod
     def initial_state(self, chance_seed: int) -> Any:
@@ -108,14 +113,25 @@ class Game(ABC):
 
     # -- defaults ------------------------------------------------------
 
-    def encode_state(self, state: Any) -> dict:
-        """The state's fields, `to_move` by name; json writes the tuples as lists."""
-        return dict(vars(state), to_move=state.to_move.name)
+    def encode_state(self, state: Any) -> str:
+        """The state as one line of text: ``<to_move> <move_count> <payload>``."""
+        return f"{state.to_move.name} {state.move_count} {self.payload(state)}"
 
-    def decode_state(self, data: Mapping) -> Any:
-        """Rebuild a `state_type` from encode_state's fields, lists as tuples."""
-        fields = {name: _tuples(value) for name, value in data.items()}
-        return self.state_type(**dict(fields, to_move=Player[data["to_move"]]))
+    def decode_state(self, text: str) -> Any:
+        """The state `encode_state` wrote: the payload's fields, then to_move and move_count."""
+        to_move, move_count, payload = text.split(" ", 2)
+        return self.state_type(*self.parse_payload(payload), Player[to_move], int(move_count))
+
+    def payload(self, state: Any) -> str:
+        """The other fields: `digit_row` as a row of digits, else all, in order, as a literal."""
+        if self.digit_row:
+            return "".join(map(str, getattr(state, self.digit_row)))
+        return repr(tuple(value for name, value in vars(state).items()
+                          if name not in ("to_move", "move_count")))
+
+    def parse_payload(self, payload: str) -> tuple:
+        """The fields, in declaration order, that `payload` wrote."""
+        return (tuple(map(int, payload)),) if self.digit_row else ast.literal_eval(payload)
 
     def relative_action(self, state: Any, action: Any) -> Any:
         """Action re-expressed in the mover's observation coordinates.
@@ -175,11 +191,6 @@ def draw_below(getrandbits: Callable[[int], int], n: int) -> int:
     while r >= n:
         r = getrandbits(k)
     return r
-
-
-def _tuples(value: Any) -> Any:
-    """`value` with every list in it, at any depth, made a tuple."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def split_key(key: str) -> tuple[str, str]:

@@ -43,6 +43,7 @@ class BtState:
 
 class Breakthrough(Game):
     state_type = BtState
+    digit_row = "board"  # the carried bits stay out of the state's text
     perfect_information = True
 
     def __init__(self, cols: int = 3, rows: int = 8, name: str = "breakthrough"):
@@ -138,9 +139,6 @@ class Breakthrough(Game):
     def outcome(self, state: BtState) -> Optional[OutcomeMap]:
         winner = self._position(state)[0]
         return None if winner is None else win_for(winner)
-
-    def encode_state(self, state: BtState) -> dict:
-        return {"board": state.board, "to_move": state.to_move.name, "move_count": state.move_count}
 
     def _rel_board(self, state: BtState, viewer: Player) -> tuple[int, ...]:
         if viewer is Player.P1:

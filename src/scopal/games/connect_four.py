@@ -71,6 +71,12 @@ class ConnectFour(Game):
             return tie_outcome()
         return None
 
+    def payload(self, state: C4State) -> str:
+        return f"{state.p1} {state.p2}"
+
+    def parse_payload(self, payload: str) -> tuple:
+        return tuple(map(int, payload.split(" ")))
+
     def observation(self, state: C4State, viewer: Player):
         mine, theirs = (state.p1, state.p2) if viewer is Player.P1 else (state.p2, state.p1)
         return (viewer.value, viewer is state.to_move, (mine, theirs))

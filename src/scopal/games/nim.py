@@ -22,6 +22,7 @@ class NimState:
 
 class Nim(Game):
     state_type = NimState
+    digit_row = "piles"
     name = "nim"
     max_moves = sum(INITIAL_PILES)
 

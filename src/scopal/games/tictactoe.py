@@ -25,6 +25,7 @@ class TttState:
 
 class TicTacToe(Game):
     state_type = TttState
+    digit_row = "cells"
     name = "tictactoe"
     max_moves = 9
 

@@ -22,20 +22,22 @@ The trajectory store is JSON lines named ``<run-id>.traj.jsonl``, one
 trajectory per line: game, episode, steps (key, actor, action in the
 canonical textual notation, move index), each seat's outcome, each seat's
 agent label (``"agents": {"P1": ..., "P2": ...}``) and the chance and
-sampling seeds. Stage II and SPAG read the store and the config alone.
+sampling seeds. Stage II and SPAG read the store and the config alone. Each
+game's trajectories are one block of it, which ``read_game_blocks`` reads lazily.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .agents import Agent, is_learner_spec, make_agent
-from .atomic import atomic_open
+from .atomic import read_records, write_records
 from .games import Game, IllegalActionError, Outcome, Player, get_game, tie_outcome
 from .policy import Policy
 
@@ -224,23 +226,22 @@ def record_trajectory(data: dict) -> Trajectory:
 
 
 def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
-    with atomic_open(path) as fh:
-        for traj in trajectories:
-            fh.write(json.dumps(trajectory_record(traj), sort_keys=True) + "\n")
+    write_records(path, map(trajectory_record, trajectories))
 
 
 def read_trajectories(path) -> list[Trajectory]:
-    out = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(record_trajectory(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as err:
-                raise ValueError(f"{path}:{line_no}: corrupt trajectory record: {err}") from err
-    return out
+    return list(read_records(path, record_trajectory, "trajectory"))
+
+
+def read_game_blocks(path) -> Iterator[list[Trajectory]]:
+    """The store's trajectories, read lazily, one game's block at a time."""
+    seen = set()
+    for game, block in groupby(read_records(path, record_trajectory, "trajectory"),
+                               key=attrgetter("game")):
+        if game in seen:
+            raise ValueError(f"{path}: {game} reappears after another game's trajectories")
+        seen.add(game)
+        yield list(block)
 
 
 def replay(traj: Trajectory):

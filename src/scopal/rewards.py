@@ -7,15 +7,17 @@ one count table: the empirical win rate ``n_win / n_all`` (ties creditable
 via ``tie_weight``), the mean discounted return, or the Beta-posterior mean.
 Keys with reward above the threshold are labeled Desirable, the rest
 Undesirable. Which seats count as the learner's comes from the seat labels
-the store records, so Stage II needs the store and the config alone.
+the store records, so Stage II needs the store and the config alone. Keys
+begin with the game's name, so ``estimate`` labels the store one game at a time.
+``labeled.jsonl`` holds one JSON object per step, sorted by (game, key): game, key,
+reward, label, the action's notation and the state's text (``encode_state``).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .atomic import atomic_open
+from .atomic import read_records, write_records
 from .games import RETURN, Outcome, get_game
 from .interaction import Trajectory, learner_seats, replay
 
@@ -163,31 +165,21 @@ def label_counts(dataset: Iterable[LabeledStep]) -> tuple[int, int]:
 # -- labeled dataset io ----------------------------------------------------
 
 
+def labeled_record(step: LabeledStep) -> dict:
+    game = get_game(step.game)
+    return {"game": step.game, "key": step.key, "state": game.encode_state(step.state),
+            "action": game.action_text(step.action), "reward": step.reward, "label": step.label}
+
+
+def labeled_step(data: dict) -> LabeledStep:
+    game = get_game(data["game"])
+    return LabeledStep(data["game"], data["key"], game.decode_state(data["state"]),
+                       game.parse_action(data["action"]), data["reward"], data["label"])
+
+
 def write_labeled(path, dataset: Iterable[LabeledStep]) -> None:
-    with atomic_open(path) as fh:
-        for step in dataset:
-            game = get_game(step.game)
-            rec = {"game": step.game, "key": step.key,
-                   "state": game.encode_state(step.state),
-                   "action": game.action_text(step.action),
-                   "reward": step.reward, "label": step.label}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_records(path, map(labeled_record, dataset))
 
 
 def read_labeled(path) -> list[LabeledStep]:
-    out = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                game = get_game(rec["game"])
-                out.append(LabeledStep(rec["game"], rec["key"],
-                                       game.decode_state(rec["state"]),
-                                       game.parse_action(rec["action"]),
-                                       rec["reward"], rec["label"]))
-            except (KeyError, TypeError, ValueError) as err:
-                raise ValueError(f"{path}:{line_no}: corrupt labeled record: {err}") from err
-    return out
+    return list(read_records(path, labeled_step, "labeled"))

@@ -8,8 +8,12 @@ import pytest
 
 import scopal
 
+from scopal import cli
 from scopal.cli import main
+from scopal.config import load_config
+from scopal.interaction import read_trajectories, write_trajectories
 from scopal.policy import Policy, new_policy
+from scopal.rewards import write_labeled
 
 CONFIG = """\
 [run]
@@ -137,11 +141,63 @@ def test_sweep_plays_and_labels_as_the_pipeline_does(run, monkeypatch, setting):
 
 def test_joint_mode_with_an_empty_labeled_set_trains_nothing(run, monkeypatch):
     monkeypatch.setenv("SCOPAL_TRAIN_MODE", "joint")
-    monkeypatch.setenv("SCOPAL_REWARDS_MIN_COUNT", "1000")
-    assert run("pipeline") == 0
+    assert run("interact") == 0
     (run_dir,) = run.out.iterdir()
+    (run_dir / "labeled.jsonl").write_text("")  # estimate refuses to write one
+    assert run("train") == 0
     assert (run_dir / "labeled.jsonl").read_text() == ""
     assert (run_dir / "metrics.csv").read_text().splitlines() == [HEADERS["metrics.csv"]]
+
+
+def test_a_stage_ii_that_labels_nothing_for_a_game_is_refused(run, monkeypatch, capsys):
+    monkeypatch.setenv("SCOPAL_INTERACT_EPISODES", "4")
+    monkeypatch.setenv("SCOPAL_REWARDS_MIN_COUNT", "1000")
+    assert run("pipeline") == 1
+    (run_dir,) = run.out.iterdir()
+    assert ("Stage II labels no step of nim (rewards.min_count = 1000, "
+            "rewards.actors = learner)") in capsys.readouterr().err
+    assert [p.name for p in run_dir.iterdir()] == [f"{run_dir.name}.traj.jsonl"]
+    assert run("sweep") == 1
+    assert "Stage II labels no step of nim" in capsys.readouterr().err
+
+
+# the two Breakthroughs' keys sort in the opposite order to their names ('_' < '|')
+STREAMED_GAMES = ("breakthrough", "breakthrough_6x6", "kuhn_poker", "liars_dice", "nim")
+
+
+def test_estimate_labels_one_game_at_a_time_as_the_whole_store_would(run, monkeypatch,
+                                                                       tmp_path):
+    monkeypatch.setenv("SCOPAL_RUN_GAMES", ",".join(STREAMED_GAMES))
+    assert run("interact") == 0
+    games_per_call = []
+    label = cli._label
+
+    def counted(config, trajs):
+        games_per_call.append({t.game for t in trajs})
+        return label(config, trajs)
+
+    monkeypatch.setattr(cli, "_label", counted)
+    assert run("estimate") == 0
+    assert games_per_call == [{game} for game in STREAMED_GAMES]
+    (run_dir,) = run.out.iterdir()
+    config = load_config(str(run.config), out=str(run.out))
+    whole = tmp_path / "whole.jsonl"
+    write_labeled(whole, label(config, read_trajectories(cli._store_path(config, run_dir))))
+    assert (run_dir / "labeled.jsonl").read_bytes() == whole.read_bytes()
+
+
+def test_estimate_refuses_a_store_whose_games_are_not_in_blocks(run, monkeypatch, capsys):
+    monkeypatch.setenv("SCOPAL_RUN_GAMES", "kuhn_poker,nim")
+    assert run("interact") == 0
+    (run_dir,) = run.out.iterdir()
+    (store,) = run_dir.glob("*.traj.jsonl")
+    trajs = read_trajectories(store)
+    assert [t.game for t in trajs] == ["kuhn_poker"] * 2 + ["nim"] * 2
+    write_trajectories(store, trajs[1:] + trajs[:1])
+    assert run("estimate") == 1
+    assert (f"{store}: kuhn_poker reappears after another game's trajectories"
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in run_dir.iterdir()) == [store.name, "manifest.json"]
 
 
 def test_spag_pipeline_trains_on_the_store(run, monkeypatch):

@@ -137,6 +137,10 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
     ("SCOPAL_EVAL_OPPONENTS", "mcts:5,mcts:05", "eval.opponents: unknown agent spec 'mcts:05'"),
     ("SCOPAL_EVAL_TEMPERATURE", "nan", "eval.temperature must be finite"),
     ("SCOPAL_REWARDS_TIE_WEIGHT", "nan", "rewards.tie_weight must be finite"),
+    ("SCOPAL_REWARDS_TIE_WEIGHT", "5.0", re.escape("rewards.tie_weight must lie in [0, 1]")),
+    ("SCOPAL_REWARDS_TIE_WEIGHT", "-0.5", re.escape("rewards.tie_weight must lie in [0, 1]")),
+    ("SCOPAL_REWARDS_MIN_COUNT", "-3", "rewards.min_count must be >= 1"),
+    ("SCOPAL_REWARDS_MIN_COUNT", "0", "rewards.min_count must be >= 1"),
     ("SCOPAL_TRAIN_BETA", "inf", "train.beta must be finite"),
 ])
 def test_bad_settings_are_rejected_when_they_load(tmp_path, monkeypatch, capsys,

@@ -69,7 +69,7 @@ def test_ttt_empty_board_has_nine_actions():
 
 def test_nim_single_match_single_action():
     g = get_game("nim")
-    s = g.decode_state({"piles": [1, 0, 0, 0], "to_move": "P1", "move_count": 15})
+    s = g.decode_state("P1 15 1000")
     assert g.legal_actions(s) == ((0, 1),)
 
 
@@ -140,7 +140,7 @@ def test_ttt_row_of_three_wins():
 
 def test_nim_taking_last_match_loses():
     g = get_game("nim")
-    s = g.decode_state({"piles": [1, 0, 0, 0], "to_move": "P1", "move_count": 15})
+    s = g.decode_state("P1 15 1000")
     final = g.apply(s, (0, 1))
     out = g.outcome(final)
     assert out[Player.P1] is Outcome.LOSE and out[Player.P2] is Outcome.WIN
@@ -157,15 +157,13 @@ def test_ttt_full_board_no_line_is_tie():
 
 def test_liars_dice_exact_bid_defeats_challenger():
     g = get_game("liars_dice")
-    s = g.decode_state({"dice": [5, 5], "bids": [], "challenged": False,
-                        "to_move": "P1", "move_count": 0})
+    s = g.decode_state("P1 0 ((5, 5), (), False)")
     s = g.apply(s, (2, 5))  # exactly two fives on the table
     s = g.apply(s, ("challenge",))
     out = g.outcome(s)
     assert out[Player.P1] is Outcome.WIN  # bidder wins on an exact bid
     # overbid loses
-    s2 = g.decode_state({"dice": [5, 3], "bids": [], "challenged": False,
-                         "to_move": "P1", "move_count": 0})
+    s2 = g.decode_state("P1 0 ((5, 3), (), False)")
     s2 = g.apply(s2, (2, 5))
     s2 = g.apply(s2, ("challenge",))
     assert g.outcome(s2)[Player.P1] is Outcome.LOSE
@@ -200,8 +198,8 @@ def _random_breakthrough_states(game, rng, count):
     states = [random_state(game, rng) for _ in range(count)]
     for _ in range(count):
         board = [rng.choice((0, 0, 1, 2)) for _ in range(game.cols * game.rows)]
-        states.append(game.decode_state({"board": board, "to_move": rng.choice(["P1", "P2"]),
-                                         "move_count": 0}))
+        to_move = rng.choice(["P1", "P2"])
+        states.append(game.decode_state(f"{to_move} 0 {''.join(map(str, board))}"))
     return states
 
 
@@ -257,7 +255,7 @@ def test_breakthrough_reaching_home_row_wins():
     board = [0] * 24
     board[6 * 3 + 1] = 1   # P1 pawn on b7
     board[3 * 3 + 0] = 2   # far-away P2 pawn
-    s = g.decode_state({"board": board, "to_move": "P1", "move_count": 20})
+    s = g.decode_state("P1 20 " + "".join(map(str, board)))
     final = g.apply(s, g.parse_action("b7b8"))
     assert g.outcome(final)[Player.P1] is Outcome.WIN
 
@@ -276,7 +274,7 @@ def test_breakthrough_carried_bitboards_never_leak(name):
         assert decoded == s and hash(decoded) == hash(s) and repr(decoded) == repr(s)
         text = json.dumps(game.encode_state(s))
         assert text == json.dumps(game.encode_state(decoded))
-        assert set(json.loads(text)) == {"board", "to_move", "move_count"}
+        assert json.loads(text) == f"{s.to_move.name} {s.move_count} {''.join(map(str, s.board))}"
         assert game.legal_actions(decoded) == game.legal_actions(s)
         assert game.outcome(decoded) == game.outcome(s)
         if game.outcome(s) is None:
@@ -318,27 +316,23 @@ def test_keys_deterministic_and_distinct():
 
 def test_kuhn_key_ignores_hidden_opponent_card():
     g = get_game("kuhn_poker")
-    a = g.decode_state({"cards": [2, 0], "history": [], "to_move": "P1", "move_count": 0})
-    b = g.decode_state({"cards": [2, 1], "history": [], "to_move": "P1", "move_count": 0})
+    a = g.decode_state("P1 0 ((2, 0), ())")
+    b = g.decode_state("P1 0 ((2, 1), ())")
     assert g.canonical_key(a, "B") == g.canonical_key(b, "B")
 
 
 def test_liars_dice_key_ignores_hidden_opponent_die():
     g = get_game("liars_dice")
-    a = g.decode_state({"dice": [4, 1], "bids": [[1, 2]], "challenged": False,
-                        "to_move": "P2", "move_count": 1})
-    b = g.decode_state({"dice": [6, 1], "bids": [[1, 2]], "challenged": False,
-                        "to_move": "P2", "move_count": 1})
+    a = g.decode_state("P2 1 ((4, 1), ((1, 2),), False)")
+    b = g.decode_state("P2 1 ((6, 1), ((1, 2),), False)")
     assert g.canonical_key(a, (2, 2)) == g.canonical_key(b, (2, 2))
 
 
 def test_mirrored_seats_share_keys():
     g = get_game("tictactoe")
     # P1 played center | P2 played center: same mover-relative situation
-    s1 = g.decode_state({"cells": [0, 0, 0, 0, 2, 0, 0, 0, 0], "to_move": "P1",
-                         "move_count": 1})
-    s2 = g.decode_state({"cells": [0, 0, 0, 0, 1, 0, 0, 0, 0], "to_move": "P2",
-                         "move_count": 1})
+    s1 = g.decode_state("P1 1 000020000")
+    s2 = g.decode_state("P2 1 000010000")
     assert g.canonical_key(s1, 0) == g.canonical_key(s2, 0)
 
 
@@ -349,7 +343,7 @@ def test_breakthrough_relative_keys_mirror_rows():
     flipped = []
     for r in range(7, -1, -1):
         flipped.extend(3 - v if v else 0 for v in s.board[r * 3:(r + 1) * 3])
-    mirror = g.decode_state({"board": flipped, "to_move": "P2", "move_count": 0})
+    mirror = g.decode_state("P2 0 " + "".join(map(str, flipped)))
     opening = g.canonical_key(s, g.parse_action("a2a3"))
     mirrored = g.canonical_key(mirror, g.parse_action("a7a6"))
     assert opening == mirrored  # mirrored seats aggregate under one key
@@ -366,8 +360,8 @@ def test_perfect_info_observation_determines_state():
         for _ in range(200):
             s = random_state(game, rng)
             obs = game.observation(s, s.to_move)
-            enc = game.encode_state(s)
-            enc.pop("move_count")
+            to_move, _, payload = game.encode_state(s).split(" ", 2)
+            enc = (to_move, payload)  # all but the move count
             if obs in seen:
                 assert seen[obs] == enc
             else:

@@ -1,4 +1,5 @@
 """Counting, the three reward estimators, and threshold labeling."""
+import json
 import random
 import re
 
@@ -229,3 +230,18 @@ def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
     message = re.escape(f"{path}:2: corrupt labeled record: 'state'")
     with pytest.raises(ValueError, match=message):
         read_labeled(path)
+    kuhn = get_game("kuhn_poker")
+    deal = kuhn.initial_state(0)
+    write_labeled(path, [LabeledStep("kuhn_poker", kuhn.canonical_key(deal, "B"), deal, "B",
+                                     1.0, DESIRABLE)])
+    card_game = path.read_text()
+    assert '"P1 0 1357"' in good and '"P1 0 ((1, 2), ())"' in card_game
+    for malformed in ("P1 0", "P3 0 1357", "P1 zero 1357", "P1 0 13x7", 1357):
+        path.write_text(good + good.replace('"P1 0 1357"', json.dumps(malformed)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
+            read_labeled(path)
+    for malformed in ("P1 0 ((2, 1), ()", "P1 0 7", "P1 0 ((2, 1),)"):
+        bad = card_game.replace('"P1 0 ((1, 2), ())"', json.dumps(malformed))
+        path.write_text(card_game + bad)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
+            read_labeled(path)
