@@ -22,7 +22,7 @@ from .agents import PolicyAgent, make_agent, parse_spec
 from .atomic import atomic_open
 from .config import ConfigError, ExperimentConfig, check_agent_spec, load_config
 from .csvfile import write_csv
-from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS,
+from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS, MatchReport,
                          average_win_rate, head_to_head, interaction_win_rate,
                          regret_reports, tournament)
 from .interaction import (Trajectory, collect_trajectories, read_game_blocks,
@@ -93,6 +93,14 @@ def _label(config: ExperimentConfig, trajs: list[Trajectory]) -> list[LabeledSte
     return dataset
 
 
+def _tournament(config: ExperimentConfig, policy: Policy, label: str) -> list[MatchReport]:
+    """The match reports of `policy`, named `label`, against every `eval.opponents` entry."""
+    agent = PolicyAgent(policy, config.eval_temperature, label=label)
+    return tournament(agent, config.eval_opponents, config.games, config.eval_episodes,
+                      config.seed, eval_temperature=config.eval_temperature,
+                      jobs=config.effective_jobs())
+
+
 def _play_label_train(config: ExperimentConfig, policy: Policy, opponent: str,
                       label: str) -> tuple[Policy, list[LabeledStep], float, float]:
     """One `sweep` rung or `iterate` round, seeded by `config.seed`: `policy` plays
@@ -103,10 +111,7 @@ def _play_label_train(config: ExperimentConfig, policy: Policy, opponent: str,
     trajs = _interact(config, policy, ("policy", opponent))
     dataset = _label(config, trajs)
     trained, _ = train_two_stage(policy, dataset, config)
-    agent = PolicyAgent(trained, config.eval_temperature, label=label)
-    reports = tournament(agent, config.eval_opponents, config.games, config.eval_episodes,
-                         config.seed, eval_temperature=config.eval_temperature,
-                         jobs=config.effective_jobs())
+    reports = _tournament(config, trained, label)
     return trained, dataset, interaction_win_rate(trajs), average_win_rate(reports)
 
 
@@ -132,11 +137,7 @@ def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:
 
 
 def cmd_evaluate(config: ExperimentConfig, run_dir: Path) -> None:
-    policy = _load_policy(run_dir)
-    agent = PolicyAgent(policy, config.eval_temperature)
-    reports = tournament(agent, config.eval_opponents, config.games,
-                         config.eval_episodes, config.seed,
-                         eval_temperature=config.eval_temperature, jobs=config.effective_jobs())
+    reports = _tournament(config, _load_policy(run_dir), "policy")
     write_csv(run_dir / "tournament.csv", TOURNAMENT_COLUMNS, map(asdict, reports))
     print(f"average win rate: {average_win_rate(reports):.4f}")
 

@@ -15,11 +15,15 @@ caller that keeps one to change it copies it first.
 from __future__ import annotations
 
 import ast
+import operator
 import random
 from abc import ABC, abstractmethod
 from enum import Enum
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Mapping, Optional
+
+# swaps the values 0-9 and their digits, so it turns a row of digits into text and back
+_DIGITS = bytes.maketrans(bytes(range(10)) + b"0123456789", b"0123456789" + bytes(range(10)))
 
 
 class Player(Enum):
@@ -77,7 +81,8 @@ class Game(ABC):
     state_type: type  # the frozen dataclass of the game's states
     max_moves: int
     perfect_information: bool = True
-    digit_row: str | None = None  # the state's one other field, if a tuple of single digits
+    # the state's one other field, if a tuple of single digits, and each digit's largest value
+    digit_row: tuple[str, tuple[int, ...]] | None = None
 
     @abstractmethod
     def initial_state(self, chance_seed: int) -> Any:
@@ -125,13 +130,18 @@ class Game(ABC):
     def payload(self, state: Any) -> str:
         """The other fields: `digit_row` as a row of digits, else all, in order, as a literal."""
         if self.digit_row:
-            return "".join(map(str, getattr(state, self.digit_row)))
+            return bytes(getattr(state, self.digit_row[0])).translate(_DIGITS).decode()
         return repr(tuple(value for name, value in vars(state).items()
                           if name not in ("to_move", "move_count")))
 
     def parse_payload(self, payload: str) -> tuple:
-        """The fields, in declaration order, that `payload` wrote."""
-        return (tuple(map(int, payload)),) if self.digit_row else ast.literal_eval(payload)
+        """The fields `payload` wrote, in declaration order; refuses a digit row no state holds."""
+        if not self.digit_row:
+            return ast.literal_eval(payload)
+        row, largest = tuple(payload.encode().translate(_DIGITS)), self.digit_row[1]
+        if len(row) != len(largest) or any(map(operator.gt, row, largest)):
+            raise ValueError(f"{self.name}: no state has the row of digits {payload!r}")
+        return (row,)
 
     def relative_action(self, state: Any, action: Any) -> Any:
         """Action re-expressed in the mover's observation coordinates.

@@ -9,11 +9,10 @@ diagonal moves may capture. First player to reach the opposite home row
 The observation is mirrored for P2 (rows flipped, ownership swapped), so
 both seats see themselves advancing toward higher rows.
 
-The rules run on bitboards with three bits per square: square ``i = row*cols
-+ col`` is bit ``3i`` of the bitboard of the seat holding it. A state carries
-both in one int, the board read as octal digits (P1's bits at 3i, P2's at
-3i + 1); ``apply`` derives a child's from its parent's, and an initial or
-decoded state has it built from the board. A piece on square i moves one row
+A state is its board read as octal digits, one int: square ``i = row*cols +
+col`` is digit i, 0 empty, 1 P1, 2 P2, so P1's pieces are bits ``3i`` and P2's
+bits ``3i + 1``. The rules, equality and hashing read that int, and the
+state's text is its digits, square 0 first. A piece on square i moves one row
 forward to column ``col - 1``, ``col`` or ``col + 1`` (move j = 0 left, 1
 straight, 2 right). The mover's moves form one mask, with bit ``3i + j`` set
 when the piece on square i has move j. So the canonical order (from-square
@@ -23,27 +22,28 @@ rollout reaches the k-th legal move by clearing the mask's k lowest bits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .base import Game, OutcomeMap, Player, IllegalActionError, draw_below, win_for
 
 _SEATS = (Player.P1, Player.P2)
-_DIGITS = bytes.maketrans(b"\0\1\2", b"012")
+# per viewer, a digit row's squares as the viewer's values: P2 swaps the owners
+_VALUES = {Player.P1: bytes.maketrans(b"012", b"\0\1\2"),
+           Player.P2: bytes.maketrans(b"012", b"\0\2\1")}
+_KEY = bytes.maketrans(b"\0\1\2", b".mo")
 
 
 @dataclass(frozen=True, slots=True)
 class BtState:
-    board: tuple[int, ...]  # row*cols + col; 0 empty / 1 P1 / 2 P2
+    bits: int  # octal digit i is square i = row*cols + col: 0 empty / 1 P1 / 2 P2
     to_move: Player
     move_count: int
-    # the board as an octal int, square i's value at bit 3i; not part of the state's value
-    bits: Optional[int] = field(default=None, compare=False, repr=False)
 
 
 class Breakthrough(Game):
     state_type = BtState
-    digit_row = "board"  # the carried bits stay out of the state's text
     perfect_information = True
 
     def __init__(self, cols: int = 3, rows: int = 8, name: str = "breakthrough"):
@@ -54,7 +54,7 @@ class Breakthrough(Game):
         self.cols, self.rows, self.name = cols, rows, name
         # every move advances one piece one row; termination is forced
         self.max_moves = 2 * cols * (2 * rows - 3)
-        n = cols * rows
+        self._n = n = cols * rows
         self._full = full = sum(1 << 3 * i for i in range(n))
         first_col = sum(1 << 3 * r * cols for r in range(rows))
         self._not_first_col = full ^ first_col
@@ -70,19 +70,23 @@ class Breakthrough(Game):
         # each move on an empty board -> whether it is straight
         self._reach = tuple({move: abs(move[1] - move[0]) == cols for move in filter(None, moves)}
                             for moves in self._moves)
-        self._start = (1,) * 2 * cols + (0,) * (n - 4 * cols) + (2,) * 2 * cols
+        self._views = {Player.P1: tuple, Player.P2: itemgetter(*map(self._flip, range(n)))}
+        self._start = self.parse_payload("1" * 2 * cols + "0" * (n - 4 * cols) + "2" * 2 * cols)[0]
 
     def initial_state(self, chance_seed: int) -> BtState:
-        return BtState(self._start, Player.P1, 0, self._bits(self._start))
+        return BtState(self._start, Player.P1, 0)
 
-    @staticmethod
-    def _bits(board: tuple[int, ...]) -> int:
-        return int(bytes(board)[::-1].translate(_DIGITS), 8)  # an octal digit per square
+    def payload(self, state: BtState) -> str:
+        return format(state.bits, f"0{self._n}o")[::-1]  # square 0 first
+
+    def parse_payload(self, payload: str) -> tuple[int]:
+        if len(payload) != self._n or payload.strip("012"):
+            raise ValueError(f"{self.name}: {payload!r} is not {self._n} squares of 0, 1 or 2")
+        return (int(payload[::-1], 8),)
 
     def _position(self, state: BtState) -> tuple[Optional[Player], int, int, int]:
         """(winner or None, mover's bits, opponent's bits, mover's seat index)."""
-        bits = state.bits or self._bits(state.board)
-        p1, p2 = bits & self._full, bits >> 1 & self._full
+        p1, p2 = state.bits & self._full, state.bits >> 1 & self._full
         winner = (Player.P1 if p1 & self._goal[0] else
                   Player.P2 if p2 & self._goal[1] or not p1 else
                   None if p2 else Player.P1)
@@ -114,44 +118,33 @@ class Breakthrough(Game):
         frm, to = action
         p1_moves = state.to_move is Player.P1
         own = 1 if p1_moves else 2
-        n = self.cols * self.rows
-        if not (0 <= frm < n and 0 <= to < n):
+        if not (0 <= frm < self._n and 0 <= to < self._n):
             raise IllegalActionError(f"{self.name}: square out of range in {action!r}")
-        if state.board[frm] != own:
+        if state.bits >> 3 * frm & 7 != own:
             raise IllegalActionError(
                 f"{self.name}: {self._square(frm)} does not hold a {state.to_move.value} piece")
         straight = self._reach[own - 1].get((frm, to))
         if straight is None:
             raise IllegalActionError(f"{self.name}: pieces move one square forward, "
                                      f"got {self.action_text(action)}")
-        target = state.board[to]
+        target = state.bits >> 3 * to & 7
         if straight and target != 0:
             raise IllegalActionError(f"{self.name}: straight move onto an occupied square")
         if target == own:
             raise IllegalActionError(f"{self.name}: cannot capture own piece")
-        board = list(state.board)
-        board[frm], board[to] = 0, own
-        bits = state.bits or self._bits(state.board)
-        bits ^= own << 3 * frm ^ (own ^ target) << 3 * to  # the two squares' octal digits
-        return BtState(tuple(board), Player.P2 if p1_moves else Player.P1, state.move_count + 1,
-                       bits)
+        bits = state.bits ^ own << 3 * frm ^ (own ^ target) << 3 * to  # the two squares' digits
+        return BtState(bits, Player.P2 if p1_moves else Player.P1, state.move_count + 1)
 
     def outcome(self, state: BtState) -> Optional[OutcomeMap]:
         winner = self._position(state)[0]
         return None if winner is None else win_for(winner)
 
-    def _rel_board(self, state: BtState, viewer: Player) -> tuple[int, ...]:
-        if viewer is Player.P1:
-            return state.board
-        cols = self.cols
-        return tuple(3 - v if v else 0 for r in range(self.rows - 1, -1, -1)
-                     for v in state.board[r * cols:(r + 1) * cols])
-
     def observation(self, state: BtState, viewer: Player):
-        return (viewer.value, viewer is state.to_move, self._rel_board(state, viewer))
+        digits = self.payload(state).encode().translate(_VALUES[viewer])
+        return (viewer.value, viewer is state.to_move, self._views[viewer](digits))
 
     def observation_key(self, state: BtState, viewer: Player) -> str:
-        return "".join(".mo"[v] for v in self._rel_board(state, viewer))
+        return bytes(self.observation(state, viewer)[2]).translate(_KEY).decode()
 
     def _flip(self, idx: int) -> int:
         r, c = divmod(idx, self.cols)

@@ -22,7 +22,7 @@ class NimState:
 
 class Nim(Game):
     state_type = NimState
-    digit_row = "piles"
+    digit_row = ("piles", INITIAL_PILES)  # no pile grows
     name = "nim"
     max_moves = sum(INITIAL_PILES)
 

@@ -25,7 +25,7 @@ class TttState:
 
 class TicTacToe(Game):
     state_type = TttState
-    digit_row = "cells"
+    digit_row = ("cells", (2,) * 9)
     name = "tictactoe"
     max_moves = 9
 

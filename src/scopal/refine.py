@@ -107,17 +107,12 @@ def bc_loss(policy: Policy, batch: Sequence[LabeledStep], rows: dict | None = No
     if not batch:
         raise ValueError("bc_loss: empty batch")
     rows = _rows(batch) if rows is None else rows
+    visits = [_visit(policy, None, rows, step) for step in batch]
     total = 0.0
-    grads: dict[str, np.ndarray] = {}
     inv = 1.0 / len(batch)
-    for step in batch:
-        game = get_game(step.game)
-        acts, feats = rows[id(step.state)]
-        idx = action_index(game, acts, step.action)
-        logp = log_softmax(feats @ policy.block(game))
-        total -= float(logp[idx])
-        _accumulate(grads, step.game, log_prob_grad(feats, logp, idx), -inv)
-    return LossReport(total * inv, grads)
+    for visit in visits:
+        total -= float(visit.logp[visit.index])
+    return LossReport(total * inv, _gradient((s.game, v, -inv) for s, v in zip(batch, visits)))
 
 
 class _Visit(NamedTuple):
@@ -127,22 +122,27 @@ class _Visit(NamedTuple):
     feats: np.ndarray
     index: int
     logp: np.ndarray
-    ref_logp: np.ndarray
+    ref_logp: np.ndarray | None  # None when scored without a reference
 
     def log_ratio(self, i: int) -> float:
         return self.logp[i] - self.ref_logp[i]
 
-    def grad(self) -> np.ndarray:
-        return log_prob_grad(self.feats, self.logp, self.index)
 
-
-def _visit(policy: Policy, reference: Policy, rows: dict, step) -> _Visit:
-    """Both policies' log-probs of the step's state, from its one feature matrix in `rows`."""
+def _visit(policy: Policy, reference: Policy | None, rows: dict, step) -> _Visit:
+    """The policy's and, if given, the reference's log-probs of the step's state, from `rows`."""
     game = get_game(step.game)
     acts, feats = rows[id(step.state)]
     return _Visit(acts, feats, action_index(game, acts, step.action),
                   log_softmax(feats @ policy.block(game)),
-                  log_softmax(feats @ reference.block(game)))
+                  None if reference is None else log_softmax(feats @ reference.block(game)))
+
+
+def _gradient(terms: Iterable[tuple[str, _Visit, float]]) -> dict[str, np.ndarray]:
+    """The sum, per game, of scale * the gradient of log pi(action) over (game, visit, scale)."""
+    grads: dict[str, np.ndarray] = {}
+    for name, visit, scale in terms:
+        _accumulate(grads, name, log_prob_grad(visit.feats, visit.logp, visit.index), scale)
+    return grads
 
 
 def kto_mismatch_z0(batch: Sequence[LabeledStep], visits: Sequence[_Visit]) -> float:
@@ -181,21 +181,17 @@ def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
     visits = [_visit(policy, reference, rows, s) for s in batch]
     z0 = kto_mismatch_z0(batch, visits) if z0_override is None else z0_override
     total = 0.0
-    grads: dict[str, np.ndarray] = {}
+    terms = []
     inv = 1.0 / len(batch)
     for step, visit in zip(batch, visits):
         if not math.isfinite(visit.ref_logp[visit.index]):
             raise ValueError(f"reference assigns zero probability to {step.key!r}")
-        r = visit.log_ratio(visit.index)
-        if step.label == DESIRABLE:
-            s = _sigmoid(beta * (r - z0))
-            total += lambda_d * (1.0 - s)
-            _accumulate(grads, step.game, visit.grad(), -inv * lambda_d * beta * s * (1.0 - s))
-        else:
-            s = _sigmoid(beta * (z0 - r))
-            total += lambda_u * (1.0 - s)
-            _accumulate(grads, step.game, visit.grad(), inv * lambda_u * beta * s * (1.0 - s))
-    return LossReport(total * inv, grads, z0)
+        # v = lambda * sigmoid(sign * beta * (r - z0)); negating the difference is exact
+        sign, lam = (1.0, lambda_d) if step.label == DESIRABLE else (-1.0, lambda_u)
+        s = _sigmoid(sign * beta * (visit.log_ratio(visit.index) - z0))
+        total += lam * (1.0 - s)
+        terms.append((step.game, visit, -sign * inv * lam * beta * s * (1.0 - s)))
+    return LossReport(total * inv, _gradient(terms), z0)
 
 
 def build_dpo_pairs(dataset: Sequence[LabeledStep],
@@ -223,7 +219,7 @@ def dpo_loss(policy: Policy, reference: Policy,
         raise ValueError("dpo_loss: no constructible pairs")
     rows = _rows(pairs) if rows is None else rows
     total = 0.0
-    grads: dict[str, np.ndarray] = {}
+    terms = []
     inv = 1.0 / len(pairs)
     for pos, neg in pairs:
         v_pos = _visit(policy, reference, rows, pos)
@@ -231,9 +227,8 @@ def dpo_loss(policy: Policy, reference: Policy,
         h = v_pos.log_ratio(v_pos.index) - v_neg.log_ratio(v_neg.index)
         total += -_log_sigmoid(beta * h)
         scale = -inv * beta * _sigmoid(-beta * h)
-        _accumulate(grads, pos.game, v_pos.grad(), scale)
-        _accumulate(grads, neg.game, v_neg.grad(), -scale)
-    return LossReport(total * inv, grads)
+        terms += (pos.game, v_pos, scale), (neg.game, v_neg, -scale)
+    return LossReport(total * inv, _gradient(terms))
 
 
 def _log_sigmoid(x: float) -> float:

@@ -174,7 +174,7 @@ BREAKTHROUGHS = ["breakthrough", "breakthrough_6x6", "breakthrough_7x7", "breakt
 
 def _reference_breakthrough_moves(game, state):
     """Breakthrough's legal moves by a plain scan of every cell, in canonical order."""
-    board, cols, rows = state.board, game.cols, game.rows
+    board, cols, rows = game.observation(state, Player.P1)[2], game.cols, game.rows
     if (1 in board[(rows - 1) * cols:] or 2 in board[:cols]
             or 1 not in board or 2 not in board):
         return ()
@@ -212,7 +212,8 @@ def test_breakthrough_legal_actions_match_a_per_cell_scan(name):
         expected = _reference_breakthrough_moves(game, s)
         assert game.legal_actions(s) == expected
         terminal += game.outcome(s) is not None
-        edge_captures += sum(frm % game.cols in (0, game.cols - 1) and s.board[to] != 0
+        board = game.observation(s, Player.P1)[2]
+        edge_captures += sum(frm % game.cols in (0, game.cols - 1) and board[to] != 0
                              for frm, to in expected)
     assert terminal > 0 and edge_captures > 0
 
@@ -261,20 +262,19 @@ def test_breakthrough_reaching_home_row_wins():
 
 
 @pytest.mark.parametrize("name", BREAKTHROUGHS[:2])
-def test_breakthrough_carried_bitboards_never_leak(name):
-    """A state reached by `apply` carries its bitboards; the same state decoded,
-    which has to build them from the board, is equal to it in every respect."""
+def test_breakthrough_state_round_trips_through_its_text(name):
+    """A state reached by `apply` and the same state decoded from its text are
+    equal in every respect."""
     game = get_game(name)
     rng = random.Random(43)
     for _ in range(200):
         s = random_state(game, rng)
-        assert s.bits is not None
         decoded = game.decode_state(json.loads(json.dumps(game.encode_state(s))))
-        assert decoded.bits is None
         assert decoded == s and hash(decoded) == hash(s) and repr(decoded) == repr(s)
         text = json.dumps(game.encode_state(s))
         assert text == json.dumps(game.encode_state(decoded))
-        assert json.loads(text) == f"{s.to_move.name} {s.move_count} {''.join(map(str, s.board))}"
+        board = game.observation(s, Player.P1)[2]
+        assert json.loads(text) == f"{s.to_move.name} {s.move_count} {''.join(map(str, board))}"
         assert game.legal_actions(decoded) == game.legal_actions(s)
         assert game.outcome(decoded) == game.outcome(s)
         if game.outcome(s) is None:
@@ -340,9 +340,9 @@ def test_breakthrough_relative_keys_mirror_rows():
     g = get_game("breakthrough")
     s = g.initial_state(0)
     # explicit mirror of the initial position: rows flipped, ownership swapped
-    flipped = []
+    board, flipped = g.observation(s, Player.P1)[2], []
     for r in range(7, -1, -1):
-        flipped.extend(3 - v if v else 0 for v in s.board[r * 3:(r + 1) * 3])
+        flipped.extend(3 - v if v else 0 for v in board[r * 3:(r + 1) * 3])
     mirror = g.decode_state("P2 0 " + "".join(map(str, flipped)))
     opening = g.canonical_key(s, g.parse_action("a2a3"))
     mirrored = g.canonical_key(mirror, g.parse_action("a7a6"))

@@ -177,6 +177,21 @@ def test_kto_desirable_loss_vanishes_as_ratio_saturates():
     assert report.loss == pytest.approx(0.0, abs=1e-6)
 
 
+def test_kto_undesirable_loss_vanishes_as_ratio_falls():
+    game = get_game("nim")
+    s = game.initial_state(0)
+    action = game.legal_actions(s)[0]
+    pol = new_policy(["nim"])
+    ref = pol.clone()
+    from scopal.features import features
+    # policy flees the action while the reference concentrates on it: r falls
+    pol.blocks["nim"] -= 80.0 * features(game, s, action)
+    ref.blocks["nim"] += 80.0 * features(game, s, action)
+    step = LabeledStep("nim", game.canonical_key(s, action), s, action, -1.0, UNDESIRABLE)
+    report = kto_loss(pol, ref, [step], beta=1.0, lambda_u=0.5, z0_override=0.0)
+    assert report.loss == pytest.approx(0.0, abs=1e-6)
+
+
 def test_kto_invariant_to_batch_permutation():
     rng = random.Random(5)
     pol = rand_policy(GAME_ROTATION, rng)

@@ -236,8 +236,22 @@ def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
                                      1.0, DESIRABLE)])
     card_game = path.read_text()
     assert '"P1 0 1357"' in good and '"P1 0 ((1, 2), ())"' in card_game
-    for malformed in ("P1 0", "P3 0 1357", "P1 zero 1357", "P1 0 13x7", 1357):
+    for malformed in ("P1 0", "P3 0 1357", "P1 zero 1357", "P1 0 13x7", 1357,
+                      "P1 0 9999", "P1 0 2000"):
         path.write_text(good + good.replace('"P1 0 1357"', json.dumps(malformed)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
+            read_labeled(path)
+    bad_square = "P1 0 " + "1" * 6 + "0" * 11 + "3" + "2" * 6
+    for name, malformed in (("tictactoe", "P1 0 12"), ("tictactoe", "P1 0 000030000"),
+                            ("breakthrough", "P1 0 12"), ("breakthrough", bad_square)):
+        game = get_game(name)  # a row of digits no state of the game holds
+        start = game.initial_state(0)
+        move = game.legal_actions(start)[0]
+        write_labeled(path, [LabeledStep(name, game.canonical_key(start, move), start, move,
+                                         1.0, DESIRABLE)])
+        record = path.read_text()
+        path.write_text(record + record.replace(json.dumps(game.encode_state(start)),
+                                                json.dumps(malformed)))
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
             read_labeled(path)
     for malformed in ("P1 0 ((2, 1), ()", "P1 0 7", "P1 0 ((2, 1),)"):
