@@ -3,7 +3,8 @@
 Subcommands: interact, estimate, train, evaluate, sweep, head2head, iterate,
 regret, pipeline. All artifacts land under ``<out>/<run-id>/`` where the run
 id is the config hash plus seed; a manifest records the resolved config.
-Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage.
+Exit codes: 0 success, 1 runtime failure, 2 invalid config or usage. Once the
+config loads, ``config.check_list`` refuses an empty or repeated ``--agents`` entry.
 
 Stage II runs only through ``_label`` and Stage III only through
 ``refine.train_two_stage``, so the opponent study (``sweep`` and
@@ -18,9 +19,10 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .agents import PolicyAgent, make_agent, parse_spec
+from .agents import PolicyAgent, make_agent
 from .atomic import atomic_open
-from .config import ConfigError, ExperimentConfig, check_agent_spec, load_config
+from .config import (ConfigError, ExperimentConfig, check_agent, check_list, load_config,
+                     parse_list)
 from .csvfile import write_csv
 from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS, MatchReport,
                          average_win_rate, head_to_head, interaction_win_rate,
@@ -54,13 +56,8 @@ def _store_path(config: ExperimentConfig, run_dir: Path) -> Path:
 def _write_manifest(config: ExperimentConfig, run_dir: Path) -> None:
     artifacts = sorted(p.name for p in run_dir.iterdir()
                        if p.is_file() and p.name != "manifest.json")
-    manifest = {
-        "run_id": config.run_id(),
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "config": config.resolved(),
-        "artifacts": artifacts,
-    }
+    manifest = {"run_id": config.run_id(), "config_hash": config.config_hash(),
+                "seed": config.seed, "config": config.resolved(), "artifacts": artifacts}
     with atomic_open(run_dir / "manifest.json") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -156,7 +153,7 @@ def cmd_sweep(config: ExperimentConfig, run_dir: Path) -> None:
     write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, rows)
 
 
-def cmd_head2head(config: ExperimentConfig, run_dir: Path, agent_specs: list[str]) -> None:
+def cmd_head2head(config: ExperimentConfig, run_dir: Path, agent_specs: tuple[str, ...]) -> None:
     agents = [(spec, PolicyAgent(new_policy(config.games), config.eval_temperature, label=spec)
                if spec == "base" else make_agent(spec, temperature=config.eval_temperature))
               for spec in agent_specs]
@@ -192,8 +189,7 @@ def cmd_iterate(config: ExperimentConfig, run_dir: Path, rounds: int) -> None:
 def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
     agent = PolicyAgent(_load_policy(run_dir), config.eval_temperature)
     reports = regret_reports(agent, [g for g in config.games if g in SOLVABLE],
-                             config.eval_episodes, config.seed,
-                             jobs=config.effective_jobs())
+                             config.eval_episodes, config.seed, jobs=config.effective_jobs())
     write_csv(run_dir / "regret.csv", REGRET_COLUMNS, map(asdict, reports))
 
 
@@ -201,21 +197,6 @@ def cmd_regret(config: ExperimentConfig, run_dir: Path) -> None:
 COMMANDS = {"interact": (cmd_interact,), "estimate": (cmd_estimate,), "train": (cmd_train,),
             "evaluate": (cmd_evaluate,), "sweep": (cmd_sweep,), "regret": (cmd_regret,),
             "pipeline": (cmd_interact, cmd_estimate, cmd_train, cmd_evaluate)}
-
-
-def _agent_list(text: str) -> list[str]:
-    """The --agents entries: each `base` or a random, mcts or checkpoint spec, none twice."""
-    specs = [spec.strip() for spec in text.split(",")]
-    for i, spec in enumerate(specs):
-        try:
-            kind = "base" if spec == "base" else parse_spec(spec)[0]
-        except ValueError:
-            kind = None
-        if kind not in ("base", "random", "mcts", "checkpoint") or spec in specs[:i]:
-            raise argparse.ArgumentTypeError(
-                f"{spec!r}: expected base, random, mcts:<n >= 1> or "
-                f"policy:<existing checkpoint file>, each listed once")
-    return specs
 
 
 def _rounds(text: str) -> int:
@@ -239,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         sub.add_parser(name)
     h2h = sub.add_parser("head2head")
-    h2h.add_argument("--agents", type=_agent_list, default="base,random",
+    h2h.add_argument("--agents", type=parse_list, default="base,random",
                      help="comma list of: base, random, mcts:<n>, policy:<checkpoint>")
     it = sub.add_parser("iterate")
     it.add_argument("--rounds", type=_rounds, default=3)
@@ -256,9 +237,9 @@ def main(argv=None) -> int:
                               f"not in {args.command}")
         if args.command == "regret" and not any(g in SOLVABLE for g in config.games):
             raise ConfigError(f"regret needs at least one of {SOLVABLE} in run.games")
-        for spec in (args.agents if args.command == "head2head" else ()):
-            if spec != "base":
-                check_agent_spec("--agents", spec, config.games)
+        if args.command == "head2head":  # `base`, the untrained policy, is taken as it is
+            check_list("--agents", "agent", args.agents,
+                       lambda spec: spec == "base" or check_agent(spec, config.games, opponent=True))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -1,9 +1,12 @@
 """Experiment configuration: sectioned key-value files with a strict schema.
 
 Each setting is declared once, as an ``ExperimentConfig`` field whose
-metadata names its INI section (and its key, where that differs from the
-field name); ``SCHEMA`` is derived from those fields, with each value's
-parser picked from the type of the field's default.
+metadata names its INI section, its key where that differs from the field
+name, and its rule: a test plus the words for what the value must be.
+``SCHEMA`` is derived from those fields, with each value's parser picked
+from the type of the field's default. ``validate`` checks that each float is
+finite and then each rule; ``check_list`` refuses an empty list and an empty
+or repeated entry in ``run.games``, ``eval.opponents`` and ``--agents``.
 
 Files are INI-style; unknown sections or keys are errors (fail fast against
 typos). Environment variables ``SCOPAL_<SECTION>_<KEY>`` override file
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .agents import is_learner_spec, parse_spec
-from .games import GAME_NAMES, get_game
+from .games import GAME_NAMES, UnknownGameError, get_game
 from .policy import Policy
 from .refine import MODES
 from .rewards import ACTORS, ESTIMATORS
@@ -46,32 +49,64 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _parse_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def parse_list(text: str) -> tuple[str, ...]:
+    """The comma-separated entries of `text`, empty ones kept; () if every entry is empty."""
+    entries = tuple(part.strip() for part in text.split(","))
+    return entries if any(entries) else ()
 
 
 # the parser of a setting, by the type of its default; bool before int,
 # since a bool is an int
-_PARSERS = ((bool, _parse_bool), (int, int), (float, float), (str, str), (tuple, _parse_list))
+_PARSERS = ((bool, _parse_bool), (int, int), (float, float), (str, str), (tuple, parse_list))
 
 
-def _setting(section: str, default, key: str | None = None):
-    """A field read from ``[section] key`` (the field name, unless `key` is given)."""
-    return field(default=default, metadata={"section": section, "key": key})
+def _at_least(low: int, note: str = ""):
+    return (lambda value: value >= low), f"be >= {low}{note}"
 
 
-def check_agent_spec(setting: str, spec: str, games) -> None:
-    """Refuse a spec that does not parse, or a checkpoint that lacks one of `games`."""
+def _one_of(names: tuple[str, ...]):
+    return (lambda value: value in names), f"be one of {', '.join(names)}"
+
+
+_POSITIVE = (lambda value: value > 0), "be positive"
+
+
+def _setting(section: str, default, rule=None, key: str | None = None):
+    """A field read from ``[section] key`` (the field name, unless `key` is given);
+    `rule` is (test, words): the value must pass the test, and the words say how."""
+    return field(default=default, metadata={"section": section, "key": key, "rule": rule})
+
+
+def check_list(setting: str, noun: str, entries: tuple[str, ...], check_entry) -> None:
+    """Refuse an empty list, an empty or repeated entry, or an entry `check_entry` refuses."""
+    if not entries:
+        raise ConfigError(f"{setting} must name at least one {noun}")
+    for i, entry in enumerate(entries):
+        if not entry:
+            raise ConfigError(f"{setting}: entry {i + 1} is empty")
+        if entry in entries[:i]:
+            raise ConfigError(f"{setting}: {entry!r} is listed more than once")
+        _check(setting, check_entry, entry)
+
+
+def _check(setting: str, check, *args) -> None:
+    """`check(*args)`, its refusal a ConfigError that names `setting`."""
     try:
-        kind, argument = parse_spec(spec)
-        if kind != "checkpoint":
-            return
-        blocks = Policy.load(argument).blocks
-    except ValueError as err:
+        check(*args)
+    except (OSError, UnknownGameError, ValueError) as err:
         raise ConfigError(f"{setting}: {err}") from err
-    missing = [name for name in games if name not in blocks]
-    if missing:
-        raise ConfigError(f"{setting}: {argument} has no parameters for game {missing[0]!r}")
+
+
+def check_agent(spec: str, games, opponent: bool = False) -> None:
+    """Refuse a spec that does not parse, a checkpoint that lacks one of `games`, and,
+    as an `opponent`, the policy under training."""
+    kind, argument = parse_spec(spec)
+    if opponent and is_learner_spec(spec):
+        raise ValueError(f"{spec!r} is the policy under training")
+    if kind == "checkpoint":
+        blocks = Policy.load(argument).blocks
+        if missing := [name for name in games if name not in blocks]:
+            raise ValueError(f"{argument} has no parameters for game {missing[0]!r}")
 
 
 # settings that do not affect results are excluded from the run identity
@@ -82,93 +117,56 @@ _UNHASHED = {"seed", "jobs", "out"}
 class ExperimentConfig:
     games: tuple[str, ...] = _setting("run", GAME_NAMES)
     seed: int = _setting("run", 0)
-    jobs: int = _setting("run", 0)  # 0 = available parallelism
+    jobs: int = _setting("run", 0, _at_least(0, " (0 = all cores)"))
     out: str = _setting("run", "runs")
     agent: str = _setting("interact", "policy")
     opponent: str = _setting("interact", "self")
-    episodes: int = _setting("interact", 1000)
-    interact_temperature: float = _setting("interact", 0.7, key="temperature")
-    move_bound: int = _setting("interact", 200)
-    estimator: str = _setting("rewards", "win_rate")
-    tie_weight: float = _setting("rewards", 0.0)
-    gamma: float = _setting("rewards", 0.8)
-    alpha0: float = _setting("rewards", 1.0)
-    beta0: float = _setting("rewards", 1.0)
+    episodes: int = _setting("interact", 1000, _at_least(1))
+    interact_temperature: float = _setting("interact", 0.7, _POSITIVE, key="temperature")
+    move_bound: int = _setting("interact", 200, _at_least(1))
+    estimator: str = _setting("rewards", "win_rate", _one_of(ESTIMATORS))
+    tie_weight: float = _setting("rewards", 0.0, (lambda value: 0 <= value <= 1, "lie in [0, 1]"))
+    gamma: float = _setting("rewards", 0.8, (lambda value: 0 < value < 1, "lie in (0, 1)"))
+    alpha0: float = _setting("rewards", 1.0, _POSITIVE)
+    beta0: float = _setting("rewards", 1.0, _POSITIVE)
     delta: float = _setting("rewards", 0.5)
-    min_count: int = _setting("rewards", 1)
-    actors: str = _setting("rewards", "learner")
-    mode: str = _setting("train", "two_stage")
-    learning_rate: float = _setting("train", 1e-2)
-    batch_size: int = _setting("train", 2)
-    grad_accum: int = _setting("train", 8)
-    epochs: int = _setting("train", 5)
-    beta: float = _setting("train", 0.1)
-    beta2: float = _setting("train", 0.2)
+    min_count: int = _setting("rewards", 1, _at_least(1))
+    actors: str = _setting("rewards", "learner", _one_of(ACTORS))
+    mode: str = _setting("train", "two_stage", _one_of(MODES))
+    learning_rate: float = _setting("train", 1e-2, _POSITIVE)
+    batch_size: int = _setting("train", 2, _at_least(1))
+    grad_accum: int = _setting("train", 8, _at_least(1))
+    epochs: int = _setting("train", 5, _at_least(1))
+    beta: float = _setting("train", 0.1, _POSITIVE)
+    beta2: float = _setting("train", 0.2, _at_least(0))
     balance_games: bool = _setting("train", False)
     eval_opponents: tuple[str, ...] = _setting(
         "eval", ("random", "mcts:100", "mcts:500", "mcts:1000"), key="opponents")
-    eval_episodes: int = _setting("eval", 100, key="episodes")
-    eval_temperature: float = _setting("eval", 0.2, key="temperature")
+    # matches alternate seats in pairs
+    eval_episodes: int = _setting("eval", 100, _at_least(2), key="episodes")
+    eval_temperature: float = _setting("eval", 0.2, _POSITIVE, key="temperature")
 
     def validate(self) -> None:
-        for name in self.games:
-            get_game(name)  # raises UnknownGameError
-        if self.jobs < 0:
-            raise ConfigError("run.jobs must be >= 0 (0 = all cores)")
-        if self.episodes < 1:
-            raise ConfigError("interact.episodes must be >= 1")
-        if self.interact_temperature <= 0 or self.eval_temperature <= 0:
-            raise ConfigError("temperatures must be positive")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if not 0 < self.gamma < 1:
-            raise ConfigError("rewards.gamma must lie in (0, 1)")
-        if self.alpha0 <= 0 or self.beta0 <= 0:
-            raise ConfigError("rewards.alpha0 and beta0 must be positive")
-        if self.tie_weight < 0 or self.tie_weight > 1:  # nan fails the finite check below
-            raise ConfigError("rewards.tie_weight must lie in [0, 1]")
-        if self.min_count < 1:
-            raise ConfigError("rewards.min_count must be >= 1")
-        if self.actors not in ACTORS:
-            raise ConfigError("rewards.actors must be 'learner' or 'all'")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown training mode {self.mode!r}")
-        if self.batch_size < 1 or self.grad_accum < 1 or self.epochs < 1:
-            raise ConfigError("train.batch_size/grad_accum/epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise ConfigError("train.learning_rate must be positive")
-        if not self.beta > 0:
-            raise ConfigError("train.beta must be positive")
-        if not self.beta2 >= 0:
-            raise ConfigError("train.beta2 must be >= 0")
-        if self.move_bound < 1:
-            raise ConfigError("interact.move_bound must be >= 1")
-        if self.eval_episodes < 2:
-            raise ConfigError("eval.episodes must be >= 2: matches alternate seats in pairs")
-        for setting, noun, names in (("run.games", "game", self.games),
-                                     ("eval.opponents", "opponent", self.eval_opponents)):
-            if not names:
-                raise ConfigError(f"{setting} must name at least one {noun}")
-            repeated = [name for i, name in enumerate(names) if name in names[:i]]
-            if repeated:
-                raise ConfigError(f"{setting}: {repeated[0]!r} is listed more than once")
-        for setting, spec in [("interact.agent", self.agent),
-                              ("interact.opponent", self.opponent),
-                              *(("eval.opponents", s) for s in self.eval_opponents)]:
-            check_agent_spec(setting, spec, self.games)
-            if setting == "eval.opponents" and is_learner_spec(spec):
-                raise ConfigError(f"eval.opponents: {spec!r} is the policy under training")
-        for section, keys in SCHEMA.items():
-            for key, (attr, parse) in keys.items():
-                if parse is float and not math.isfinite(getattr(self, attr)):
-                    raise ConfigError(f"{section}.{key} must be finite")
+        for f in fields(self):
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            setting = f"{f.metadata['section']}.{f.metadata['key'] or f.name}"
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{setting} must be finite, got {value!r}")
+            if rule and not rule[0](value):
+                raise ConfigError(f"{setting} must {rule[1]}, got {value!r}")
+        check_list("run.games", "game", self.games, get_game)
+        _check("interact.agent", check_agent, self.agent, self.games)
+        _check("interact.opponent", check_agent, self.opponent, self.games)
+        check_list("eval.opponents", "opponent", self.eval_opponents,
+                   lambda spec: check_agent(spec, self.games, opponent=True))
+        if (self.actors == "learner" or self.mode == "spag") and not (
+                is_learner_spec(self.agent) or is_learner_spec(self.opponent)):
+            why = "rewards.actors = learner" if self.actors == "learner" else "train.mode = spag"
+            raise ConfigError(f"interact.agent = {self.agent!r} and interact.opponent = "
+                              f"{self.opponent!r}: {why} needs one of them to be policy or self")
 
     def resolved(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(self).items()}
 
     def config_hash(self) -> str:
         payload = {k: v for k, v in self.resolved().items() if k not in _UNHASHED}
@@ -207,8 +205,7 @@ def load_config(path: str | None = None, env: Mapping[str, str] | None = None,
     values: dict[str, object] = {}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
             if section not in SCHEMA:
@@ -228,10 +225,5 @@ def load_config(path: str | None = None, env: Mapping[str, str] | None = None,
         if value is not None:
             values[attr] = value
     config = ExperimentConfig(**values)
-    try:
-        config.validate()
-    except ConfigError:
-        raise
-    except Exception as err:
-        raise ConfigError(str(err)) from err
+    config.validate()
     return config

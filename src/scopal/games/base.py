@@ -68,6 +68,8 @@ class IllegalActionError(ValueError):
 class UnknownGameError(KeyError):
     """Raised for game identifiers outside the supported set."""
 
+    __str__ = Exception.__str__  # the message, without the quotes a KeyError adds
+
 
 class Game(ABC):
     """Rules interface. Subclasses define immutable state/action types.
@@ -135,7 +137,7 @@ class Game(ABC):
                           if name not in ("to_move", "move_count")))
 
     def parse_payload(self, payload: str) -> tuple:
-        """The fields `payload` wrote, in declaration order; refuses a digit row no state holds."""
+        """The fields `payload` wrote, in declaration order; refuses fields no state holds."""
         if not self.digit_row:
             return ast.literal_eval(payload)
         row, largest = tuple(payload.encode().translate(_DIGITS)), self.digit_row[1]

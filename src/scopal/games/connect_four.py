@@ -15,6 +15,8 @@ from .base import Game, OutcomeMap, Player, IllegalActionError, draw_below, tie_
 COLS = 7
 ROWS = 6
 _FULL_COL = (1 << ROWS) - 1
+_BOARD = sum(_FULL_COL << (c * 7) for c in range(COLS))  # every square, no sentinel bit
+_BOTTOM = sum(1 << (c * 7) for c in range(COLS))
 
 
 def _has_win(bb: int) -> bool:
@@ -75,7 +77,13 @@ class ConnectFour(Game):
         return f"{state.p1} {state.p2}"
 
     def parse_payload(self, payload: str) -> tuple:
-        return tuple(map(int, payload.split(" ")))
+        p1, p2 = map(int, payload.split(" "))
+        both = p1 | p2  # negative if either is, and a negative int has bits off the board
+        # a column filled from the bottom carries into the square above its top disc
+        if (p1 & p2 or both & ~_BOARD or both & (both + _BOTTOM)
+                or p1.bit_count() - p2.bit_count() not in (0, 1)):
+            raise ValueError(f"connect4: no state has the bitboards {payload!r}")
+        return p1, p2
 
     def observation(self, state: C4State, viewer: Player):
         mine, theirs = (state.p1, state.p2) if viewer is Player.P1 else (state.p2, state.p1)

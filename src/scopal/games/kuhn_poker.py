@@ -19,6 +19,8 @@ CARDS = "JQK"
 # histories after which the game is over
 _TERMINAL = {("P", "P"), ("P", "B", "P"), ("P", "B", "B"), ("B", "P"), ("B", "B")}
 _FOLDS = {("P", "B", "P"): Player.P2, ("B", "P"): Player.P1}
+_NODES = {(), ("P",), ("B",), ("P", "B")} | _TERMINAL
+_DEALS = {(a, b) for a in range(3) for b in range(3) if a != b}
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,12 @@ class KuhnPoker(Game):
             return win_for(fold_winner)
         # showdown: K > Q > J, cards are always distinct
         return win_for(Player.P1 if state.cards[0] > state.cards[1] else Player.P2)
+
+    def parse_payload(self, payload: str) -> tuple:
+        cards, history = super().parse_payload(payload)
+        if cards not in _DEALS or history not in _NODES:
+            raise ValueError(f"kuhn_poker: no state has the cards and history {payload!r}")
+        return cards, history
 
     def observation(self, state: KuhnState, viewer: Player):
         own = state.cards[0] if viewer is Player.P1 else state.cards[1]

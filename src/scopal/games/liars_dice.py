@@ -78,6 +78,14 @@ class LiarsDice(Game):
         bidder, challenger = state.to_move, state.to_move.other
         return win_for(bidder if count >= quantity else challenger)
 
+    def parse_payload(self, payload: str) -> tuple:
+        dice, bids, challenged = super().parse_payload(payload)
+        if (len(dice) != 2 or not set(dice) <= set(range(1, FACES + 1))
+                or not set(bids) <= set(ALL_BIDS) or list(bids) != sorted(set(bids))
+                or type(challenged) is not bool or challenged and not bids):
+            raise ValueError(f"liars_dice: no state has the dice, bids and challenge {payload!r}")
+        return dice, bids, challenged
+
     def observation(self, state: LdState, viewer: Player):
         own = state.dice[0] if viewer is Player.P1 else state.dice[1]
         return (viewer.value, viewer is state.to_move, (own, state.bids, state.challenged))

@@ -109,7 +109,8 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
     assert config.eval_opponents == ("random", "mcts:1", f"policy:{checkpoint}")
 
 
-@pytest.mark.parametrize("variable, value, message", [
+# a rejected value for each setting with a rule, and for the list and agent checks
+BAD_SETTINGS = [
     ("SCOPAL_EVAL_EPISODES", "1", "eval.episodes must be >= 2"),
     ("SCOPAL_INTERACT_MOVE_BOUND", "0", "interact.move_bound must be >= 1"),
     ("SCOPAL_EVAL_OPPONENTS", "random,mcts:x", "eval.opponents: unknown agent spec 'mcts:x'"),
@@ -126,7 +127,7 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
     ("SCOPAL_REWARDS_DELTA", "nan", "rewards.delta must be finite"),
     ("SCOPAL_REWARDS_DELTA", "-inf", "rewards.delta must be finite"),
     ("SCOPAL_TRAIN_LEARNING_RATE", "0", "train.learning_rate must be positive"),
-    ("SCOPAL_TRAIN_LEARNING_RATE", "nan", "train.learning_rate must be positive"),
+    ("SCOPAL_TRAIN_LEARNING_RATE", "nan", "train.learning_rate must be finite"),
     ("SCOPAL_TRAIN_BETA", "0", "train.beta must be positive"),
     ("SCOPAL_TRAIN_BETA2", "-0.1", "train.beta2 must be >= 0"),
     ("SCOPAL_RUN_JOBS", "-3", "run.jobs must be >= 0"),
@@ -142,7 +143,35 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
     ("SCOPAL_REWARDS_MIN_COUNT", "-3", "rewards.min_count must be >= 1"),
     ("SCOPAL_REWARDS_MIN_COUNT", "0", "rewards.min_count must be >= 1"),
     ("SCOPAL_TRAIN_BETA", "inf", "train.beta must be finite"),
-])
+    ("SCOPAL_INTERACT_EPISODES", "0", "interact.episodes must be >= 1, got 0"),
+    ("SCOPAL_INTERACT_TEMPERATURE", "0", "interact.temperature must be positive, got 0.0"),
+    ("SCOPAL_EVAL_TEMPERATURE", "-1", "eval.temperature must be positive, got -1.0"),
+    ("SCOPAL_REWARDS_GAMMA", "1", re.escape("rewards.gamma must lie in (0, 1), got 1.0")),
+    ("SCOPAL_REWARDS_ALPHA0", "0", "rewards.alpha0 must be positive, got 0.0"),
+    ("SCOPAL_REWARDS_BETA0", "-1", "rewards.beta0 must be positive, got -1.0"),
+    ("SCOPAL_REWARDS_ESTIMATOR", "mean",
+     "rewards.estimator must be one of win_rate, discounted, beta, got 'mean'"),
+    ("SCOPAL_REWARDS_ACTORS", "both", "rewards.actors must be one of learner, all, got 'both'"),
+    ("SCOPAL_TRAIN_MODE", "kto", "train.mode must be one of two_stage, .*, got 'kto'"),
+    ("SCOPAL_TRAIN_BATCH_SIZE", "0", "train.batch_size must be >= 1, got 0"),
+    ("SCOPAL_TRAIN_GRAD_ACCUM", "0", "train.grad_accum must be >= 1, got 0"),
+    ("SCOPAL_TRAIN_EPOCHS", "0", "train.epochs must be >= 1, got 0"),
+    ("SCOPAL_EVAL_OPPONENTS", "random,,mcts:5", "eval.opponents: entry 2 is empty"),
+    ("SCOPAL_RUN_GAMES", "nim,,tictactoe", "run.games: entry 2 is empty"),
+    ("SCOPAL_RUN_GAMES", "nim,chess",
+     re.escape("run.games: unknown game 'chess'; supported: ['breakthrough', ")),
+]
+
+
+def test_every_rule_has_a_rejected_value():
+    variables = {variable for variable, _, _ in BAD_SETTINGS}
+    for f in fields(ExperimentConfig):
+        if f.metadata["rule"]:
+            key = f.metadata["key"] or f.name
+            assert f"SCOPAL_{f.metadata['section']}_{key}".upper() in variables, f.name
+
+
+@pytest.mark.parametrize("variable, value, message", BAD_SETTINGS)
 def test_bad_settings_are_rejected_when_they_load(tmp_path, monkeypatch, capsys,
                                                   variable, value, message):
     with pytest.raises(ConfigError, match=message):
@@ -151,8 +180,33 @@ def test_bad_settings_are_rejected_when_they_load(tmp_path, monkeypatch, capsys,
     monkeypatch.setenv(variable, value)
     out = tmp_path / "runs"
     assert main(["--out", str(out), "pipeline"]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and re.search(message, err)
+    section, key = variable.removeprefix("SCOPAL_").lower().split("_", 1)
+    assert f"{section}.{key}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("env", [{}, {"SCOPAL_REWARDS_ACTORS": "all",
+                                      "SCOPAL_TRAIN_MODE": "spag"}],
+                         ids=["actors-learner", "mode-spag"])
+def test_a_config_whose_learner_never_plays_is_rejected_when_it_loads(tmp_path, monkeypatch,
+                                                                      capsys, env):
+    env = {"SCOPAL_RUN_GAMES": "nim", "SCOPAL_INTERACT_AGENT": "random",
+           "SCOPAL_INTERACT_OPPONENT": "mcts:5", **env}
+    message = "interact.agent = 'random' and interact.opponent = 'mcts:5': "
+    with pytest.raises(ConfigError, match=message):
+        load_config(None, env=env)
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "runs"
+    assert main(["--out", str(out), "interact"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # with every seat's steps labelled, Stage II learns from any pair of agents
+    env["SCOPAL_REWARDS_ACTORS"], env["SCOPAL_TRAIN_MODE"] = "all", "two_stage"
+    assert load_config(None, env=env).agent == "random"
 
 
 @pytest.mark.parametrize("variable, setting", [("SCOPAL_INTERACT_AGENT", "interact.agent"),

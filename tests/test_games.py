@@ -398,6 +398,25 @@ def test_state_encoding_round_trips():
             assert game.decode_state(game.encode_state(s)) == s
 
 
+# each state text breaks exactly one of its game's rules
+@pytest.mark.parametrize("name, text", [
+    ("connect4", "P1 0 3 3"),  # both seats on the same squares
+    ("connect4", "P2 7 85 42"),  # a full column plus its sentinel bit
+    ("connect4", "P2 5 1 4096"),  # a floating disc
+    ("connect4", "P1 2 3 0"),  # two discs more for P1
+    ("kuhn_poker", "P1 0 ((1, 1), ())"),
+    ("kuhn_poker", "P2 3 ((1, 2), ('P', 'P', 'P'))"),
+    ("liars_dice", "P1 0 ((7, 1), (), False)"),
+    ("liars_dice", "P2 1 ((1, 2), ((3, 1),), False)"),
+    ("liars_dice", "P1 2 ((1, 2), ((2, 1), (1, 6)), False)"),
+    ("liars_dice", "P2 1 ((1, 2), (), True)"),
+    ("liars_dice", "P1 2 ((1, 2), ((1, 1),), 1)"),
+])
+def test_state_text_that_no_game_reaches_is_refused(name, text):
+    with pytest.raises(ValueError, match=f"{name}: no state has"):
+        get_game(name).decode_state(text)
+
+
 # -- playout invariants --------------------------------------------------------
 
 

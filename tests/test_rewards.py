@@ -243,8 +243,12 @@ def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
             read_labeled(path)
     bad_square = "P1 0 " + "1" * 6 + "0" * 11 + "3" + "2" * 6
     for name, malformed in (("tictactoe", "P1 0 12"), ("tictactoe", "P1 0 000030000"),
-                            ("breakthrough", "P1 0 12"), ("breakthrough", bad_square)):
-        game = get_game(name)  # a row of digits no state of the game holds
+                            ("breakthrough", "P1 0 12"), ("breakthrough", bad_square),
+                            ("connect4", "P1 0 3 3"), ("connect4", "P1 0 -1 0"),
+                            ("connect4", "P2 5 1 4096"),
+                            ("kuhn_poker", "P1 0 ((5, 9), ('X',))"),
+                            ("liars_dice", "P1 0 ((9, 0), ((7, 7),), False)")):
+        game = get_game(name)  # fields that no state of the game holds
         start = game.initial_state(0)
         move = game.legal_actions(start)[0]
         write_labeled(path, [LabeledStep(name, game.canonical_key(start, move), start, move,
