@@ -74,7 +74,7 @@ def _interact(config: ExperimentConfig, policy: Policy,
     """Stage I: `agent_pair` plays `config.episodes` episodes of every game."""
     return collect_trajectories(config.games, *agent_pair, config.episodes, config.seed,
                                 policy=policy, temperature=config.interact_temperature,
-                                jobs=config.effective_jobs(), move_bound=config.move_bound)
+                                jobs=config.effective_jobs())
 
 
 def _label(config: ExperimentConfig, trajs: list[Trajectory]) -> list[LabeledStep]:

@@ -123,7 +123,6 @@ class ExperimentConfig:
     opponent: str = _setting("interact", "self")
     episodes: int = _setting("interact", 1000, _at_least(1))
     interact_temperature: float = _setting("interact", 0.7, _POSITIVE, key="temperature")
-    move_bound: int = _setting("interact", 200, _at_least(1))
     estimator: str = _setting("rewards", "win_rate", _one_of(ESTIMATORS))
     tie_weight: float = _setting("rewards", 0.0, (lambda value: 0 <= value <= 1, "lie in [0, 1]"))
     gamma: float = _setting("rewards", 0.8, (lambda value: 0 < value < 1, "lie in (0, 1)"))

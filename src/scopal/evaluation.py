@@ -22,8 +22,7 @@ from typing import Iterable, Sequence
 
 from .agents import Agent, make_agent
 from .games import Outcome
-from .interaction import (DEFAULT_MOVE_BOUND, agent1_seat, learner_seats, play_sets, replay,
-                          stable_hash)
+from .interaction import agent1_seat, learner_seats, play_sets, replay, stable_hash
 from .solvers import get_solver
 
 HEAD2HEAD_COLUMNS = ("row_agent", "col_agent", "win_rate")
@@ -92,8 +91,7 @@ def _play_matches(matches: Sequence[tuple[str, Agent, Agent, int]], episodes: in
         raise ValueError("matches need at least 2 episodes for seat alternation")
     reports = []
     for (game_name, agent1, agent2, seed), trajs in zip(
-            matches, play_sets(matches, episodes, jobs, paired=True,
-                               move_bound=DEFAULT_MOVE_BOUND)):
+            matches, play_sets(matches, episodes, jobs, paired=True)):
         counts = _count_outcomes(t.outcome[agent1_seat(t.episode)] for t in trajs)
         reports.append(MatchReport(game_name, agent1.label, agent2.label, *counts,
                                    win_rate(*counts), episodes, seed))
@@ -166,7 +164,7 @@ def regret_reports(agent: Agent, games: Sequence[str], episodes: int, master_see
                for game_name in games]
     reports = []
     for game_name, solver, trajs in zip(games, solvers, play_sets(
-            matches, episodes, jobs, paired=True, move_bound=DEFAULT_MOVE_BOUND)):
+            matches, episodes, jobs, paired=True)):
         regrets = [solver.regret(state, action) for traj in trajs
                    for state, action, actor in replay(traj) if actor is agent1_seat(traj.episode)]
         reports.append(RegretReport(game_name, agent.label,

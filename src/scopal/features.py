@@ -123,14 +123,17 @@ def _c4(game, states, acts_list) -> np.ndarray:
 def _breakthrough(game: Breakthrough, states, acts_list) -> np.ndarray:
     cols, rows = game.cols, game.rows
     n = cols * rows
-    boards = np.array([game.observation(s, s.to_move)[2] for s in states], dtype=np.int8)
+    # the state texts' digits, 0 empty, 1 P1, 2 P2; P2 sees the board mirrored
+    # (rows flipped, owners swapped), so its moves are mirrored too
+    digits = np.frombuffer("".join(map(game.payload, states)).encode(), np.uint8) - ord("0")
+    boards = digits.reshape(len(states), n)
+    flip = np.arange(n).reshape(rows, cols)[::-1].ravel()
+    p2 = np.array([s.to_move is Player.P2 for s in states], dtype=bool)
+    boards[p2] = (3 - boards[p2][:, flip]) % 3
     owner, moves = _stack(states, acts_list)
     moves = moves.reshape(-1, 2)
+    moves = np.where(p2[owner, None], flip[moves], moves)
     k = len(moves)
-    # P2 sees the board mirrored, so its moves are mirrored too
-    flip = np.arange(n).reshape(rows, cols)[::-1].ravel()
-    p2 = np.array([s.to_move is Player.P2 for s in states], dtype=bool)[owner]
-    moves[p2] = flip[moves[p2]]
     at = np.arange(k)
     mine = (boards == 1)[owner]
     mine[at, moves[:, 0]] = False

@@ -2,9 +2,9 @@
 
 States are immutable values: ``apply`` returns a new state and never touches
 its input, so states can be shared freely across episode workers. A state's
-text is one line, ``<to_move> <move_count> <payload>``: the payload is a row of
-digits for a board or Nim's piles (``P2 1 1351``), Connect Four's two bitboard
-ints, and a Python literal for the card games (``P2 1 ((2, 1), ('P',))``).
+text is one line, ``<to_move> <payload>``, and holds no ply count: the payload
+is a row of digits for a board or Nim's piles (``P2 1351``), Connect Four's two
+bitboard ints, and a Python literal for the card games (``P2 ((2, 1), ('P',))``).
 
 Outcomes become numbers through two tables only: ``SCORE`` (win 1, tie 0.5,
 loss 0) for UCT backups, and ``RETURN`` (win 1, tie 0, loss -1) for Stage II
@@ -74,7 +74,8 @@ class UnknownGameError(KeyError):
 class Game(ABC):
     """Rules interface. Subclasses define immutable state/action types.
 
-    Every state exposes ``to_move`` (a Player) and ``move_count`` (int).
+    Every state exposes ``to_move`` (a Player); the rest is its position. No
+    game outlasts ``max_moves`` plies, which only the episode loop counts.
     ``legal_actions`` returns actions in a documented canonical order so that
     seeded sampling is reproducible.
     """
@@ -121,20 +122,19 @@ class Game(ABC):
     # -- defaults ------------------------------------------------------
 
     def encode_state(self, state: Any) -> str:
-        """The state as one line of text: ``<to_move> <move_count> <payload>``."""
-        return f"{state.to_move.name} {state.move_count} {self.payload(state)}"
+        """The state as one line of text: ``<to_move> <payload>``."""
+        return f"{state.to_move.name} {self.payload(state)}"
 
     def decode_state(self, text: str) -> Any:
-        """The state `encode_state` wrote: the payload's fields, then to_move and move_count."""
-        to_move, move_count, payload = text.split(" ", 2)
-        return self.state_type(*self.parse_payload(payload), Player[to_move], int(move_count))
+        """The state `encode_state` wrote: the payload's fields, then to_move."""
+        to_move, payload = text.split(" ", 1)
+        return self.state_type(*self.parse_payload(payload), Player[to_move])
 
     def payload(self, state: Any) -> str:
         """The other fields: `digit_row` as a row of digits, else all, in order, as a literal."""
         if self.digit_row:
             return bytes(getattr(state, self.digit_row[0])).translate(_DIGITS).decode()
-        return repr(tuple(value for name, value in vars(state).items()
-                          if name not in ("to_move", "move_count")))
+        return repr(tuple(value for name, value in vars(state).items() if name != "to_move"))
 
     def parse_payload(self, payload: str) -> tuple:
         """The fields `payload` wrote, in declaration order; refuses fields no state holds."""

@@ -39,7 +39,6 @@ _KEY = bytes.maketrans(b"\0\1\2", b".mo")
 class BtState:
     bits: int  # octal digit i is square i = row*cols + col: 0 empty / 1 P1 / 2 P2
     to_move: Player
-    move_count: int
 
 
 class Breakthrough(Game):
@@ -74,7 +73,7 @@ class Breakthrough(Game):
         self._start = self.parse_payload("1" * 2 * cols + "0" * (n - 4 * cols) + "2" * 2 * cols)[0]
 
     def initial_state(self, chance_seed: int) -> BtState:
-        return BtState(self._start, Player.P1, 0)
+        return BtState(self._start, Player.P1)
 
     def payload(self, state: BtState) -> str:
         return format(state.bits, f"0{self._n}o")[::-1]  # square 0 first
@@ -133,7 +132,7 @@ class Breakthrough(Game):
         if target == own:
             raise IllegalActionError(f"{self.name}: cannot capture own piece")
         bits = state.bits ^ own << 3 * frm ^ (own ^ target) << 3 * to  # the two squares' digits
-        return BtState(bits, Player.P2 if p1_moves else Player.P1, state.move_count + 1)
+        return BtState(bits, Player.P2 if p1_moves else Player.P1)
 
     def outcome(self, state: BtState) -> Optional[OutcomeMap]:
         winner = self._position(state)[0]

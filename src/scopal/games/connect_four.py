@@ -32,7 +32,6 @@ class C4State:
     p1: int  # bitboard of P1 discs
     p2: int
     to_move: Player
-    move_count: int
 
 
 class ConnectFour(Game):
@@ -41,7 +40,7 @@ class ConnectFour(Game):
     max_moves = COLS * ROWS
 
     def initial_state(self, chance_seed: int) -> C4State:
-        return C4State(0, 0, Player.P1, 0)
+        return C4State(0, 0, Player.P1)
 
     def _height(self, state: C4State, col: int) -> int:
         return (((state.p1 | state.p2) >> (col * 7)) & _FULL_COL).bit_count()
@@ -61,15 +60,15 @@ class ConnectFour(Game):
             raise IllegalActionError(f"connect4: column C{action + 1} is full")
         bit = 1 << (action * 7 + h)
         if state.to_move is Player.P1:
-            return C4State(state.p1 | bit, state.p2, Player.P2, state.move_count + 1)
-        return C4State(state.p1, state.p2 | bit, Player.P1, state.move_count + 1)
+            return C4State(state.p1 | bit, state.p2, Player.P2)
+        return C4State(state.p1, state.p2 | bit, Player.P1)
 
     def outcome(self, state: C4State) -> Optional[OutcomeMap]:
         if _has_win(state.p1):
             return win_for(Player.P1)
         if _has_win(state.p2):
             return win_for(Player.P2)
-        if state.move_count == self.max_moves:
+        if state.p1 | state.p2 == _BOARD:
             return tie_outcome()
         return None
 

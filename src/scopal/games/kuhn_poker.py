@@ -28,7 +28,6 @@ class KuhnState:
     cards: tuple[int, int]  # (P1 card, P2 card), 0=J 1=Q 2=K
     history: tuple[str, ...]
     to_move: Player
-    move_count: int
 
 
 class KuhnPoker(Game):
@@ -39,7 +38,7 @@ class KuhnPoker(Game):
 
     def initial_state(self, chance_seed: int) -> KuhnState:
         deal = random.Random(chance_seed).sample(range(3), 2)
-        return KuhnState((deal[0], deal[1]), (), Player.P1, 0)
+        return KuhnState((deal[0], deal[1]), (), Player.P1)
 
     def legal_actions(self, state: KuhnState) -> tuple[str, ...]:
         # canonical order: Bet before Pass
@@ -52,8 +51,7 @@ class KuhnPoker(Game):
             raise IllegalActionError("kuhn_poker: betting already resolved")
         if action not in ("B", "P"):
             raise IllegalActionError(f"kuhn_poker: unknown action {action!r}, expected Bet or Pass")
-        return KuhnState(state.cards, state.history + (action,),
-                         state.to_move.other, state.move_count + 1)
+        return KuhnState(state.cards, state.history + (action,), state.to_move.other)
 
     def outcome(self, state: KuhnState) -> Optional[OutcomeMap]:
         if state.history not in _TERMINAL:
@@ -88,4 +86,4 @@ class KuhnPoker(Game):
         own = state.cards[0] if viewer is Player.P1 else state.cards[1]
         opp = rng.choice([c for c in range(3) if c != own])
         cards = (own, opp) if viewer is Player.P1 else (opp, own)
-        return KuhnState(cards, state.history, state.to_move, state.move_count)
+        return KuhnState(cards, state.history, state.to_move)

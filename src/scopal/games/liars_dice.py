@@ -30,7 +30,6 @@ class LdState:
     bids: tuple[tuple[int, int], ...]
     challenged: bool
     to_move: Player
-    move_count: int
 
 
 class LiarsDice(Game):
@@ -41,7 +40,7 @@ class LiarsDice(Game):
 
     def initial_state(self, chance_seed: int) -> LdState:
         rng = random.Random(chance_seed)
-        return LdState((rng.randint(1, FACES), rng.randint(1, FACES)), (), False, Player.P1, 0)
+        return LdState((rng.randint(1, FACES), rng.randint(1, FACES)), (), False, Player.P1)
 
     def legal_actions(self, state: LdState):
         # canonical order: raises ascending by (quantity, face), challenge last
@@ -58,16 +57,14 @@ class LiarsDice(Game):
         if action == CHALLENGE:
             if not state.bids:
                 raise IllegalActionError("liars_dice: cannot challenge before any bid")
-            return LdState(state.dice, state.bids, True,
-                           state.to_move.other, state.move_count + 1)
+            return LdState(state.dice, state.bids, True, state.to_move.other)
         if action not in ALL_BIDS:
             raise IllegalActionError(f"liars_dice: {action!r} is not a valid bid")
         if state.bids and action <= state.bids[-1]:
             raise IllegalActionError(
                 f"liars_dice: bid {self.action_text(action)} does not raise "
                 f"{self.action_text(state.bids[-1])}")
-        return LdState(state.dice, state.bids + (action,), False,
-                       state.to_move.other, state.move_count + 1)
+        return LdState(state.dice, state.bids + (action,), False, state.to_move.other)
 
     def outcome(self, state: LdState) -> Optional[OutcomeMap]:
         if not state.challenged:
@@ -113,4 +110,4 @@ class LiarsDice(Game):
             dice = (state.dice[0], opp)
         else:
             dice = (opp, state.dice[1])
-        return LdState(dice, state.bids, state.challenged, state.to_move, state.move_count)
+        return LdState(dice, state.bids, state.challenged, state.to_move)

@@ -17,7 +17,6 @@ INITIAL_PILES = (1, 3, 5, 7)
 class NimState:
     piles: tuple[int, ...]
     to_move: Player
-    move_count: int
 
 
 class Nim(Game):
@@ -27,7 +26,7 @@ class Nim(Game):
     max_moves = sum(INITIAL_PILES)
 
     def initial_state(self, chance_seed: int) -> NimState:
-        return NimState(INITIAL_PILES, Player.P1, 0)
+        return NimState(INITIAL_PILES, Player.P1)
 
     def legal_actions(self, state: NimState) -> tuple[tuple[int, int], ...]:
         # canonical order: pile ascending, then take ascending
@@ -44,7 +43,7 @@ class Nim(Game):
                 f"nim: pile {pile + 1} holds only {state.piles[pile]} match(es)")
         piles = list(state.piles)
         piles[pile] -= take
-        return NimState(tuple(piles), state.to_move.other, state.move_count + 1)
+        return NimState(tuple(piles), state.to_move.other)
 
     def outcome(self, state: NimState) -> Optional[OutcomeMap]:
         if any(state.piles):

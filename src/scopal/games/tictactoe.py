@@ -20,7 +20,6 @@ _MARK = {Player.P1: 1, Player.P2: 2}
 class TttState:
     cells: tuple[int, ...]  # 9 cells, row-major, 0 empty / 1 P1 / 2 P2
     to_move: Player
-    move_count: int
 
 
 class TicTacToe(Game):
@@ -30,7 +29,7 @@ class TicTacToe(Game):
     max_moves = 9
 
     def initial_state(self, chance_seed: int) -> TttState:
-        return TttState((0,) * 9, Player.P1, 0)
+        return TttState((0,) * 9, Player.P1)
 
     def legal_actions(self, state: TttState) -> tuple[int, ...]:
         # canonical order: cell index ascending (C1R1, C2R1, C3R1, C1R2, ...)
@@ -45,7 +44,7 @@ class TicTacToe(Game):
             raise IllegalActionError(f"tictactoe: cell {self.action_text(action)} is already marked")
         cells = list(state.cells)
         cells[action] = _MARK[state.to_move]
-        return TttState(tuple(cells), state.to_move.other, state.move_count + 1)
+        return TttState(tuple(cells), state.to_move.other)
 
     def outcome(self, state: TttState) -> Optional[OutcomeMap]:
         cells = state.cells
@@ -53,7 +52,7 @@ class TicTacToe(Game):
             v = cells[a]
             if v != 0 and v == cells[b] == cells[c]:
                 return win_for(Player.P1 if v == 1 else Player.P2)
-        if state.move_count == 9:
+        if 0 not in cells:
             return tie_outcome()
         return None
 

@@ -1,14 +1,15 @@
 """Stage I: run episodes between two agents, alternate seats, record trajectories.
 
-``play_lockstep`` is the one episode loop: each ply asks each agent once for
-the moves of all the live episodes where it is to move. ``run_episode`` is
-its one-episode case. ``play_episodes`` is the one seat and seed rule: agent1
-sits first on even episodes, and episode i draws its chance and sampling
-seeds from ``stable_hash(master_seed, game, i, ...)``, or from the seat-pair
-index ``i // 2`` when paired. Self-play interaction plays unpaired episodes;
-matches and regret play paired ones (see ``evaluation``).
-``learner_seats`` is the one rule for which seats the policy under training
-held: it reads the seat labels the store records.
+``play_lockstep`` is the one episode loop and the one ply counter: each ply
+asks each agent once for the moves of all the live episodes where it is to
+move, and an episode's step count caps it at the game's ``max_moves`` (a tie
+no game reaches). ``run_episode`` is its one-episode case. ``play_episodes``
+is the one seat and seed rule: agent1 sits first on even episodes, and
+episode i draws its chance and sampling seeds from ``stable_hash(master_seed,
+game, i, ...)``, or from the seat-pair index ``i // 2`` when paired. Self-play
+interaction plays unpaired episodes; matches and regret play paired ones (see
+``evaluation``). ``learner_seats`` is the one rule for which seats the policy
+under training held: it reads the seat labels the store records.
 
 ``play_sets`` is the one episode scheduler: interaction, matches and regret
 all hand it their (game, agent1, agent2, master seed) sets, and it cuts each
@@ -41,8 +42,6 @@ from .atomic import read_records, write_records
 from .games import Game, IllegalActionError, Outcome, Player, get_game, tie_outcome
 from .policy import Policy
 
-DEFAULT_MOVE_BOUND = 200
-
 
 def stable_hash(*parts) -> int:
     """Deterministic 63-bit hash of the stringified parts (not Python hash)."""
@@ -71,28 +70,25 @@ class Trajectory:
 
 
 def run_episode(game: Game, agent_p1: Agent, agent_p2: Agent, *, episode: int = 0,
-                chance_seed: int = 0, sampling_seed: int = 0,
-                move_bound: int = DEFAULT_MOVE_BOUND) -> Trajectory:
-    """Play one episode to termination (or the safety move bound -> tie): the
+                chance_seed: int = 0, sampling_seed: int = 0) -> Trajectory:
+    """Play one episode to termination (or ``game.max_moves`` plies -> tie): the
     one-episode case of `play_lockstep`."""
-    return play_lockstep(game, [(episode, agent_p1, agent_p2, chance_seed, sampling_seed)],
-                         move_bound)[0]
+    return play_lockstep(game, [(episode, agent_p1, agent_p2, chance_seed, sampling_seed)])[0]
 
 
-def play_lockstep(game: Game, seatings: Sequence[tuple[int, Agent, Agent, int, int]],
-                  move_bound: int = DEFAULT_MOVE_BOUND) -> list[Trajectory]:
+def play_lockstep(game: Game, seatings: Sequence[tuple[int, Agent, Agent, int, int]]
+                  ) -> list[Trajectory]:
     """Play each seating (episode, P1 agent, P2 agent, chance seed, sampling seed)
-    to its end in lockstep: each ply makes one ``act_many`` call per agent group
-    (``Agent.group``). Each episode keeps its own per-seat rngs, steps, move
-    bound and terminal check, so it plays exactly as it would alone."""
-    bound = min(move_bound, game.max_moves)
+    to its end, or to ``game.max_moves`` plies, in lockstep: each ply makes one
+    ``act_many`` call per agent group (``Agent.group``). Each episode keeps its
+    own per-seat rngs, steps and terminal check, so it plays as it would alone."""
     agents = [{Player.P1: p1, Player.P2: p2} for _, p1, p2, _, _ in seatings]
     rngs = [{p: random.Random(stable_hash(seed, p.value)) for p in Player} for *_, seed in seatings]
     states = [game.initial_state(chance_seed) for _, _, _, chance_seed, _ in seatings]
     steps: list[list[Step]] = [[] for _ in seatings]
     outcomes = [game.outcome(state) for state in states]
     live = range(len(seatings))
-    while live := [i for i in live if outcomes[i] is None and states[i].move_count < bound]:
+    while live := [i for i in live if outcomes[i] is None and len(steps[i]) < game.max_moves]:
         groups: dict = {}
         for i in live:
             agent = agents[i][states[i].to_move]
@@ -108,7 +104,7 @@ def play_lockstep(game: Game, seatings: Sequence[tuple[int, Agent, Agent, int, i
                 except IllegalActionError as err:
                     raise IllegalActionError(f"agent {agents[i][actor].label!r} returned an "
                                              f"illegal action: {err}") from err
-                steps[i].append(Step(key, actor, game.action_text(action), state.move_count))
+                steps[i].append(Step(key, actor, game.action_text(action), len(steps[i])))
                 outcomes[i] = game.outcome(states[i])
     return [Trajectory(game.name, episode, steps[i], dict(outcomes[i] or tie_outcome()),
                        {p: agents[i][p].label for p in Player}, chance_seed, sampling_seed)
@@ -122,8 +118,7 @@ def episode_seeds(master_seed: int, game_name: str, episode: int) -> tuple[int, 
 
 
 def play_episodes(game_name: str, agent1: Agent, agent2: Agent, episodes: Iterable[int],
-                  master_seed: int, *, paired: bool,
-                  move_bound: int = DEFAULT_MOVE_BOUND) -> list[Trajectory]:
+                  master_seed: int, *, paired: bool) -> list[Trajectory]:
     """Play the given episode indices with seats alternating; agent1 is first on even ones.
 
     Unpaired, episode i draws its seeds from i. Paired, it draws them from
@@ -135,7 +130,7 @@ def play_episodes(game_name: str, agent1: Agent, agent2: Agent, episodes: Iterab
         first, second = (agent1, agent2) if agent1_seat(i) is Player.P1 else (agent2, agent1)
         seatings.append((i, first, second,
                          *episode_seeds(master_seed, game_name, i // 2 if paired else i)))
-    return play_lockstep(get_game(game_name), seatings, move_bound)
+    return play_lockstep(get_game(game_name), seatings)
 
 
 def agent1_seat(episode: int) -> Player:
@@ -165,7 +160,7 @@ def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
 
 
 def play_sets(sets: Sequence[tuple[str, Agent, Agent, int]], episodes: int, jobs: int, *,
-              paired: bool, move_bound: int) -> list[list[Trajectory]]:
+              paired: bool) -> list[list[Trajectory]]:
     """Episodes 0..episodes-1 of each (game, agent1, agent2, master seed) set, by
     `play_episodes`; one list per set, in episode order.
 
@@ -177,7 +172,7 @@ def play_sets(sets: Sequence[tuple[str, Agent, Agent, int]], episodes: int, jobs
         raise ValueError("episodes must be >= 1")
     size = max(2, episodes // (4 * max(1, jobs)))
     ranges = [range(start, min(start + size, episodes)) for start in range(0, episodes, size)]
-    parts = fan_out(partial(play_episodes, paired=paired, move_bound=move_bound),
+    parts = fan_out(partial(play_episodes, paired=paired),
                     [(name, agent1, agent2, part, seed)
                      for name, agent1, agent2, seed in sets for part in ranges], jobs)
     return [[t for part in parts[start:start + len(ranges)] for t in part]
@@ -186,8 +181,7 @@ def play_sets(sets: Sequence[tuple[str, Agent, Agent, int]], episodes: int, jobs
 
 def collect_trajectories(games: Iterable[str], agent1_spec: str, agent2_spec: str,
                          episodes: int, master_seed: int, *, policy: Policy | None = None,
-                         temperature: float = 0.7, jobs: int = 1,
-                         move_bound: int = DEFAULT_MOVE_BOUND) -> list[Trajectory]:
+                         temperature: float = 0.7, jobs: int = 1) -> list[Trajectory]:
     """Run `episodes` per game with seats alternating every episode.
 
     Episode i seats agent1 first when i is even, so each agent is first
@@ -197,7 +191,7 @@ def collect_trajectories(games: Iterable[str], agent1_spec: str, agent2_spec: st
     agent1 = make_agent(agent1_spec, policy, temperature)
     agent2 = make_agent(agent2_spec, policy, temperature)
     per_game = play_sets([(name, agent1, agent2, master_seed) for name in games], episodes,
-                         jobs, paired=False, move_bound=move_bound)
+                         jobs, paired=False)
     return sorted((t for trajs in per_game for t in trajs), key=lambda t: (t.game, t.episode))
 
 

@@ -10,7 +10,7 @@ Undesirable. Which seats count as the learner's comes from the seat labels
 the store records, so Stage II needs the store and the config alone. Keys
 begin with the game's name, so ``estimate`` labels the store one game at a time.
 ``labeled.jsonl`` holds one JSON object per step, sorted by (game, key): game, key,
-reward, label, the action's notation and the state's text (``encode_state``).
+reward, label, the action's notation and the state's text, ``<to_move> <payload>``.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """The command-line stages end to end on a tiny Nim config."""
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import scopal
 from scopal import cli
 from scopal.cli import main
 from scopal.config import load_config
+from scopal.games import get_game
 from scopal.interaction import read_trajectories, write_trajectories
 from scopal.policy import Policy, new_policy
 from scopal.rewards import write_labeled
@@ -127,16 +129,19 @@ def test_regret_without_a_solvable_game_is_rejected_before_any_work(run, capsys)
     assert not run.out.exists()
 
 
-@pytest.mark.parametrize("setting", [("SCOPAL_INTERACT_MOVE_BOUND", "3"),
-                                     ("SCOPAL_REWARDS_ACTORS", "all")])
+@pytest.mark.parametrize("setting", [("max_moves", 3), ("SCOPAL_REWARDS_ACTORS", "all")])
 def test_sweep_plays_and_labels_as_the_pipeline_does(run, monkeypatch, setting):
     assert run("sweep") == 0
     (default_dir,) = run.out.iterdir()
-    monkeypatch.setenv(*setting)
+    default = (default_dir / "sweep.csv").read_text()
+    shutil.rmtree(default_dir)
+    if setting[0] == "max_moves":  # the ply cap is the game's own, not a config setting
+        monkeypatch.setattr(get_game("nim"), *setting)
+    else:
+        monkeypatch.setenv(*setting)
     assert run("sweep") == 0
-    (other_dir,) = set(run.out.iterdir()) - {default_dir}
-    assert ((other_dir / "sweep.csv").read_text()
-            != (default_dir / "sweep.csv").read_text())
+    (other_dir,) = run.out.iterdir()
+    assert (other_dir / "sweep.csv").read_text() != default
 
 
 def test_joint_mode_with_an_empty_labeled_set_trains_nothing(run, monkeypatch):

@@ -35,6 +35,9 @@ def test_unknown_section_and_key_are_errors(config_file):
         load_config(config_file("[nope]\nx = 1\n"), env={})
     with pytest.raises(ConfigError, match=r"unknown key 'epsiodes' in section \[interact\]"):
         load_config(config_file("[interact]\nepsiodes = 3\n"), env={})
+    # the ply cap is each game's max_moves, not a setting
+    with pytest.raises(ConfigError, match=r"unknown key 'move_bound' in section \[interact\]"):
+        load_config(config_file("[interact]\nmove_bound = 50\n"), env={})
 
 
 def test_unparsable_values_are_errors(config_file):
@@ -57,7 +60,6 @@ SETTINGS = [
     ("interact", "opponent", "opponent", "mcts:5", "mcts:5"),
     ("interact", "episodes", "episodes", "7", 7),
     ("interact", "temperature", "interact_temperature", "0.5", 0.5),
-    ("interact", "move_bound", "move_bound", "50", 50),
     ("rewards", "estimator", "estimator", "beta", "beta"),
     ("rewards", "tie_weight", "tie_weight", "0.5", 0.5),
     ("rewards", "gamma", "gamma", "0.9", 0.9),
@@ -87,7 +89,7 @@ def test_the_schema_names_every_field_once():
     assert sorted(attr for _, _, attr in derived) == sorted(
         f.name for f in fields(ExperimentConfig))
     # the run id hashes every field name and default
-    assert ExperimentConfig().run_id() == "bb82f9296f42-s0"
+    assert ExperimentConfig().run_id() == "34798113f862-s0"
 
 
 @pytest.mark.parametrize("section, key, attr, text, value", SETTINGS)
@@ -112,7 +114,6 @@ def test_agent_specs_that_parse_are_accepted(tmp_path):
 # a rejected value for each setting with a rule, and for the list and agent checks
 BAD_SETTINGS = [
     ("SCOPAL_EVAL_EPISODES", "1", "eval.episodes must be >= 2"),
-    ("SCOPAL_INTERACT_MOVE_BOUND", "0", "interact.move_bound must be >= 1"),
     ("SCOPAL_EVAL_OPPONENTS", "random,mcts:x", "eval.opponents: unknown agent spec 'mcts:x'"),
     ("SCOPAL_EVAL_OPPONENTS", "mcts:0", "eval.opponents: unknown agent spec 'mcts:0'"),
     ("SCOPAL_EVAL_OPPONENTS", "randm", "eval.opponents: unknown agent spec 'randm'"),

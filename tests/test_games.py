@@ -35,7 +35,6 @@ def test_tictactoe_initial_state():
     s = g.initial_state(123)
     assert s.cells == (0,) * 9
     assert s.to_move is Player.P1
-    assert s.move_count == 0
 
 
 def test_nim_initial_piles():
@@ -69,7 +68,7 @@ def test_ttt_empty_board_has_nine_actions():
 
 def test_nim_single_match_single_action():
     g = get_game("nim")
-    s = g.decode_state("P1 15 1000")
+    s = g.decode_state("P1 1000")
     assert g.legal_actions(s) == ((0, 1),)
 
 
@@ -140,7 +139,7 @@ def test_ttt_row_of_three_wins():
 
 def test_nim_taking_last_match_loses():
     g = get_game("nim")
-    s = g.decode_state("P1 15 1000")
+    s = g.decode_state("P1 1000")
     final = g.apply(s, (0, 1))
     out = g.outcome(final)
     assert out[Player.P1] is Outcome.LOSE and out[Player.P2] is Outcome.WIN
@@ -155,15 +154,27 @@ def test_ttt_full_board_no_line_is_tie():
     assert out[Player.P1] is Outcome.TIE and out[Player.P2] is Outcome.TIE
 
 
+def test_connect4_full_board_no_line_is_tie():
+    g = get_game("connect4")
+    # 42 discs, top row first, x for P1: no four in a row for either seat
+    rows = ("ooxxoox", "oxxoxoo", "ooxoxox", "xxoxxxo", "oxxxoxo", "oooxxox")
+    p1, p2 = (sum(1 << (c * 7 + 5 - r) for r, row in enumerate(rows)
+                  for c, mark in enumerate(row) if mark == disc) for disc in "xo")
+    s = g.decode_state(f"P1 {p1} {p2}")
+    assert g.legal_actions(s) == ()
+    out = g.outcome(s)
+    assert out[Player.P1] is Outcome.TIE and out[Player.P2] is Outcome.TIE
+
+
 def test_liars_dice_exact_bid_defeats_challenger():
     g = get_game("liars_dice")
-    s = g.decode_state("P1 0 ((5, 5), (), False)")
+    s = g.decode_state("P1 ((5, 5), (), False)")
     s = g.apply(s, (2, 5))  # exactly two fives on the table
     s = g.apply(s, ("challenge",))
     out = g.outcome(s)
     assert out[Player.P1] is Outcome.WIN  # bidder wins on an exact bid
     # overbid loses
-    s2 = g.decode_state("P1 0 ((5, 3), (), False)")
+    s2 = g.decode_state("P1 ((5, 3), (), False)")
     s2 = g.apply(s2, (2, 5))
     s2 = g.apply(s2, ("challenge",))
     assert g.outcome(s2)[Player.P1] is Outcome.LOSE
@@ -199,7 +210,7 @@ def _random_breakthrough_states(game, rng, count):
     for _ in range(count):
         board = [rng.choice((0, 0, 1, 2)) for _ in range(game.cols * game.rows)]
         to_move = rng.choice(["P1", "P2"])
-        states.append(game.decode_state(f"{to_move} 0 {''.join(map(str, board))}"))
+        states.append(game.decode_state(f"{to_move} {''.join(map(str, board))}"))
     return states
 
 
@@ -256,7 +267,7 @@ def test_breakthrough_reaching_home_row_wins():
     board = [0] * 24
     board[6 * 3 + 1] = 1   # P1 pawn on b7
     board[3 * 3 + 0] = 2   # far-away P2 pawn
-    s = g.decode_state("P1 20 " + "".join(map(str, board)))
+    s = g.decode_state("P1 " + "".join(map(str, board)))
     final = g.apply(s, g.parse_action("b7b8"))
     assert g.outcome(final)[Player.P1] is Outcome.WIN
 
@@ -274,7 +285,7 @@ def test_breakthrough_state_round_trips_through_its_text(name):
         text = json.dumps(game.encode_state(s))
         assert text == json.dumps(game.encode_state(decoded))
         board = game.observation(s, Player.P1)[2]
-        assert json.loads(text) == f"{s.to_move.name} {s.move_count} {''.join(map(str, board))}"
+        assert json.loads(text) == f"{s.to_move.name} {''.join(map(str, board))}"
         assert game.legal_actions(decoded) == game.legal_actions(s)
         assert game.outcome(decoded) == game.outcome(s)
         if game.outcome(s) is None:
@@ -316,23 +327,23 @@ def test_keys_deterministic_and_distinct():
 
 def test_kuhn_key_ignores_hidden_opponent_card():
     g = get_game("kuhn_poker")
-    a = g.decode_state("P1 0 ((2, 0), ())")
-    b = g.decode_state("P1 0 ((2, 1), ())")
+    a = g.decode_state("P1 ((2, 0), ())")
+    b = g.decode_state("P1 ((2, 1), ())")
     assert g.canonical_key(a, "B") == g.canonical_key(b, "B")
 
 
 def test_liars_dice_key_ignores_hidden_opponent_die():
     g = get_game("liars_dice")
-    a = g.decode_state("P2 1 ((4, 1), ((1, 2),), False)")
-    b = g.decode_state("P2 1 ((6, 1), ((1, 2),), False)")
+    a = g.decode_state("P2 ((4, 1), ((1, 2),), False)")
+    b = g.decode_state("P2 ((6, 1), ((1, 2),), False)")
     assert g.canonical_key(a, (2, 2)) == g.canonical_key(b, (2, 2))
 
 
 def test_mirrored_seats_share_keys():
     g = get_game("tictactoe")
     # P1 played center | P2 played center: same mover-relative situation
-    s1 = g.decode_state("P1 1 000020000")
-    s2 = g.decode_state("P2 1 000010000")
+    s1 = g.decode_state("P1 000020000")
+    s2 = g.decode_state("P2 000010000")
     assert g.canonical_key(s1, 0) == g.canonical_key(s2, 0)
 
 
@@ -343,15 +354,14 @@ def test_breakthrough_relative_keys_mirror_rows():
     board, flipped = g.observation(s, Player.P1)[2], []
     for r in range(7, -1, -1):
         flipped.extend(3 - v if v else 0 for v in board[r * 3:(r + 1) * 3])
-    mirror = g.decode_state("P2 0 " + "".join(map(str, flipped)))
+    mirror = g.decode_state("P2 " + "".join(map(str, flipped)))
     opening = g.canonical_key(s, g.parse_action("a2a3"))
     mirrored = g.canonical_key(mirror, g.parse_action("a7a6"))
     assert opening == mirrored  # mirrored seats aggregate under one key
 
 
 def test_perfect_info_observation_determines_state():
-    # the game configuration (board/piles + mover), not the move counter,
-    # which Nim cannot reconstruct from piles alone
+    # the mover's observation fixes the whole state: the board or piles and the mover
     rng = random.Random(11)
     for game in ALL_GAMES:
         if not game.perfect_information:
@@ -360,8 +370,7 @@ def test_perfect_info_observation_determines_state():
         for _ in range(200):
             s = random_state(game, rng)
             obs = game.observation(s, s.to_move)
-            to_move, _, payload = game.encode_state(s).split(" ", 2)
-            enc = (to_move, payload)  # all but the move count
+            enc = game.encode_state(s)
             if obs in seen:
                 assert seen[obs] == enc
             else:
@@ -398,7 +407,8 @@ def test_state_encoding_round_trips():
             assert game.decode_state(game.encode_state(s)) == s
 
 
-# each state text breaks exactly one of its game's rules
+# each position breaks exactly one of its game's rules; each text also holds a ply
+# count between the mover and the payload, a field that no state has
 @pytest.mark.parametrize("name, text", [
     ("connect4", "P1 0 3 3"),  # both seats on the same squares
     ("connect4", "P2 7 85 42"),  # a full column plus its sentinel bit
@@ -413,8 +423,12 @@ def test_state_encoding_round_trips():
     ("liars_dice", "P1 2 ((1, 2), ((1, 1),), 1)"),
 ])
 def test_state_text_that_no_game_reaches_is_refused(name, text):
+    game = get_game(name)
+    with pytest.raises(ValueError):
+        game.decode_state(text)
+    to_move, _, payload = text.split(" ", 2)
     with pytest.raises(ValueError, match=f"{name}: no state has"):
-        get_game(name).decode_state(text)
+        game.decode_state(f"{to_move} {payload}")
 
 
 # -- playout invariants --------------------------------------------------------

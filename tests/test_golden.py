@@ -73,43 +73,43 @@ RUNS["study"] = (STUDY, (["sweep"], ["iterate", "--rounds", "2"],
 
 DIGESTS = {
     "two_stage/checkpoint.json": "4c8d65b83261777f",
-    "two_stage/labeled.jsonl": "04e66d3e9813ec2d",
-    "two_stage/manifest.json": "04c98f194ec1bca6",
+    "two_stage/labeled.jsonl": "49a44ae97e9c809a",
+    "two_stage/manifest.json": "eb9a0874fe6355dd",
     "two_stage/metrics.csv": "c320b3917ada6a1b",
     "two_stage/regret.csv": "980f3190e0e4223d",
     "two_stage/store": "e1f4f9a49fcdc251",
     "two_stage/tournament.csv": "fec9e8e3cfad8339",
     "direct_kto/checkpoint.json": "c539c058a41e0f6a",
-    "direct_kto/labeled.jsonl": "04e66d3e9813ec2d",
-    "direct_kto/manifest.json": "7f7b7ba2cc8b3640",
+    "direct_kto/labeled.jsonl": "49a44ae97e9c809a",
+    "direct_kto/manifest.json": "1a6acaebe3efe35e",
     "direct_kto/metrics.csv": "cfb743af71fa9120",
     "direct_kto/regret.csv": "980f3190e0e4223d",
     "direct_kto/store": "e1f4f9a49fcdc251",
     "direct_kto/tournament.csv": "453c12acd7d8cc18",
     "joint/checkpoint.json": "483461d7bec0cbcf",
-    "joint/labeled.jsonl": "04e66d3e9813ec2d",
-    "joint/manifest.json": "6f11a119287e6138",
+    "joint/labeled.jsonl": "49a44ae97e9c809a",
+    "joint/manifest.json": "945ec664d43d1d02",
     "joint/metrics.csv": "e6fa5798352ecee0",
     "joint/regret.csv": "980f3190e0e4223d",
     "joint/store": "e1f4f9a49fcdc251",
     "joint/tournament.csv": "266c3aaec1855106",
     "bc_only/checkpoint.json": "c565e12b7977a610",
-    "bc_only/labeled.jsonl": "04e66d3e9813ec2d",
-    "bc_only/manifest.json": "ce193a60f7766ac6",
+    "bc_only/labeled.jsonl": "49a44ae97e9c809a",
+    "bc_only/manifest.json": "07cf94ca5f965651",
     "bc_only/metrics.csv": "48cafd1058558f5d",
     "bc_only/regret.csv": "980f3190e0e4223d",
     "bc_only/store": "e1f4f9a49fcdc251",
     "bc_only/tournament.csv": "fec9e8e3cfad8339",
     "bc_dpo/checkpoint.json": "874cddfca6b0e2f6",
-    "bc_dpo/labeled.jsonl": "04e66d3e9813ec2d",
-    "bc_dpo/manifest.json": "badef4b1a0fa02cd",
+    "bc_dpo/labeled.jsonl": "49a44ae97e9c809a",
+    "bc_dpo/manifest.json": "c50eb02980854f98",
     "bc_dpo/metrics.csv": "ca4ba5a01836df5f",
     "bc_dpo/regret.csv": "980f3190e0e4223d",
     "bc_dpo/store": "e1f4f9a49fcdc251",
     "bc_dpo/tournament.csv": "fec9e8e3cfad8339",
     "spag/checkpoint.json": "ae1d1cdf8785aa34",
-    "spag/labeled.jsonl": "2118df6d5363c494",
-    "spag/manifest.json": "10d9473fe34b9637",
+    "spag/labeled.jsonl": "a521065bb7e29a00",
+    "spag/manifest.json": "f333ca5170146489",
     "spag/metrics.csv": "5f125d17a599b067",
     "spag/regret.csv": "ba0ab41b770da8b6",
     "spag/store": "fe4948903e9198b2",
@@ -118,7 +118,7 @@ DIGESTS = {
     "study/checkpoint_round2.json": "6a3f0d4220ce02c3",
     "study/head2head.csv": "1f964f9fdb7e0d3a",
     "study/iterate.csv": "2a51e538e147dc08",
-    "study/manifest.json": "b85807ac4a60b932",
+    "study/manifest.json": "ddbb2ea3d41f77df",
     "study/sweep.csv": "f9ae52570c9b1936",
 }
 

@@ -14,11 +14,10 @@ import scopal
 from scopal import interaction
 from scopal.agents import RandomAgent, make_agent
 from scopal.games import GAME_NAMES, Outcome, Player, get_game, tie_outcome, win_for
-from scopal.interaction import (DEFAULT_MOVE_BOUND, Trajectory, collect_trajectories,
-                                episode_seeds, fan_out, learner_seats, play_episodes,
-                                play_lockstep, read_trajectories, record_trajectory, replay,
-                                run_episode, stable_hash, trajectory_record,
-                                write_trajectories)
+from scopal.interaction import (Trajectory, collect_trajectories, episode_seeds, fan_out,
+                                learner_seats, play_episodes, play_lockstep, read_trajectories,
+                                record_trajectory, replay, run_episode, stable_hash,
+                                trajectory_record, write_trajectories)
 from scopal.policy import new_policy
 
 
@@ -253,7 +252,8 @@ def test_move_bound_yields_tie(monkeypatch):
     game = get_game("breakthrough")
     policy = new_policy(["breakthrough"])
     a = make_agent("policy", policy, 0.7)
-    traj = run_episode(game, a, a, chance_seed=0, sampling_seed=0, move_bound=4)
+    monkeypatch.setattr(game, "max_moves", 4)
+    traj = run_episode(game, a, a, chance_seed=0, sampling_seed=0)
     assert len(traj.steps) == 4
     assert all(o.value == "Tie" for o in traj.outcome.values())
 
@@ -284,9 +284,9 @@ LOCKSTEP_PAIRS = [("policy", "self"), ("policy", "mcts:3"), ("random", "policy")
 
 @pytest.mark.parametrize("pair", LOCKSTEP_PAIRS, ids="-".join)
 @pytest.mark.parametrize("name", GAME_NAMES + ("breakthrough_6x6",))
-def test_lockstep_episodes_equal_one_episode_at_a_time(name, pair):
+def test_lockstep_episodes_equal_one_episode_at_a_time(monkeypatch, name, pair):
     """`play_episodes` over a range plays each episode as `run_episode` does alone,
-    unbounded and under a move bound that cuts the longest episodes."""
+    unbounded and under a `max_moves` that cuts the longest episodes."""
     game = get_game(name)
     rng = random.Random(4)
     policy = new_policy([name])
@@ -294,21 +294,23 @@ def test_lockstep_episodes_equal_one_episode_at_a_time(name, pair):
     agent1, agent2 = (make_agent(spec, policy, 0.7) for spec in pair)
     episodes = range(3, 11)
 
-    def alone(move_bound):
+    def alone():
         out = []
         for i in episodes:
             first, second = (agent1, agent2) if i % 2 == 0 else (agent2, agent1)
             chance_seed, sampling_seed = episode_seeds(7, name, i)
             out.append(trajectory_record(run_episode(
                 game, first, second, episode=i, chance_seed=chance_seed,
-                sampling_seed=sampling_seed, move_bound=move_bound)))
+                sampling_seed=sampling_seed)))
         return out
 
-    unbounded = alone(DEFAULT_MOVE_BOUND)
+    def lockstep():
+        return [trajectory_record(t)
+                for t in play_episodes(name, agent1, agent2, episodes, 7, paired=False)]
+
+    unbounded = alone()
     lengths = [len(record["steps"]) for record in unbounded]
     assert min(lengths) < max(lengths)  # the episodes end at different plies
-    for move_bound, expected in ((DEFAULT_MOVE_BOUND, unbounded),
-                                 (max(lengths) - 1, alone(max(lengths) - 1))):
-        lockstep = play_episodes(name, agent1, agent2, episodes, 7, paired=False,
-                                 move_bound=move_bound)
-        assert [trajectory_record(t) for t in lockstep] == expected
+    assert lockstep() == unbounded
+    monkeypatch.setattr(game, "max_moves", max(lengths) - 1)
+    assert lockstep() == alone()

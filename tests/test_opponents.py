@@ -89,7 +89,7 @@ def test_mcts_two_ply_endgame_matches_minimax():
 
 def test_mcts_single_action_returned_regardless_of_budget():
     game = get_game("nim")
-    s = game.decode_state("P1 15 1000")
+    s = game.decode_state("P1 1000")
     assert mcts_act(game, s, MctsConfig(max_simulations=1, rng_seed=0)) == (0, 1)
     assert mcts_act(game, s, MctsConfig(max_simulations=200, rng_seed=9)) == (0, 1)
 
@@ -180,7 +180,7 @@ def test_mcts_hidden_information_games_run():
 
 def test_random_act_single_action():
     game = get_game("nim")
-    s = game.decode_state("P1 15 1000")
+    s = game.decode_state("P1 1000")
     assert RandomAgent().act(game, s, random.Random(5)) == (0, 1)
 
 
@@ -210,28 +210,28 @@ def test_random_act_deterministic():
 # shows up here.
 GOLDEN_SEARCHES = {
     "tictactoe": (
-        "P2 3 000100012",
+        "P2 000100012",
         2, [(56, 24.0), (55, 23.0), (101, 60.0), (72, 36.0), (63, 29.0), (53, 21.5)]),
     "connect4": (
-        "P1 8 17592464965632 13194680598528",
+        "P1 17592464965632 13194680598528",
         2, [(39, 16.0), (67, 41.0), (115, 87.0), (47, 23.0), (54, 29.0), (32, 11.0),
             (46, 22.0)]),
     "breakthrough": (
-        "P1 6 111101000000001022202220",
+        "P1 111101000000001022202220",
         (1, 4), [(50, 28.0), (75, 52.0), (42, 21.0), (48, 26.0), (43, 22.0), (50, 28.0),
                  (45, 23.0), (47, 25.0)]),
     "kuhn_poker": (
-        "P2 1 ((2, 1), ('P',))",
+        "P2 ((2, 1), ('P',))",
         "B", [(268, 161.0), (132, 62.0)]),
     "liars_dice": (
-        "P2 1 ((5, 3), ((2, 2),), False)",
+        "P2 ((5, 3), ((2, 2),), False)",
         ("challenge",), [(33, 14.0), (26, 8.0), (21, 4.0), (15, 0.0), (305, 305.0)]),
     "nim": (
-        "P2 1 1351",
+        "P2 1351",
         (2, 3), [(48, 26.0), (31, 11.0), (37, 16.0), (35, 15.0), (41, 20.0), (47, 25.0),
                  (55, 32.0), (35, 15.0), (29, 10.0), (42, 21.0)]),
     "breakthrough_6x6": (
-        "P1 8 111111001110112000000120202222222220",
+        "P1 111111001110112000000120202222222220",
         (21, 28), [(22, 13.0), (20, 11.0), (20, 11.0), (13, 3.0), (14, 4.0), (17, 7.0),
                    (18, 8.0), (13, 3.0), (18, 8.0), (25, 16.0), (21, 12.0), (17, 7.0),
                    (17, 7.0), (19, 10.0), (19, 9.0), (20, 11.0), (24, 15.0), (13, 3.0),

@@ -170,7 +170,7 @@ def test_score_function_identity():
 
 def test_sample_single_legal_action():
     game = get_game("nim")
-    s = game.decode_state("P1 15 1000")
+    s = game.decode_state("P1 1000")
     pol = new_policy(["nim"])
     assert pol.sample_action(game, s, 0.7, random.Random(0)) == (0, 1)
 

@@ -90,7 +90,7 @@ def test_bc_loss_is_log_k_for_uniform_policy():
 
 def test_bc_loss_zero_when_probability_one():
     nim = get_game("nim")
-    s = nim.decode_state("P1 15 1000")
+    s = nim.decode_state("P1 1000")
     batch = [LabeledStep("nim", "k", s, (0, 1), 1.0, DESIRABLE)]
     report = bc_loss(new_policy(["nim"]), batch)
     assert report.loss == pytest.approx(0.0, abs=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scopal.games import Outcome, Player, get_game
+from scopal.games import GAME_NAMES, Outcome, Player, get_game
 from scopal.interaction import Step, Trajectory, collect_trajectories
 from scopal.policy import new_policy
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, StepStats,
@@ -235,19 +235,19 @@ def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
     write_labeled(path, [LabeledStep("kuhn_poker", kuhn.canonical_key(deal, "B"), deal, "B",
                                      1.0, DESIRABLE)])
     card_game = path.read_text()
-    assert '"P1 0 1357"' in good and '"P1 0 ((1, 2), ())"' in card_game
-    for malformed in ("P1 0", "P3 0 1357", "P1 zero 1357", "P1 0 13x7", 1357,
-                      "P1 0 9999", "P1 0 2000"):
-        path.write_text(good + good.replace('"P1 0 1357"', json.dumps(malformed)))
+    assert '"P1 1357"' in good and '"P1 ((1, 2), ())"' in card_game
+    for malformed in ("P1", "P3 1357", "P1 zero 1357", "P1 13x7", 1357,
+                      "P1 9999", "P1 2000"):
+        path.write_text(good + good.replace('"P1 1357"', json.dumps(malformed)))
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
             read_labeled(path)
-    bad_square = "P1 0 " + "1" * 6 + "0" * 11 + "3" + "2" * 6
-    for name, malformed in (("tictactoe", "P1 0 12"), ("tictactoe", "P1 0 000030000"),
-                            ("breakthrough", "P1 0 12"), ("breakthrough", bad_square),
-                            ("connect4", "P1 0 3 3"), ("connect4", "P1 0 -1 0"),
-                            ("connect4", "P2 5 1 4096"),
-                            ("kuhn_poker", "P1 0 ((5, 9), ('X',))"),
-                            ("liars_dice", "P1 0 ((9, 0), ((7, 7),), False)")):
+    bad_square = "P1 " + "1" * 6 + "0" * 11 + "3" + "2" * 6
+    for name, malformed in (("tictactoe", "P1 12"), ("tictactoe", "P1 000030000"),
+                            ("breakthrough", "P1 12"), ("breakthrough", bad_square),
+                            ("connect4", "P1 3 3"), ("connect4", "P1 -1 0"),
+                            ("connect4", "P2 1 4096"),
+                            ("kuhn_poker", "P1 ((5, 9), ('X',))"),
+                            ("liars_dice", "P1 ((9, 0), ((7, 7),), False)")):
         game = get_game(name)  # fields that no state of the game holds
         start = game.initial_state(0)
         move = game.legal_actions(start)[0]
@@ -258,8 +258,27 @@ def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
                                                 json.dumps(malformed)))
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
             read_labeled(path)
-    for malformed in ("P1 0 ((2, 1), ()", "P1 0 7", "P1 0 ((2, 1),)"):
-        bad = card_game.replace('"P1 0 ((1, 2), ())"', json.dumps(malformed))
+    for malformed in ("P1 ((2, 1), ()", "P1 7", "P1 ((2, 1),)"):
+        bad = card_game.replace('"P1 ((1, 2), ())"', json.dumps(malformed))
         path.write_text(card_game + bad)
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
             read_labeled(path)
+
+
+@pytest.mark.parametrize("name", GAME_NAMES)
+def test_a_state_text_with_a_ply_count_is_refused(tmp_path, name):
+    """A state's text is `<to_move> <payload>`; a record whose text also holds a
+    ply count, `<to_move> <count> <payload>`, is refused, not read as another state."""
+    game = get_game(name)
+    start = game.initial_state(0)
+    state = game.apply(start, game.legal_actions(start)[0])  # one ply in
+    action = game.legal_actions(state)[0]
+    path = tmp_path / "labeled.jsonl"
+    write_labeled(path, [LabeledStep(name, game.canonical_key(state, action), state, action,
+                                     1.0, DESIRABLE)])
+    good = path.read_text()
+    text = game.encode_state(state)
+    to_move, payload = text.split(" ", 1)
+    path.write_text(good + good.replace(json.dumps(text), json.dumps(f"{to_move} 1 {payload}")))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
+        read_labeled(path)
