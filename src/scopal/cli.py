@@ -33,7 +33,7 @@ from .policy import Policy, new_policy
 from .refine import METRIC_COLUMNS, train_two_stage
 from .rewards import (LabeledStep, accumulate_stats, collect_representatives,
                       estimate_rewards, label_counts, label_steps, read_labeled,
-                      write_labeled)
+                      replay_plies, write_labeled)
 from .solvers import SOLVABLE
 
 LADDER = ("random", "self", "mcts:5", "mcts:10", "mcts:100", "mcts:200",
@@ -78,11 +78,13 @@ def _interact(config: ExperimentConfig, policy: Policy,
 
 
 def _label(config: ExperimentConfig, trajs: list[Trajectory]) -> list[LabeledStep]:
-    """Stage II: estimate each step's reward over `trajs` and label it."""
-    stats = accumulate_stats(trajs, config.gamma)
+    """Stage II: replay each of `trajs` once, estimate each step's reward, label it."""
+    stats, reps = {}, {}
+    for replayed in map(replay_plies, trajs):
+        accumulate_stats(stats, [replayed], config.gamma)
+        collect_representatives(reps, [replayed], actors=config.actors)
     rewards = estimate_rewards(stats, method=config.estimator, tie_weight=config.tie_weight,
                                alpha0=config.alpha0, beta0=config.beta0)
-    reps = collect_representatives(trajs, actors=config.actors)
     dataset = label_steps(rewards, config.delta, reps, min_count=config.min_count, stats=stats)
     if unlabelled := {t.game for t in trajs} - {step.game for step in dataset}:
         raise ValueError(f"Stage II labels no step of {min(unlabelled)} (rewards.min_count = "

@@ -126,9 +126,16 @@ class Game(ABC):
         return f"{state.to_move.name} {self.payload(state)}"
 
     def decode_state(self, text: str) -> Any:
-        """The state `encode_state` wrote: the payload's fields, then to_move."""
-        to_move, payload = text.split(" ", 1)
-        return self.state_type(*self.parse_payload(payload), Player[to_move])
+        """The state `encode_state` wrote, and only if it writes exactly `text`:
+        a state has one text, with no sign, leading zero or extra space."""
+        try:
+            to_move, payload = text.split(" ", 1)
+            state = self.state_type(*self.parse_payload(payload), Player[to_move])
+            if self.encode_state(state) != text:
+                raise ValueError("the state's text is another")
+        except (AttributeError, KeyError, SyntaxError, TypeError, ValueError) as err:
+            raise ValueError(f"{self.name}: no state has the text {text!r}") from err
+        return state
 
     def payload(self, state: Any) -> str:
         """The other fields: `digit_row` as a row of digits, else all, in order, as a literal."""

@@ -20,11 +20,14 @@ artifact: a store is reproducible byte-for-byte from (config, master seed),
 sorted by (game, episode index).
 
 The trajectory store is JSON lines named ``<run-id>.traj.jsonl``, one
-trajectory per line: game, episode, steps (key, actor, action in the
-canonical textual notation, move index), each seat's outcome, each seat's
-agent label (``"agents": {"P1": ..., "P2": ...}``) and the chance and
-sampling seeds. Stage II and SPAG read the store and the config alone. Each
-game's trajectories are one block of it, which ``read_game_blocks`` reads lazily.
+trajectory per line, and it records only what was played: game, episode,
+steps (each ply's action in the canonical textual notation, in order), each
+seat's outcome, each seat's agent label (``"agents": {"P1": ..., "P2": ...}``)
+and the chance and sampling seeds. A ply's state, mover and number follow
+from the seeds and the actions before it, which ``replay`` re-simulates; Stage
+II and SPAG read the store and the config alone and derive the rest there.
+Each game's trajectories are one block of the store, which ``read_game_blocks``
+reads lazily.
 """
 from __future__ import annotations
 
@@ -50,19 +53,11 @@ def stable_hash(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-@dataclass(frozen=True)
-class Step:
-    key: str
-    actor: Player
-    action: str  # canonical textual notation
-    move_index: int
-
-
 @dataclass
 class Trajectory:
     game: str
     episode: int
-    steps: list[Step]
+    steps: list[str]  # each ply's action, in the canonical textual notation
     outcome: dict[Player, Outcome]
     agents: dict[Player, str]  # each seat's agent label
     chance_seed: int
@@ -85,7 +80,7 @@ def play_lockstep(game: Game, seatings: Sequence[tuple[int, Agent, Agent, int, i
     agents = [{Player.P1: p1, Player.P2: p2} for _, p1, p2, _, _ in seatings]
     rngs = [{p: random.Random(stable_hash(seed, p.value)) for p in Player} for *_, seed in seatings]
     states = [game.initial_state(chance_seed) for _, _, _, chance_seed, _ in seatings]
-    steps: list[list[Step]] = [[] for _ in seatings]
+    steps: list[list[str]] = [[] for _ in seatings]
     outcomes = [game.outcome(state) for state in states]
     live = range(len(seatings))
     while live := [i for i in live if outcomes[i] is None and len(steps[i]) < game.max_moves]:
@@ -97,14 +92,12 @@ def play_lockstep(game: Game, seatings: Sequence[tuple[int, Agent, Agent, int, i
             actions = agent.act_many(game, [states[i] for i in members],
                                      [rngs[i][states[i].to_move] for i in members])
             for i, action in zip(members, actions):
-                state, actor = states[i], states[i].to_move
-                key = game.canonical_key(state, action)
                 try:
-                    states[i] = game.apply(state, action)
+                    states[i] = game.apply(states[i], action)
                 except IllegalActionError as err:
-                    raise IllegalActionError(f"agent {agents[i][actor].label!r} returned an "
-                                             f"illegal action: {err}") from err
-                steps[i].append(Step(key, actor, game.action_text(action), len(steps[i])))
+                    raise IllegalActionError(f"agent {agents[i][states[i].to_move].label!r} "
+                                             f"returned an illegal action: {err}") from err
+                steps[i].append(game.action_text(action))
                 outcomes[i] = game.outcome(states[i])
     return [Trajectory(game.name, episode, steps[i], dict(outcomes[i] or tie_outcome()),
                        {p: agents[i][p].label for p in Player}, chance_seed, sampling_seed)
@@ -202,8 +195,7 @@ def trajectory_record(traj: Trajectory) -> dict:
     return {
         "game": traj.game,
         "episode": traj.episode,
-        "steps": [{"key": s.key, "actor": s.actor.value, "action": s.action,
-                   "move_index": s.move_index} for s in traj.steps],
+        "steps": traj.steps,
         "outcome": {p.value: traj.outcome[p].value for p in Player},
         "agents": {p.value: traj.agents[p] for p in Player},
         "seeds": {"chance": traj.chance_seed, "sampling": traj.sampling_seed},
@@ -211,8 +203,9 @@ def trajectory_record(traj: Trajectory) -> dict:
 
 
 def record_trajectory(data: dict) -> Trajectory:
-    steps = [Step(s["key"], Player(s["actor"]), s["action"], s["move_index"])
-             for s in data["steps"]]
+    steps = data["steps"]
+    if not isinstance(steps, list) or not all(isinstance(step, str) for step in steps):
+        raise ValueError("steps must be a list of action texts")
     outcome = {Player(p): Outcome(v) for p, v in data["outcome"].items()}
     agents = {p: data["agents"][p.value] for p in Player}
     return Trajectory(data["game"], data["episode"], steps, outcome, agents,
@@ -239,20 +232,15 @@ def read_game_blocks(path) -> Iterator[list[Trajectory]]:
 
 
 def replay(traj: Trajectory):
-    """Yield (state, action, actor) per step by re-simulating from the seeds.
+    """Yield (state, action, actor) per ply by re-simulating from the seeds.
 
-    Raises if the recorded steps do not replay to the recorded outcome.
+    Raises if the recorded actions do not replay to the recorded outcome.
     """
     game = get_game(traj.game)
     state = game.initial_state(traj.chance_seed)
-    for step in traj.steps:
-        action = game.parse_action(step.action)
-        if state.to_move is not step.actor:
-            raise ValueError(f"replay mismatch: move {step.move_index} actor")
-        yield state, action, step.actor
+    for text in traj.steps:
+        action = game.parse_action(text)
+        yield state, action, state.to_move
         state = game.apply(state, action)
-    final = game.outcome(state)
-    if final is None:
-        final = tie_outcome()
-    if dict(final) != dict(traj.outcome):
+    if dict(game.outcome(state) or tie_outcome()) != dict(traj.outcome):
         raise ValueError(f"replay mismatch: outcome of {traj.game} episode {traj.episode}")

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .games import RETURN, Player, get_game, split_key
+from .games import RETURN, Outcome, Player, get_game, split_key
 from .features import feature_matrices
 from .interaction import Trajectory, learner_seats, replay, stable_hash
 from .policy import Policy, action_index, log_prob_grad, log_softmax
@@ -240,32 +240,32 @@ def _log_sigmoid(x: float) -> float:
 # -- discounted self-play baseline ----------------------------------------
 
 
-def spag_assign_rewards(traj: Trajectory, gamma: float = 0.8) -> list[float]:
-    """Signed discounted reward per recorded step.
+def spag_assign_rewards(actors: Sequence[Player], outcome: Mapping[Player, Outcome],
+                        gamma: float = 0.8) -> list[float]:
+    """Signed discounted reward per ply of an episode, given each ply's actor.
 
-    For an actor with T own steps, their t-th step (1-based) carries
+    For an actor with T own plies, their t-th ply (1-based) carries
     ``(1-gamma) * gamma^(T-t) / (1 - gamma^(T+1))``, positive for the
     winner, negated for the loser, zero on ties.
     """
     if not 0 < gamma < 1:
         raise ValueError("gamma must lie in (0, 1)")
-    totals = {p: sum(1 for s in traj.steps if s.actor is p) for p in Player}
+    totals = {p: actors.count(p) for p in Player}
     index = {p: 0 for p in Player}
     rewards = []
-    for step in traj.steps:
-        index[step.actor] += 1
-        t, horizon = index[step.actor], totals[step.actor]
+    for actor in actors:
+        index[actor] += 1
+        t, horizon = index[actor], totals[actor]
         magnitude = (1 - gamma) * gamma ** (horizon - t) / (1 - gamma ** (horizon + 1))
-        rewards.append(RETURN[traj.outcome[step.actor]] * magnitude)
+        rewards.append(RETURN[outcome[actor]] * magnitude)
     return rewards
 
 
 @dataclass(frozen=True)
 class AdvantageStep:
     game: str
-    state: object
+    state: object  # its mover, ``state.to_move``, is the seat whose term it is
     action: object
-    actor: Player
     advantage: float
 
 
@@ -280,10 +280,11 @@ def build_advantage_steps(trajectories: Iterable[Trajectory],
     out = []
     for traj in trajectories:
         seats = learner_seats(traj)
-        rewards = spag_assign_rewards(traj, gamma)
-        for (state, action, actor), adv in zip(replay(traj), rewards):
+        plies = list(replay(traj))
+        rewards = spag_assign_rewards([actor for _, _, actor in plies], traj.outcome, gamma)
+        for (state, action, actor), adv in zip(plies, rewards):
             if actor in seats:
-                out.append(AdvantageStep(traj.game, state, action, actor, adv))
+                out.append(AdvantageStep(traj.game, state, action, adv))
     return out
 
 
@@ -303,11 +304,12 @@ def spag_loss(policy: Policy, reference: Policy, steps: Sequence[AdvantageStep],
         log_ratios = visit.logp - visit.ref_logp
         ratio = math.exp(log_ratios[visit.index])
         kl = float(probs @ log_ratios)
-        seat_terms[step.actor].append(ratio * step.advantage - beta2 * kl)
+        seat = step.state.to_move
+        seat_terms[seat].append(ratio * step.advantage - beta2 * kl)
         centered = visit.feats - probs @ visit.feats
         grad = (ratio * step.advantage * centered[visit.index]
                 - beta2 * (probs * log_ratios) @ centered)
-        _accumulate(seat_grads[step.actor], step.game, grad, 1.0)
+        _accumulate(seat_grads[seat], step.game, grad, 1.0)
     seats = [p for p in Player if seat_terms[p]]
     weight = 1.0 / len(seats)
     loss = 0.0

@@ -1,30 +1,52 @@
 """Stage II: step-wise reward estimation over the trajectory store.
 
-``accumulate_stats`` is the one pass over the store's steps: it counts each
-canonical (state, action) key's occurrences under its actor's outcome and
-sums their discounted returns. The three estimators are formulas over that
-one count table: the empirical win rate ``n_win / n_all`` (ties creditable
-via ``tie_weight``), the mean discounted return, or the Beta-posterior mean.
-Keys with reward above the threshold are labeled Desirable, the rest
-Undesirable. Which seats count as the learner's comes from the seat labels
-the store records, so Stage II needs the store and the config alone. Keys
-begin with the game's name, so ``estimate`` labels the store one game at a time.
+The store records only each ply's action, so Stage II makes the canonical
+(state, action) keys: ``replay_plies`` replays a trajectory once into its
+plies, and both ``accumulate_stats`` (each key's count under its actor's
+outcome, and their discounted returns) and ``collect_representatives`` read
+them. The three estimators are formulas over that one count table: the
+empirical win rate ``n_win / n_all`` (ties creditable via ``tie_weight``), the
+mean discounted return, or the Beta-posterior mean. Keys with reward above
+the threshold are labeled Desirable, the rest Undesirable. Which seats count
+as the learner's comes from the seat labels the store records, so Stage II
+needs the store and the config alone. Keys begin with the game's name, so
+``estimate`` labels the store one game at a time.
 ``labeled.jsonl`` holds one JSON object per step, sorted by (game, key): game, key,
 reward, label, the action's notation and the state's text, ``<to_move> <payload>``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .atomic import read_records, write_records
-from .games import RETURN, Outcome, get_game
+from .games import RETURN, Outcome, Player, get_game
 from .interaction import Trajectory, learner_seats, replay
 
 DESIRABLE = "Desirable"
 UNDESIRABLE = "Undesirable"
 ESTIMATORS = ("win_rate", "discounted", "beta")
 ACTORS = ("learner", "all")
+
+
+class Ply(NamedTuple):
+    """One replayed ply, with what Stage II derives for it."""
+    game: str
+    key: str  # canonical (state, action) key
+    actor: Player
+    index: int  # plies before it in its episode
+    state: object
+    action: object
+
+
+Replayed = tuple[Trajectory, list[Ply]]
+
+
+def replay_plies(traj: Trajectory) -> Replayed:
+    """`traj` and its plies, from one replay of its actions."""
+    game = get_game(traj.game)
+    return traj, [Ply(traj.game, game.canonical_key(state, action), actor, index, state, action)
+                  for index, (state, action, actor) in enumerate(replay(traj))]
 
 
 @dataclass
@@ -37,33 +59,28 @@ class StepStats:
 
     def add(self, outcome: Outcome, discount: float) -> None:
         self.n_all += 1
-        if outcome is Outcome.WIN:
-            self.n_win += 1
-        elif outcome is Outcome.TIE:
-            self.n_tie += 1
-        else:
-            self.n_lose += 1
+        self.n_win += outcome is Outcome.WIN
+        self.n_tie += outcome is Outcome.TIE
+        self.n_lose += outcome is Outcome.LOSE
         self.discounted += discount * RETURN[outcome]
 
 
-def accumulate_stats(trajectories: Iterable[Trajectory], gamma: float) -> dict[str, StepStats]:
-    """Count each step's key under its actor's terminal outcome R_T in {+1 win,
-    -1 loss, 0 tie}, and sum gamma^(T-t) * R_T, with t the 1-based global move
-    index and T the episode length."""
+def accumulate_stats(stats: dict[str, StepStats], replayed: Sequence[Replayed],
+                     gamma: float) -> dict[str, StepStats]:
+    """Count, into `stats`, each ply's key under its actor's terminal outcome R_T
+    in {+1 win, -1 loss, 0 tie}, and sum gamma^(T-t) * R_T, with t the 1-based
+    ply number and T the episode length."""
     if not 0 < gamma < 1:
         raise ValueError("accumulate_stats needs 0 < gamma < 1")
-    stats: dict[str, StepStats] = {}
-    empty = True
-    for traj in trajectories:
-        empty = False
-        horizon = len(traj.steps)
-        for step in traj.steps:
-            entry = stats.get(step.key)
-            if entry is None:
-                entry = stats[step.key] = StepStats()
-            entry.add(traj.outcome[step.actor], gamma ** (horizon - step.move_index - 1))
-    if empty:
+    if not replayed:
         raise ValueError("accumulate_stats: empty trajectory set")
+    for traj, plies in replayed:
+        horizon = len(plies)
+        for ply in plies:
+            entry = stats.get(ply.key)
+            if entry is None:
+                entry = stats[ply.key] = StepStats()
+            entry.add(traj.outcome[ply.actor], gamma ** (horizon - ply.index - 1))
     return stats
 
 
@@ -101,16 +118,9 @@ class LabeledStep:
     label: str
 
 
-@dataclass
-class Representative:
-    game: str
-    state: object
-    action: object
-
-
-def collect_representatives(trajectories: Iterable[Trajectory], *,
-                            actors: str = "learner") -> dict[str, Representative]:
-    """First learner-seat (or any-seat) occurrence of each key, via replay.
+def collect_representatives(reps: dict[str, Ply], replayed: Iterable[Replayed], *,
+                            actors: str = "learner") -> dict[str, Ply]:
+    """Keep, in `reps`, the first learner-seat (or any-seat) ply of each key.
 
     ``actors='learner'`` keeps keys played by the seats ``learner_seats``
     reads from each trajectory; ``'all'`` keeps every seat, which is what
@@ -118,19 +128,17 @@ def collect_representatives(trajectories: Iterable[Trajectory], *,
     """
     if actors not in ACTORS:
         raise ValueError("actors must be 'learner' or 'all'")
-    reps: dict[str, Representative] = {}
-    for traj in trajectories:
+    for traj, plies in replayed:
         seats = learner_seats(traj)
-        for (state, action, actor), step in zip(replay(traj), traj.steps):
-            if actors == "learner" and actor not in seats:
+        for ply in plies:
+            if actors == "learner" and ply.actor not in seats:
                 continue
-            if step.key not in reps:
-                reps[step.key] = Representative(traj.game, state, action)
+            reps.setdefault(ply.key, ply)
     return reps
 
 
 def label_steps(rewards: Mapping[str, float], delta: float,
-                representatives: Mapping[str, Representative], *,
+                representatives: Mapping[str, Ply], *,
                 min_count: int = 1,
                 stats: Mapping[str, StepStats] | None = None) -> list[LabeledStep]:
     """Label each represented key: Desirable iff reward > delta (strict).
@@ -139,27 +147,18 @@ def label_steps(rewards: Mapping[str, float], delta: float,
     keys when stats are supplied (default keeps everything).
     """
     out = []
-    for key in sorted(representatives):
-        if key not in rewards:
-            continue
-        if stats is not None and stats[key].n_all < min_count:
-            continue
-        rep = representatives[key]
-        reward = rewards[key]
-        label = DESIRABLE if reward > delta else UNDESIRABLE
-        out.append(LabeledStep(rep.game, key, rep.state, rep.action, reward, label))
-    out.sort(key=lambda s: (s.game, s.key))
-    return out
+    for key, rep in representatives.items():
+        if key in rewards and (stats is None or stats[key].n_all >= min_count):
+            reward = rewards[key]
+            out.append(LabeledStep(rep.game, key, rep.state, rep.action, reward,
+                                   DESIRABLE if reward > delta else UNDESIRABLE))
+    return sorted(out, key=lambda s: (s.game, s.key))
 
 
 def label_counts(dataset: Iterable[LabeledStep]) -> tuple[int, int]:
-    n_d = n_u = 0
-    for step in dataset:
-        if step.label == DESIRABLE:
-            n_d += 1
-        else:
-            n_u += 1
-    return n_d, n_u
+    labels = [step.label for step in dataset]
+    n_d = labels.count(DESIRABLE)
+    return n_d, len(labels) - n_d
 
 
 # -- labeled dataset io ----------------------------------------------------

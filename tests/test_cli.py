@@ -9,7 +9,7 @@ import pytest
 
 import scopal
 
-from scopal import cli
+from scopal import cli, evaluation, interaction, refine, rewards
 from scopal.cli import main
 from scopal.config import load_config
 from scopal.games import get_game
@@ -189,6 +189,28 @@ def test_estimate_labels_one_game_at_a_time_as_the_whole_store_would(run, monkey
     whole = tmp_path / "whole.jsonl"
     write_labeled(whole, label(config, read_trajectories(cli._store_path(config, run_dir))))
     assert (run_dir / "labeled.jsonl").read_bytes() == whole.read_bytes()
+
+
+def test_estimate_replays_each_trajectory_once(run, monkeypatch):
+    """Stage II's counts and representatives both read one replay of each trajectory."""
+    monkeypatch.setenv("SCOPAL_RUN_GAMES", "kuhn_poker,nim,tictactoe")
+    monkeypatch.setenv("SCOPAL_INTERACT_EPISODES", "6")
+    assert run("interact") == 0
+    replayed = []
+    original = interaction.replay
+
+    def counted(traj):
+        replayed.append((traj.game, traj.episode))
+        return original(traj)
+
+    for module in (interaction, rewards, refine, evaluation):
+        if getattr(module, "replay", None) is original:
+            monkeypatch.setattr(module, "replay", counted)
+    assert run("estimate") == 0
+    (run_dir,) = run.out.iterdir()
+    (store,) = run_dir.glob("*.traj.jsonl")
+    assert replayed == [(t.game, t.episode) for t in read_trajectories(store)]
+    assert len(replayed) == 18
 
 
 def test_estimate_refuses_a_store_whose_games_are_not_in_blocks(run, monkeypatch, capsys):

@@ -10,9 +10,10 @@ from scopal.csvfile import write_csv
 from scopal.evaluation import (TOURNAMENT_COLUMNS, MatchReport, RegretReport, head_to_head,
                                interaction_win_rate, play_match, regret, regret_reports,
                                tournament, win_rate)
-from scopal.games import Outcome, Player, get_game
+from scopal.games import Game, Outcome, Player, get_game
 from scopal.interaction import collect_trajectories, play_episodes, replay, stable_hash
 from scopal.policy import new_policy
+from scopal.rewards import replay_plies
 from scopal.solvers import MinimaxSolver, OptimalAgent, get_solver
 
 
@@ -103,6 +104,29 @@ def test_split_evaluation_equals_whole_matches(episodes, jobs):
         assert report == RegretReport(g, "policy", sum(regrets) / len(regrets), len(regrets),
                                       episodes)
         assert report.moves > 0
+
+
+def test_playing_makes_no_canonical_key(monkeypatch):
+    """Keys belong to Stage II: interaction, matches and regret only play."""
+    calls = []
+    key = Game.canonical_key
+
+    def counted(game, state, action):
+        calls.append(game.name)
+        return key(game, state, action)
+
+    monkeypatch.setattr(Game, "canonical_key", counted)
+    games = ["tictactoe", "kuhn_poker", "nim"]
+    policy = new_policy(games)
+    collect_trajectories(games, "policy", "mcts:5", 4, 1, policy=policy)
+    agent = PolicyAgent(policy, 0.7)
+    tournament(agent, ["random", "mcts:5"], games, 4, 2)
+    regret_reports(agent, ["tictactoe", "nim"], 4, 3, opponent_spec="mcts:5")
+    assert calls == []
+    # the patch does count: Stage II's replay makes one key per ply
+    (traj,) = collect_trajectories(["nim"], "random", "random", 1, 1)
+    replay_plies(traj)
+    assert calls == ["nim"] * len(traj.steps) and calls
 
 
 def test_head_to_head_matrix_properties():

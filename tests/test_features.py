@@ -18,7 +18,7 @@ from scopal.policy import new_policy
 from scopal.refine import (bc_loss, build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss,
                            spag_loss)
 from scopal.rewards import (accumulate_stats, collect_representatives, estimate_rewards,
-                            label_steps)
+                            label_steps, replay_plies)
 
 # breakthrough_6x6 is the board of the spag_vs_uct benchmark workload
 NAMES = GAME_NAMES + ("breakthrough_6x6",)
@@ -123,8 +123,9 @@ BOARDS = ["connect4", "breakthrough"]
 def board_steps():
     """(labeled steps, advantage steps) from self-play on the vectorized boards."""
     trajs = collect_trajectories(BOARDS, "policy", "self", 8, 5, policy=new_policy(BOARDS))
-    labeled = label_steps(estimate_rewards(accumulate_stats(trajs, 0.8), method="win_rate"),
-                          0.5, collect_representatives(trajs))
+    replayed = [replay_plies(t) for t in trajs]
+    labeled = label_steps(estimate_rewards(accumulate_stats({}, replayed, 0.8), method="win_rate"),
+                          0.5, collect_representatives({}, replayed))
     return labeled, build_advantage_steps(trajs)
 
 

@@ -3,6 +3,7 @@ canonical keys, and the exhaustive-search oracles."""
 import json
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -424,7 +425,7 @@ def test_state_encoding_round_trips():
 ])
 def test_state_text_that_no_game_reaches_is_refused(name, text):
     game = get_game(name)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{name}: no state has the text {text!r}")):
         game.decode_state(text)
     to_move, _, payload = text.split(" ", 2)
     with pytest.raises(ValueError, match=f"{name}: no state has"):

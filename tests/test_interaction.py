@@ -2,6 +2,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -15,10 +16,11 @@ from scopal import interaction
 from scopal.agents import RandomAgent, make_agent
 from scopal.games import GAME_NAMES, Outcome, Player, get_game, tie_outcome, win_for
 from scopal.interaction import (Trajectory, collect_trajectories, episode_seeds, fan_out,
-                                learner_seats, play_episodes, play_lockstep, read_trajectories,
-                                record_trajectory, replay, run_episode, stable_hash,
-                                trajectory_record, write_trajectories)
+                                learner_seats, play_episodes, play_lockstep, read_game_blocks,
+                                read_trajectories, record_trajectory, replay, run_episode,
+                                stable_hash, trajectory_record, write_trajectories)
 from scopal.policy import new_policy
+from scopal.rewards import replay_plies
 
 
 def test_stable_hash_is_stable_and_spread():
@@ -53,11 +55,14 @@ def test_step_indices_strictly_increase_and_keys_match_states():
     trajs = collect_trajectories(["tictactoe"], "policy", "self", 10, 2, policy=policy)
     game = get_game("tictactoe")
     for traj in trajs:
-        indices = [s.move_index for s in traj.steps]
+        replayed, plies = replay_plies(traj)
+        assert replayed is traj and len(plies) == len(traj.steps)
+        indices = [ply.index for ply in plies]
         assert indices == sorted(set(indices))
-        for (state, action, actor), step in zip(replay(traj), traj.steps):
-            assert game.canonical_key(state, action) == step.key
-            assert actor is step.actor
+        for (state, action, actor), ply in zip(replay(traj), plies):
+            assert game.canonical_key(state, action) == ply.key
+            assert actor is ply.actor
+            assert (state, action) == (ply.state, ply.action)
 
 
 def test_two_episodes_alternate_first_player():
@@ -214,7 +219,27 @@ def test_store_roundtrip(tmp_path):
     # outcome fields present and per-player
     rec = json.loads(path.read_text().splitlines()[0])
     assert set(rec["outcome"]) == {"P1", "P2"}
-    assert {"key", "actor", "action", "move_index"} <= set(rec["steps"][0])
+    # a step is its action's text, and nothing Stage II derives from the replay
+    game = get_game("kuhn_poker")
+    assert rec["steps"] == [game.action_text(action) for _, action, _ in replay(trajs[0])]
+
+
+@pytest.mark.parametrize("read", [read_trajectories, lambda path: list(read_game_blocks(path))],
+                         ids=["read_trajectories", "read_game_blocks"])
+def test_a_store_whose_steps_are_objects_is_refused(tmp_path, read):
+    """A store of the older format, whose steps also held each ply's key, actor and
+    move index, is a corrupt record, reported with its path and line."""
+    trajs = collect_trajectories(["nim"], "random", "random", 2, 5)
+    game = get_game("nim")
+    good, old = (trajectory_record(t) for t in trajs)
+    old["steps"] = [{"key": game.canonical_key(state, action), "actor": actor.value,
+                     "action": text, "move_index": i}
+                    for i, ((state, action, actor), text) in enumerate(zip(replay(trajs[1]),
+                                                                            old["steps"]))]
+    path = tmp_path / "old.traj.jsonl"
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in (good, old)))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt trajectory record")):
+        read(path)
 
 
 def test_an_interrupted_store_write_leaves_the_previous_store(tmp_path):

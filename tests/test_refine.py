@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from scopal.config import ExperimentConfig
 from scopal.features import feature_dim
 from scopal.games import Outcome, Player, get_game
-from scopal.interaction import Step, Trajectory, collect_trajectories
+from scopal.interaction import collect_trajectories
 from scopal import refine
 from scopal.policy import new_policy
 from scopal.refine import (MODES, AdvantageStep, balance_by_game, balance_lambdas, bc_loss,
                            build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss,
                            spag_assign_rewards, spag_loss, train_two_stage)
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, accumulate_stats,
-                            collect_representatives, estimate_rewards, label_steps)
+                            collect_representatives, estimate_rewards, label_steps,
+                            replay_plies)
 
 GAME_ROTATION = ("tictactoe", "nim", "kuhn_poker")
 
@@ -27,8 +28,9 @@ def make_dataset(games=GAME_ROTATION, episodes=25, seed=3, delta=0.5):
     policy = new_policy(list(games))
     trajs = collect_trajectories(list(games), "policy", "self", episodes, seed,
                                  policy=policy)
-    rewards = estimate_rewards(accumulate_stats(trajs, 0.8), method="win_rate")
-    reps = collect_representatives(trajs)
+    replayed = [replay_plies(t) for t in trajs]
+    rewards = estimate_rewards(accumulate_stats({}, replayed, 0.8), method="win_rate")
+    reps = collect_representatives({}, replayed)
     return label_steps(rewards, delta, reps), trajs
 
 
@@ -308,36 +310,36 @@ def test_dpo_gradient_matches_finite_differences():
 # -- discounted baseline -----------------------------------------------------------
 
 
-def spag_traj(outcome_p1, n_steps=6):
-    steps = [Step(f"k{i}", Player.P1 if i % 2 == 0 else Player.P2, "x", i)
-             for i in range(n_steps)]
+def spag_episode(outcome_p1, n_steps=6):
+    """(each ply's actor, outcome) of an episode whose seats alternate from P1."""
+    actors = [Player.P1 if i % 2 == 0 else Player.P2 for i in range(n_steps)]
     outcome = {Player.P1: outcome_p1,
                Player.P2: {Outcome.WIN: Outcome.LOSE, Outcome.LOSE: Outcome.WIN,
                            Outcome.TIE: Outcome.TIE}[outcome_p1]}
-    return Trajectory("g", 0, steps, outcome, {Player.P1: "policy", Player.P2: "self"}, 0, 0)
+    return actors, outcome
 
 
 def test_spag_reward_values_match_closed_form():
     # winner with T=3 own steps, gamma=0.8: independent closed-form evaluation
     gamma = 0.8
     expect = [(1 - gamma) * gamma ** (3 - t) / (1 - gamma ** 4) for t in (1, 2, 3)]
-    traj = spag_traj(Outcome.WIN, n_steps=6)
-    rewards = spag_assign_rewards(traj, gamma)
-    p1_rewards = [r for r, s in zip(rewards, traj.steps) if s.actor is Player.P1]
+    actors, outcome = spag_episode(Outcome.WIN, n_steps=6)
+    rewards = spag_assign_rewards(actors, outcome, gamma)
+    p1_rewards = [r for r, actor in zip(rewards, actors) if actor is Player.P1]
     assert p1_rewards == pytest.approx(expect, abs=1e-12)
     assert p1_rewards == pytest.approx([0.21680, 0.27100, 0.33875], abs=1e-5)
     # loser's steps are the negation
-    p2_rewards = [r for r, s in zip(rewards, traj.steps) if s.actor is Player.P2]
+    p2_rewards = [r for r, actor in zip(rewards, actors) if actor is Player.P2]
     assert p2_rewards == pytest.approx([-x for x in expect], abs=1e-12)
 
 
 def test_spag_tie_gives_all_zeros():
-    rewards = spag_assign_rewards(spag_traj(Outcome.TIE), 0.8)
+    rewards = spag_assign_rewards(*spag_episode(Outcome.TIE), 0.8)
     assert rewards == [0.0] * 6
 
 
 def test_spag_last_move_carries_largest_magnitude():
-    rewards = spag_assign_rewards(spag_traj(Outcome.WIN), 0.8)
+    rewards = spag_assign_rewards(*spag_episode(Outcome.WIN), 0.8)
     p1 = [abs(r) for i, r in enumerate(rewards) if i % 2 == 0]
     assert p1 == sorted(p1)
     assert p1[-1] == pytest.approx((1 - 0.8) / (1 - 0.8 ** 4), abs=1e-12)
@@ -354,14 +356,14 @@ def test_spag_loss_at_reference_is_negative_seat_mean_advantage():
     report = spag_loss(pol, ref, steps, beta2=0.2)
     seat_means = []
     for p in (Player.P1, Player.P2):
-        vals = [s.advantage for s in steps if s.actor is p]
+        vals = [s.advantage for s in steps if s.state.to_move is p]
         if vals:
             seat_means.append(sum(vals) / len(vals))
     assert report.loss == pytest.approx(-sum(seat_means) / len(seat_means), abs=1e-9)
 
 
 def test_spag_loss_zero_when_rewards_zero_at_reference():
-    steps = [AdvantageStep(s.game, s.state, s.action, s.actor, 0.0)
+    steps = [AdvantageStep(s.game, s.state, s.action, 0.0)
              for s in advantage_steps_fixture()[:10]]
     pol = rand_policy(GAME_ROTATION, random.Random(15))
     ref = pol.clone()

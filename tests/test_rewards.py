@@ -8,31 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scopal.games import GAME_NAMES, Outcome, Player, get_game
-from scopal.interaction import Step, Trajectory, collect_trajectories
+from scopal.interaction import Trajectory, collect_trajectories, replay
 from scopal.policy import new_policy
-from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, StepStats,
+from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, Ply, StepStats,
                             accumulate_stats, collect_representatives,
                             estimate_rewards, label_counts, label_steps,
-                            read_labeled, write_labeled)
+                            read_labeled, replay_plies, write_labeled)
 
 
-def traj(game, steps, outcome_p1, episode=0):
+def traj(game, plies, outcome_p1, episode=0):
+    """A replayed trajectory, as Stage II reads it: the trajectory and its plies."""
     outcome = {Player.P1: outcome_p1,
                Player.P2: {Outcome.WIN: Outcome.LOSE, Outcome.LOSE: Outcome.WIN,
                            Outcome.TIE: Outcome.TIE}[outcome_p1]}
-    return Trajectory(game, episode, steps, outcome, {Player.P1: "policy", Player.P2: "self"},
-                      0, 0)
+    return (Trajectory(game, episode, ["x"] * len(plies), outcome,
+                       {Player.P1: "policy", Player.P2: "self"}, 0, 0), plies)
 
 
 def step(key, actor, idx):
-    return Step(key, actor, "x", idx)
+    return Ply("g", key, actor, idx, None, "x")
 
 
 def test_winner_steps_counted_as_wins():
     t = traj("g", [step("k1", Player.P1, 0), step("k2", Player.P2, 1),
                    step("k3", Player.P1, 2), step("k4", Player.P2, 3),
                    step("k5", Player.P1, 4)], Outcome.WIN)
-    stats = accumulate_stats([t], 0.8)
+    stats = accumulate_stats({}, [t], 0.8)
     for key in ("k1", "k3", "k5"):
         assert stats[key].n_win == 1 and stats[key].n_all == 1
     for key in ("k2", "k4"):
@@ -42,27 +43,29 @@ def test_winner_steps_counted_as_wins():
 def test_same_key_in_win_and_loss():
     t1 = traj("g", [step("k", Player.P1, 0)], Outcome.WIN, episode=0)
     t2 = traj("g", [step("k", Player.P1, 0)], Outcome.LOSE, episode=1)
-    stats = accumulate_stats([t1, t2], 0.8)
+    stats = accumulate_stats({}, [t1, t2], 0.8)
     assert stats["k"].n_all == 2 and stats["k"].n_win == 1
 
 
 def test_accumulate_rejects_empty_set():
     with pytest.raises(ValueError):
-        accumulate_stats([], 0.8)
+        accumulate_stats({}, [], 0.8)
 
 
 def test_brute_force_recount_matches_on_real_store():
     policy = new_policy(["tictactoe"])
     trajs = collect_trajectories(["tictactoe"], "policy", "self", 100, 13, policy=policy)
-    stats = accumulate_stats(trajs, 0.8)
-    # independent oracle: flat list scan with plain tallies
+    stats = accumulate_stats({}, [replay_plies(t) for t in trajs], 0.8)
+    # independent oracle: flat scan of the replayed states with plain tallies
+    game = get_game("tictactoe")
     tally = {}
     for t in trajs:
-        for s in t.steps:
-            w, tie, lose = tally.get(s.key, (0, 0, 0))
-            o = t.outcome[s.actor]
-            tally[s.key] = (w + (o is Outcome.WIN), tie + (o is Outcome.TIE),
-                            lose + (o is Outcome.LOSE))
+        for state, action, actor in replay(t):
+            key = game.canonical_key(state, action)
+            w, tie, lose = tally.get(key, (0, 0, 0))
+            o = t.outcome[actor]
+            tally[key] = (w + (o is Outcome.WIN), tie + (o is Outcome.TIE),
+                          lose + (o is Outcome.LOSE))
     assert set(tally) == set(stats)
     for key, (w, tie, lose) in tally.items():
         st_ = stats[key]
@@ -84,7 +87,7 @@ def test_win_rate_tie_weight():
 def test_discounted_estimator_formula():
     t = traj("g", [step("k", Player.P1, 0), step("o1", Player.P2, 1),
                    step("o2", Player.P1, 2)], Outcome.WIN)
-    rewards = estimate_rewards(accumulate_stats([t], 0.8), method="discounted")
+    rewards = estimate_rewards(accumulate_stats({}, [t], 0.8), method="discounted")
     assert rewards["k"] == pytest.approx(0.8 ** 2)  # T=3, t=1, win
     assert rewards["o2"] == pytest.approx(1.0)      # final move of the winner
 
@@ -97,7 +100,7 @@ def test_discounted_estimate_of_a_multi_step_store():
     tie = traj("g", [step("a", Player.P1, 0), step("z", Player.P2, 1)], Outcome.TIE, 1)
     loss = traj("g", [step("w", Player.P1, 0), step("b", Player.P2, 1),
                       step("y", Player.P1, 2)], Outcome.LOSE, 2)
-    stats = accumulate_stats([win, tie, loss], 0.5)
+    stats = accumulate_stats({}, [win, tie, loss], 0.5)
     rewards = estimate_rewards(stats, method="discounted")
     assert rewards["a"] == pytest.approx((0.125 + 0.0) / 2)   # 0.5^3 * (+1), tie
     assert rewards["b"] == pytest.approx((-1.0 + 0.5) / 2)    # last move lost; 0.5^1 * (+1)
@@ -116,7 +119,7 @@ def test_estimator_parameter_validation():
     with pytest.raises(ValueError):
         estimate_rewards({"k": StepStats(1, 1, 0, 0)}, method="beta", alpha0=0)
     with pytest.raises(ValueError):
-        accumulate_stats([traj("g", [step("k", Player.P1, 0)], Outcome.WIN)], 1.0)
+        accumulate_stats({}, [traj("g", [step("k", Player.P1, 0)], Outcome.WIN)], 1.0)
     with pytest.raises(ValueError):
         estimate_rewards({"k": StepStats(0, 0, 0, 0)}, method="win_rate")
     with pytest.raises(ValueError):
@@ -134,8 +137,8 @@ def test_estimator_ranges_and_permutation_invariance(records):
     random.Random(4).shuffle(shuffled)
     for method, lo, hi in (("win_rate", 0.0, 1.0), ("beta", 0.0, 1.0),
                            ("discounted", -1.0, 1.0)):
-        fwd = estimate_rewards(accumulate_stats(trajs, 0.8), method=method)
-        rev = estimate_rewards(accumulate_stats(shuffled, 0.8), method=method)
+        fwd = estimate_rewards(accumulate_stats({}, trajs, 0.8), method=method)
+        rev = estimate_rewards(accumulate_stats({}, shuffled, 0.8), method=method)
         assert fwd == rev
         for v in fwd.values():
             assert lo <= v <= hi
@@ -148,8 +151,7 @@ def labeled(key, reward, label=DESIRABLE):
 
 
 def rep_map(keys):
-    from scopal.rewards import Representative
-    return {k: Representative("g", None, None) for k in keys}
+    return {k: Ply("g", k, Player.P1, 0, None, None) for k in keys}
 
 
 def test_labeling_thresholds():
@@ -169,7 +171,7 @@ def test_label_counts_and_ordering():
 def test_always_winning_action_separates_at_any_threshold():
     trajs = [traj("g", [step("good", Player.P1, 0)], Outcome.WIN, i) for i in range(5)]
     trajs += [traj("g", [step("bad", Player.P1, 0)], Outcome.LOSE, 5 + i) for i in range(5)]
-    rewards = estimate_rewards(accumulate_stats(trajs, 0.8), method="win_rate")
+    rewards = estimate_rewards(accumulate_stats({}, trajs, 0.8), method="win_rate")
     assert rewards == {"good": 1.0, "bad": 0.0}
     for delta in (0.1, 0.5, 0.9):
         labels = {s.key: s.label for s in label_steps(rewards, delta, rep_map(rewards))}
@@ -186,14 +188,17 @@ def test_min_count_filter():
 def test_representatives_respect_learner_filter():
     policy = new_policy(["tictactoe"])
     trajs = collect_trajectories(["tictactoe"], "policy", "mcts:5", 6, 21, policy=policy)
-    learner = collect_representatives(trajs, actors="learner")
-    both = collect_representatives(trajs, actors="all")
+    replayed = [replay_plies(t) for t in trajs]
+    learner = collect_representatives({}, replayed, actors="learner")
+    both = collect_representatives({}, replayed, actors="all")
     assert set(learner) < set(both)
-    # learner keys are exactly the keys of steps taken by the policy seat
+    # learner keys are exactly the keys of plies played by the policy seat
+    game = get_game("tictactoe")
     expected = set()
     for t in trajs:
         policy_seat = Player.P1 if t.agents[Player.P1] == "policy" else Player.P2
-        expected |= {s.key for s in t.steps if s.actor is policy_seat}
+        expected |= {game.canonical_key(state, action) for state, action, actor in replay(t)
+                     if actor is policy_seat}
     assert set(learner) == expected
 
 
@@ -246,6 +251,9 @@ def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
                             ("breakthrough", "P1 12"), ("breakthrough", bad_square),
                             ("connect4", "P1 3 3"), ("connect4", "P1 -1 0"),
                             ("connect4", "P2 1 4096"),
+                            # second spellings of a reachable state's text
+                            ("connect4", "P2 01 0"), ("connect4", "P2 +1 0"),
+                            ("connect4", "P2 0_1 0"), ("connect4", "P2 \u0661 0"),
                             ("kuhn_poker", "P1 ((5, 9), ('X',))"),
                             ("liars_dice", "P1 ((9, 0), ((7, 7),), False)")):
         game = get_game(name)  # fields that no state of the game holds
@@ -258,7 +266,7 @@ def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
                                                 json.dumps(malformed)))
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
             read_labeled(path)
-    for malformed in ("P1 ((2, 1), ()", "P1 7", "P1 ((2, 1),)"):
+    for malformed in ("P1 ((2, 1), ()", "P1 7", "P1 ((2, 1),)", "P1 ((1,2),())"):
         bad = card_game.replace('"P1 ((1, 2), ())"', json.dumps(malformed))
         path.write_text(card_game + bad)
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
