@@ -80,9 +80,9 @@ def _interact(config: ExperimentConfig, policy: Policy,
 def _label(config: ExperimentConfig, trajs: list[Trajectory]) -> list[LabeledStep]:
     """Stage II: replay each of `trajs` once, estimate each step's reward, label it."""
     stats, reps = {}, {}
-    for replayed in map(replay_plies, trajs):
-        accumulate_stats(stats, [replayed], config.gamma)
-        collect_representatives(reps, [replayed], actors=config.actors)
+    for traj, plies in zip(trajs, map(replay_plies, trajs)):
+        accumulate_stats(stats, traj, plies, config.gamma)
+        collect_representatives(reps, traj, plies, actors=config.actors)
     rewards = estimate_rewards(stats, method=config.estimator, tie_weight=config.tie_weight,
                                alpha0=config.alpha0, beta0=config.beta0)
     dataset = label_steps(rewards, config.delta, reps, min_count=config.min_count, stats=stats)

@@ -166,7 +166,7 @@ def regret_reports(agent: Agent, games: Sequence[str], episodes: int, master_see
     for game_name, solver, trajs in zip(games, solvers, play_sets(
             matches, episodes, jobs, paired=True)):
         regrets = [solver.regret(state, action) for traj in trajs
-                   for state, action, actor in replay(traj) if actor is agent1_seat(traj.episode)]
+                   for state, action in replay(traj) if state.to_move is agent1_seat(traj.episode)]
         reports.append(RegretReport(game_name, agent.label,
                                     sum(regrets) / max(1, len(regrets)), len(regrets), episodes))
     return reports

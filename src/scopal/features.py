@@ -8,9 +8,9 @@ are small enough for exact one-hot tabular features.
 Every encoder is batched: ``_ENCODERS`` gives each game class one encoder
 ``(game, states, acts_list)`` that stacks the rows of many states in one
 matrix, paying its fixed NumPy cost once per call, not once per state.
-``features`` and ``feature_dim`` are its one-state cases. A game's feature
-width is written nowhere: it is the width of its initial state's matrix,
-computed once per game.
+``encode`` pairs each state with its legal actions, in canonical order, and
+their rows; ``features`` is the one-action case. A game's feature width is
+written nowhere: it is the width of its initial state's matrix.
 
 Feature vectors depend only on the mover's observation and the action, never
 on hidden opponent information.
@@ -50,23 +50,19 @@ _C4_CELL_BITS = np.array([c * 7 + r for r in range(C4_ROWS) for c in range(C4_CO
                          dtype=np.uint64)
 
 
+def encode(game: Game, states) -> list[tuple[tuple, np.ndarray]]:
+    """(legal actions, their (len(acts), d) feature matrix) of each state, all
+    encoded in one encoder call; row i is ``features(game, state, acts[i])``."""
+    acts_list = [game.legal_actions(state) for state in states]
+    stacked = _ENCODERS[type(game)](game, states, acts_list)
+    ends = itertools.accumulate(map(len, acts_list))
+    return [(acts, stacked[end - len(acts):end]) for acts, end in zip(acts_list, ends)]
+
+
 @functools.cache
 def feature_dim(game: Game) -> int:
     """Width of `game`'s feature vectors: that of its initial state's matrix."""
-    state = game.initial_state(0)
-    return _ENCODERS[type(game)](game, (state,), (game.legal_actions(state),)).shape[1]
-
-
-def feature_matrices(game: Game, states, acts_list) -> list[np.ndarray]:
-    """One (len(acts), d) matrix per state, row i being ``features(game, state, acts[i])``."""
-    stacked = _ENCODERS[type(game)](game, states, acts_list)
-    ends = itertools.accumulate(len(acts) for acts in acts_list)
-    return [stacked[end - len(acts):end] for acts, end in zip(acts_list, ends)]
-
-
-def feature_matrix(game: Game, state, acts) -> np.ndarray:
-    """The one-state case of `feature_matrices`."""
-    return feature_matrices(game, (state,), (acts,))[0]
+    return encode(game, (game.initial_state(0),))[0][1].shape[1]
 
 
 def features(game: Game, state, action) -> np.ndarray:

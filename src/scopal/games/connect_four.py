@@ -17,6 +17,7 @@ ROWS = 6
 _FULL_COL = (1 << ROWS) - 1
 _BOARD = sum(_FULL_COL << (c * 7) for c in range(COLS))  # every square, no sentinel bit
 _BOTTOM = sum(1 << (c * 7) for c in range(COLS))
+_CELL_TEXT = str.maketrans("012", ".mo")  # empty, mine, theirs
 
 
 def _has_win(bb: int) -> bool:
@@ -90,12 +91,10 @@ class ConnectFour(Game):
 
     def observation_key(self, state: C4State, viewer: Player) -> str:
         mine, theirs = self.observation(state, viewer)[2]
-        cells = []
-        for r in range(ROWS - 1, -1, -1):
-            for c in range(COLS):
-                bit = 1 << (c * 7 + r)
-                cells.append("m" if mine & bit else ("o" if theirs & bit else "."))
-        return "".join(cells)
+        # bit k of the 49-bit boards is decimal digit k: 1 if mine, 2 if theirs
+        text = f"{int(f'{mine:049b}') + 2 * int(f'{theirs:049b}'):049}".translate(_CELL_TEXT)
+        # bit col*7 + row is character 48 - bit: the rows top down, each left to right
+        return "".join([text[48 - r::-7] for r in range(ROWS - 1, -1, -1)])
 
     def action_text(self, action: int) -> str:
         return f"C{action + 1}"

@@ -64,7 +64,8 @@ class KuhnPoker(Game):
 
     def parse_payload(self, payload: str) -> tuple:
         cards, history = super().parse_payload(payload)
-        if cards not in _DEALS or history not in _NODES:
+        if (cards not in _DEALS or history not in _NODES
+                or any(type(card) is not int for card in cards)):
             raise ValueError(f"kuhn_poker: no state has the cards and history {payload!r}")
         return cards, history
 

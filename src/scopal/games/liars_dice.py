@@ -79,7 +79,8 @@ class LiarsDice(Game):
         dice, bids, challenged = super().parse_payload(payload)
         if (len(dice) != 2 or not set(dice) <= set(range(1, FACES + 1))
                 or not set(bids) <= set(ALL_BIDS) or list(bids) != sorted(set(bids))
-                or type(challenged) is not bool or challenged and not bids):
+                or type(challenged) is not bool or challenged and not bids
+                or any(type(x) is not int for x in dice + sum(bids, ()))):
             raise ValueError(f"liars_dice: no state has the dice, bids and challenge {payload!r}")
         return dice, bids, challenged
 

@@ -23,9 +23,9 @@ The trajectory store is JSON lines named ``<run-id>.traj.jsonl``, one
 trajectory per line, and it records only what was played: game, episode,
 steps (each ply's action in the canonical textual notation, in order), each
 seat's outcome, each seat's agent label (``"agents": {"P1": ..., "P2": ...}``)
-and the chance and sampling seeds. A ply's state, mover and number follow
-from the seeds and the actions before it, which ``replay`` re-simulates; Stage
-II and SPAG read the store and the config alone and derive the rest there.
+and the chance and sampling seeds. ``replay`` re-simulates them into (state,
+action) plies, each state holding its mover; Stage II and SPAG read the store
+and the config alone and derive the rest there.
 Each game's trajectories are one block of the store, which ``read_game_blocks``
 reads lazily.
 """
@@ -232,7 +232,7 @@ def read_game_blocks(path) -> Iterator[list[Trajectory]]:
 
 
 def replay(traj: Trajectory):
-    """Yield (state, action, actor) per ply by re-simulating from the seeds.
+    """Yield (state, action) per ply by re-simulating from the seeds.
 
     Raises if the recorded actions do not replay to the recorded outcome.
     """
@@ -240,7 +240,7 @@ def replay(traj: Trajectory):
     state = game.initial_state(traj.chance_seed)
     for text in traj.steps:
         action = game.parse_action(text)
-        yield state, action, state.to_move
+        yield state, action
         state = game.apply(state, action)
     if dict(game.outcome(state) or tie_outcome()) != dict(traj.outcome):
         raise ValueError(f"replay mismatch: outcome of {traj.game} episode {traj.episode}")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_open
-from .features import feature_dim, feature_matrices, feature_matrix
+from .features import encode, feature_dim
 from .games import Game, UnknownGameError, get_game
 
 CHECKPOINT_FORMAT = "scopal-policy-v1"
@@ -41,24 +41,18 @@ class Policy:
 
     def logits(self, game: Game, state) -> tuple[tuple, np.ndarray, np.ndarray]:
         """(legal actions, logit vector, feature matrix) in canonical order."""
-        acts = game.legal_actions(state)
-        feats = feature_matrix(game, state, acts)
+        ((acts, feats),) = encode(game, (state,))
         return acts, feats @ self.block(game), feats
 
-    def action_distribution(self, game: Game, state, temperature: float) -> tuple[tuple, np.ndarray]:
-        """Probabilities over legal actions; requires a non-terminal state."""
-        return self.action_distributions(game, (state,), temperature)[0]
-
     def action_distributions(self, game: Game, states, temperature: float) -> list[tuple]:
-        """`action_distribution` of each state, all encoded in one `feature_matrices` call."""
+        """(legal actions, probabilities) of each non-terminal state, from one `encode` call."""
         if temperature <= 0:
             raise ValueError("temperature must be positive")
-        acts_list = [game.legal_actions(state) for state in states]
         block = self.block(game)
         out = []
-        for acts, feats in zip(acts_list, feature_matrices(game, states, acts_list)):
+        for acts, feats in encode(game, states):
             if not acts:
-                raise ValueError("action_distribution: state is terminal")
+                raise ValueError("action_distributions: state is terminal")
             out.append((acts, _softmax((feats @ block) / temperature)))
         return out
 

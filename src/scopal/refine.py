@@ -26,7 +26,7 @@ stage. KTO weights satisfy ``lambda_D n_D = lambda_U n_U`` with the larger
 weight at 1.0.
 
 Features do not depend on the parameters, so ``_descend`` encodes whole
-batches about ``_CHUNK`` items at a time, one ``feature_matrices`` call per
+batches about ``_CHUNK`` items at a time, one ``features.encode`` call per
 game. ``feats @ block`` and the log-softmax stay per state, so the chunk size
 changes no bit of the result.
 """
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 import numpy as np
 
 from .games import RETURN, Outcome, Player, get_game, split_key
-from .features import feature_matrices
+from .features import encode
 from .interaction import Trajectory, learner_seats, replay, stable_hash
 from .policy import Policy, action_index, log_prob_grad, log_softmax
 from .rewards import DESIRABLE, LabeledStep, label_counts
@@ -88,17 +88,14 @@ def _accumulate(grads: dict[str, np.ndarray], name: str, vec: np.ndarray, scale:
 
 def _rows(items: Sequence) -> dict[int, tuple[tuple, np.ndarray]]:
     """``id(state)`` -> (legal actions, feature matrix) for every step in `items`
-    (DPO pairs flattened), with one `feature_matrices` call per game."""
+    (DPO pairs flattened), with one `encode` call per game."""
     by_game: dict[str, dict[int, object]] = {}
     for item in items:
         for step in item if isinstance(item, tuple) else (item,):
             by_game.setdefault(step.game, {})[id(step.state)] = step.state
     rows = {}
     for name, states in by_game.items():
-        game = get_game(name)
-        acts_list = [game.legal_actions(state) for state in states.values()]
-        matrices = feature_matrices(game, list(states.values()), acts_list)
-        rows.update(zip(states, zip(acts_list, matrices)))
+        rows.update(zip(states, encode(get_game(name), list(states.values()))))
     return rows
 
 
@@ -281,9 +278,9 @@ def build_advantage_steps(trajectories: Iterable[Trajectory],
     for traj in trajectories:
         seats = learner_seats(traj)
         plies = list(replay(traj))
-        rewards = spag_assign_rewards([actor for _, _, actor in plies], traj.outcome, gamma)
-        for (state, action, actor), adv in zip(plies, rewards):
-            if actor in seats:
+        rewards = spag_assign_rewards([state.to_move for state, _ in plies], traj.outcome, gamma)
+        for (state, action), adv in zip(plies, rewards):
+            if state.to_move in seats:
                 out.append(AdvantageStep(traj.game, state, action, adv))
     return out
 

@@ -2,9 +2,10 @@
 
 The store records only each ply's action, so Stage II makes the canonical
 (state, action) keys: ``replay_plies`` replays a trajectory once into its
-plies, and both ``accumulate_stats`` (each key's count under its actor's
-outcome, and their discounted returns) and ``collect_representatives`` read
-them. The three estimators are formulas over that one count table: the
+(state, action) plies and their keys, and both ``accumulate_stats`` (each
+key's count under its mover's outcome, ``state.to_move``, and their
+discounted returns) and ``collect_representatives`` read one trajectory's
+plies. The three estimators are formulas over that one count table: the
 empirical win rate ``n_win / n_all`` (ties creditable via ``tie_weight``), the
 mean discounted return, or the Beta-posterior mean. Keys with reward above
 the threshold are labeled Desirable, the rest Undesirable. Which seats count
@@ -30,23 +31,18 @@ ACTORS = ("learner", "all")
 
 
 class Ply(NamedTuple):
-    """One replayed ply, with what Stage II derives for it."""
+    """One replayed ply and its canonical (state, action) key."""
     game: str
-    key: str  # canonical (state, action) key
-    actor: Player
-    index: int  # plies before it in its episode
-    state: object
+    key: str
+    state: object  # its mover is ``state.to_move``
     action: object
 
 
-Replayed = tuple[Trajectory, list[Ply]]
-
-
-def replay_plies(traj: Trajectory) -> Replayed:
-    """`traj` and its plies, from one replay of its actions."""
+def replay_plies(traj: Trajectory) -> list[Ply]:
+    """`traj`'s plies, in order, from one replay of its actions."""
     game = get_game(traj.game)
-    return traj, [Ply(traj.game, game.canonical_key(state, action), actor, index, state, action)
-                  for index, (state, action, actor) in enumerate(replay(traj))]
+    return [Ply(traj.game, game.canonical_key(state, action), state, action)
+            for state, action in replay(traj)]
 
 
 @dataclass
@@ -65,22 +61,19 @@ class StepStats:
         self.discounted += discount * RETURN[outcome]
 
 
-def accumulate_stats(stats: dict[str, StepStats], replayed: Sequence[Replayed],
+def accumulate_stats(stats: dict[str, StepStats], traj: Trajectory, plies: Sequence[Ply],
                      gamma: float) -> dict[str, StepStats]:
-    """Count, into `stats`, each ply's key under its actor's terminal outcome R_T
-    in {+1 win, -1 loss, 0 tie}, and sum gamma^(T-t) * R_T, with t the 1-based
-    ply number and T the episode length."""
+    """Count, into `stats`, each of `traj`'s `plies` under its mover's terminal
+    outcome R_T in {+1 win, -1 loss, 0 tie}, and sum gamma^(T-t) * R_T, with t
+    the 1-based ply number and T the episode length."""
     if not 0 < gamma < 1:
         raise ValueError("accumulate_stats needs 0 < gamma < 1")
-    if not replayed:
-        raise ValueError("accumulate_stats: empty trajectory set")
-    for traj, plies in replayed:
-        horizon = len(plies)
-        for ply in plies:
-            entry = stats.get(ply.key)
-            if entry is None:
-                entry = stats[ply.key] = StepStats()
-            entry.add(traj.outcome[ply.actor], gamma ** (horizon - ply.index - 1))
+    horizon = len(plies)
+    for t, ply in enumerate(plies, 1):
+        entry = stats.get(ply.key)
+        if entry is None:
+            entry = stats[ply.key] = StepStats()
+        entry.add(traj.outcome[ply.state.to_move], gamma ** (horizon - t))
     return stats
 
 
@@ -118,21 +111,19 @@ class LabeledStep:
     label: str
 
 
-def collect_representatives(reps: dict[str, Ply], replayed: Iterable[Replayed], *,
+def collect_representatives(reps: dict[str, Ply], traj: Trajectory, plies: Iterable[Ply], *,
                             actors: str = "learner") -> dict[str, Ply]:
     """Keep, in `reps`, the first learner-seat (or any-seat) ply of each key.
 
     ``actors='learner'`` keeps keys played by the seats ``learner_seats``
-    reads from each trajectory; ``'all'`` keeps every seat, which is what
+    reads from `traj`; ``'all'`` keeps every seat, which is what
     strong-player imitation needs.
     """
     if actors not in ACTORS:
         raise ValueError("actors must be 'learner' or 'all'")
-    for traj, plies in replayed:
-        seats = learner_seats(traj)
-        for ply in plies:
-            if actors == "learner" and ply.actor not in seats:
-                continue
+    seats = learner_seats(traj) if actors == "learner" else frozenset(Player)
+    for ply in plies:
+        if ply.state.to_move in seats:
             reps.setdefault(ply.key, ply)
     return reps
 

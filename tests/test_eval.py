@@ -99,8 +99,8 @@ def test_split_evaluation_equals_whole_matches(episodes, jobs):
         solver = get_solver(g)
         regrets = [solver.regret(state, action)
                    for t in whole(g, agent, MctsAgent(5), stable_hash(5, "regret", g))
-                   for state, action, actor in replay(t)
-                   if actor is (Player.P1 if t.episode % 2 == 0 else Player.P2)]
+                   for state, action in replay(t)
+                   if state.to_move is (Player.P1 if t.episode % 2 == 0 else Player.P2)]
         assert report == RegretReport(g, "policy", sum(regrets) / len(regrets), len(regrets),
                                       episodes)
         assert report.moves > 0

@@ -1,17 +1,17 @@
-"""Feature encoders: the matrix encoder agrees with the per-action one, both
-reproduce checksums recorded from the per-action loop encoders, many states
-encode as each state alone, and each Stage III loss encodes its batch in one
-call per game."""
+"""Feature encoders: `encode` pairs each state with its legal actions and rows
+that agree with the per-action encoder, both reproduce checksums recorded from
+the per-action loop encoders, many states encode as each state alone, and each
+Stage III loss encodes its batch in one call per game."""
 import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from scopal import features as features_module
 from scopal import games as games_module
+from scopal import policy as policy_module
 from scopal import refine
-from scopal.features import feature_dim, feature_matrices, feature_matrix, features
+from scopal.features import encode, feature_dim, features
 from scopal.games import GAME_NAMES, Player, get_game
 from scopal.interaction import collect_trajectories
 from scopal.policy import new_policy
@@ -54,8 +54,8 @@ def playout_states(name, seed=0, playouts=10):
 @pytest.mark.parametrize("name", NAMES)
 def test_matrix_rows_are_the_per_action_features(name):
     for game, state, acts in playout_states(name):
-        matrix = feature_matrix(game, state, acts)
-        assert matrix.shape == (len(acts), feature_dim(game))
+        ((legal, matrix),) = encode(game, (state,))
+        assert legal == acts and matrix.shape == (len(acts), feature_dim(game))
         for row, action in zip(matrix, acts):
             assert np.array_equal(row, features(game, state, action))
 
@@ -64,7 +64,9 @@ def test_matrix_rows_are_the_per_action_features(name):
 def test_matrices_match_the_recorded_checksums(name):
     digest = hashlib.sha256()
     for game, state, acts in playout_states(name):
-        digest.update(feature_matrix(game, state, acts).astype("<f8").tobytes())
+        ((legal, matrix),) = encode(game, (state,))
+        assert legal == acts
+        digest.update(matrix.astype("<f8").tobytes())
     assert digest.hexdigest()[:16] == GOLDEN[name]
 
 
@@ -83,12 +85,13 @@ def test_many_states_encode_as_each_state_alone(name):
     states = [state for _, state, _ in playout_states(name, playouts=2)]
     states.insert(len(states) // 2, terminal_state(game))
     assert {state.to_move for state in states} == set(Player)
-    acts_list = [game.legal_actions(state) for state in states]
-    matrices = feature_matrices(game, states, acts_list)
-    assert len(matrices) == len(states)
-    for state, acts, matrix in zip(states, acts_list, matrices):
+    encoded = encode(game, states)
+    assert len(encoded) == len(states)
+    for state, (acts, matrix) in zip(states, encoded):
+        assert acts == game.legal_actions(state)
         assert matrix.shape == (len(acts), feature_dim(game))
-        assert matrix.tobytes() == feature_matrix(game, state, acts).tobytes()
+        ((alone_acts, alone),) = encode(game, (state,))
+        assert acts == alone_acts and matrix.tobytes() == alone.tobytes()
 
 
 # Feature width of every registered game. Checkpoints store one block of this
@@ -110,7 +113,7 @@ def test_each_game_has_its_recorded_feature_width(name):
     game = get_game(name)
     assert feature_dim(game) == WIDTHS[name]
     state = game.initial_state(0)
-    assert feature_matrix(game, state, game.legal_actions(state)).shape[1] == WIDTHS[name]
+    assert encode(game, (state,))[0][1].shape[1] == WIDTHS[name]
     assert new_policy([name]).block(game).shape == (WIDTHS[name],)
 
 
@@ -123,24 +126,27 @@ BOARDS = ["connect4", "breakthrough"]
 def board_steps():
     """(labeled steps, advantage steps) from self-play on the vectorized boards."""
     trajs = collect_trajectories(BOARDS, "policy", "self", 8, 5, policy=new_policy(BOARDS))
-    replayed = [replay_plies(t) for t in trajs]
-    labeled = label_steps(estimate_rewards(accumulate_stats({}, replayed, 0.8), method="win_rate"),
-                          0.5, collect_representatives({}, replayed))
+    stats, reps = {}, {}
+    for traj in trajs:
+        plies = replay_plies(traj)
+        accumulate_stats(stats, traj, plies, 0.8)
+        collect_representatives(reps, traj, plies)
+    labeled = label_steps(estimate_rewards(stats, method="win_rate"), 0.5, reps)
     return labeled, build_advantage_steps(trajs)
 
 
 @pytest.fixture
 def matrix_calls(monkeypatch):
-    """(game name, number of states) of each `feature_matrices` call while the test runs."""
+    """(game name, number of states) of each `encode` call while the test runs."""
     calls = []
 
-    def counting(game, states, acts_list):
+    def counting(game, states):
         calls.append((game.name, len(states)))
-        return feature_matrices(game, states, acts_list)
+        return encode(game, states)
 
-    # feature_matrix, and so Policy.logits, reach it through the features module
-    for module in (features_module, refine):
-        monkeypatch.setattr(module, "feature_matrices", counting)
+    # Policy and refine, its callers, reach it by the names they import
+    for module in (policy_module, refine):
+        monkeypatch.setattr(module, "encode", counting)
     return calls
 
 

@@ -326,6 +326,35 @@ def test_keys_deterministic_and_distinct():
             assert state_keys == {game.canonical_state_key(s)}
 
 
+def _reference_connect4_key(state, viewer):
+    """Connect Four's observation key by a plain scan of the 42 cells: rows top
+    down, each left to right, "m" the viewer's disc, "o" the other's, "." empty."""
+    mine, theirs = (state.p1, state.p2) if viewer is Player.P1 else (state.p2, state.p1)
+    cells = []
+    for r in range(5, -1, -1):
+        for c in range(7):
+            bit = 1 << (c * 7 + r)
+            cells.append("m" if mine & bit else ("o" if theirs & bit else "."))
+    return "".join(cells)
+
+
+def test_connect4_key_matches_a_per_cell_scan():
+    """Along random playouts, to their ends (full boards included), from both seats."""
+    game = get_game("connect4")
+    rng = random.Random(9)
+    full = 0
+    for _ in range(200):
+        state = game.initial_state(0)
+        while True:
+            for viewer in Player:
+                assert game.observation_key(state, viewer) == _reference_connect4_key(state, viewer)
+            if not (acts := game.legal_actions(state)):
+                break
+            state = game.apply(state, rng.choice(acts))
+        full += "." not in game.observation_key(state, Player.P1)
+    assert full > 0
+
+
 def test_kuhn_key_ignores_hidden_opponent_card():
     g = get_game("kuhn_poker")
     a = g.decode_state("P1 ((2, 0), ())")
@@ -417,11 +446,15 @@ def test_state_encoding_round_trips():
     ("connect4", "P1 2 3 0"),  # two discs more for P1
     ("kuhn_poker", "P1 0 ((1, 1), ())"),
     ("kuhn_poker", "P2 3 ((1, 2), ('P', 'P', 'P'))"),
+    ("kuhn_poker", "P1 0 ((True, 2), ())"),  # a bool for a card
+    ("kuhn_poker", "P1 0 ((1.0, 2), ())"),  # a float for a card
     ("liars_dice", "P1 0 ((7, 1), (), False)"),
     ("liars_dice", "P2 1 ((1, 2), ((3, 1),), False)"),
     ("liars_dice", "P1 2 ((1, 2), ((2, 1), (1, 6)), False)"),
     ("liars_dice", "P2 1 ((1, 2), (), True)"),
     ("liars_dice", "P1 2 ((1, 2), ((1, 1),), 1)"),
+    ("liars_dice", "P1 1 ((True, 2), ((1, True),), False)"),  # bools for a die and a face
+    ("liars_dice", "P2 1 ((1, 2), ((1.0, 2),), False)"),  # a float for a quantity
 ])
 def test_state_text_that_no_game_reaches_is_refused(name, text):
     game = get_game(name)

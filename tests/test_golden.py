@@ -3,7 +3,10 @@ across commits.
 
 Each training mode runs ``pipeline`` then ``regret`` on one small config over
 all six games (Breakthrough on its 6x6 board); spag plays against ``mcts:5``,
-the others self-play. A two-game config runs ``sweep``, ``iterate --rounds 2``
+the others self-play. Two more two_stage runs pin Stage II's other settings:
+``discounted_all`` (the discounted estimator over every seat, against
+``mcts:5``) and ``beta_balanced`` (the Beta estimator, with each game's steps
+balanced before training). A two-game config runs ``sweep``, ``iterate --rounds 2``
 and ``head2head`` in one run directory. Each artifact is named by the run and
 its file name (the store as ``store``, since its file name holds the run id)
 and pinned by the first 16 hex digits of its sha256. The manifest is hashed
@@ -38,11 +41,11 @@ opponent = {opponent}
 episodes = 8
 
 [rewards]
-min_count = 1
+min_count = 1{rewards}
 
 [train]
 mode = {mode}
-epochs = 2
+epochs = 2{train}
 
 [eval]
 opponents = random,mcts:5
@@ -65,9 +68,18 @@ opponents = random,mcts:5
 episodes = 2
 """
 
-RUNS = {mode: (PIPELINE.format(mode=mode, opponent="mcts:5" if mode == "spag" else "self"),
-               (["pipeline"], ["regret"]))
-        for mode in MODES}
+
+def pipeline(mode: str, opponent: str = "self", rewards: str = "", train: str = "") -> tuple:
+    """A `PIPELINE` run; `rewards` and `train` are extra lines of those sections."""
+    return (PIPELINE.format(mode=mode, opponent=opponent, rewards=rewards, train=train),
+            (["pipeline"], ["regret"]))
+
+
+RUNS = {mode: pipeline(mode, "mcts:5" if mode == "spag" else "self") for mode in MODES}
+RUNS["discounted_all"] = pipeline("two_stage", "mcts:5",
+                                  rewards="\nestimator = discounted\nactors = all")
+RUNS["beta_balanced"] = pipeline("two_stage", rewards="\nestimator = beta",
+                                 train="\nbalance_games = true")
 RUNS["study"] = (STUDY, (["sweep"], ["iterate", "--rounds", "2"],
                          ["head2head", "--agents", "base,random,mcts:5"]))
 
@@ -114,6 +126,20 @@ DIGESTS = {
     "spag/regret.csv": "ba0ab41b770da8b6",
     "spag/store": "1bfc29631b0280ed",
     "spag/tournament.csv": "453c12acd7d8cc18",
+    "discounted_all/checkpoint.json": "7906c68deb070d99",
+    "discounted_all/labeled.jsonl": "37b5b435e902c798",
+    "discounted_all/manifest.json": "bf844a54d9d05e09",
+    "discounted_all/metrics.csv": "7c8eeb52647239b1",
+    "discounted_all/regret.csv": "285727489484dffe",
+    "discounted_all/store": "1bfc29631b0280ed",
+    "discounted_all/tournament.csv": "fec9e8e3cfad8339",
+    "beta_balanced/checkpoint.json": "9d016048c273c25f",
+    "beta_balanced/labeled.jsonl": "13e67f8ce062d16f",
+    "beta_balanced/manifest.json": "c323cc44e9dc08ae",
+    "beta_balanced/metrics.csv": "82efbc4b29ac74ed",
+    "beta_balanced/regret.csv": "285727489484dffe",
+    "beta_balanced/store": "a9341304b077204c",
+    "beta_balanced/tournament.csv": "fec9e8e3cfad8339",
     "study/checkpoint_round1.json": "9639a77ed69062dc",
     "study/checkpoint_round2.json": "6a3f0d4220ce02c3",
     "study/head2head.csv": "1f964f9fdb7e0d3a",

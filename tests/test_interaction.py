@@ -55,14 +55,14 @@ def test_step_indices_strictly_increase_and_keys_match_states():
     trajs = collect_trajectories(["tictactoe"], "policy", "self", 10, 2, policy=policy)
     game = get_game("tictactoe")
     for traj in trajs:
-        replayed, plies = replay_plies(traj)
-        assert replayed is traj and len(plies) == len(traj.steps)
-        indices = [ply.index for ply in plies]
-        assert indices == sorted(set(indices))
-        for (state, action, actor), ply in zip(replay(traj), plies):
+        plies = replay_plies(traj)
+        assert len(plies) == len(traj.steps)
+        for (state, action), ply in zip(replay(traj), plies):
             assert game.canonical_key(state, action) == ply.key
-            assert actor is ply.actor
             assert (state, action) == (ply.state, ply.action)
+        # the plies are in play order: in tic-tac-toe the movers alternate from P1
+        assert [ply.state.to_move for ply in plies] == [
+            Player.P1 if i % 2 == 0 else Player.P2 for i in range(len(plies))]
 
 
 def test_two_episodes_alternate_first_player():
@@ -221,7 +221,7 @@ def test_store_roundtrip(tmp_path):
     assert set(rec["outcome"]) == {"P1", "P2"}
     # a step is its action's text, and nothing Stage II derives from the replay
     game = get_game("kuhn_poker")
-    assert rec["steps"] == [game.action_text(action) for _, action, _ in replay(trajs[0])]
+    assert rec["steps"] == [game.action_text(action) for _, action in replay(trajs[0])]
 
 
 @pytest.mark.parametrize("read", [read_trajectories, lambda path: list(read_game_blocks(path))],
@@ -232,10 +232,10 @@ def test_a_store_whose_steps_are_objects_is_refused(tmp_path, read):
     trajs = collect_trajectories(["nim"], "random", "random", 2, 5)
     game = get_game("nim")
     good, old = (trajectory_record(t) for t in trajs)
-    old["steps"] = [{"key": game.canonical_key(state, action), "actor": actor.value,
+    old["steps"] = [{"key": game.canonical_key(state, action), "actor": state.to_move.value,
                      "action": text, "move_index": i}
-                    for i, ((state, action, actor), text) in enumerate(zip(replay(trajs[1]),
-                                                                            old["steps"]))]
+                    for i, ((state, action), text) in enumerate(zip(replay(trajs[1]),
+                                                                     old["steps"]))]
     path = tmp_path / "old.traj.jsonl"
     path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in (good, old)))
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt trajectory record")):

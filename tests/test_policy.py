@@ -29,6 +29,11 @@ def random_nonterminal(game, rng):
             return s
 
 
+def distribution(policy, game, state, temperature):
+    """(legal actions, probabilities) of one state."""
+    return policy.action_distributions(game, (state,), temperature)[0]
+
+
 def randomized_policy(game_names, rng, scale=0.5):
     pol = new_policy(game_names)
     for name in game_names:
@@ -57,7 +62,7 @@ def test_zero_parameters_give_uniform_distribution():
         game = get_game(name)
         pol = new_policy([name])
         s = game.initial_state(3)
-        acts, probs = pol.action_distribution(game, s, 0.7)
+        acts, probs = distribution(pol, game, s, 0.7)
         assert probs == pytest.approx([1 / len(acts)] * len(acts), abs=1e-12)
 
 
@@ -68,7 +73,7 @@ def test_probabilities_sum_to_one_and_are_positive():
         pol = randomized_policy([name], rng)
         for _ in range(20):
             s = random_nonterminal(game, rng)
-            _, probs = pol.action_distribution(game, s, 0.7)
+            _, probs = distribution(pol, game, s, 0.7)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert (probs > 0).all()
 
@@ -78,8 +83,8 @@ def test_low_temperature_concentrates_on_argmax():
     rng = random.Random(1)
     pol = randomized_policy(["tictactoe"], rng)
     s = game.initial_state(0)
-    acts, hot = pol.action_distribution(game, s, 1.0)
-    _, cold = pol.action_distribution(game, s, 1e-3)
+    acts, hot = distribution(pol, game, s, 1.0)
+    _, cold = distribution(pol, game, s, 1e-3)
     assert np.argmax(hot) == np.argmax(cold)
     assert cold.max() > 0.999
 
@@ -91,7 +96,7 @@ def test_temperature_never_changes_the_argmax():
     s = random_nonterminal(game, rng)
     argmaxes = set()
     for tau in (0.05, 0.2, 0.7, 1.0, 5.0):
-        _, probs = pol.action_distribution(game, s, tau)
+        _, probs = distribution(pol, game, s, tau)
         argmaxes.add(int(np.argmax(probs)))
     assert len(argmaxes) == 1
 
@@ -104,10 +109,10 @@ def test_logit_shift_invariance_via_bias_feature():
         game = get_game(name)
         pol = randomized_policy([name], rng)
         s = random_nonterminal(game, rng)
-        _, before = pol.action_distribution(game, s, 0.7)
+        _, before = distribution(pol, game, s, 0.7)
         shifted = pol.clone()
         shifted.blocks[name][-1] += 3.25
-        _, after = shifted.action_distribution(game, s, 0.7)
+        _, after = distribution(shifted, game, s, 0.7)
         assert before == pytest.approx(after, abs=1e-9)
 
 
@@ -115,7 +120,7 @@ def test_non_positive_temperature_rejected():
     game = get_game("tictactoe")
     pol = new_policy(["tictactoe"])
     with pytest.raises(ValueError):
-        pol.action_distribution(game, game.initial_state(0), 0.0)
+        distribution(pol, game, game.initial_state(0), 0.0)
     with pytest.raises(ValueError):
         pol.sample_action(game, game.initial_state(0), -0.1, random.Random(0))
 
@@ -160,7 +165,7 @@ def test_score_function_identity():
         game = get_game(name)
         pol = randomized_policy([name], rng)
         s = random_nonterminal(game, rng)
-        acts, probs = pol.action_distribution(game, s, 1.0)
+        acts, probs = distribution(pol, game, s, 1.0)
         total = np.zeros(feature_dim(game))
         for a, p in zip(acts, probs):
             _, g = pol.log_prob_and_grad(game, s, a)
@@ -207,8 +212,8 @@ def test_checkpoint_roundtrip_is_bit_identical(tmp_path):
     for name in GAMES:
         game = get_game(name)
         s = random_nonterminal(game, rng)
-        _, p1 = pol.action_distribution(game, s, 0.2)
-        _, p2 = loaded.action_distribution(game, s, 0.2)
+        _, p1 = distribution(pol, game, s, 0.2)
+        _, p2 = distribution(loaded, game, s, 0.2)
         assert (p1 == p2).all()  # bit-identical, not approximately equal
     # a second save produces identical bytes
     path2 = tmp_path / "policy2.json"
@@ -272,7 +277,7 @@ def test_distribution_valid_at_any_temperature(tau):
     game = get_game("kuhn_poker")
     pol = randomized_policy(["kuhn_poker"], random.Random(8))
     s = game.initial_state(1)
-    _, probs = pol.action_distribution(game, s, tau)
+    _, probs = distribution(pol, game, s, tau)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert (probs > 0).all()
 

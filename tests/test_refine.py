@@ -28,10 +28,12 @@ def make_dataset(games=GAME_ROTATION, episodes=25, seed=3, delta=0.5):
     policy = new_policy(list(games))
     trajs = collect_trajectories(list(games), "policy", "self", episodes, seed,
                                  policy=policy)
-    replayed = [replay_plies(t) for t in trajs]
-    rewards = estimate_rewards(accumulate_stats({}, replayed, 0.8), method="win_rate")
-    reps = collect_representatives({}, replayed)
-    return label_steps(rewards, delta, reps), trajs
+    stats, reps = {}, {}
+    for traj in trajs:
+        plies = replay_plies(traj)
+        accumulate_stats(stats, traj, plies, 0.8)
+        collect_representatives(reps, traj, plies)
+    return label_steps(estimate_rewards(stats, method="win_rate"), delta, reps), trajs
 
 
 DATASET, TRAJS = make_dataset()

@@ -2,6 +2,7 @@
 import json
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,15 +26,24 @@ def traj(game, plies, outcome_p1, episode=0):
                        {Player.P1: "policy", Player.P2: "self"}, 0, 0), plies)
 
 
-def step(key, actor, idx):
-    return Ply("g", key, actor, idx, None, "x")
+def step(key, actor):
+    """A ply of `key` whose state has `actor` to move."""
+    return Ply("g", key, SimpleNamespace(to_move=actor), "x")
+
+
+def accumulate(replayed, gamma=0.8):
+    """`accumulate_stats` over each (trajectory, plies) pair, into one table."""
+    stats = {}
+    for t, plies in replayed:
+        accumulate_stats(stats, t, plies, gamma)
+    return stats
 
 
 def test_winner_steps_counted_as_wins():
-    t = traj("g", [step("k1", Player.P1, 0), step("k2", Player.P2, 1),
-                   step("k3", Player.P1, 2), step("k4", Player.P2, 3),
-                   step("k5", Player.P1, 4)], Outcome.WIN)
-    stats = accumulate_stats({}, [t], 0.8)
+    t = traj("g", [step("k1", Player.P1), step("k2", Player.P2),
+                   step("k3", Player.P1), step("k4", Player.P2),
+                   step("k5", Player.P1)], Outcome.WIN)
+    stats = accumulate([t])
     for key in ("k1", "k3", "k5"):
         assert stats[key].n_win == 1 and stats[key].n_all == 1
     for key in ("k2", "k4"):
@@ -41,29 +51,24 @@ def test_winner_steps_counted_as_wins():
 
 
 def test_same_key_in_win_and_loss():
-    t1 = traj("g", [step("k", Player.P1, 0)], Outcome.WIN, episode=0)
-    t2 = traj("g", [step("k", Player.P1, 0)], Outcome.LOSE, episode=1)
-    stats = accumulate_stats({}, [t1, t2], 0.8)
+    t1 = traj("g", [step("k", Player.P1)], Outcome.WIN, episode=0)
+    t2 = traj("g", [step("k", Player.P1)], Outcome.LOSE, episode=1)
+    stats = accumulate([t1, t2])
     assert stats["k"].n_all == 2 and stats["k"].n_win == 1
-
-
-def test_accumulate_rejects_empty_set():
-    with pytest.raises(ValueError):
-        accumulate_stats({}, [], 0.8)
 
 
 def test_brute_force_recount_matches_on_real_store():
     policy = new_policy(["tictactoe"])
     trajs = collect_trajectories(["tictactoe"], "policy", "self", 100, 13, policy=policy)
-    stats = accumulate_stats({}, [replay_plies(t) for t in trajs], 0.8)
+    stats = accumulate((t, replay_plies(t)) for t in trajs)
     # independent oracle: flat scan of the replayed states with plain tallies
     game = get_game("tictactoe")
     tally = {}
     for t in trajs:
-        for state, action, actor in replay(t):
+        for state, action in replay(t):
             key = game.canonical_key(state, action)
             w, tie, lose = tally.get(key, (0, 0, 0))
-            o = t.outcome[actor]
+            o = t.outcome[state.to_move]
             tally[key] = (w + (o is Outcome.WIN), tie + (o is Outcome.TIE),
                           lose + (o is Outcome.LOSE))
     assert set(tally) == set(stats)
@@ -85,9 +90,9 @@ def test_win_rate_tie_weight():
 
 
 def test_discounted_estimator_formula():
-    t = traj("g", [step("k", Player.P1, 0), step("o1", Player.P2, 1),
-                   step("o2", Player.P1, 2)], Outcome.WIN)
-    rewards = estimate_rewards(accumulate_stats({}, [t], 0.8), method="discounted")
+    t = traj("g", [step("k", Player.P1), step("o1", Player.P2),
+                   step("o2", Player.P1)], Outcome.WIN)
+    rewards = estimate_rewards(accumulate([t]), method="discounted")
     assert rewards["k"] == pytest.approx(0.8 ** 2)  # T=3, t=1, win
     assert rewards["o2"] == pytest.approx(1.0)      # final move of the winner
 
@@ -95,12 +100,12 @@ def test_discounted_estimator_formula():
 def test_discounted_estimate_of_a_multi_step_store():
     # gamma = 0.5 over games of T = 4, 2 and 3 moves; "a", "b" and "y" occur
     # twice, under different outcomes and distances to the end
-    win = traj("g", [step("a", Player.P1, 0), step("x", Player.P2, 1),
-                     step("y", Player.P1, 2), step("b", Player.P2, 3)], Outcome.WIN)
-    tie = traj("g", [step("a", Player.P1, 0), step("z", Player.P2, 1)], Outcome.TIE, 1)
-    loss = traj("g", [step("w", Player.P1, 0), step("b", Player.P2, 1),
-                      step("y", Player.P1, 2)], Outcome.LOSE, 2)
-    stats = accumulate_stats({}, [win, tie, loss], 0.5)
+    win = traj("g", [step("a", Player.P1), step("x", Player.P2),
+                     step("y", Player.P1), step("b", Player.P2)], Outcome.WIN)
+    tie = traj("g", [step("a", Player.P1), step("z", Player.P2)], Outcome.TIE, 1)
+    loss = traj("g", [step("w", Player.P1), step("b", Player.P2),
+                      step("y", Player.P1)], Outcome.LOSE, 2)
+    stats = accumulate([win, tie, loss], 0.5)
     rewards = estimate_rewards(stats, method="discounted")
     assert rewards["a"] == pytest.approx((0.125 + 0.0) / 2)   # 0.5^3 * (+1), tie
     assert rewards["b"] == pytest.approx((-1.0 + 0.5) / 2)    # last move lost; 0.5^1 * (+1)
@@ -119,7 +124,7 @@ def test_estimator_parameter_validation():
     with pytest.raises(ValueError):
         estimate_rewards({"k": StepStats(1, 1, 0, 0)}, method="beta", alpha0=0)
     with pytest.raises(ValueError):
-        accumulate_stats({}, [traj("g", [step("k", Player.P1, 0)], Outcome.WIN)], 1.0)
+        accumulate_stats({}, *traj("g", [step("k", Player.P1)], Outcome.WIN), 1.0)
     with pytest.raises(ValueError):
         estimate_rewards({"k": StepStats(0, 0, 0, 0)}, method="win_rate")
     with pytest.raises(ValueError):
@@ -131,14 +136,14 @@ def test_estimator_parameter_validation():
                 min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
 def test_estimator_ranges_and_permutation_invariance(records):
-    trajs = [traj("g", [step(k, Player.P1, 0)], o, episode=i)
+    trajs = [traj("g", [step(k, Player.P1)], o, episode=i)
              for i, (k, o) in enumerate(records)]
     shuffled = list(trajs)
     random.Random(4).shuffle(shuffled)
     for method, lo, hi in (("win_rate", 0.0, 1.0), ("beta", 0.0, 1.0),
                            ("discounted", -1.0, 1.0)):
-        fwd = estimate_rewards(accumulate_stats({}, trajs, 0.8), method=method)
-        rev = estimate_rewards(accumulate_stats({}, shuffled, 0.8), method=method)
+        fwd = estimate_rewards(accumulate(trajs), method=method)
+        rev = estimate_rewards(accumulate(shuffled), method=method)
         assert fwd == rev
         for v in fwd.values():
             assert lo <= v <= hi
@@ -151,7 +156,7 @@ def labeled(key, reward, label=DESIRABLE):
 
 
 def rep_map(keys):
-    return {k: Ply("g", k, Player.P1, 0, None, None) for k in keys}
+    return {k: Ply("g", k, None, None) for k in keys}
 
 
 def test_labeling_thresholds():
@@ -169,9 +174,9 @@ def test_label_counts_and_ordering():
 
 
 def test_always_winning_action_separates_at_any_threshold():
-    trajs = [traj("g", [step("good", Player.P1, 0)], Outcome.WIN, i) for i in range(5)]
-    trajs += [traj("g", [step("bad", Player.P1, 0)], Outcome.LOSE, 5 + i) for i in range(5)]
-    rewards = estimate_rewards(accumulate_stats({}, trajs, 0.8), method="win_rate")
+    trajs = [traj("g", [step("good", Player.P1)], Outcome.WIN, i) for i in range(5)]
+    trajs += [traj("g", [step("bad", Player.P1)], Outcome.LOSE, 5 + i) for i in range(5)]
+    rewards = estimate_rewards(accumulate(trajs), method="win_rate")
     assert rewards == {"good": 1.0, "bad": 0.0}
     for delta in (0.1, 0.5, 0.9):
         labels = {s.key: s.label for s in label_steps(rewards, delta, rep_map(rewards))}
@@ -188,17 +193,19 @@ def test_min_count_filter():
 def test_representatives_respect_learner_filter():
     policy = new_policy(["tictactoe"])
     trajs = collect_trajectories(["tictactoe"], "policy", "mcts:5", 6, 21, policy=policy)
-    replayed = [replay_plies(t) for t in trajs]
-    learner = collect_representatives({}, replayed, actors="learner")
-    both = collect_representatives({}, replayed, actors="all")
+    learner, both = {}, {}
+    for t in trajs:
+        plies = replay_plies(t)
+        collect_representatives(learner, t, plies, actors="learner")
+        collect_representatives(both, t, plies, actors="all")
     assert set(learner) < set(both)
     # learner keys are exactly the keys of plies played by the policy seat
     game = get_game("tictactoe")
     expected = set()
     for t in trajs:
         policy_seat = Player.P1 if t.agents[Player.P1] == "policy" else Player.P2
-        expected |= {game.canonical_key(state, action) for state, action, actor in replay(t)
-                     if actor is policy_seat}
+        expected |= {game.canonical_key(state, action) for state, action in replay(t)
+                     if state.to_move is policy_seat}
     assert set(learner) == expected
 
 
