@@ -126,10 +126,11 @@ def cmd_estimate(config: ExperimentConfig, run_dir: Path) -> None:
 
 
 def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:
+    store = _store_path(config, run_dir)
     if config.mode == "spag":
-        data = read_trajectories(_store_path(config, run_dir))
+        data = read_trajectories(store)
     else:
-        data = read_labeled(run_dir / "labeled.jsonl")
+        data = read_labeled(run_dir / "labeled.jsonl", store)
     trained, metrics = train_two_stage(new_policy(config.games), data, config)
     trained.save(run_dir / "checkpoint.json")
     write_csv(run_dir / "metrics.csv", METRIC_COLUMNS, metrics)

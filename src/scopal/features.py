@@ -119,9 +119,9 @@ def _c4(game, states, acts_list) -> np.ndarray:
 def _breakthrough(game: Breakthrough, states, acts_list) -> np.ndarray:
     cols, rows = game.cols, game.rows
     n = cols * rows
-    # the state texts' digits, 0 empty, 1 P1, 2 P2; P2 sees the board mirrored
+    # the boards' digits, 0 empty, 1 P1, 2 P2; P2 sees the board mirrored
     # (rows flipped, owners swapped), so its moves are mirrored too
-    digits = np.frombuffer("".join(map(game.payload, states)).encode(), np.uint8) - ord("0")
+    digits = np.frombuffer("".join(map(game.digits, states)).encode(), np.uint8) - ord("0")
     boards = digits.reshape(len(states), n)
     flip = np.arange(n).reshape(rows, cols)[::-1].ravel()
     p2 = np.array([s.to_move is Player.P2 for s in states], dtype=bool)

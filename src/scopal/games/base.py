@@ -1,10 +1,9 @@
 """Uniform turn-based game abstraction shared by all six games.
 
 States are immutable values: ``apply`` returns a new state and never touches
-its input, so states can be shared freely across episode workers. A state's
-text is one line, ``<to_move> <payload>``, and holds no ply count: the payload
-is a row of digits for a board or Nim's piles (``P2 1351``), Connect Four's two
-bitboard ints, and a Python literal for the card games (``P2 ((2, 1), ('P',))``).
+its input, so states can be shared freely across episode workers. A state has
+no text: what is written down is the actions that reach it, each in the game's
+notation, and ``parse_action`` reads only the text ``action_text`` writes.
 
 Outcomes become numbers through two tables only: ``SCORE`` (win 1, tie 0.5,
 loss 0) for UCT backups, and ``RETURN`` (win 1, tie 0, loss -1) for Stage II
@@ -14,16 +13,12 @@ caller that keeps one to change it copies it first.
 """
 from __future__ import annotations
 
-import ast
-import operator
 import random
 from abc import ABC, abstractmethod
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Mapping, Optional
-
-# swaps the values 0-9 and their digits, so it turns a row of digits into text and back
-_DIGITS = bytes.maketrans(bytes(range(10)) + b"0123456789", b"0123456789" + bytes(range(10)))
 
 
 class Player(Enum):
@@ -81,11 +76,9 @@ class Game(ABC):
     """
 
     name: str
-    state_type: type  # the frozen dataclass of the game's states
     max_moves: int
+    actions: tuple  # every action of the game, whatever the state
     perfect_information: bool = True
-    # the state's one other field, if a tuple of single digits, and each digit's largest value
-    digit_row: tuple[str, tuple[int, ...]] | None = None
 
     @abstractmethod
     def initial_state(self, chance_seed: int) -> Any:
@@ -115,42 +108,18 @@ class Game(ABC):
     def action_text(self, action: Any) -> str:
         ...
 
-    @abstractmethod
-    def parse_action(self, text: str) -> Any:
-        ...
-
     # -- defaults ------------------------------------------------------
 
-    def encode_state(self, state: Any) -> str:
-        """The state as one line of text: ``<to_move> <payload>``."""
-        return f"{state.to_move.name} {self.payload(state)}"
+    @cached_property
+    def _action_of_text(self) -> dict[str, Any]:
+        return {self.action_text(action): action for action in self.actions}
 
-    def decode_state(self, text: str) -> Any:
-        """The state `encode_state` wrote, and only if it writes exactly `text`:
-        a state has one text, with no sign, leading zero or extra space."""
+    def parse_action(self, text: str) -> Any:
+        """The action whose `action_text` is exactly `text`; an action has one text."""
         try:
-            to_move, payload = text.split(" ", 1)
-            state = self.state_type(*self.parse_payload(payload), Player[to_move])
-            if self.encode_state(state) != text:
-                raise ValueError("the state's text is another")
-        except (AttributeError, KeyError, SyntaxError, TypeError, ValueError) as err:
-            raise ValueError(f"{self.name}: no state has the text {text!r}") from err
-        return state
-
-    def payload(self, state: Any) -> str:
-        """The other fields: `digit_row` as a row of digits, else all, in order, as a literal."""
-        if self.digit_row:
-            return bytes(getattr(state, self.digit_row[0])).translate(_DIGITS).decode()
-        return repr(tuple(value for name, value in vars(state).items() if name != "to_move"))
-
-    def parse_payload(self, payload: str) -> tuple:
-        """The fields `payload` wrote, in declaration order; refuses fields no state holds."""
-        if not self.digit_row:
-            return ast.literal_eval(payload)
-        row, largest = tuple(payload.encode().translate(_DIGITS)), self.digit_row[1]
-        if len(row) != len(largest) or any(map(operator.gt, row, largest)):
-            raise ValueError(f"{self.name}: no state has the row of digits {payload!r}")
-        return (row,)
+            return self._action_of_text[text]
+        except KeyError:
+            raise ValueError(f"{self.name}: no action has the text {text!r}") from None
 
     def relative_action(self, state: Any, action: Any) -> Any:
         """Action re-expressed in the mover's observation coordinates.

@@ -11,13 +11,14 @@ both seats see themselves advancing toward higher rows.
 
 A state is its board read as octal digits, one int: square ``i = row*cols +
 col`` is digit i, 0 empty, 1 P1, 2 P2, so P1's pieces are bits ``3i`` and P2's
-bits ``3i + 1``. The rules, equality and hashing read that int, and the
-state's text is its digits, square 0 first. A piece on square i moves one row
-forward to column ``col - 1``, ``col`` or ``col + 1`` (move j = 0 left, 1
-straight, 2 right). The mover's moves form one mask, with bit ``3i + j`` set
-when the piece on square i has move j. So the canonical order (from-square
-ascending, then left, straight, right) is the mask's bit order, and a UCT
-rollout reaches the k-th legal move by clearing the mask's k lowest bits.
+bits ``3i + 1``. The rules, equality and hashing read that int, and ``digits``
+writes it as text, square 0 first, for the observation and the features. A
+piece on square i moves one row forward to column ``col - 1``, ``col`` or
+``col + 1`` (move j = 0 left, 1 straight, 2 right). The mover's moves form one
+mask, with bit ``3i + j`` set when the piece on square i has move j. So the
+canonical order (from-square ascending, then left, straight, right) is the
+mask's bit order, and a UCT rollout reaches the k-th legal move by clearing the
+mask's k lowest bits.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ class BtState:
 
 
 class Breakthrough(Game):
-    state_type = BtState
     perfect_information = True
 
     def __init__(self, cols: int = 3, rows: int = 8, name: str = "breakthrough"):
@@ -63,6 +63,7 @@ class Breakthrough(Game):
         self._moves = tuple([(i, i + d * cols + j - 1) if 0 <= i // cols + d < rows
                              and 0 <= i % cols + j - 1 < cols else None
                              for i in range(n) for j in range(3)] for d in (1, -1))
+        self.actions = tuple(filter(None, self._moves[0] + self._moves[1]))
         # the bits a move flips in the mover's bitboard; only the to bit can be the other's
         self._flips = tuple([move and 1 << 3 * move[0] | 1 << 3 * move[1] for move in moves]
                             for moves in self._moves)
@@ -70,18 +71,18 @@ class Breakthrough(Game):
         self._reach = tuple({move: abs(move[1] - move[0]) == cols for move in filter(None, moves)}
                             for moves in self._moves)
         self._views = {Player.P1: tuple, Player.P2: itemgetter(*map(self._flip, range(n)))}
-        self._start = self.parse_payload("1" * 2 * cols + "0" * (n - 4 * cols) + "2" * 2 * cols)[0]
+        self._start = self.bits("1" * 2 * cols + "0" * (n - 4 * cols) + "2" * 2 * cols)
 
     def initial_state(self, chance_seed: int) -> BtState:
         return BtState(self._start, Player.P1)
 
-    def payload(self, state: BtState) -> str:
-        return format(state.bits, f"0{self._n}o")[::-1]  # square 0 first
+    def digits(self, state: BtState) -> str:
+        """The board as one digit per square, square 0 first."""
+        return format(state.bits, f"0{self._n}o")[::-1]
 
-    def parse_payload(self, payload: str) -> tuple[int]:
-        if len(payload) != self._n or payload.strip("012"):
-            raise ValueError(f"{self.name}: {payload!r} is not {self._n} squares of 0, 1 or 2")
-        return (int(payload[::-1], 8),)
+    def bits(self, digits: str) -> int:
+        """The ``BtState.bits`` of the board that `digits` writes."""
+        return int(digits[::-1], 8)
 
     def _position(self, state: BtState) -> tuple[Optional[Player], int, int, int]:
         """(winner or None, mover's bits, opponent's bits, mover's seat index)."""
@@ -139,7 +140,7 @@ class Breakthrough(Game):
         return None if winner is None else win_for(winner)
 
     def observation(self, state: BtState, viewer: Player):
-        digits = self.payload(state).encode().translate(_VALUES[viewer])
+        digits = self.digits(state).encode().translate(_VALUES[viewer])
         return (viewer.value, viewer is state.to_move, self._views[viewer](digits))
 
     def observation_key(self, state: BtState, viewer: Player) -> str:
@@ -158,11 +159,6 @@ class Breakthrough(Game):
 
     def relative_action(self, state: BtState, action: tuple[int, int]) -> tuple[int, int]:
         return action if state.to_move is Player.P1 else tuple(map(self._flip, action))
-
-    def parse_action(self, text: str) -> tuple[int, int]:
-        half = len(text) // 2
-        return tuple((int(sq[1:]) - 1) * self.cols + ord(sq[0]) - ord("a")
-                     for sq in (text[:half], text[half:]))
 
     def random_playout(self, state: BtState, rng: random.Random) -> OutcomeMap:
         winner, mine, theirs, seat = self._position(state)

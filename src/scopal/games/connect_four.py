@@ -16,7 +16,6 @@ COLS = 7
 ROWS = 6
 _FULL_COL = (1 << ROWS) - 1
 _BOARD = sum(_FULL_COL << (c * 7) for c in range(COLS))  # every square, no sentinel bit
-_BOTTOM = sum(1 << (c * 7) for c in range(COLS))
 _CELL_TEXT = str.maketrans("012", ".mo")  # empty, mine, theirs
 
 
@@ -36,9 +35,9 @@ class C4State:
 
 
 class ConnectFour(Game):
-    state_type = C4State
     name = "connect4"
     max_moves = COLS * ROWS
+    actions = tuple(range(COLS))
 
     def initial_state(self, chance_seed: int) -> C4State:
         return C4State(0, 0, Player.P1)
@@ -73,18 +72,6 @@ class ConnectFour(Game):
             return tie_outcome()
         return None
 
-    def payload(self, state: C4State) -> str:
-        return f"{state.p1} {state.p2}"
-
-    def parse_payload(self, payload: str) -> tuple:
-        p1, p2 = map(int, payload.split(" "))
-        both = p1 | p2  # negative if either is, and a negative int has bits off the board
-        # a column filled from the bottom carries into the square above its top disc
-        if (p1 & p2 or both & ~_BOARD or both & (both + _BOTTOM)
-                or p1.bit_count() - p2.bit_count() not in (0, 1)):
-            raise ValueError(f"connect4: no state has the bitboards {payload!r}")
-        return p1, p2
-
     def observation(self, state: C4State, viewer: Player):
         mine, theirs = (state.p1, state.p2) if viewer is Player.P1 else (state.p2, state.p1)
         return (viewer.value, viewer is state.to_move, (mine, theirs))
@@ -98,9 +85,6 @@ class ConnectFour(Game):
 
     def action_text(self, action: int) -> str:
         return f"C{action + 1}"
-
-    def parse_action(self, text: str) -> int:
-        return int(text[1:]) - 1
 
     def random_playout(self, state: C4State, rng: random.Random) -> OutcomeMap:
         bbs = [state.p1, state.p2]

@@ -19,8 +19,6 @@ CARDS = "JQK"
 # histories after which the game is over
 _TERMINAL = {("P", "P"), ("P", "B", "P"), ("P", "B", "B"), ("B", "P"), ("B", "B")}
 _FOLDS = {("P", "B", "P"): Player.P2, ("B", "P"): Player.P1}
-_NODES = {(), ("P",), ("B",), ("P", "B")} | _TERMINAL
-_DEALS = {(a, b) for a in range(3) for b in range(3) if a != b}
 
 
 @dataclass(frozen=True)
@@ -31,9 +29,9 @@ class KuhnState:
 
 
 class KuhnPoker(Game):
-    state_type = KuhnState
     name = "kuhn_poker"
     max_moves = 3
+    actions = ("B", "P")
     perfect_information = False
 
     def initial_state(self, chance_seed: int) -> KuhnState:
@@ -62,13 +60,6 @@ class KuhnPoker(Game):
         # showdown: K > Q > J, cards are always distinct
         return win_for(Player.P1 if state.cards[0] > state.cards[1] else Player.P2)
 
-    def parse_payload(self, payload: str) -> tuple:
-        cards, history = super().parse_payload(payload)
-        if (cards not in _DEALS or history not in _NODES
-                or any(type(card) is not int for card in cards)):
-            raise ValueError(f"kuhn_poker: no state has the cards and history {payload!r}")
-        return cards, history
-
     def observation(self, state: KuhnState, viewer: Player):
         own = state.cards[0] if viewer is Player.P1 else state.cards[1]
         return (viewer.value, viewer is state.to_move, (own, state.history))
@@ -79,9 +70,6 @@ class KuhnPoker(Game):
 
     def action_text(self, action: str) -> str:
         return "<Bet>" if action == "B" else "<Pass>"
-
-    def parse_action(self, text: str) -> str:
-        return "B" if text == "<Bet>" else "P"
 
     def determinize(self, state: KuhnState, viewer: Player, rng: random.Random) -> KuhnState:
         own = state.cards[0] if viewer is Player.P1 else state.cards[1]

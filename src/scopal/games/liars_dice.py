@@ -33,9 +33,9 @@ class LdState:
 
 
 class LiarsDice(Game):
-    state_type = LdState
     name = "liars_dice"
     max_moves = len(ALL_BIDS) + 1
+    actions = ALL_BIDS + (CHALLENGE,)
     perfect_information = False
 
     def initial_state(self, chance_seed: int) -> LdState:
@@ -75,15 +75,6 @@ class LiarsDice(Game):
         bidder, challenger = state.to_move, state.to_move.other
         return win_for(bidder if count >= quantity else challenger)
 
-    def parse_payload(self, payload: str) -> tuple:
-        dice, bids, challenged = super().parse_payload(payload)
-        if (len(dice) != 2 or not set(dice) <= set(range(1, FACES + 1))
-                or not set(bids) <= set(ALL_BIDS) or list(bids) != sorted(set(bids))
-                or type(challenged) is not bool or challenged and not bids
-                or any(type(x) is not int for x in dice + sum(bids, ()))):
-            raise ValueError(f"liars_dice: no state has the dice, bids and challenge {payload!r}")
-        return dice, bids, challenged
-
     def observation(self, state: LdState, viewer: Player):
         own = state.dice[0] if viewer is Player.P1 else state.dice[1]
         return (viewer.value, viewer is state.to_move, (own, state.bids, state.challenged))
@@ -97,13 +88,6 @@ class LiarsDice(Game):
         if action == CHALLENGE:
             return "<Liar>"
         return f"<{action[0]} dices, {action[1]} value>"
-
-    def parse_action(self, text: str):
-        if text == "<Liar>":
-            return CHALLENGE
-        inner = text.strip("<>")
-        q_part, f_part = inner.split(",")
-        return (int(q_part.split()[0]), int(f_part.split()[0]))
 
     def determinize(self, state: LdState, viewer: Player, rng: random.Random) -> LdState:
         opp = rng.randint(1, FACES)

@@ -20,10 +20,9 @@ class NimState:
 
 
 class Nim(Game):
-    state_type = NimState
-    digit_row = ("piles", INITIAL_PILES)  # no pile grows
     name = "nim"
     max_moves = sum(INITIAL_PILES)
+    actions = tuple((p, t) for p, n in enumerate(INITIAL_PILES) for t in range(1, n + 1))
 
     def initial_state(self, chance_seed: int) -> NimState:
         return NimState(INITIAL_PILES, Player.P1)
@@ -59,11 +58,6 @@ class Nim(Game):
 
     def action_text(self, action: tuple[int, int]) -> str:
         return f"<pile:{action[0] + 1}, take:{action[1]}>"
-
-    def parse_action(self, text: str) -> tuple[int, int]:
-        inner = text.strip("<>")
-        pile_part, take_part = inner.split(",")
-        return int(pile_part.split(":")[1]) - 1, int(take_part.split(":")[1])
 
     def random_playout(self, state: NimState, rng: random.Random) -> OutcomeMap:
         # the k-th legal action takes k' + 1 from pile p, where k' is k less the

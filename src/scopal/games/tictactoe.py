@@ -23,10 +23,9 @@ class TttState:
 
 
 class TicTacToe(Game):
-    state_type = TttState
-    digit_row = ("cells", (2,) * 9)
     name = "tictactoe"
     max_moves = 9
+    actions = tuple(range(9))
 
     def initial_state(self, chance_seed: int) -> TttState:
         return TttState((0,) * 9, Player.P1)
@@ -66,11 +65,6 @@ class TicTacToe(Game):
 
     def action_text(self, action: int) -> str:
         return f"C{action % 3 + 1}R{action // 3 + 1}"
-
-    def parse_action(self, text: str) -> int:
-        col = int(text[1])
-        row = int(text[3])
-        return (row - 1) * 3 + (col - 1)
 
     def random_playout(self, state: TttState, rng: random.Random) -> OutcomeMap:
         out = self.outcome(state)

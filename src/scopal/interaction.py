@@ -24,8 +24,10 @@ trajectory per line, and it records only what was played: game, episode,
 steps (each ply's action in the canonical textual notation, in order), each
 seat's outcome, each seat's agent label (``"agents": {"P1": ..., "P2": ...}``)
 and the chance and sampling seeds. ``replay`` re-simulates them into (state,
-action) plies, each state holding its mover; Stage II and SPAG read the store
-and the config alone and derive the rest there.
+action) plies, each state holding its mover, and refuses a trajectory that does
+not end where and as it was recorded. Stage II, Stage III and SPAG read the store
+and the config alone and derive the rest there; Stage III replays each labelled
+step from the episode and ply that its record names.
 Each game's trajectories are one block of the store, which ``read_game_blocks``
 reads lazily.
 """
@@ -234,13 +236,24 @@ def read_game_blocks(path) -> Iterator[list[Trajectory]]:
 def replay(traj: Trajectory):
     """Yield (state, action) per ply by re-simulating from the seeds.
 
-    Raises if the recorded actions do not replay to the recorded outcome.
+    Raises unless each recorded action is legal, none follows the end of the
+    game, and the last one ends it, or reaches ``max_moves`` plies, with the
+    recorded outcome.
     """
     game = get_game(traj.game)
     state = game.initial_state(traj.chance_seed)
-    for text in traj.steps:
-        action = game.parse_action(text)
+    outcome = game.outcome(state)
+    for ply, text in enumerate(traj.steps):
+        try:
+            if outcome is not None or ply == game.max_moves:
+                raise ValueError("the game has already ended")
+            action = game.parse_action(text)
+            after = game.apply(state, action)
+        except ValueError as err:
+            raise ValueError(f"{traj.game} episode {traj.episode}, ply {ply}: {err}") from err
         yield state, action
-        state = game.apply(state, action)
-    if dict(game.outcome(state) or tie_outcome()) != dict(traj.outcome):
+        state, outcome = after, game.outcome(after)
+    if outcome is None and len(traj.steps) < game.max_moves:
+        raise ValueError(f"{traj.game} episode {traj.episode} stops before the game ends")
+    if dict(outcome or tie_outcome()) != dict(traj.outcome):
         raise ValueError(f"replay mismatch: outcome of {traj.game} episode {traj.episode}")

@@ -13,7 +13,9 @@ as the learner's comes from the seat labels the store records, so Stage II
 needs the store and the config alone. Keys begin with the game's name, so
 ``estimate`` labels the store one game at a time.
 ``labeled.jsonl`` holds one JSON object per step, sorted by (game, key): game, key,
-reward, label, the action's notation and the state's text, ``<to_move> <payload>``.
+reward, label, and where the store recorded the step, its trajectory's episode and
+its 0-based ply in that trajectory's steps. ``read_labeled`` replays that ply of
+the store for the step's state and action, and checks it against the key.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .atomic import read_records, write_records
 from .games import RETURN, Outcome, Player, get_game
-from .interaction import Trajectory, learner_seats, replay
+from .interaction import Trajectory, learner_seats, read_game_blocks, replay
 
 DESIRABLE = "Desirable"
 UNDESIRABLE = "Undesirable"
@@ -31,18 +33,20 @@ ACTORS = ("learner", "all")
 
 
 class Ply(NamedTuple):
-    """One replayed ply and its canonical (state, action) key."""
+    """One replayed ply, its canonical (state, action) key, and where the store has it."""
     game: str
     key: str
     state: object  # its mover is ``state.to_move``
     action: object
+    episode: int
+    ply: int  # the index of the action in the trajectory's steps
 
 
 def replay_plies(traj: Trajectory) -> list[Ply]:
     """`traj`'s plies, in order, from one replay of its actions."""
     game = get_game(traj.game)
-    return [Ply(traj.game, game.canonical_key(state, action), state, action)
-            for state, action in replay(traj)]
+    return [Ply(traj.game, game.canonical_key(state, action), state, action, traj.episode, ply)
+            for ply, (state, action) in enumerate(replay(traj))]
 
 
 @dataclass
@@ -109,6 +113,8 @@ class LabeledStep:
     action: object
     reward: float
     label: str
+    episode: int  # the representative's trajectory and ply in the store
+    ply: int
 
 
 def collect_representatives(reps: dict[str, Ply], traj: Trajectory, plies: Iterable[Ply], *,
@@ -142,7 +148,8 @@ def label_steps(rewards: Mapping[str, float], delta: float,
         if key in rewards and (stats is None or stats[key].n_all >= min_count):
             reward = rewards[key]
             out.append(LabeledStep(rep.game, key, rep.state, rep.action, reward,
-                                   DESIRABLE if reward > delta else UNDESIRABLE))
+                                   DESIRABLE if reward > delta else UNDESIRABLE,
+                                   rep.episode, rep.ply))
     return sorted(out, key=lambda s: (s.game, s.key))
 
 
@@ -156,20 +163,38 @@ def label_counts(dataset: Iterable[LabeledStep]) -> tuple[int, int]:
 
 
 def labeled_record(step: LabeledStep) -> dict:
-    game = get_game(step.game)
-    return {"game": step.game, "key": step.key, "state": game.encode_state(step.state),
-            "action": game.action_text(step.action), "reward": step.reward, "label": step.label}
-
-
-def labeled_step(data: dict) -> LabeledStep:
-    game = get_game(data["game"])
-    return LabeledStep(data["game"], data["key"], game.decode_state(data["state"]),
-                       game.parse_action(data["action"]), data["reward"], data["label"])
+    return {"game": step.game, "episode": step.episode, "ply": step.ply, "key": step.key,
+            "reward": step.reward, "label": step.label}
 
 
 def write_labeled(path, dataset: Iterable[LabeledStep]) -> None:
     write_records(path, map(labeled_record, dataset))
 
 
-def read_labeled(path) -> list[LabeledStep]:
+def read_labeled(path, store) -> list[LabeledStep]:
+    """The labelled set at `path`, each step's state and action replayed from its
+    ply in the store at `store`, which is read one game block at a time.
+
+    A record whose episode or ply is not in the store, or whose ply replays to
+    another key, is refused with the path and line of the record.
+    """
+    blocks, game, plies = read_game_blocks(store), None, {}
+
+    def labeled_step(data: dict) -> LabeledStep:
+        nonlocal game, plies
+        while data["game"] != game:  # the records and the store's blocks are in game order
+            if (trajs := next(blocks, None)) is None:
+                raise ValueError(f"no {data['game']} block follows in {store}")
+            game, plies = trajs[0].game, {t.episode: list(replay(t)) for t in trajs}
+        episode, ply, key = data["episode"], data["ply"], data["key"]
+        if episode not in plies:
+            raise ValueError(f"{store} has no {game} episode {episode!r}")
+        if not 0 <= ply < len(plies[episode]):
+            raise ValueError(f"{game} episode {episode} in {store} has no ply {ply!r}")
+        state, action = plies[episode][ply]
+        if (found := get_game(game).canonical_key(state, action)) != key:
+            raise ValueError(f"{game} episode {episode}, ply {ply} in {store} is {found!r}, "
+                             f"not {key!r}")
+        return LabeledStep(game, key, state, action, data["reward"], data["label"], episode, ply)
+
     return list(read_records(path, labeled_step, "labeled"))

@@ -1,5 +1,7 @@
 """The command-line stages end to end on a tiny Nim config."""
+import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -225,6 +227,37 @@ def test_estimate_refuses_a_store_whose_games_are_not_in_blocks(run, monkeypatch
     assert (f"{store}: kuhn_poker reappears after another game's trajectories"
             in capsys.readouterr().err)
     assert sorted(p.name for p in run_dir.iterdir()) == [store.name, "manifest.json"]
+
+
+def test_train_refuses_a_labelled_ply_that_is_not_in_the_store(run, capsys):
+    assert run("interact") == 0 and run("estimate") == 0
+    (run_dir,) = run.out.iterdir()
+    (store,) = run_dir.glob("*.traj.jsonl")
+    labeled = run_dir / "labeled.jsonl"
+    lines = labeled.read_text().splitlines()
+    record = {**json.loads(lines[1]), "ply": 99}
+    labeled.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    assert run("train") == 1
+    assert (f"{labeled}:2: corrupt labeled record: nim episode {record['episode']} in {store} "
+            f"has no ply 99") in capsys.readouterr().err
+    assert not (run_dir / "checkpoint.json").exists()
+
+
+def test_train_refuses_the_store_of_another_config(run, monkeypatch, tmp_path, capsys):
+    assert run("interact") == 0 and run("estimate") == 0
+    (run_dir,) = run.out.iterdir()
+    (store,) = run_dir.glob("*.traj.jsonl")
+    monkeypatch.setenv("SCOPAL_INTERACT_OPPONENT", "random")
+    assert main(["--config", str(run.config), "--out", str(tmp_path / "other"), "interact"]) == 0
+    monkeypatch.delenv("SCOPAL_INTERACT_OPPONENT")
+    (other,) = (tmp_path / "other").glob("*/*.traj.jsonl")
+    assert other.name != store.name
+    shutil.copyfile(other, store)
+    assert run("train") == 1
+    assert re.search(rf"{re.escape(str(run_dir / 'labeled.jsonl'))}:\d+: corrupt labeled record: "
+                     rf"nim episode \d+, ply \d+ in {re.escape(str(store))} is '[^']+', not 'nim\|",
+                     capsys.readouterr().err)
+    assert not (run_dir / "checkpoint.json").exists()
 
 
 def test_spag_pipeline_trains_on_the_store(run, monkeypatch):

@@ -1,6 +1,5 @@
 """Rules-level tests for the six games: construction, legality, outcomes,
 canonical keys, and the exhaustive-search oracles."""
-import json
 import pickle
 import random
 import re
@@ -12,6 +11,12 @@ from hypothesis import strategies as st
 from scopal.games import (GAME_NAMES, Game, IllegalActionError, Outcome, Player,
                           UnknownGameError, get_game, split_key, tie_outcome, win_for)
 from scopal.games.base import draw_below
+from scopal.games.breakthrough import BtState
+from scopal.games.connect_four import C4State
+from scopal.games.kuhn_poker import KuhnState
+from scopal.games.liars_dice import LdState
+from scopal.games.nim import NimState
+from scopal.games.tictactoe import TttState
 
 ALL_GAMES = [get_game(n) for n in GAME_NAMES]
 
@@ -69,7 +74,7 @@ def test_ttt_empty_board_has_nine_actions():
 
 def test_nim_single_match_single_action():
     g = get_game("nim")
-    s = g.decode_state("P1 1000")
+    s = NimState((1, 0, 0, 0), Player.P1)
     assert g.legal_actions(s) == ((0, 1),)
 
 
@@ -140,7 +145,7 @@ def test_ttt_row_of_three_wins():
 
 def test_nim_taking_last_match_loses():
     g = get_game("nim")
-    s = g.decode_state("P1 1000")
+    s = NimState((1, 0, 0, 0), Player.P1)
     final = g.apply(s, (0, 1))
     out = g.outcome(final)
     assert out[Player.P1] is Outcome.LOSE and out[Player.P2] is Outcome.WIN
@@ -161,7 +166,7 @@ def test_connect4_full_board_no_line_is_tie():
     rows = ("ooxxoox", "oxxoxoo", "ooxoxox", "xxoxxxo", "oxxxoxo", "oooxxox")
     p1, p2 = (sum(1 << (c * 7 + 5 - r) for r, row in enumerate(rows)
                   for c, mark in enumerate(row) if mark == disc) for disc in "xo")
-    s = g.decode_state(f"P1 {p1} {p2}")
+    s = C4State(p1, p2, Player.P1)
     assert g.legal_actions(s) == ()
     out = g.outcome(s)
     assert out[Player.P1] is Outcome.TIE and out[Player.P2] is Outcome.TIE
@@ -169,13 +174,13 @@ def test_connect4_full_board_no_line_is_tie():
 
 def test_liars_dice_exact_bid_defeats_challenger():
     g = get_game("liars_dice")
-    s = g.decode_state("P1 ((5, 5), (), False)")
+    s = LdState((5, 5), (), False, Player.P1)
     s = g.apply(s, (2, 5))  # exactly two fives on the table
     s = g.apply(s, ("challenge",))
     out = g.outcome(s)
     assert out[Player.P1] is Outcome.WIN  # bidder wins on an exact bid
     # overbid loses
-    s2 = g.decode_state("P1 ((5, 3), (), False)")
+    s2 = LdState((5, 3), (), False, Player.P1)
     s2 = g.apply(s2, (2, 5))
     s2 = g.apply(s2, ("challenge",))
     assert g.outcome(s2)[Player.P1] is Outcome.LOSE
@@ -210,8 +215,8 @@ def _random_breakthrough_states(game, rng, count):
     states = [random_state(game, rng) for _ in range(count)]
     for _ in range(count):
         board = [rng.choice((0, 0, 1, 2)) for _ in range(game.cols * game.rows)]
-        to_move = rng.choice(["P1", "P2"])
-        states.append(game.decode_state(f"{to_move} {''.join(map(str, board))}"))
+        to_move = rng.choice((Player.P1, Player.P2))
+        states.append(BtState(game.bits("".join(map(str, board))), to_move))
     return states
 
 
@@ -268,25 +273,23 @@ def test_breakthrough_reaching_home_row_wins():
     board = [0] * 24
     board[6 * 3 + 1] = 1   # P1 pawn on b7
     board[3 * 3 + 0] = 2   # far-away P2 pawn
-    s = g.decode_state("P1 " + "".join(map(str, board)))
+    s = BtState(g.bits("".join(map(str, board))), Player.P1)
     final = g.apply(s, g.parse_action("b7b8"))
     assert g.outcome(final)[Player.P1] is Outcome.WIN
 
 
 @pytest.mark.parametrize("name", BREAKTHROUGHS[:2])
 def test_breakthrough_state_round_trips_through_its_text(name):
-    """A state reached by `apply` and the same state decoded from its text are
-    equal in every respect."""
+    """A state reached by `apply` and the same state built from its board's digits
+    are equal in every respect."""
     game = get_game(name)
     rng = random.Random(43)
     for _ in range(200):
         s = random_state(game, rng)
-        decoded = game.decode_state(json.loads(json.dumps(game.encode_state(s))))
+        decoded = BtState(game.bits(game.digits(s)), s.to_move)
         assert decoded == s and hash(decoded) == hash(s) and repr(decoded) == repr(s)
-        text = json.dumps(game.encode_state(s))
-        assert text == json.dumps(game.encode_state(decoded))
         board = game.observation(s, Player.P1)[2]
-        assert json.loads(text) == f"{s.to_move.name} {''.join(map(str, board))}"
+        assert game.digits(s) == "".join(map(str, board))
         assert game.legal_actions(decoded) == game.legal_actions(s)
         assert game.outcome(decoded) == game.outcome(s)
         if game.outcome(s) is None:
@@ -357,23 +360,23 @@ def test_connect4_key_matches_a_per_cell_scan():
 
 def test_kuhn_key_ignores_hidden_opponent_card():
     g = get_game("kuhn_poker")
-    a = g.decode_state("P1 ((2, 0), ())")
-    b = g.decode_state("P1 ((2, 1), ())")
+    a = KuhnState((2, 0), (), Player.P1)
+    b = KuhnState((2, 1), (), Player.P1)
     assert g.canonical_key(a, "B") == g.canonical_key(b, "B")
 
 
 def test_liars_dice_key_ignores_hidden_opponent_die():
     g = get_game("liars_dice")
-    a = g.decode_state("P2 ((4, 1), ((1, 2),), False)")
-    b = g.decode_state("P2 ((6, 1), ((1, 2),), False)")
+    a = LdState((4, 1), ((1, 2),), False, Player.P2)
+    b = LdState((6, 1), ((1, 2),), False, Player.P2)
     assert g.canonical_key(a, (2, 2)) == g.canonical_key(b, (2, 2))
 
 
 def test_mirrored_seats_share_keys():
     g = get_game("tictactoe")
     # P1 played center | P2 played center: same mover-relative situation
-    s1 = g.decode_state("P1 000020000")
-    s2 = g.decode_state("P2 000010000")
+    s1 = TttState((0, 0, 0, 0, 2, 0, 0, 0, 0), Player.P1)
+    s2 = TttState((0, 0, 0, 0, 1, 0, 0, 0, 0), Player.P2)
     assert g.canonical_key(s1, 0) == g.canonical_key(s2, 0)
 
 
@@ -384,7 +387,7 @@ def test_breakthrough_relative_keys_mirror_rows():
     board, flipped = g.observation(s, Player.P1)[2], []
     for r in range(7, -1, -1):
         flipped.extend(3 - v if v else 0 for v in board[r * 3:(r + 1) * 3])
-    mirror = g.decode_state("P2 " + "".join(map(str, flipped)))
+    mirror = BtState(g.bits("".join(map(str, flipped))), Player.P2)
     opening = g.canonical_key(s, g.parse_action("a2a3"))
     mirrored = g.canonical_key(mirror, g.parse_action("a7a6"))
     assert opening == mirrored  # mirrored seats aggregate under one key
@@ -400,11 +403,7 @@ def test_perfect_info_observation_determines_state():
         for _ in range(200):
             s = random_state(game, rng)
             obs = game.observation(s, s.to_move)
-            enc = game.encode_state(s)
-            if obs in seen:
-                assert seen[obs] == enc
-            else:
-                seen[obs] = enc
+            assert seen.setdefault(obs, s) == s
 
 
 # -- notation round-trips ------------------------------------------------------
@@ -429,40 +428,20 @@ def test_notation_examples_match_documented_format():
     assert get_game("breakthrough").action_text((3, 7)) == "a2b3"
 
 
-def test_state_encoding_round_trips():
-    rng = random.Random(21)
-    for game in ALL_GAMES:
-        for _ in range(40):
-            s = random_state(game, rng)
-            assert game.decode_state(game.encode_state(s)) == s
-
-
-# each position breaks exactly one of its game's rules; each text also holds a ply
-# count between the mover and the payload, a field that no state has
+# one text per game that `action_text` writes for no action
 @pytest.mark.parametrize("name, text", [
-    ("connect4", "P1 0 3 3"),  # both seats on the same squares
-    ("connect4", "P2 7 85 42"),  # a full column plus its sentinel bit
-    ("connect4", "P2 5 1 4096"),  # a floating disc
-    ("connect4", "P1 2 3 0"),  # two discs more for P1
-    ("kuhn_poker", "P1 0 ((1, 1), ())"),
-    ("kuhn_poker", "P2 3 ((1, 2), ('P', 'P', 'P'))"),
-    ("kuhn_poker", "P1 0 ((True, 2), ())"),  # a bool for a card
-    ("kuhn_poker", "P1 0 ((1.0, 2), ())"),  # a float for a card
-    ("liars_dice", "P1 0 ((7, 1), (), False)"),
-    ("liars_dice", "P2 1 ((1, 2), ((3, 1),), False)"),
-    ("liars_dice", "P1 2 ((1, 2), ((2, 1), (1, 6)), False)"),
-    ("liars_dice", "P2 1 ((1, 2), (), True)"),
-    ("liars_dice", "P1 2 ((1, 2), ((1, 1),), 1)"),
-    ("liars_dice", "P1 1 ((True, 2), ((1, True),), False)"),  # bools for a die and a face
-    ("liars_dice", "P2 1 ((1, 2), ((1.0, 2),), False)"),  # a float for a quantity
+    ("tictactoe", "C1R1 "),
+    ("connect4", "X1"),
+    ("connect4", "C01"),
+    ("breakthrough", "z1a2"),  # once read as (25, 3), which is written b9a2
+    ("kuhn_poker", "<Bett>"),
+    ("kuhn_poker", ""),
+    ("liars_dice", "<1 dice, 3 value>"),
+    ("nim", "pile:1, take:1"),
 ])
-def test_state_text_that_no_game_reaches_is_refused(name, text):
-    game = get_game(name)
-    with pytest.raises(ValueError, match=re.escape(f"{name}: no state has the text {text!r}")):
-        game.decode_state(text)
-    to_move, _, payload = text.split(" ", 2)
-    with pytest.raises(ValueError, match=f"{name}: no state has"):
-        game.decode_state(f"{to_move} {payload}")
+def test_action_text_that_no_action_has_is_refused(name, text):
+    with pytest.raises(ValueError, match=re.escape(f"{name}: no action has the text {text!r}")):
+        get_game(name).parse_action(text)
 
 
 # -- playout invariants --------------------------------------------------------
@@ -531,7 +510,7 @@ def test_specialized_playout_agrees_with_generic_contract(name):
 def test_chance_seed_fully_determines_deals(seed):
     for name in ("kuhn_poker", "liars_dice"):
         g = get_game(name)
-        assert g.encode_state(g.initial_state(seed)) == g.encode_state(g.initial_state(seed))
+        assert g.initial_state(seed) == g.initial_state(seed)
 
 
 # -- exhaustive-search oracles ----------------------------------------------
@@ -543,12 +522,11 @@ def _negamax_oracle(game, state, memo):
     if out is not None:
         v = out[state.to_move]
         return 1 if v is Outcome.WIN else (-1 if v is Outcome.LOSE else 0)
-    enc = str(game.encode_state(state))
-    if enc in memo:
-        return memo[enc]
+    if state in memo:
+        return memo[state]
     best = max(-_negamax_oracle(game, game.apply(state, a), memo)
                for a in game.legal_actions(state))
-    memo[enc] = best
+    memo[state] = best
     return best
 
 

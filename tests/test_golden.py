@@ -85,56 +85,56 @@ RUNS["study"] = (STUDY, (["sweep"], ["iterate", "--rounds", "2"],
 
 DIGESTS = {
     "two_stage/checkpoint.json": "4c8d65b83261777f",
-    "two_stage/labeled.jsonl": "49a44ae97e9c809a",
+    "two_stage/labeled.jsonl": "a20e9c77ad2a371f",
     "two_stage/manifest.json": "eb9a0874fe6355dd",
     "two_stage/metrics.csv": "c320b3917ada6a1b",
     "two_stage/regret.csv": "980f3190e0e4223d",
     "two_stage/store": "a9341304b077204c",
     "two_stage/tournament.csv": "fec9e8e3cfad8339",
     "direct_kto/checkpoint.json": "c539c058a41e0f6a",
-    "direct_kto/labeled.jsonl": "49a44ae97e9c809a",
+    "direct_kto/labeled.jsonl": "a20e9c77ad2a371f",
     "direct_kto/manifest.json": "1a6acaebe3efe35e",
     "direct_kto/metrics.csv": "cfb743af71fa9120",
     "direct_kto/regret.csv": "980f3190e0e4223d",
     "direct_kto/store": "a9341304b077204c",
     "direct_kto/tournament.csv": "453c12acd7d8cc18",
     "joint/checkpoint.json": "483461d7bec0cbcf",
-    "joint/labeled.jsonl": "49a44ae97e9c809a",
+    "joint/labeled.jsonl": "a20e9c77ad2a371f",
     "joint/manifest.json": "945ec664d43d1d02",
     "joint/metrics.csv": "e6fa5798352ecee0",
     "joint/regret.csv": "980f3190e0e4223d",
     "joint/store": "a9341304b077204c",
     "joint/tournament.csv": "266c3aaec1855106",
     "bc_only/checkpoint.json": "c565e12b7977a610",
-    "bc_only/labeled.jsonl": "49a44ae97e9c809a",
+    "bc_only/labeled.jsonl": "a20e9c77ad2a371f",
     "bc_only/manifest.json": "07cf94ca5f965651",
     "bc_only/metrics.csv": "48cafd1058558f5d",
     "bc_only/regret.csv": "980f3190e0e4223d",
     "bc_only/store": "a9341304b077204c",
     "bc_only/tournament.csv": "fec9e8e3cfad8339",
     "bc_dpo/checkpoint.json": "874cddfca6b0e2f6",
-    "bc_dpo/labeled.jsonl": "49a44ae97e9c809a",
+    "bc_dpo/labeled.jsonl": "a20e9c77ad2a371f",
     "bc_dpo/manifest.json": "c50eb02980854f98",
     "bc_dpo/metrics.csv": "ca4ba5a01836df5f",
     "bc_dpo/regret.csv": "980f3190e0e4223d",
     "bc_dpo/store": "a9341304b077204c",
     "bc_dpo/tournament.csv": "fec9e8e3cfad8339",
     "spag/checkpoint.json": "ae1d1cdf8785aa34",
-    "spag/labeled.jsonl": "a521065bb7e29a00",
+    "spag/labeled.jsonl": "bef0246f95300192",
     "spag/manifest.json": "f333ca5170146489",
     "spag/metrics.csv": "5f125d17a599b067",
     "spag/regret.csv": "ba0ab41b770da8b6",
     "spag/store": "1bfc29631b0280ed",
     "spag/tournament.csv": "453c12acd7d8cc18",
     "discounted_all/checkpoint.json": "7906c68deb070d99",
-    "discounted_all/labeled.jsonl": "37b5b435e902c798",
+    "discounted_all/labeled.jsonl": "1fb6fd144accedcb",
     "discounted_all/manifest.json": "bf844a54d9d05e09",
     "discounted_all/metrics.csv": "7c8eeb52647239b1",
     "discounted_all/regret.csv": "285727489484dffe",
     "discounted_all/store": "1bfc29631b0280ed",
     "discounted_all/tournament.csv": "fec9e8e3cfad8339",
     "beta_balanced/checkpoint.json": "9d016048c273c25f",
-    "beta_balanced/labeled.jsonl": "13e67f8ce062d16f",
+    "beta_balanced/labeled.jsonl": "7f2b9ba65bf8cd94",
     "beta_balanced/manifest.json": "c323cc44e9dc08ae",
     "beta_balanced/metrics.csv": "82efbc4b29ac74ed",
     "beta_balanced/regret.csv": "285727489484dffe",

@@ -50,6 +50,21 @@ def test_replay_reproduces_recorded_outcome():
         assert len(steps) == len(traj.steps)
 
 
+@pytest.mark.parametrize("steps, outcome, problem", [
+    # P1 takes the top row at ply 4, and a sixth ply follows the won game
+    ("C1R1,C1R2,C2R1,C2R2,C3R1,C3R3", win_for(Player.P1),
+     "tictactoe episode 3, ply 5: the game has already ended"),
+    ("C1R1,C1R2", tie_outcome(), "tictactoe episode 3 stops before the game ends"),
+    ("C1R1 ,C1R2", tie_outcome(),
+     "tictactoe episode 3, ply 0: tictactoe: no action has the text 'C1R1 '"),
+], ids=["played-after-the-end", "stopped-before-the-end", "unwritten-action-text"])
+def test_replay_refuses_a_trajectory_that_no_episode_plays(steps, outcome, problem):
+    traj = Trajectory("tictactoe", 3, steps.split(","), dict(outcome),
+                      {Player.P1: "policy", Player.P2: "self"}, 0, 0)
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        list(replay(traj))
+
+
 def test_step_indices_strictly_increase_and_keys_match_states():
     policy = new_policy(["tictactoe"])
     trajs = collect_trajectories(["tictactoe"], "policy", "self", 10, 2, policy=policy)

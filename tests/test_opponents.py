@@ -7,6 +7,12 @@ import pytest
 
 from scopal.agents import RandomAgent
 from scopal.games import Player, get_game
+from scopal.games.breakthrough import BtState
+from scopal.games.connect_four import C4State
+from scopal.games.kuhn_poker import KuhnState
+from scopal.games.liars_dice import LdState
+from scopal.games.nim import NimState
+from scopal.games.tictactoe import TttState
 from scopal.mcts import EXPLORATION_C, MctsConfig, SearchNode, mcts_act, select_child, uct_score
 from scopal.solvers import get_solver
 
@@ -89,7 +95,7 @@ def test_mcts_two_ply_endgame_matches_minimax():
 
 def test_mcts_single_action_returned_regardless_of_budget():
     game = get_game("nim")
-    s = game.decode_state("P1 1000")
+    s = NimState((1, 0, 0, 0), Player.P1)
     assert mcts_act(game, s, MctsConfig(max_simulations=1, rng_seed=0)) == (0, 1)
     assert mcts_act(game, s, MctsConfig(max_simulations=200, rng_seed=9)) == (0, 1)
 
@@ -180,7 +186,7 @@ def test_mcts_hidden_information_games_run():
 
 def test_random_act_single_action():
     game = get_game("nim")
-    s = game.decode_state("P1 1000")
+    s = NimState((1, 0, 0, 0), Player.P1)
     assert RandomAgent().act(game, s, random.Random(5)) == (0, 1)
 
 
@@ -204,34 +210,35 @@ def test_random_act_deterministic():
     assert agent.act(game, s, random.Random(77)) == agent.act(game, s, random.Random(77))
 
 
-# One mid-game state per game, as encode_state writes it, with the action and
+# One mid-game state per game, built from its fields, with the action and
 # root-child (visits, wins) in canonical order that mcts_act gave for it at
 # 400 simulations and rng_seed 29. Any change to the search's draws or scores
 # shows up here.
 GOLDEN_SEARCHES = {
     "tictactoe": (
-        "P2 000100012",
+        TttState((0, 0, 0, 1, 0, 0, 0, 1, 2), Player.P2),
         2, [(56, 24.0), (55, 23.0), (101, 60.0), (72, 36.0), (63, 29.0), (53, 21.5)]),
     "connect4": (
-        "P1 17592464965632 13194680598528",
+        C4State(17592464965632, 13194680598528, Player.P1),
         2, [(39, 16.0), (67, 41.0), (115, 87.0), (47, 23.0), (54, 29.0), (32, 11.0),
             (46, 22.0)]),
     "breakthrough": (
-        "P1 111101000000001022202220",
+        BtState(get_game("breakthrough").bits("111101000000001022202220"), Player.P1),
         (1, 4), [(50, 28.0), (75, 52.0), (42, 21.0), (48, 26.0), (43, 22.0), (50, 28.0),
                  (45, 23.0), (47, 25.0)]),
     "kuhn_poker": (
-        "P2 ((2, 1), ('P',))",
+        KuhnState((2, 1), ("P",), Player.P2),
         "B", [(268, 161.0), (132, 62.0)]),
     "liars_dice": (
-        "P2 ((5, 3), ((2, 2),), False)",
+        LdState((5, 3), ((2, 2),), False, Player.P2),
         ("challenge",), [(33, 14.0), (26, 8.0), (21, 4.0), (15, 0.0), (305, 305.0)]),
     "nim": (
-        "P2 1351",
+        NimState((1, 3, 5, 1), Player.P2),
         (2, 3), [(48, 26.0), (31, 11.0), (37, 16.0), (35, 15.0), (41, 20.0), (47, 25.0),
                  (55, 32.0), (35, 15.0), (29, 10.0), (42, 21.0)]),
     "breakthrough_6x6": (
-        "P1 111111001110112000000120202222222220",
+        BtState(get_game("breakthrough_6x6").bits("111111001110112000000120202222222220"),
+                Player.P1),
         (21, 28), [(22, 13.0), (20, 11.0), (20, 11.0), (13, 3.0), (14, 4.0), (17, 7.0),
                    (18, 8.0), (13, 3.0), (18, 8.0), (25, 16.0), (21, 12.0), (17, 7.0),
                    (17, 7.0), (19, 10.0), (19, 9.0), (20, 11.0), (24, 15.0), (13, 3.0),
@@ -244,9 +251,8 @@ def test_search_is_pinned_to_its_recorded_statistics(monkeypatch, name):
     """A speed-up of the search or of a rollout must keep every draw and score."""
     import scopal.mcts as mcts_mod
 
-    encoded, action, child_stats = GOLDEN_SEARCHES[name]
+    state, action, child_stats = GOLDEN_SEARCHES[name]
     game = get_game(name)
-    state = game.decode_state(encoded)
     nodes = []
 
     class Recording(mcts_mod.SearchNode):

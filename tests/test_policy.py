@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scopal.features import feature_dim
-from scopal.games import get_game
+from scopal.games import Player, get_game
+from scopal.games.nim import NimState
 from scopal.policy import Policy, new_policy
 
 GAMES = ("tictactoe", "connect4", "breakthrough", "nim", "kuhn_poker", "liars_dice")
@@ -175,7 +176,7 @@ def test_score_function_identity():
 
 def test_sample_single_legal_action():
     game = get_game("nim")
-    s = game.decode_state("P1 1000")
+    s = NimState((1, 0, 0, 0), Player.P1)
     pol = new_policy(["nim"])
     assert pol.sample_action(game, s, 0.7, random.Random(0)) == (0, 1)
 

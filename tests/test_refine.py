@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scopal.config import ExperimentConfig
 from scopal.features import feature_dim
 from scopal.games import Outcome, Player, get_game
+from scopal.games.nim import NimState
 from scopal.interaction import collect_trajectories
 from scopal import refine
 from scopal.policy import new_policy
@@ -87,15 +88,15 @@ def test_bc_loss_is_log_k_for_uniform_policy():
     pol = new_policy(["tictactoe"])
     game = get_game("tictactoe")
     s = game.initial_state(0)
-    batch = [LabeledStep("tictactoe", "k", s, 4, 1.0, DESIRABLE)]
+    batch = [LabeledStep("tictactoe", "k", s, 4, 1.0, DESIRABLE, 0, 0)]
     report = bc_loss(pol, batch)
     assert report.loss == pytest.approx(math.log(9), abs=1e-12)
 
 
 def test_bc_loss_zero_when_probability_one():
     nim = get_game("nim")
-    s = nim.decode_state("P1 1000")
-    batch = [LabeledStep("nim", "k", s, (0, 1), 1.0, DESIRABLE)]
+    s = NimState((1, 0, 0, 0), Player.P1)
+    batch = [LabeledStep("nim", "k", s, (0, 1), 1.0, DESIRABLE, 0, 0)]
     report = bc_loss(new_policy(["nim"]), batch)
     assert report.loss == pytest.approx(0.0, abs=1e-12)
 
@@ -121,7 +122,7 @@ def test_bc_gradient_matches_finite_differences():
 def test_bc_drives_unique_desirable_action_probability_up():
     game = get_game("tictactoe")
     s = game.initial_state(0)
-    batch = [LabeledStep("tictactoe", "k", s, 4, 1.0, DESIRABLE)]
+    batch = [LabeledStep("tictactoe", "k", s, 4, 1.0, DESIRABLE, 0, 0)]
     pol = new_policy(["tictactoe"])
     last = 1 / 9
     for _ in range(30):
@@ -176,7 +177,7 @@ def test_kto_desirable_loss_vanishes_as_ratio_saturates():
     # policy concentrates on the action while the reference flees it: r grows
     pol.blocks["nim"] += 80.0 * features(game, s, action)
     ref.blocks["nim"] -= 80.0 * features(game, s, action)
-    step = LabeledStep("nim", game.canonical_key(s, action), s, action, 1.0, DESIRABLE)
+    step = LabeledStep("nim", game.canonical_key(s, action), s, action, 1.0, DESIRABLE, 0, 0)
     report = kto_loss(pol, ref, [step], beta=1.0, z0_override=0.0)
     assert report.loss == pytest.approx(0.0, abs=1e-6)
 
@@ -191,7 +192,7 @@ def test_kto_undesirable_loss_vanishes_as_ratio_falls():
     # policy flees the action while the reference concentrates on it: r falls
     pol.blocks["nim"] -= 80.0 * features(game, s, action)
     ref.blocks["nim"] += 80.0 * features(game, s, action)
-    step = LabeledStep("nim", game.canonical_key(s, action), s, action, -1.0, UNDESIRABLE)
+    step = LabeledStep("nim", game.canonical_key(s, action), s, action, -1.0, UNDESIRABLE, 0, 0)
     report = kto_loss(pol, ref, [step], beta=1.0, lambda_u=0.5, z0_override=0.0)
     assert report.loss == pytest.approx(0.0, abs=1e-6)
 
@@ -279,8 +280,8 @@ def test_dpo_loss_is_ln2_at_reference():
 def test_dpo_loss_vanishes_when_positive_ratio_saturates():
     game = get_game("tictactoe")
     s = game.initial_state(0)
-    pos = LabeledStep("tictactoe", game.canonical_key(s, 4), s, 4, 1.0, DESIRABLE)
-    neg = LabeledStep("tictactoe", game.canonical_key(s, 0), s, 0, 0.0, UNDESIRABLE)
+    pos = LabeledStep("tictactoe", game.canonical_key(s, 4), s, 4, 1.0, DESIRABLE, 0, 0)
+    neg = LabeledStep("tictactoe", game.canonical_key(s, 0), s, 0, 0.0, UNDESIRABLE, 0, 0)
     pol = new_policy(["tictactoe"])
     ref = pol.clone()
     from scopal.features import features
@@ -394,7 +395,7 @@ def test_spag_gradient_matches_finite_differences():
 
 def fake_steps(game, n, label=DESIRABLE, prefix=""):
     return [LabeledStep(game, f"{game}|{prefix}{i}", None, None,
-                        1.0 if label == DESIRABLE else 0.0, label) for i in range(n)]
+                        1.0 if label == DESIRABLE else 0.0, label, 0, 0) for i in range(n)]
 
 
 def test_balance_by_game_equalizes_counts():

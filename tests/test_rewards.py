@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scopal.games import GAME_NAMES, Outcome, Player, get_game
-from scopal.interaction import Trajectory, collect_trajectories, replay
+from scopal.games import Outcome, Player, get_game
+from scopal.interaction import Trajectory, collect_trajectories, replay, write_trajectories
 from scopal.policy import new_policy
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, Ply, StepStats,
                             accumulate_stats, collect_representatives,
@@ -28,7 +28,7 @@ def traj(game, plies, outcome_p1, episode=0):
 
 def step(key, actor):
     """A ply of `key` whose state has `actor` to move."""
-    return Ply("g", key, SimpleNamespace(to_move=actor), "x")
+    return Ply("g", key, SimpleNamespace(to_move=actor), "x", 0, 0)
 
 
 def accumulate(replayed, gamma=0.8):
@@ -152,11 +152,11 @@ def test_estimator_ranges_and_permutation_invariance(records):
 
 
 def labeled(key, reward, label=DESIRABLE):
-    return LabeledStep("g", key, None, None, reward, label)
+    return LabeledStep("g", key, None, None, reward, label, 0, 0)
 
 
 def rep_map(keys):
-    return {k: Ply("g", k, None, None) for k in keys}
+    return {k: Ply("g", k, None, None, 0, 0) for k in keys}
 
 
 def test_labeling_thresholds():
@@ -209,11 +209,35 @@ def test_representatives_respect_learner_filter():
     assert set(learner) == expected
 
 
-def test_an_interrupted_labeled_write_leaves_the_previous_file(tmp_path):
+def labelled_store(tmp_path):
+    """A store of two random Nim episodes, and every step labelled from it."""
+    trajs = collect_trajectories(["nim"], "random", "random", 2, 0)
+    store = tmp_path / "store.traj.jsonl"
+    write_trajectories(store, trajs)
+    stats, reps = {}, {}
+    for t in trajs:
+        plies = replay_plies(t)
+        accumulate_stats(stats, t, plies, 0.8)
+        collect_representatives(reps, t, plies, actors="all")
+    return store, label_steps(estimate_rewards(stats), 0.5, reps)
+
+
+def test_labelled_steps_point_at_the_plies_the_store_recorded(tmp_path):
+    store, dataset = labelled_store(tmp_path)
+    path = tmp_path / "labeled.jsonl"
+    write_labeled(path, dataset)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [sorted(r) for r in records] == [["episode", "game", "key", "label", "ply",
+                                             "reward"]] * len(dataset)
     nim = get_game("nim")
-    state = nim.initial_state(0)
-    dataset = [LabeledStep("nim", nim.canonical_key(state, action), state, action, 1.0,
-                           DESIRABLE) for action in nim.legal_actions(state)[:2]]
+    assert read_labeled(path, store) == dataset
+    for step in dataset:
+        assert nim.canonical_key(step.state, step.action) == step.key
+    assert {step.episode for step in dataset} == {0, 1}
+
+
+def test_an_interrupted_labeled_write_leaves_the_previous_file(tmp_path):
+    store, dataset = labelled_store(tmp_path)
     path = tmp_path / "labeled.jsonl"
     write_labeled(path, dataset)
 
@@ -223,77 +247,32 @@ def test_an_interrupted_labeled_write_leaves_the_previous_file(tmp_path):
 
     with pytest.raises(RuntimeError, match="interrupted"):
         write_labeled(path, interrupted())
-    assert read_labeled(path) == dataset
-    assert [p.name for p in tmp_path.iterdir()] == ["labeled.jsonl"]
+    assert read_labeled(path, store) == dataset
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labeled.jsonl", store.name]
 
 
 def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
-    nim = get_game("nim")
-    state = nim.initial_state(0)
-    action = nim.legal_actions(state)[0]
+    store, dataset = labelled_store(tmp_path)
     path = tmp_path / "labeled.jsonl"
-    write_labeled(path, [LabeledStep("nim", nim.canonical_key(state, action), state, action,
-                                     1.0, DESIRABLE)])
+    write_labeled(path, dataset[:1])
     good = path.read_text()
     path.write_text(good + good[:len(good) // 2] + "\n")  # a truncated second line
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
-        read_labeled(path)
-    path.write_text(good + good.replace('"state"', '"status"'))  # a missing field
-    message = re.escape(f"{path}:2: corrupt labeled record: 'state'")
+        read_labeled(path, store)
+    path.write_text(good + good.replace('"ply"', '"plies"'))  # a missing field
+    message = re.escape(f"{path}:2: corrupt labeled record: 'ply'")
     with pytest.raises(ValueError, match=message):
-        read_labeled(path)
-    kuhn = get_game("kuhn_poker")
-    deal = kuhn.initial_state(0)
-    write_labeled(path, [LabeledStep("kuhn_poker", kuhn.canonical_key(deal, "B"), deal, "B",
-                                     1.0, DESIRABLE)])
-    card_game = path.read_text()
-    assert '"P1 1357"' in good and '"P1 ((1, 2), ())"' in card_game
-    for malformed in ("P1", "P3 1357", "P1 zero 1357", "P1 13x7", 1357,
-                      "P1 9999", "P1 2000"):
-        path.write_text(good + good.replace('"P1 1357"', json.dumps(malformed)))
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
-            read_labeled(path)
-    bad_square = "P1 " + "1" * 6 + "0" * 11 + "3" + "2" * 6
-    for name, malformed in (("tictactoe", "P1 12"), ("tictactoe", "P1 000030000"),
-                            ("breakthrough", "P1 12"), ("breakthrough", bad_square),
-                            ("connect4", "P1 3 3"), ("connect4", "P1 -1 0"),
-                            ("connect4", "P2 1 4096"),
-                            # second spellings of a reachable state's text
-                            ("connect4", "P2 01 0"), ("connect4", "P2 +1 0"),
-                            ("connect4", "P2 0_1 0"), ("connect4", "P2 \u0661 0"),
-                            ("kuhn_poker", "P1 ((5, 9), ('X',))"),
-                            ("liars_dice", "P1 ((9, 0), ((7, 7),), False)")):
-        game = get_game(name)  # fields that no state of the game holds
-        start = game.initial_state(0)
-        move = game.legal_actions(start)[0]
-        write_labeled(path, [LabeledStep(name, game.canonical_key(start, move), start, move,
-                                         1.0, DESIRABLE)])
-        record = path.read_text()
-        path.write_text(record + record.replace(json.dumps(game.encode_state(start)),
-                                                json.dumps(malformed)))
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
-            read_labeled(path)
-    for malformed in ("P1 ((2, 1), ()", "P1 7", "P1 ((2, 1),)", "P1 ((1,2),())"):
-        bad = card_game.replace('"P1 ((1, 2), ())"', json.dumps(malformed))
-        path.write_text(card_game + bad)
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
-            read_labeled(path)
-
-
-@pytest.mark.parametrize("name", GAME_NAMES)
-def test_a_state_text_with_a_ply_count_is_refused(tmp_path, name):
-    """A state's text is `<to_move> <payload>`; a record whose text also holds a
-    ply count, `<to_move> <count> <payload>`, is refused, not read as another state."""
-    game = get_game(name)
-    start = game.initial_state(0)
-    state = game.apply(start, game.legal_actions(start)[0])  # one ply in
-    action = game.legal_actions(state)[0]
-    path = tmp_path / "labeled.jsonl"
-    write_labeled(path, [LabeledStep(name, game.canonical_key(state, action), state, action,
-                                     1.0, DESIRABLE)])
-    good = path.read_text()
-    text = game.encode_state(state)
-    to_move, payload = text.split(" ", 1)
-    path.write_text(good + good.replace(json.dumps(text), json.dumps(f"{to_move} 1 {payload}")))
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
-        read_labeled(path)
+        read_labeled(path, store)
+    record = json.loads(good)
+    plies = len(json.loads(store.read_text().splitlines()[record["episode"]])["steps"])
+    for field, value, problem in (
+            ("episode", 2, f"{store} has no nim episode 2"),
+            ("ply", plies, f"nim episode {record['episode']} in {store} has no ply {plies}"),
+            ("ply", -1, f"nim episode {record['episode']} in {store} has no ply -1"),
+            ("key", "nim|1,3,5,7|<pile:1, take:1>", f"in {store} is {record['key']!r}, "
+                                                     "not 'nim|1,3,5,7|<pile:1, take:1>'"),
+            ("game", "kuhn_poker", f"no kuhn_poker block follows in {store}")):
+        path.write_text(good + json.dumps({**record, field: value}) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record: ")
+                           + ".*" + re.escape(problem)):
+            read_labeled(path, store)
