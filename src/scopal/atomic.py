@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -27,20 +28,39 @@ def atomic_open(path):
         raise
 
 
-def write_records(path, records: Iterable[dict]) -> None:
-    """Each record as one line of JSON, keys sorted, written atomically."""
+def record_line(record: dict) -> str:
+    """A record as its line of JSON, keys sorted."""
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """`lines`, each a `record_line`, written atomically."""
     with atomic_open(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(lines)
 
 
-def read_records(path, parse: Callable[[dict], object], kind: str) -> Iterator:
-    """`parse` of each non-blank line's JSON object, lazily; a corrupt line is a ValueError."""
+def write_records(path, records: Iterable[dict]) -> None:
+    """Each record as its `record_line`, written atomically."""
+    write_lines(path, map(record_line, records))
+
+
+def read_records(path, parse: Callable[[dict], object], kind: str,
+                 lines: range | None = None) -> Iterator:
+    """`parse` of each non-blank line's JSON object, lazily: of the lines whose 1-based
+    numbers are in `lines`, or of every line. A corrupt line is a ValueError."""
     with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
+        numbered = enumerate(fh, 1)
+        if lines is not None:
+            numbered = islice(numbered, lines.start - 1, lines.stop - 1)
+        for line_no, line in numbered:
             if line.strip():
-                try:
-                    record = parse(json.loads(line))
-                except (AttributeError, KeyError, SyntaxError, TypeError, ValueError) as err:
-                    raise ValueError(f"{path}:{line_no}: corrupt {kind} record: {err}") from err
-                yield record
+                yield parse_record(path, line_no, line, parse, kind)
+
+
+def parse_record(path, line_no: int, line: str, parse: Callable[[dict], object], kind: str):
+    """`parse` of the JSON object on line `line_no` of `path`; a ValueError naming both
+    if the line does not hold a `kind` record."""
+    try:
+        return parse(json.loads(line))
+    except (AttributeError, KeyError, SyntaxError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}:{line_no}: corrupt {kind} record: {err}") from err

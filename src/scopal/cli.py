@@ -10,6 +10,12 @@ Stage II runs only through ``_label`` and Stage III only through
 ``refine.train_two_stage``, so the opponent study (``sweep`` and
 ``iterate``) labels and trains exactly as ``estimate``/``train``/``pipeline``
 do, under every setting.
+
+``--jobs`` (``run.jobs``; 0 = every core this process may run on) is the size
+of the worker pool of interaction, Stage II, Stage III, evaluation and
+regret. Stage II labels each game's block of the store in a task of its own;
+Stage III trains each game in a task of its own at ``train.batch_size <= 2``
+and in one task otherwise. No artifact depends on it.
 """
 from __future__ import annotations
 
@@ -17,6 +23,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .agents import PolicyAgent, make_agent
@@ -27,13 +35,13 @@ from .csvfile import write_csv
 from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS, MatchReport,
                          average_win_rate, head_to_head, interaction_win_rate,
                          regret_reports, tournament)
-from .interaction import (Trajectory, collect_trajectories, read_game_blocks,
-                          read_trajectories, stable_hash, write_trajectories)
+from .interaction import (Trajectory, collect_trajectories, fan_out, game_blocks,
+                          read_game_blocks, read_trajectories, stable_hash, write_trajectories)
 from .policy import Policy, new_policy
 from .refine import METRIC_COLUMNS, train_two_stage
 from .rewards import (LabeledStep, accumulate_stats, collect_representatives,
-                      estimate_rewards, label_counts, label_steps, read_labeled,
-                      replay_plies, write_labeled)
+                      estimate_rewards, label_counts, label_steps, labeled_line,
+                      read_labeled, replay_plies, write_labeled)
 from .solvers import SOLVABLE
 
 LADDER = ("random", "self", "mcts:5", "mcts:10", "mcts:100", "mcts:200",
@@ -119,10 +127,21 @@ def cmd_interact(config: ExperimentConfig, run_dir: Path) -> None:
     write_trajectories(_store_path(config, run_dir), trajs)
 
 
+def _label_lines(config: ExperimentConfig, store: Path, lines: range | None) -> list[str]:
+    """The labelled steps' lines of each game block of `store` on `lines` (all if None),
+    in order."""
+    return [labeled_line(step) for trajs in read_game_blocks(store, lines)
+            for step in _label(config, trajs)]
+
+
 def cmd_estimate(config: ExperimentConfig, run_dir: Path) -> None:
-    blocks = read_game_blocks(_store_path(config, run_dir))
-    write_labeled(run_dir / "labeled.jsonl",
-                  (step for trajs in blocks for step in _label(config, trajs)))
+    """Stage II. With one worker, one pass labels the store a block at a time; with
+    more, one pass finds each game's block and each is a `fan_out` task, largest first."""
+    store, jobs = _store_path(config, run_dir), config.effective_jobs()
+    blocks = [(None, 0)] if jobs == 1 else game_blocks(store)
+    parts = fan_out(partial(_label_lines, config, store), [(lines,) for lines, _ in blocks],
+                    jobs, sizes=[plies for _, plies in blocks])
+    write_labeled(run_dir / "labeled.jsonl", chain.from_iterable(parts))
 
 
 def cmd_train(config: ExperimentConfig, run_dir: Path) -> None:
@@ -216,8 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="experiment config file")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--jobs", type=int,
-                        help="worker processes for interaction, evaluation and regret "
-                             "(default: all cores); never changes an artifact")
+                        help="worker processes for interaction, Stage II (one task per "
+                             "game), Stage III (one task per game at train.batch_size <= 2), "
+                             "evaluation and regret (default: every core this process may "
+                             "run on); never changes an artifact")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:

@@ -117,7 +117,7 @@ _UNHASHED = {"seed", "jobs", "out"}
 class ExperimentConfig:
     games: tuple[str, ...] = _setting("run", GAME_NAMES)
     seed: int = _setting("run", 0)
-    jobs: int = _setting("run", 0, _at_least(0, " (0 = all cores)"))
+    jobs: int = _setting("run", 0, _at_least(0, " (0 = every core this process may run on)"))
     out: str = _setting("run", "runs")
     agent: str = _setting("interact", "policy")
     opponent: str = _setting("interact", "self")
@@ -176,7 +176,12 @@ class ExperimentConfig:
         return f"{self.config_hash()}-s{self.seed}"
 
     def effective_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+        """`jobs`, or with 0 the number of cores this process may run on."""
+        if self.jobs > 0:
+            return self.jobs
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 def _schema() -> dict[str, dict[str, tuple[str, object]]]:

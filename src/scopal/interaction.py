@@ -14,10 +14,11 @@ under training held: it reads the seat labels the store records.
 ``play_sets`` is the one episode scheduler: interaction, matches and regret
 all hand it their (game, agent1, agent2, master seed) sets, and it cuts each
 set's episodes into ranges and runs them through ``fan_out``, the one worker
-pool, over ``jobs`` processes. Every episode's seeds depend on its index
-alone and results come back in task order, so ``jobs`` never changes an
-artifact: a store is reproducible byte-for-byte from (config, master seed),
-sorted by (game, episode index).
+pool, over ``jobs`` processes; Stage II and Stage III hand ``fan_out`` one
+task per game. Every episode's seeds depend on its index alone and results
+come back in task order, so ``jobs`` never changes an artifact: a store is
+reproducible byte-for-byte from (config, master seed), sorted by (game,
+episode index).
 
 The trajectory store is JSON lines named ``<run-id>.traj.jsonl``, one
 trajectory per line, and it records only what was played: game, episode,
@@ -29,21 +30,23 @@ not end where and as it was recorded. Stage II, Stage III and SPAG read the stor
 and the config alone and derive the rest there; Stage III replays each labelled
 step from the episode and ply that its record names.
 Each game's trajectories are one block of the store, which ``read_game_blocks``
-reads lazily.
+reads lazily; ``game_blocks`` finds each block's lines, so that a worker can
+read one block alone.
 """
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .agents import Agent, is_learner_spec, make_agent
-from .atomic import read_records, write_records
+from .atomic import parse_record, read_records, write_records
 from .games import Game, IllegalActionError, Outcome, Player, get_game, tie_outcome
 from .policy import Policy
 
@@ -138,20 +141,46 @@ def learner_seats(traj: Trajectory) -> frozenset[Player]:
     return frozenset(seat for seat, label in traj.agents.items() if is_learner_spec(label))
 
 
-def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
+_INHERITED: tuple = ()  # (fn, tasks) of the running `fan_out`, for forked workers
+
+
+def _run_inherited(index: int):
+    fn, tasks = _INHERITED
+    return fn(*tasks[index])
+
+
+def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int,
+            sizes: Sequence[float] | None = None) -> list:
     """``fn(*task)`` for every task, in task order, over ``min(jobs, len(tasks))`` workers.
 
-    With one worker it runs the tasks in this process and starts no pool.
-    Otherwise `fn` and every task must pickle. Workers start by the
-    platform's default method (fork on Linux, a few milliseconds; spawn would
-    re-import numpy and scopal in every worker of every pool).
+    Interaction, evaluation and regret hand it their episode ranges, Stage II
+    its game blocks and Stage III its games (see ``cmd_estimate`` and
+    ``refine.train_two_stage``). With one worker it runs the tasks in this
+    process, in order, and starts no pool. Otherwise, with `sizes` (one per
+    task), the largest tasks start first; the results still come back in task
+    order, and they must pickle. Workers start by the platform's default
+    method: fork on Linux, a few milliseconds, and the forked workers find `fn`
+    and the tasks in the memory they share with this process, so only a task's
+    index is sent; with spawn, which would re-import numpy and scopal in every
+    worker of every pool, `fn` and every task must pickle.
     """
+    global _INHERITED
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *task) for task in tasks]
-        return [future.result() for future in futures]
+    order = range(len(tasks)) if sizes is None else sorted(
+        range(len(tasks)), key=lambda i: sizes[i], reverse=True)
+    inherited = multiprocessing.get_context().get_start_method() == "fork"  # the pool's too
+    _INHERITED = (fn, tasks)
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            if inherited:
+                futures = {i: pool.submit(_run_inherited, i) for i in order}
+            else:
+                futures = {i: pool.submit(fn, *tasks[i]) for i in order}
+            return [futures[i].result() for i in range(len(tasks))]
+    finally:
+        _INHERITED = ()
 
 
 def play_sets(sets: Sequence[tuple[str, Agent, Agent, int]], episodes: int, jobs: int, *,
@@ -222,15 +251,37 @@ def read_trajectories(path) -> list[Trajectory]:
     return list(read_records(path, record_trajectory, "trajectory"))
 
 
-def read_game_blocks(path) -> Iterator[list[Trajectory]]:
-    """The store's trajectories, read lazily, one game's block at a time."""
+def read_game_blocks(path, lines: range | None = None) -> Iterator[list[Trajectory]]:
+    """The store's trajectories, read lazily, one game's block at a time: of the lines
+    whose 1-based numbers are in `lines` (one of `game_blocks`' ranges), or of every line."""
+    for block in _game_runs(path, read_records(path, record_trajectory, "trajectory", lines),
+                            attrgetter("game")):
+        yield list(block)
+
+
+def game_blocks(path) -> list[tuple[range, int]]:
+    """The line numbers and the number of plies of each game's block of the store, in
+    store order, from one pass that builds no trajectory."""
+    with open(path) as fh:
+        records = [(*parse_record(path, line_no, line, _game_and_plies, "trajectory"), line_no)
+                   for line_no, line in enumerate(fh, 1) if line.strip()]
+    return [(range(block[0][2], block[-1][2] + 1), sum(plies for _, plies, _ in block))
+            for block in map(list, _game_runs(path, records, itemgetter(0)))]
+
+
+def _game_and_plies(data: dict) -> tuple[str, int]:
+    steps = data["steps"]  # `record_trajectory` refuses steps that are not a list
+    return data["game"], len(steps) if isinstance(steps, list) else 0
+
+
+def _game_runs(path, records: Iterable, game_of: Callable) -> Iterator:
+    """The runs of `records` of one game each, refusing a game that reappears."""
     seen = set()
-    for game, block in groupby(read_records(path, record_trajectory, "trajectory"),
-                               key=attrgetter("game")):
+    for game, run in groupby(records, key=game_of):
         if game in seen:
             raise ValueError(f"{path}: {game} reappears after another game's trajectories")
         seen.add(game)
-        yield list(block)
+        yield run
 
 
 def replay(traj: Trajectory):

@@ -11,7 +11,8 @@ mean discounted return, or the Beta-posterior mean. Keys with reward above
 the threshold are labeled Desirable, the rest Undesirable. Which seats count
 as the learner's comes from the seat labels the store records, so Stage II
 needs the store and the config alone. Keys begin with the game's name, so
-``estimate`` labels the store one game at a time.
+``estimate`` labels the store one game at a time, each game's block in a
+worker of its own when there is more than one.
 ``labeled.jsonl`` holds one JSON object per step, sorted by (game, key): game, key,
 reward, label, and where the store recorded the step, its trajectory's episode and
 its 0-based ply in that trajectory's steps. ``read_labeled`` replays that ply of
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .atomic import read_records, write_records
+from .atomic import read_records, record_line, write_lines
 from .games import RETURN, Outcome, Player, get_game
 from .interaction import Trajectory, learner_seats, read_game_blocks, replay
 
@@ -162,13 +163,15 @@ def label_counts(dataset: Iterable[LabeledStep]) -> tuple[int, int]:
 # -- labeled dataset io ----------------------------------------------------
 
 
-def labeled_record(step: LabeledStep) -> dict:
-    return {"game": step.game, "episode": step.episode, "ply": step.ply, "key": step.key,
-            "reward": step.reward, "label": step.label}
+def labeled_line(step: LabeledStep) -> str:
+    """A step's line of ``labeled.jsonl``."""
+    return record_line({"game": step.game, "episode": step.episode, "ply": step.ply,
+                        "key": step.key, "reward": step.reward, "label": step.label})
 
 
-def write_labeled(path, dataset: Iterable[LabeledStep]) -> None:
-    write_records(path, map(labeled_record, dataset))
+def write_labeled(path, lines: Iterable[str]) -> None:
+    """Write the labelled set, one `labeled_line` per step, in order."""
+    write_lines(path, lines)
 
 
 def read_labeled(path, store) -> list[LabeledStep]:

@@ -17,7 +17,7 @@ from scopal.config import load_config
 from scopal.games import get_game
 from scopal.interaction import read_trajectories, write_trajectories
 from scopal.policy import Policy, new_policy
-from scopal.rewards import write_labeled
+from scopal.rewards import labeled_line, write_labeled
 
 CONFIG = """\
 [run]
@@ -189,7 +189,8 @@ def test_estimate_labels_one_game_at_a_time_as_the_whole_store_would(run, monkey
     (run_dir,) = run.out.iterdir()
     config = load_config(str(run.config), out=str(run.out))
     whole = tmp_path / "whole.jsonl"
-    write_labeled(whole, label(config, read_trajectories(cli._store_path(config, run_dir))))
+    write_labeled(whole, map(labeled_line,
+                             label(config, read_trajectories(cli._store_path(config, run_dir)))))
     assert (run_dir / "labeled.jsonl").read_bytes() == whole.read_bytes()
 
 
@@ -333,3 +334,90 @@ def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
     assert any(name.endswith(".traj.jsonl") for name in artifacts)
     for name in artifacts:
         assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
+
+
+# three games, so that batches of two mix games and Stage II has three blocks
+THREE_GAMES = (CONFIG.replace("games = nim", "games = nim, tictactoe, kuhn_poker")
+               .replace("episodes = 2\n\n[train]", "episodes = 6\n\n[train]"))
+
+
+@pytest.mark.parametrize("mode", ["two_stage", "joint"])
+def test_at_batch_size_3_one_task_trains_every_game_as_at_one_worker(tmp_path, monkeypatch,
+                                                                        mode):
+    """A batch of three may pair two KTO steps of one game beside a third game's,
+    and its z0 then couples the games, so Stage III does not split it by game."""
+    monkeypatch.setenv("SCOPAL_TRAIN_BATCH_SIZE", "3")
+    monkeypatch.setenv("SCOPAL_TRAIN_MODE", mode)
+    config = tmp_path / "three.ini"
+    config.write_text(THREE_GAMES)
+    tasks = []
+    fan_out = refine.fan_out
+
+    def counted(fn, task_list, jobs, sizes=None):
+        tasks.append([game for _, game, _ in task_list])
+        return fan_out(fn, task_list, jobs, sizes)
+
+    monkeypatch.setattr(refine, "fan_out", counted)
+    run_dirs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        for command in ("interact", "estimate", "train"):
+            assert main(["--config", str(config), "--out", str(out), "--jobs", jobs,
+                         command]) == 0, command
+        (run_dir,) = out.iterdir()
+        run_dirs.append(run_dir)
+    assert tasks == [[None], [None]]
+    for name in ("checkpoint.json", "metrics.csv", "labeled.jsonl"):
+        assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
+
+
+def test_at_batch_size_2_each_game_trains_in_a_task_of_its_own(run, monkeypatch):
+    run.config.write_text(THREE_GAMES)
+    assert run("interact") == 0 and run("estimate") == 0
+    tasks = []
+    fan_out = refine.fan_out
+
+    def counted(fn, task_list, jobs, sizes=None):
+        tasks.append(([game for _, game, _ in task_list], jobs, sizes))
+        return fan_out(fn, task_list, jobs, sizes)
+
+    monkeypatch.setattr(refine, "fan_out", counted)
+    assert main(["--config", str(run.config), "--out", str(run.out), "--jobs", "2",
+                 "train"]) == 0
+    (run_dir,) = run.out.iterdir()
+    labelled = [json.loads(line)["game"] for line in
+                (run_dir / "labeled.jsonl").read_text().splitlines()]
+    games = list(dict.fromkeys(labelled))
+    assert len(games) == 3
+    assert tasks == [(games, 2, [labelled.count(game) for game in games])]
+
+
+def test_a_corrupt_store_line_is_named_when_a_worker_reads_it(run, capsys):
+    run.config.write_text(THREE_GAMES)
+    assert run("interact") == 0
+    (run_dir,) = run.out.iterdir()
+    (store,) = run_dir.glob("*.traj.jsonl")
+    lines = store.read_text().splitlines()
+    record = json.loads(lines[7])
+    del record["seeds"]  # still names its game, so only the worker that reads it sees it
+    store.write_text("\n".join([*lines[:7], json.dumps(record), *lines[8:]]) + "\n")
+    assert main(["--config", str(run.config), "--out", str(run.out), "--jobs", "2",
+                 "estimate"]) == 1
+    assert f"error: {store}:8: corrupt trajectory record: 'seeds'" in capsys.readouterr().err
+    store.write_text("\n".join([*lines[:7], lines[7][:20], *lines[8:]]) + "\n")
+    assert main(["--config", str(run.config), "--out", str(run.out), "--jobs", "2",
+                 "estimate"]) == 1
+    assert f"error: {store}:8: corrupt trajectory record: " in capsys.readouterr().err
+    assert not (run_dir / "labeled.jsonl").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_a_loss_that_is_not_finite_in_a_worker_still_stops_training(run, monkeypatch, capsys):
+    run.config.write_text(THREE_GAMES)
+    monkeypatch.setenv("SCOPAL_TRAIN_LEARNING_RATE", "1e308")
+    assert run("interact") == 0 and run("estimate") == 0
+    assert main(["--config", str(run.config), "--out", str(run.out), "--jobs", "2",
+                 "train"]) == 1
+    assert "error: training diverged during bc: loss is not finite" in capsys.readouterr().err
+    (run_dir,) = run.out.iterdir()
+    assert not (run_dir / "checkpoint.json").exists()

@@ -1,5 +1,6 @@
 """Config loading: file < environment < flag precedence, the strict schema,
 and the rejections made at load time, before any stage runs."""
+import os
 import re
 from dataclasses import fields
 
@@ -80,6 +81,15 @@ SETTINGS = [
     ("eval", "episodes", "eval_episodes", "4", 4),
     ("eval", "temperature", "eval_temperature", "0.3", 0.3),
 ]
+
+
+def test_jobs_zero_counts_the_cores_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert ExperimentConfig(jobs=0).effective_jobs() == 1
+    assert ExperimentConfig(jobs=3).effective_jobs() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without it
+    assert ExperimentConfig(jobs=0).effective_jobs() == 64
 
 
 def test_the_schema_names_every_field_once():

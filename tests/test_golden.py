@@ -10,7 +10,11 @@ balanced before training). A two-game config runs ``sweep``, ``iterate --rounds 
 and ``head2head`` in one run directory. Each artifact is named by the run and
 its file name (the store as ``store``, since its file name holds the run id)
 and pinned by the first 16 hex digits of its sha256. The manifest is hashed
-without its ``out`` path, which names the test's temporary directory.
+without its ``out`` path, which names the test's temporary directory. Every run
+is made at ``--jobs 1`` and again at ``--jobs 2`` against the same digests, so
+the worker pools of interaction, Stage II, Stage III (split by game at the
+default batch size of 2), evaluation and regret change no artifact; the
+manifest, which records the worker count, is hashed as if that were 1.
 
 A change that alters an artifact on purpose edits the affected digests in the
 same commit and names each one, and why, in CHANGES.md. To regenerate the
@@ -154,17 +158,21 @@ def digest(path: Path) -> str:
     if path.name == "manifest.json":
         manifest = json.loads(data)
         del manifest["config"]["out"]
+        manifest["config"]["jobs"] = 1
         data = json.dumps(manifest, sort_keys=True).encode()
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_digests(name: str, root: Path) -> dict[str, str]:
-    """Run `name`'s commands under `root`; its artifacts' digests, keyed run/file."""
+def run_digests(name: str, root: Path, jobs: int = 1) -> dict[str, str]:
+    """Run `name`'s commands under `root` with `jobs` workers; its artifacts' digests,
+    keyed run/file."""
     text, commands = RUNS[name]
     config, out = root / "config.ini", root / "runs"
+    root.mkdir(exist_ok=True)
     config.write_text(text)
     for command in commands:
-        assert main(["--config", str(config), "--out", str(out), *command]) == 0, command
+        assert main(["--config", str(config), "--out", str(out), "--jobs", str(jobs),
+                     *command]) == 0, command
     (run_dir,) = out.iterdir()
     return {f"{name}/{'store' if path.name.endswith('.traj.jsonl') else path.name}": digest(path)
             for path in run_dir.iterdir()}
@@ -173,7 +181,8 @@ def run_digests(name: str, root: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", RUNS)
 def test_every_artifact_matches_its_golden_digest(name, tmp_path):
     expected = {key: value for key, value in DIGESTS.items() if key.startswith(f"{name}/")}
-    assert run_digests(name, tmp_path) == expected
+    for jobs in (1, 2):
+        assert run_digests(name, tmp_path / f"jobs{jobs}", jobs) == expected, f"jobs {jobs}"
 
 
 if __name__ == "__main__":

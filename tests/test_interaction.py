@@ -1,5 +1,6 @@
 """Episode running, seat alternation, the JSONL store, and determinism."""
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -207,6 +208,51 @@ def test_the_pool_starts_no_more_workers_than_tasks(monkeypatch):
     assert fan_out(pow, [(2, k) for k in range(3)], jobs=64) == [1, 2, 4]
     assert fan_out(pow, [(2, k) for k in range(5)], jobs=2) == [1, 2, 4, 8, 16]
     assert started == [3, 2]
+
+
+def test_the_largest_tasks_start_first_and_results_keep_task_order(monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            submitted.append(future.result())
+            return future
+
+    monkeypatch.setattr(interaction, "ProcessPoolExecutor", InlinePool)
+    assert fan_out(pow, [(2, k) for k in range(4)], jobs=2, sizes=[5, 9, 1, 7]) == [1, 2, 4, 8]
+    assert submitted == [2, 8, 1, 4]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="needs fork")
+def test_forked_workers_run_tasks_that_do_not_pickle():
+    """Forked workers find the tasks in the memory they share with the parent, so
+    only a task's index crosses the pipe; the results still pickle."""
+    unpicklable = (lambda: None,)
+    assert fan_out(len, [(unpicklable,), ((1, 2),), ("abc",)], jobs=2) == [1, 2, 3]
+
+
+def test_each_game_block_reads_alone_as_in_the_whole_store(tmp_path):
+    trajs = collect_trajectories(["nim", "kuhn_poker", "tictactoe"], "random", "random", 3, 4)
+    path = tmp_path / "run.traj.jsonl"
+    write_trajectories(path, trajs)
+    blocks = interaction.game_blocks(path)
+    assert [lines for lines, _ in blocks] == [range(1, 4), range(4, 7), range(7, 10)]
+    whole = [[trajectory_record(t) for t in block] for block in read_game_blocks(path)]
+    for (lines, plies), block in zip(blocks, whole):
+        (alone,) = read_game_blocks(path, lines)
+        assert [trajectory_record(t) for t in alone] == block
+        assert plies == sum(len(record["steps"]) for record in block)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")

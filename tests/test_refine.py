@@ -463,6 +463,20 @@ def test_each_mode_runs_its_objectives_in_order(mode):
 BOARD_DATASET, BOARD_TRAJS = make_dataset(("connect4", "breakthrough", "nim"), episodes=6)
 
 
+def test_a_task_per_game_trains_as_one_task_holding_every_game():
+    """Each game's block trains in its own task along the one plan of batches and
+    accumulation groups (3 batches here, with a trailing partial group)."""
+    pol = new_policy(list(GAME_ROTATION))
+    (one, one_metrics), (apart, apart_metrics) = (
+        train_two_stage(pol, DATASET, ExperimentConfig(epochs=2, seed=5, batch_size=1,
+                                                       grad_accum=3, jobs=jobs))
+        for jobs in (1, 2))
+    assert apart_metrics == one_metrics
+    assert apart.version == one.version == 2
+    for name, block in one.blocks.items():
+        assert block.tobytes() == apart.blocks[name].tobytes()
+
+
 @pytest.mark.parametrize("batch_size", [1, 3, 200])
 @pytest.mark.parametrize("mode", MODES)
 def test_encoding_in_chunks_does_not_change_training(monkeypatch, mode, batch_size):

@@ -14,7 +14,8 @@ from scopal.policy import new_policy
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, Ply, StepStats,
                             accumulate_stats, collect_representatives,
                             estimate_rewards, label_counts, label_steps,
-                            read_labeled, replay_plies, write_labeled)
+                            labeled_line, read_labeled, replay_plies,
+                            write_labeled)
 
 
 def traj(game, plies, outcome_p1, episode=0):
@@ -225,7 +226,7 @@ def labelled_store(tmp_path):
 def test_labelled_steps_point_at_the_plies_the_store_recorded(tmp_path):
     store, dataset = labelled_store(tmp_path)
     path = tmp_path / "labeled.jsonl"
-    write_labeled(path, dataset)
+    write_labeled(path, map(labeled_line, dataset))
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [sorted(r) for r in records] == [["episode", "game", "key", "label", "ply",
                                              "reward"]] * len(dataset)
@@ -239,10 +240,10 @@ def test_labelled_steps_point_at_the_plies_the_store_recorded(tmp_path):
 def test_an_interrupted_labeled_write_leaves_the_previous_file(tmp_path):
     store, dataset = labelled_store(tmp_path)
     path = tmp_path / "labeled.jsonl"
-    write_labeled(path, dataset)
+    write_labeled(path, map(labeled_line, dataset))
 
     def interrupted():
-        yield dataset[1]
+        yield labeled_line(dataset[1])
         raise RuntimeError("interrupted")
 
     with pytest.raises(RuntimeError, match="interrupted"):
@@ -254,7 +255,7 @@ def test_an_interrupted_labeled_write_leaves_the_previous_file(tmp_path):
 def test_a_corrupt_labeled_record_is_reported_with_its_path_and_line(tmp_path):
     store, dataset = labelled_store(tmp_path)
     path = tmp_path / "labeled.jsonl"
-    write_labeled(path, dataset[:1])
+    write_labeled(path, map(labeled_line, dataset[:1]))
     good = path.read_text()
     path.write_text(good + good[:len(good) // 2] + "\n")  # a truncated second line
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: corrupt labeled record")):
