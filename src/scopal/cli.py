@@ -13,9 +13,8 @@ do, under every setting.
 
 ``--jobs`` (``run.jobs``; 0 = every core this process may run on) is the size
 of the worker pool of interaction, Stage II, Stage III, evaluation and
-regret. Stage II labels each game's block of the store in a task of its own;
-Stage III trains each game in a task of its own at ``train.batch_size <= 2``
-and in one task otherwise. No artifact depends on it.
+regret. Stage II labels and Stage III trains each game in a task of its own.
+No artifact depends on it.
 """
 from __future__ import annotations
 
@@ -235,10 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="experiment config file")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--jobs", type=int,
-                        help="worker processes for interaction, Stage II (one task per "
-                             "game), Stage III (one task per game at train.batch_size <= 2), "
-                             "evaluation and regret (default: every core this process may "
-                             "run on); never changes an artifact")
+                        help="worker processes for interaction, Stage II and Stage III "
+                             "(one task per game each), evaluation and regret (default: "
+                             "every core this process may run on); never changes an artifact")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:

@@ -163,6 +163,9 @@ class ExperimentConfig:
             why = "rewards.actors = learner" if self.actors == "learner" else "train.mode = spag"
             raise ConfigError(f"interact.agent = {self.agent!r} and interact.opponent = "
                               f"{self.opponent!r}: {why} needs one of them to be policy or self")
+        if self.balance_games and self.mode == "spag":
+            raise ConfigError("train.balance_games = true and train.mode = spag: balancing "
+                              "resamples labelled steps, and spag trains on the store")
 
     def resolved(self) -> dict:
         return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(self).items()}

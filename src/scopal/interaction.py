@@ -15,10 +15,10 @@ under training held: it reads the seat labels the store records.
 all hand it their (game, agent1, agent2, master seed) sets, and it cuts each
 set's episodes into ranges and runs them through ``fan_out``, the one worker
 pool, over ``jobs`` processes; Stage II and Stage III hand ``fan_out`` one
-task per game. Every episode's seeds depend on its index alone and results
-come back in task order, so ``jobs`` never changes an artifact: a store is
-reproducible byte-for-byte from (config, master seed), sorted by (game,
-episode index).
+task per game, Stage III at every batch size. Every episode's seeds depend on
+its index alone and results come back in task order, so ``jobs`` never
+changes an artifact: a store is reproducible byte-for-byte from (config,
+master seed), sorted by (game, episode index).
 
 The trajectory store is JSON lines named ``<run-id>.traj.jsonl``, one
 trajectory per line, and it records only what was played: game, episode,
@@ -154,11 +154,11 @@ def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int,
     """``fn(*task)`` for every task, in task order, over ``min(jobs, len(tasks))`` workers.
 
     Interaction, evaluation and regret hand it their episode ranges, Stage II
-    its game blocks and Stage III its games (see ``cmd_estimate`` and
-    ``refine.train_two_stage``). With one worker it runs the tasks in this
-    process, in order, and starts no pool. Otherwise, with `sizes` (one per
-    task), the largest tasks start first; the results still come back in task
-    order, and they must pickle. Workers start by the platform's default
+    its game blocks, and Stage III one task per game at every batch size (see
+    ``cmd_estimate`` and ``refine.train_two_stage``). With one worker it runs the
+    tasks in this process, in order, and starts no pool. Otherwise, with `sizes`
+    (one per task), the largest tasks start first; the results still come back in
+    task order, and they must pickle. Workers start by the platform's default
     method: fork on Linux, a few milliseconds, and the forked workers find `fn`
     and the tasks in the memory they share with this process, so only a task's
     index is sent; with spawn, which would re-import numpy and scopal in every

@@ -19,28 +19,27 @@ mode to its objectives, run in order on a copy of the policy: two_stage runs
 bc then kto, bc_dpo runs bc then dpo, and direct_kto (kto), joint (KTO plus
 BC, summed), bc_only (bc) and spag run one each. Each objective freezes its
 own reference from the policy as it starts, so KTO after BC measures ratios
-against the post-BC snapshot. Every objective trains through one loop,
-``_descend``: plain gradient descent along the objective's plan of seeded
-shuffles and batches, accumulating gradients over ``grad_accum`` batches in
-the KTO stage. KTO weights satisfy ``lambda_D n_D = lambda_U n_U`` with the
-larger weight at 1.0.
+against the post-BC snapshot.
 
-Each game owns its parameter block, so at ``batch_size <= 2`` with more than
-one worker every game trains in a ``fan_out`` task of its own, along the one
-plan; each loss takes the whole batch's size (or seat counts) and reports its
-value in parts, which ``train_two_stage`` sums over the tasks.
+Each game owns its parameter block and trains on its own items alone, in a
+``fan_out`` task of its own. Every objective trains through one loop,
+``_descend``: each epoch shuffles one game's items with the seed
+``stable_hash(seed, objective, epoch)``, cuts them into batches of
+``batch_size`` and takes plain gradient steps, accumulating gradients over
+``grad_accum`` batches in the KTO stage. So a batch never mixes games, and a
+game's block does not depend on the other games of the run, with one
+exception: KTO's weights are dataset-wide. They come from the whole labelled
+set and satisfy ``lambda_D n_D = lambda_U n_U`` with the larger weight at 1.0.
 
 Features do not depend on the parameters, so ``_descend`` encodes whole
-batches about ``_CHUNK`` items at a time, one ``features.encode`` call per
-game. ``feats @ block`` and the log-softmax stay per state, so the chunk size
+batches about ``_CHUNK`` items at a time, in one ``features.encode`` call.
+``feats @ block`` and the log-softmax stay per state, so the chunk size
 changes no bit of the result.
 """
 from __future__ import annotations
 
 import math
 import random
-from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
@@ -65,23 +64,10 @@ MODES = {"two_stage": ("bc", "kto"), "direct_kto": ("kto",), "joint": ("joint",)
 
 @dataclass
 class LossReport:
-    """A batch's loss as its parts (each already scaled by its share of the whole
-    batch; None where the batch holds no term of it), the gradient and KTO's z0."""
-    parts: tuple[float | None, ...]
+    """A batch's loss, its gradient per game block, and KTO's z0 (None for the others)."""
+    loss: float
     gradient: dict[str, np.ndarray]
     z0: float | None = None
-
-    @property
-    def loss(self) -> float:
-        return _total(self.parts)
-
-
-def _total(parts: Iterable[float | None]) -> float:
-    total = 0.0
-    for part in parts:
-        if part is not None:
-            total += part
-    return total
 
 
 def balance_lambdas(n_d: int, n_u: int) -> tuple[float, float]:
@@ -120,22 +106,17 @@ def _rows(items: Sequence) -> dict[int, tuple[tuple, np.ndarray]]:
     return rows
 
 
-def bc_loss(policy: Policy, batch: Sequence[LabeledStep], rows: dict | None = None,
-            size: int | None = None) -> LossReport:
-    """Mean negative log-likelihood of the batch actions at temperature 1.
-
-    `size` is the whole batch's size when `batch` is its part from some games.
-    """
+def bc_loss(policy: Policy, batch: Sequence[LabeledStep], rows: dict | None = None) -> LossReport:
+    """Mean negative log-likelihood of the batch actions at temperature 1."""
     if not batch:
         raise ValueError("bc_loss: empty batch")
     rows = _rows(batch) if rows is None else rows
     visits = [_visit(policy, None, rows, step) for step in batch]
     total = 0.0
-    inv = 1.0 / (len(batch) if size is None else size)
+    inv = 1.0 / len(batch)
     for visit in visits:
         total -= float(visit.logp[visit.index])
-    return LossReport((total * inv,),
-                      _gradient((s.game, v, -inv) for s, v in zip(batch, visits)))
+    return LossReport(total * inv, _gradient((s.game, v, -inv) for s, v in zip(batch, visits)))
 
 
 class _Visit(NamedTuple):
@@ -190,14 +171,11 @@ def kto_mismatch_z0(batch: Sequence[LabeledStep], visits: Sequence[_Visit]) -> f
 
 def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
              beta: float, lambda_d: float = 1.0, lambda_u: float = 1.0,
-             z0_override: float | None = None, rows: dict | None = None,
-             size: int | None = None) -> LossReport:
+             z0_override: float | None = None, rows: dict | None = None) -> LossReport:
     """Mean of lambda_y - v(x, y) over the batch, with analytic gradient.
 
     ``z0_override`` freezes the baseline (used by finite-difference checks;
-    z0 is detached from the gradient either way). `size` is the whole batch's
-    size when `batch` is its part from some games; such a part's z0 is 0, since
-    ``train_two_stage`` splits only batches that pair no two steps of one game.
+    z0 is detached from the gradient either way).
     """
     if not batch:
         raise ValueError("kto_loss: empty batch")
@@ -205,15 +183,10 @@ def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
         raise ValueError("kto_loss: beta must be positive")
     rows = _rows(batch) if rows is None else rows
     visits = [_visit(policy, reference, rows, s) for s in batch]
-    if z0_override is not None:
-        z0 = z0_override
-    elif size in (None, len(batch)):
-        z0 = kto_mismatch_z0(batch, visits)
-    else:
-        z0 = 0.0
+    z0 = kto_mismatch_z0(batch, visits) if z0_override is None else z0_override
     total = 0.0
     terms = []
-    inv = 1.0 / (len(batch) if size is None else size)
+    inv = 1.0 / len(batch)
     for step, visit in zip(batch, visits):
         if not math.isfinite(visit.ref_logp[visit.index]):
             raise ValueError(f"reference assigns zero probability to {step.key!r}")
@@ -222,7 +195,7 @@ def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
         s = _sigmoid(sign * beta * (visit.log_ratio(visit.index) - z0))
         total += lam * (1.0 - s)
         terms.append((step.game, visit, -sign * inv * lam * beta * s * (1.0 - s)))
-    return LossReport((total * inv,), _gradient(terms), z0)
+    return LossReport(total * inv, _gradient(terms), z0)
 
 
 def build_dpo_pairs(dataset: Sequence[LabeledStep],
@@ -244,15 +217,14 @@ def build_dpo_pairs(dataset: Sequence[LabeledStep],
 
 def dpo_loss(policy: Policy, reference: Policy,
              pairs: Sequence[tuple[LabeledStep, LabeledStep]], beta: float,
-             rows: dict | None = None, size: int | None = None) -> LossReport:
-    """Mean -log sigmoid(beta * (log-ratio(a+) - log-ratio(a-))); `size` is the whole
-    batch's size when `pairs` is its part from some games."""
+             rows: dict | None = None) -> LossReport:
+    """Mean -log sigmoid(beta * (log-ratio(a+) - log-ratio(a-)))."""
     if not pairs:
         raise ValueError("dpo_loss: no constructible pairs")
     rows = _rows(pairs) if rows is None else rows
     total = 0.0
     terms = []
-    inv = 1.0 / (len(pairs) if size is None else size)
+    inv = 1.0 / len(pairs)
     for pos, neg in pairs:
         v_pos = _visit(policy, reference, rows, pos)
         v_neg = _visit(policy, reference, rows, neg)
@@ -260,7 +232,7 @@ def dpo_loss(policy: Policy, reference: Policy,
         total += -_log_sigmoid(beta * h)
         scale = -inv * beta * _sigmoid(-beta * h)
         terms += (pos.game, v_pos, scale), (neg.game, v_neg, -scale)
-    return LossReport((total * inv,), _gradient(terms))
+    return LossReport(total * inv, _gradient(terms))
 
 
 def _log_sigmoid(x: float) -> float:
@@ -321,11 +293,8 @@ def build_advantage_steps(trajectories: Iterable[Trajectory],
 
 
 def spag_loss(policy: Policy, reference: Policy, steps: Sequence[AdvantageStep],
-              beta2: float, rows: dict | None = None,
-              seats: Mapping[Player, int] | None = None) -> LossReport:
-    """Negated seat-averaged mean of ratio*advantage - beta2*KL(pi||pi_ref), one part
-    per seat; `seats` holds each seat's step count in the whole batch when `steps`
-    is its part from some games."""
+              beta2: float, rows: dict | None = None) -> LossReport:
+    """Negated seat-averaged mean of ratio*advantage - beta2*KL(pi||pi_ref)."""
     if not steps:
         raise ValueError("spag_loss: no steps")
     rows = _rows(steps) if rows is None else rows
@@ -345,19 +314,16 @@ def spag_loss(policy: Policy, reference: Policy, steps: Sequence[AdvantageStep],
         grad = (ratio * step.advantage * centered[visit.index]
                 - beta2 * (probs * log_ratios) @ centered)
         _accumulate(seat_grads[seat], step.game, grad, 1.0)
-    counts = {p: len(seat_terms[p]) for p in Player} if seats is None else seats
-    weight = 1.0 / sum(1 for p in Player if counts.get(p))
-    parts: list[float | None] = []
+    seats = [p for p in Player if seat_terms[p]]
+    weight = 1.0 / len(seats)
+    loss = 0.0
     grads: dict[str, np.ndarray] = {}
-    for p in Player:
-        if not seat_terms[p]:
-            parts.append(None)
-            continue
-        n = counts[p]
-        parts.append(-(weight * sum(seat_terms[p]) / n))
+    for p in seats:
+        n = len(seat_terms[p])
+        loss -= weight * sum(seat_terms[p]) / n
         for name, vec in seat_grads[p].items():
             _accumulate(grads, name, vec, -weight / n)
-    return LossReport(tuple(parts), grads)
+    return LossReport(loss, grads)
 
 
 # -- dataset balancing ------------------------------------------------------
@@ -396,216 +362,118 @@ def balance_by_game(dataset: Sequence[LabeledStep], seed: int = 0) -> list[Label
 # -- training loops ---------------------------------------------------------
 
 
-class _Plan(NamedTuple):
-    """One objective over the whole dataset: its stage name, its items, its metrics
-    `counts` = (n_D, n_U, lambda_D, lambda_U), each epoch's seeded shuffle of the
-    items' indices, which `config.batch_size` cuts into batches, and when games
-    train apart, each epoch's numbers of the batches that hold each game's items."""
-    stage: str
-    items: Sequence
-    counts: tuple[int, int, float, float]
-    orders: list[array]
-    batches_of: list[dict[str, np.ndarray]] | None
-
-
-def _game(item) -> str:
-    return (item[0] if isinstance(item, tuple) else item).game
-
-
-def _tag(item):
-    """What a loss reads of a batch item that another task holds: a labelled step's
-    label, an advantage step's seat, nothing of a DPO pair (only that it is there)."""
-    if isinstance(item, AdvantageStep):
-        return item.state.to_move
-    return None if isinstance(item, tuple) else item.label
-
-
-def _plan(objective: str, data: Sequence, config: ExperimentConfig,
-          apart: bool) -> _Plan | None:
-    """`objective`'s plan over `data`, or None if it has nothing to train on: the
-    desirable steps for bc, the DPO pairs for dpo, and `data` itself otherwise;
-    `apart` when each game trains in a task of its own."""
-    if objective == "dpo":
-        items = build_dpo_pairs(data)
-        counts = (len(items), len(items), 1.0, 1.0)
-    elif objective in ("kto", "joint"):
-        items = data
-        n_d, n_u = label_counts(items)
-        counts = (n_d, n_u, *balance_lambdas(n_d, n_u))
-    else:  # bc on the desirable steps, spag on every advantage step
-        items = [s for s in data if s.label == DESIRABLE] if objective == "bc" else data
-        counts = (len(items), 0, 1.0, 0.0)
-    if not items:
-        return None
-    orders = []
-    for epoch in range(config.epochs):
-        order = array("q", range(len(items)))
-        random.Random(stable_hash(config.seed, objective, epoch)).shuffle(order)
-        orders.append(order)
-    if not apart:
-        return _Plan(objective, items, counts, orders, None)
-    index: dict[str, int] = {}
-    codes = np.array([index.setdefault(_game(item), len(index)) for item in items])
-    size = config.batch_size
-    batches_of = []
-    for order in orders:  # each place's game, batch by batch; -1 past the last item
-        game_at = np.full(-(-len(items) // size) * size, -1)
-        game_at[:len(items)] = codes[np.frombuffer(order, dtype=np.int64)]
-        batches_of.append({game: np.flatnonzero((game_at.reshape(-1, size) == code).any(1))
-                           for game, code in index.items()})
-    return _Plan(objective, items, counts, orders, batches_of)
-
-
 def _apply_gradient(policy: Policy, grads: Mapping[str, np.ndarray], lr: float) -> None:
     for name, vec in grads.items():
         block = policy.block(get_game(name))
         block -= lr * vec
 
 
-def _descend(policy: Policy, plan: _Plan, game: str | None,
-             loss: Callable[[list, dict, tuple], LossReport], config: ExperimentConfig,
-             accum: int = 1) -> list[list[tuple]]:
-    """The one Stage III loop: plain gradient descent along `plan`, on the items of
-    `game` (None: of every game).
+def _descend(policy: Policy, stage: str, items: Sequence,
+             loss: Callable[..., LossReport], config: ExperimentConfig,
+             accum: int = 1) -> list[list[tuple[float, float | None]]]:
+    """The one Stage III loop: plain gradient descent on one game's `items`.
 
-    Each batch's `loss` sees the batch's items of `game`, their feature rows and
-    the tags of its other items. A gradient step averages the `accum` batches of
-    one group; a trailing partial group is scaled up to a full one. Returns, per
-    epoch, one row for each batch that holds an item of `game`: its number, z0
-    and loss parts, NaN for a z0 or a part the batch has not.
+    Each epoch shuffles the items with the seed ``stable_hash(config.seed, stage,
+    epoch)`` and cuts them into batches of ``config.batch_size``. A gradient step
+    averages the `accum` batches of one group; a trailing partial group is scaled
+    up to a full one. Returns, per epoch, each batch's (loss, z0).
     """
-    items, size = plan.items, config.batch_size
-    per_chunk = max(1, _CHUNK // size)
+    size = config.batch_size
+    chunk = max(1, _CHUNK // size) * size
     epochs = []
-    for epoch, order in enumerate(plan.orders):
-        batches = -(-len(order) // size)
-        numbers = (range(batches) if game is None
-                   else plan.batches_of[epoch].get(game, np.empty(0, int)).tolist())
-        reports, grads, group, chunk = [], {}, 0, None
-        for number in numbers:
-            if number // per_chunk != chunk:
-                chunk = number // per_chunk
-                rows = _rows([items[i] for i in order[chunk * per_chunk * size:
-                                                      (chunk + 1) * per_chunk * size]
-                              if game is None or _game(items[i]) == game])
-            if number // accum != group:  # the group before is whole
-                _apply_gradient(policy, grads, config.learning_rate)
-                grads, group = {}, number // accum
-            batch = [items[i] for i in order[number * size:(number + 1) * size]]
-            own = batch if game is None else [x for x in batch if _game(x) == game]
-            others = tuple(_tag(x) for x in batch if _game(x) != game) if own is not batch else ()
-            report = loss(own, rows, others)
+    for epoch in range(config.epochs):
+        order = list(items)
+        random.Random(stable_hash(config.seed, stage, epoch)).shuffle(order)
+        reports: list[tuple[float, float | None]] = []
+        grads: dict[str, np.ndarray] = {}
+        for start in range(0, len(order), size):
+            if start % chunk == 0:
+                rows = _rows(order[start:start + chunk])
+            report = loss(order[start:start + size], rows=rows)
             if not math.isfinite(report.loss):
-                raise RuntimeError(f"training diverged during {plan.stage}: loss is not finite")
+                raise RuntimeError(f"training diverged during {stage}: loss is not finite")
             for name, vec in report.gradient.items():
                 _accumulate(grads, name, vec, 1.0 / accum)
-            reports.append((number, report.z0, *report.parts))
-        pending = min(accum, batches - group * accum)
-        if pending < accum:
-            grads = {k: v * (accum / pending) for k, v in grads.items()}
-        _apply_gradient(policy, grads, config.learning_rate)
-        epochs.append(np.array(reports, dtype=float) if reports else np.empty((0, 0)))
+            reports.append((report.loss, report.z0))
+            if len(reports) % accum == 0:
+                _apply_gradient(policy, grads, config.learning_rate)
+                grads = {}
+        if pending := len(reports) % accum:
+            _apply_gradient(policy, {k: v * (accum / pending) for k, v in grads.items()},
+                            config.learning_rate)
+        epochs.append(reports)
     return epochs
 
 
-def train_bc(policy: Policy, plan: _Plan, config: ExperimentConfig,
-             game: str | None) -> list:
-    def loss(batch, rows, others):
-        return bc_loss(policy, batch, rows, size=len(batch) + len(others))
-
-    return _descend(policy, plan, game, loss, config)
+def train_bc(policy: Policy, steps: Sequence[LabeledStep], config: ExperimentConfig) -> list:
+    return _descend(policy, "bc", steps, partial(bc_loss, policy), config)
 
 
-def train_kto(policy: Policy, plan: _Plan, config: ExperimentConfig,
-              game: str | None) -> list:
+def train_kto(policy: Policy, steps: Sequence[LabeledStep], config: ExperimentConfig,
+              lambdas: tuple[float, float]) -> list:
     reference = policy.clone()
-    _, _, lambda_d, lambda_u = plan.counts
-
-    def loss(batch, rows, others):
-        return kto_loss(policy, reference, batch, beta=config.beta, lambda_d=lambda_d,
-                        lambda_u=lambda_u, rows=rows, size=len(batch) + len(others))
-
-    return _descend(policy, plan, game, loss, config, accum=config.grad_accum)
+    return _descend(policy, "kto", steps,
+                    partial(kto_loss, policy, reference, beta=config.beta,
+                            lambda_d=lambdas[0], lambda_u=lambdas[1]),
+                    config, accum=config.grad_accum)
 
 
-def train_dpo(policy: Policy, plan: _Plan, config: ExperimentConfig,
-              game: str | None) -> list:
+def train_dpo(policy: Policy, pairs: Sequence[tuple[LabeledStep, LabeledStep]],
+              config: ExperimentConfig) -> list:
     reference = policy.clone()
-
-    def loss(batch, rows, others):
-        return dpo_loss(policy, reference, batch, config.beta, rows, size=len(batch) + len(others))
-
-    return _descend(policy, plan, game, loss, config)
+    return _descend(policy, "dpo", pairs, partial(dpo_loss, policy, reference, beta=config.beta),
+                    config)
 
 
-def train_spag(policy: Policy, plan: _Plan, config: ExperimentConfig,
-               game: str | None) -> list:
+def train_spag(policy: Policy, steps: Sequence[AdvantageStep], config: ExperimentConfig) -> list:
+    reference = policy.clone()
+    return _descend(policy, "spag", steps,
+                    partial(spag_loss, policy, reference, beta2=config.beta2), config)
+
+
+def train_joint(policy: Policy, steps: Sequence[LabeledStep], config: ExperimentConfig,
+                lambdas: tuple[float, float]) -> list:
     reference = policy.clone()
 
-    def loss(batch, rows, others):
-        seats = Counter(others)
-        seats.update(step.state.to_move for step in batch)
-        return spag_loss(policy, reference, batch, config.beta2, rows, seats=seats)
-
-    return _descend(policy, plan, game, loss, config)
-
-
-def train_joint(policy: Policy, plan: _Plan, config: ExperimentConfig,
-                game: str | None) -> list:
-    reference = policy.clone()
-    _, _, lambda_d, lambda_u = plan.counts
-
-    def loss(batch, rows, others):
-        """KTO plus BC on the batch's desirable steps, as two parts; z0 is KTO's."""
-        report = kto_loss(policy, reference, batch, beta=config.beta, lambda_d=lambda_d,
-                          lambda_u=lambda_u, rows=rows, size=len(batch) + len(others))
+    def loss(batch, rows):
+        """KTO plus BC on the batch's desirable steps; z0 is KTO's."""
+        report = kto_loss(policy, reference, batch, beta=config.beta, lambda_d=lambdas[0],
+                          lambda_u=lambdas[1], rows=rows)
         desirable = [s for s in batch if s.label == DESIRABLE]
         if not desirable:
-            return LossReport((*report.parts, None), report.gradient, report.z0)
-        bc = bc_loss(policy, desirable, rows, size=len(desirable) + others.count(DESIRABLE))
+            return report
+        bc = bc_loss(policy, desirable, rows)
         for name, vec in bc.gradient.items():
             _accumulate(report.gradient, name, vec, 1.0)
-        return LossReport(report.parts + bc.parts, report.gradient, z0=report.z0)
+        return LossReport(report.loss + bc.loss, report.gradient, z0=report.z0)
 
-    return _descend(policy, plan, game, loss, config)
+    return _descend(policy, "joint", steps, loss, config)
 
 
-def _train_game(config: ExperimentConfig, policy: Policy, game: str | None,
-                plans: Sequence[_Plan | None]) -> tuple[dict[str, np.ndarray], list]:
-    """One Stage III task: `policy`'s blocks after each plan in turn trains the block
-    of `game` (None: of every game), and each plan's batch reports."""
+def _items(objective: str, data: Sequence) -> Sequence:
+    """What `objective` trains on: the desirable steps for bc, the DPO pairs for dpo,
+    and `data` itself otherwise."""
+    if objective == "dpo":
+        return build_dpo_pairs(data)
+    if objective == "bc":
+        return [s for s in data if s.label == DESIRABLE]
+    return data
+
+
+def _train_game(config: ExperimentConfig, policy: Policy, lambdas: tuple[float, float] | None,
+                game: str, data: Sequence) -> tuple[np.ndarray, list]:
+    """One Stage III task: `policy`'s block of `game` after each objective of the mode
+    trains it in turn on `data`, the game's items; and per objective, None if it has
+    no item of the game, else (its item count, its batch reports per epoch)."""
     # looked up per call, so a wrapped module attribute is the one that runs
-    trainers = {"bc": train_bc, "kto": train_kto, "dpo": train_dpo, "joint": train_joint,
-                "spag": train_spag}
-    reports = [None if plan is None else trainers[plan.stage](policy, plan, config, game)
-               for plan in plans]
-    return {name: block for name, block in policy.blocks.items()
-            if game in (None, name)}, reports
-
-
-def _metric_rows(plan: _Plan, task_reports: Sequence[list], size: int) -> list[dict]:
-    """One metrics row per epoch of `plan`, cut in batches of `size`: the mean over the
-    batches of the loss, each part summed over the tasks that hold some of the batch
-    (as ``LossReport.loss`` sums the parts), and the mean z0."""
-    rows = []
-    for epoch in range(len(plan.orders)):
-        reports = [task[epoch] for task in task_reports if len(task[epoch])]
-        held = np.full((-(-len(plan.items) // size), reports[0].shape[1]), np.nan)
-        for report in reports:
-            numbers, new = report[:, 0].astype(int), report[:, 2:]
-            old = held[numbers, 2:]  # a batch split between two tasks has parts from both
-            held[numbers, 1] = report[:, 1]
-            held[numbers, 2:] = np.where(np.isnan(old), new,
-                                         np.where(np.isnan(new), old, old + new))
-        losses = np.zeros(len(held))
-        for part in held[:, 2:].T:
-            losses += np.where(np.isnan(part), 0.0, part)
-        z0s = held[:, 1]
-        z0 = "" if np.isnan(z0s).any() else sum(z0s.tolist()) / len(z0s)
-        rows.append(dict(zip(METRIC_COLUMNS, (plan.stage, epoch,
-                                              sum(losses.tolist()) / len(losses),
-                                              *plan.counts, z0))))
-    return rows
+    trainers = {"bc": train_bc, "kto": partial(train_kto, lambdas=lambdas), "dpo": train_dpo,
+                "joint": partial(train_joint, lambdas=lambdas), "spag": train_spag}
+    reports = []
+    for objective in MODES[config.mode]:
+        items = _items(objective, data)
+        reports.append((len(items), trainers[objective](policy, items, config))
+                       if items else None)
+    return policy.blocks[game], reports
 
 
 def train_two_stage(policy: Policy, data: Sequence,
@@ -614,15 +482,10 @@ def train_two_stage(policy: Policy, data: Sequence,
     in order, its metrics rows); `data` is the labeled set, or the trajectories
     when the mode is spag.
 
-    Each objective's shuffles, and so its batches and gradient steps, are drawn
-    here once from all its items (`_plan`). A game's items move only its own
-    block, so with more than one worker and ``batch_size <= 2`` each game is one
-    ``fan_out`` task, largest first, which walks those batches and trains on its
-    own items alone. A batch that mixes games then holds one step of each: it
-    pairs no two KTO steps (z0 = 0), its scale is 1 or 1/2 and a sum of two parts
-    does not depend on their order, so the checkpoint and the metrics rows,
-    summed here from the tasks' loss parts, are bit-identical to one task that
-    holds every game, which runs otherwise.
+    A game's items move only its own block, so each game is one ``fan_out`` task,
+    largest first, at every batch size and worker count. KTO's weights come from
+    the whole labelled set. An objective's metrics row for an epoch holds the mean
+    loss and z0 over every game's batches, in the order the data lists the games.
     """
     if config.mode not in MODES:
         raise ValueError(f"unknown training mode {config.mode!r}")
@@ -630,20 +493,33 @@ def train_two_stage(policy: Policy, data: Sequence,
         data = build_advantage_steps(data, gamma=config.gamma)
     elif config.balance_games:
         data = balance_by_game(data, config.seed)
-    jobs = config.effective_jobs()
-    games = Counter(step.game for step in data)
-    apart = config.batch_size <= 2 and jobs > 1 and len(games) > 1
-    plans = [_plan(objective, data, config, apart) for objective in MODES[config.mode]]
+    lambdas = None
+    if config.mode != "spag":
+        n_d, n_u = label_counts(data)
+        lambdas = balance_lambdas(n_d, n_u)
+    by_game: dict[str, list] = {}
+    for item in data:
+        by_game.setdefault(item.game, []).append(item)
     trained = policy.clone()
-    tasks = [(trained, game, plans) for game in games] if apart else [(trained, None, plans)]
-    results = fan_out(partial(_train_game, config), tasks, jobs,
-                      sizes=list(games.values()) if apart else None)
+    results = fan_out(partial(_train_game, config, trained, lambdas),
+                      list(by_game.items()), config.effective_jobs(),
+                      sizes=[len(items) for items in by_game.values()])
     metrics = []
-    for i, plan in enumerate(plans):
-        if plan is not None:
-            trained.version += 1
-            metrics += _metric_rows(plan, [reports[i] for _, reports in results],
-                                    config.batch_size)
-    for blocks, _ in results:
-        trained.blocks.update(blocks)
+    for i, objective in enumerate(MODES[config.mode]):
+        games = [reports[i] for _, reports in results if reports[i] is not None]
+        if not games:
+            continue
+        trained.version += 1
+        n = sum(count for count, _ in games)
+        counts = ((n_d, n_u, *lambdas) if objective in ("kto", "joint") else
+                  (n, n, 1.0, 1.0) if objective == "dpo" else (n, 0, 1.0, 0.0))
+        for epoch in range(config.epochs):
+            batches = [batch for _, epochs in games for batch in epochs[epoch]]
+            losses = [float(loss) for loss, _ in batches]
+            z0s = [z0 for _, z0 in batches]
+            z0 = "" if None in z0s else sum(map(float, z0s)) / len(z0s)
+            metrics.append(dict(zip(METRIC_COLUMNS, (objective, epoch,
+                                                     sum(losses) / len(losses), *counts, z0))))
+    for game, (block, _) in zip(by_game, results):
+        trained.blocks[game] = block
     return trained, metrics

@@ -336,17 +336,20 @@ def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
         assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
 
 
-# three games, so that batches of two mix games and Stage II has three blocks
+# three games, so that Stage II has three blocks and Stage III three tasks
 THREE_GAMES = (CONFIG.replace("games = nim", "games = nim, tictactoe, kuhn_poker")
                .replace("episodes = 2\n\n[train]", "episodes = 6\n\n[train]"))
 
 
-@pytest.mark.parametrize("mode", ["two_stage", "joint"])
-def test_at_batch_size_3_one_task_trains_every_game_as_at_one_worker(tmp_path, monkeypatch,
-                                                                        mode):
-    """A batch of three may pair two KTO steps of one game beside a third game's,
-    and its z0 then couples the games, so Stage III does not split it by game."""
-    monkeypatch.setenv("SCOPAL_TRAIN_BATCH_SIZE", "3")
+@pytest.mark.parametrize("batch_size, mode", [
+    pytest.param(1, "two_stage", id="1"), pytest.param(2, "two_stage", id="2"),
+    pytest.param(3, "two_stage", id="3-two_stage"), pytest.param(3, "joint", id="3-joint")])
+def test_each_game_trains_in_a_task_of_its_own_at_every_batch_size(tmp_path, monkeypatch,
+                                                                     batch_size, mode):
+    """Stage III hands `fan_out` one task per game, sized by the game's labelled
+    steps, and the worker count changes no artifact of training. A batch of three
+    may pair two KTO steps, so batch size 3 also runs in joint mode."""
+    monkeypatch.setenv("SCOPAL_TRAIN_BATCH_SIZE", str(batch_size))
     monkeypatch.setenv("SCOPAL_TRAIN_MODE", mode)
     config = tmp_path / "three.ini"
     config.write_text(THREE_GAMES)
@@ -354,7 +357,7 @@ def test_at_batch_size_3_one_task_trains_every_game_as_at_one_worker(tmp_path, m
     fan_out = refine.fan_out
 
     def counted(fn, task_list, jobs, sizes=None):
-        tasks.append([game for _, game, _ in task_list])
+        tasks.append(([game for game, _ in task_list], jobs, sizes))
         return fan_out(fn, task_list, jobs, sizes)
 
     monkeypatch.setattr(refine, "fan_out", counted)
@@ -366,30 +369,14 @@ def test_at_batch_size_3_one_task_trains_every_game_as_at_one_worker(tmp_path, m
                          command]) == 0, command
         (run_dir,) = out.iterdir()
         run_dirs.append(run_dir)
-    assert tasks == [[None], [None]]
-    for name in ("checkpoint.json", "metrics.csv", "labeled.jsonl"):
-        assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
-
-
-def test_at_batch_size_2_each_game_trains_in_a_task_of_its_own(run, monkeypatch):
-    run.config.write_text(THREE_GAMES)
-    assert run("interact") == 0 and run("estimate") == 0
-    tasks = []
-    fan_out = refine.fan_out
-
-    def counted(fn, task_list, jobs, sizes=None):
-        tasks.append(([game for _, game, _ in task_list], jobs, sizes))
-        return fan_out(fn, task_list, jobs, sizes)
-
-    monkeypatch.setattr(refine, "fan_out", counted)
-    assert main(["--config", str(run.config), "--out", str(run.out), "--jobs", "2",
-                 "train"]) == 0
-    (run_dir,) = run.out.iterdir()
     labelled = [json.loads(line)["game"] for line in
-                (run_dir / "labeled.jsonl").read_text().splitlines()]
+                (run_dirs[0] / "labeled.jsonl").read_text().splitlines()]
     games = list(dict.fromkeys(labelled))
     assert len(games) == 3
-    assert tasks == [(games, 2, [labelled.count(game) for game in games])]
+    sizes = [labelled.count(game) for game in games]
+    assert tasks == [(games, 1, sizes), (games, 2, sizes)]
+    for name in ("checkpoint.json", "metrics.csv", "labeled.jsonl"):
+        assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
 
 
 def test_a_corrupt_store_line_is_named_when_a_worker_reads_it(run, capsys):

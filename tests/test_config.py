@@ -238,3 +238,22 @@ def test_a_checkpoint_without_a_run_game_is_rejected_when_it_loads(tmp_path, mon
     assert main(["--out", str(out), "interact"]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_balancing_games_under_spag_is_rejected_when_it_loads(tmp_path, monkeypatch, capsys):
+    """spag trains on every step of the store, not on a labelled set, so it has
+    nothing to balance; the setting would only change the run id."""
+    env = {"SCOPAL_RUN_GAMES": "nim", "SCOPAL_TRAIN_MODE": "spag",
+           "SCOPAL_TRAIN_BALANCE_GAMES": "true"}
+    message = "train.balance_games = true and train.mode = spag: "
+    with pytest.raises(ConfigError, match=message):
+        load_config(None, env=env)
+    monkeypatch.chdir(tmp_path)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "runs"
+    assert main(["--out", str(out), "pipeline"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    env["SCOPAL_TRAIN_MODE"] = "two_stage"
+    assert load_config(None, env=env).balance_games

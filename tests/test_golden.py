@@ -6,15 +6,18 @@ all six games (Breakthrough on its 6x6 board); spag plays against ``mcts:5``,
 the others self-play. Two more two_stage runs pin Stage II's other settings:
 ``discounted_all`` (the discounted estimator over every seat, against
 ``mcts:5``) and ``beta_balanced`` (the Beta estimator, with each game's steps
-balanced before training). A two-game config runs ``sweep``, ``iterate --rounds 2``
-and ``head2head`` in one run directory. Each artifact is named by the run and
-its file name (the store as ``store``, since its file name holds the run id)
-and pinned by the first 16 hex digits of its sha256. The manifest is hashed
-without its ``out`` path, which names the test's temporary directory. Every run
-is made at ``--jobs 1`` and again at ``--jobs 2`` against the same digests, so
-the worker pools of interaction, Stage II, Stage III (split by game at the
-default batch size of 2), evaluation and regret change no artifact; the
-manifest, which records the worker count, is hashed as if that were 1.
+balanced before training). Two one-game runs, ``tictactoe_two_stage`` and
+``nim_spag`` (against ``mcts:5``), pin a game trained alone, which is how Stage
+III trains each game of every run, on the game's own batches. A two-game config
+runs ``sweep``, ``iterate --rounds 2`` and ``head2head`` in one run directory.
+Each artifact is named by the run and its file name (the store as ``store``,
+since its file name holds the run id) and pinned by the first 16 hex digits of
+its sha256. The manifest is hashed without its ``out`` path, which names the
+test's temporary directory. Every run is made at ``--jobs 1`` and again at
+``--jobs 2`` against the same digests, so the worker pools of interaction,
+Stage II, Stage III (one task per game), evaluation and regret change no
+artifact; the manifest, which records the worker count, is hashed as if that
+were 1.
 
 A change that alters an artifact on purpose edits the affected digests in the
 same commit and names each one, and why, in CHANGES.md. To regenerate the
@@ -37,7 +40,7 @@ from scopal.refine import MODES
 
 PIPELINE = """\
 [run]
-games = tictactoe,connect4,breakthrough_6x6,kuhn_poker,liars_dice,nim
+games = {games}
 jobs = 1
 
 [interact]
@@ -73,9 +76,14 @@ episodes = 2
 """
 
 
-def pipeline(mode: str, opponent: str = "self", rewards: str = "", train: str = "") -> tuple:
+ALL_GAMES = "tictactoe,connect4,breakthrough_6x6,kuhn_poker,liars_dice,nim"
+
+
+def pipeline(mode: str, opponent: str = "self", rewards: str = "", train: str = "",
+             games: str = ALL_GAMES) -> tuple:
     """A `PIPELINE` run; `rewards` and `train` are extra lines of those sections."""
-    return (PIPELINE.format(mode=mode, opponent=opponent, rewards=rewards, train=train),
+    return (PIPELINE.format(games=games, mode=mode, opponent=opponent, rewards=rewards,
+                            train=train),
             (["pipeline"], ["regret"]))
 
 
@@ -84,72 +92,88 @@ RUNS["discounted_all"] = pipeline("two_stage", "mcts:5",
                                   rewards="\nestimator = discounted\nactors = all")
 RUNS["beta_balanced"] = pipeline("two_stage", rewards="\nestimator = beta",
                                  train="\nbalance_games = true")
+RUNS["tictactoe_two_stage"] = pipeline("two_stage", games="tictactoe")
+RUNS["nim_spag"] = pipeline("spag", "mcts:5", games="nim")
 RUNS["study"] = (STUDY, (["sweep"], ["iterate", "--rounds", "2"],
                          ["head2head", "--agents", "base,random,mcts:5"]))
 
 DIGESTS = {
-    "two_stage/checkpoint.json": "4c8d65b83261777f",
+    "two_stage/checkpoint.json": "8f77ad8428a2b4df",
     "two_stage/labeled.jsonl": "a20e9c77ad2a371f",
     "two_stage/manifest.json": "eb9a0874fe6355dd",
-    "two_stage/metrics.csv": "c320b3917ada6a1b",
+    "two_stage/metrics.csv": "e5219b14b4c6768f",
     "two_stage/regret.csv": "980f3190e0e4223d",
     "two_stage/store": "a9341304b077204c",
     "two_stage/tournament.csv": "fec9e8e3cfad8339",
-    "direct_kto/checkpoint.json": "c539c058a41e0f6a",
+    "direct_kto/checkpoint.json": "b6b467d847b1e135",
     "direct_kto/labeled.jsonl": "a20e9c77ad2a371f",
     "direct_kto/manifest.json": "1a6acaebe3efe35e",
-    "direct_kto/metrics.csv": "cfb743af71fa9120",
+    "direct_kto/metrics.csv": "a4fddb4acd01fea9",
     "direct_kto/regret.csv": "980f3190e0e4223d",
     "direct_kto/store": "a9341304b077204c",
     "direct_kto/tournament.csv": "453c12acd7d8cc18",
-    "joint/checkpoint.json": "483461d7bec0cbcf",
+    "joint/checkpoint.json": "5dc3222dbbd47498",
     "joint/labeled.jsonl": "a20e9c77ad2a371f",
     "joint/manifest.json": "945ec664d43d1d02",
-    "joint/metrics.csv": "e6fa5798352ecee0",
+    "joint/metrics.csv": "0d3da763e5602744",
     "joint/regret.csv": "980f3190e0e4223d",
     "joint/store": "a9341304b077204c",
-    "joint/tournament.csv": "266c3aaec1855106",
-    "bc_only/checkpoint.json": "c565e12b7977a610",
+    "joint/tournament.csv": "fec9e8e3cfad8339",
+    "bc_only/checkpoint.json": "765ebcc72e7cef12",
     "bc_only/labeled.jsonl": "a20e9c77ad2a371f",
     "bc_only/manifest.json": "07cf94ca5f965651",
-    "bc_only/metrics.csv": "48cafd1058558f5d",
+    "bc_only/metrics.csv": "8ea3e8d67a611a86",
     "bc_only/regret.csv": "980f3190e0e4223d",
     "bc_only/store": "a9341304b077204c",
     "bc_only/tournament.csv": "fec9e8e3cfad8339",
-    "bc_dpo/checkpoint.json": "874cddfca6b0e2f6",
+    "bc_dpo/checkpoint.json": "74065523ddf6819e",
     "bc_dpo/labeled.jsonl": "a20e9c77ad2a371f",
     "bc_dpo/manifest.json": "c50eb02980854f98",
-    "bc_dpo/metrics.csv": "ca4ba5a01836df5f",
+    "bc_dpo/metrics.csv": "4addf41b3efad68b",
     "bc_dpo/regret.csv": "980f3190e0e4223d",
     "bc_dpo/store": "a9341304b077204c",
     "bc_dpo/tournament.csv": "fec9e8e3cfad8339",
-    "spag/checkpoint.json": "ae1d1cdf8785aa34",
+    "spag/checkpoint.json": "d8b16a894d674d3b",
     "spag/labeled.jsonl": "bef0246f95300192",
     "spag/manifest.json": "f333ca5170146489",
-    "spag/metrics.csv": "5f125d17a599b067",
+    "spag/metrics.csv": "fa9482cb7c27081a",
     "spag/regret.csv": "ba0ab41b770da8b6",
     "spag/store": "1bfc29631b0280ed",
-    "spag/tournament.csv": "453c12acd7d8cc18",
-    "discounted_all/checkpoint.json": "7906c68deb070d99",
+    "spag/tournament.csv": "fec9e8e3cfad8339",
+    "discounted_all/checkpoint.json": "64aee0dda01c7faa",
     "discounted_all/labeled.jsonl": "1fb6fd144accedcb",
     "discounted_all/manifest.json": "bf844a54d9d05e09",
-    "discounted_all/metrics.csv": "7c8eeb52647239b1",
+    "discounted_all/metrics.csv": "a2718a16a4e11e35",
     "discounted_all/regret.csv": "285727489484dffe",
     "discounted_all/store": "1bfc29631b0280ed",
     "discounted_all/tournament.csv": "fec9e8e3cfad8339",
-    "beta_balanced/checkpoint.json": "9d016048c273c25f",
+    "beta_balanced/checkpoint.json": "f1b3a7475f30eb83",
     "beta_balanced/labeled.jsonl": "7f2b9ba65bf8cd94",
     "beta_balanced/manifest.json": "c323cc44e9dc08ae",
-    "beta_balanced/metrics.csv": "82efbc4b29ac74ed",
+    "beta_balanced/metrics.csv": "02f83b1c62eeb246",
     "beta_balanced/regret.csv": "285727489484dffe",
     "beta_balanced/store": "a9341304b077204c",
     "beta_balanced/tournament.csv": "fec9e8e3cfad8339",
-    "study/checkpoint_round1.json": "9639a77ed69062dc",
-    "study/checkpoint_round2.json": "6a3f0d4220ce02c3",
+    "tictactoe_two_stage/checkpoint.json": "cfbe010fe81b0740",
+    "tictactoe_two_stage/labeled.jsonl": "2ecee244eb3955a7",
+    "tictactoe_two_stage/manifest.json": "7a877671730aa5d6",
+    "tictactoe_two_stage/metrics.csv": "6079288fc7b52429",
+    "tictactoe_two_stage/regret.csv": "da752407f5d276b9",
+    "tictactoe_two_stage/store": "5d299c8d8b8f804a",
+    "tictactoe_two_stage/tournament.csv": "ac62a13d9ee87432",
+    "nim_spag/checkpoint.json": "62f4673ced752716",
+    "nim_spag/labeled.jsonl": "78de90ba7d513dea",
+    "nim_spag/manifest.json": "84ab1be10748ebff",
+    "nim_spag/metrics.csv": "0a6d0e81b4db5f8b",
+    "nim_spag/regret.csv": "1587c82197ae8ce0",
+    "nim_spag/store": "f16ddcbe2b81a850",
+    "nim_spag/tournament.csv": "f5097509f71fbeeb",
+    "study/checkpoint_round1.json": "31b8b2a8d2ee86ad",
+    "study/checkpoint_round2.json": "eb91430fc33ddb15",
     "study/head2head.csv": "1f964f9fdb7e0d3a",
     "study/iterate.csv": "2a51e538e147dc08",
     "study/manifest.json": "ddbb2ea3d41f77df",
-    "study/sweep.csv": "f9ae52570c9b1936",
+    "study/sweep.csv": "fda35e865574c096",
 }
 
 

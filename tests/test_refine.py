@@ -464,8 +464,8 @@ BOARD_DATASET, BOARD_TRAJS = make_dataset(("connect4", "breakthrough", "nim"), e
 
 
 def test_a_task_per_game_trains_as_one_task_holding_every_game():
-    """Each game's block trains in its own task along the one plan of batches and
-    accumulation groups (3 batches here, with a trailing partial group)."""
+    """Each game's task trains its block alike in a pool of two workers and in this
+    process, one game after another (a trailing partial accumulation group here)."""
     pol = new_policy(list(GAME_ROTATION))
     (one, one_metrics), (apart, apart_metrics) = (
         train_two_stage(pol, DATASET, ExperimentConfig(epochs=2, seed=5, batch_size=1,
@@ -475,6 +475,19 @@ def test_a_task_per_game_trains_as_one_task_holding_every_game():
     assert apart.version == one.version == 2
     for name, block in one.blocks.items():
         assert block.tobytes() == apart.blocks[name].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["bc_only", "bc_dpo", "spag"])
+def test_each_game_trains_beside_other_games_as_it_trains_alone(mode):
+    """A game's block depends on the game's own items alone. The KTO modes are
+    left out: they share the dataset-wide lambda_D and lambda_U, which every
+    game's labels weigh in."""
+    data = TRAJS if mode == "spag" else DATASET
+    cfg = ExperimentConfig(epochs=2, seed=7, mode=mode, jobs=1)
+    together, _ = train_two_stage(new_policy(list(GAME_ROTATION)), data, cfg)
+    for name in GAME_ROTATION:
+        alone, _ = train_two_stage(new_policy([name]), [x for x in data if x.game == name], cfg)
+        assert alone.blocks[name].tobytes() == together.blocks[name].tobytes(), name
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 200])
