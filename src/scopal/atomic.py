@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -44,23 +43,14 @@ def write_records(path, records: Iterable[dict]) -> None:
     write_lines(path, map(record_line, records))
 
 
-def read_records(path, parse: Callable[[dict], object], kind: str,
-                 lines: range | None = None) -> Iterator:
-    """`parse` of each non-blank line's JSON object, lazily: of the lines whose 1-based
-    numbers are in `lines`, or of every line. A corrupt line is a ValueError."""
+def read_records(path, parse: Callable[[dict], object], kind: str) -> Iterator:
+    """`parse` of each non-blank line's JSON object, lazily; a ValueError naming the
+    path and line if a line does not hold a `kind` record."""
     with open(path) as fh:
-        numbered = enumerate(fh, 1)
-        if lines is not None:
-            numbered = islice(numbered, lines.start - 1, lines.stop - 1)
-        for line_no, line in numbered:
+        for line_no, line in enumerate(fh, 1):
             if line.strip():
-                yield parse_record(path, line_no, line, parse, kind)
-
-
-def parse_record(path, line_no: int, line: str, parse: Callable[[dict], object], kind: str):
-    """`parse` of the JSON object on line `line_no` of `path`; a ValueError naming both
-    if the line does not hold a `kind` record."""
-    try:
-        return parse(json.loads(line))
-    except (AttributeError, KeyError, SyntaxError, TypeError, ValueError) as err:
-        raise ValueError(f"{path}:{line_no}: corrupt {kind} record: {err}") from err
+                try:
+                    record = parse(json.loads(line))
+                except (AttributeError, KeyError, SyntaxError, TypeError, ValueError) as err:
+                    raise ValueError(f"{path}:{line_no}: corrupt {kind} record: {err}") from err
+                yield record

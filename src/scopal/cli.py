@@ -13,8 +13,8 @@ do, under every setting.
 
 ``--jobs`` (``run.jobs``; 0 = every core this process may run on) is the size
 of the worker pool of interaction, Stage II, Stage III, evaluation and
-regret. Stage II labels and Stage III trains each game in a task of its own.
-No artifact depends on it.
+regret. Stage II labels and Stage III trains each game in a task of its own,
+which gets its game's data in memory. No artifact depends on it.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ from .csvfile import write_csv
 from .evaluation import (HEAD2HEAD_COLUMNS, REGRET_COLUMNS, TOURNAMENT_COLUMNS, MatchReport,
                          average_win_rate, head_to_head, interaction_win_rate,
                          regret_reports, tournament)
-from .interaction import (Trajectory, collect_trajectories, fan_out, game_blocks,
-                          read_game_blocks, read_trajectories, stable_hash, write_trajectories)
+from .interaction import (Trajectory, collect_trajectories, fan_out, read_game_blocks,
+                          read_trajectories, stable_hash, write_trajectories)
 from .policy import Policy, new_policy
 from .refine import METRIC_COLUMNS, train_two_stage
 from .rewards import (LabeledStep, accumulate_stats, collect_representatives,
@@ -126,20 +126,18 @@ def cmd_interact(config: ExperimentConfig, run_dir: Path) -> None:
     write_trajectories(_store_path(config, run_dir), trajs)
 
 
-def _label_lines(config: ExperimentConfig, store: Path, lines: range | None) -> list[str]:
-    """The labelled steps' lines of each game block of `store` on `lines` (all if None),
-    in order."""
-    return [labeled_line(step) for trajs in read_game_blocks(store, lines)
-            for step in _label(config, trajs)]
+def _label_lines(config: ExperimentConfig, trajs: list[Trajectory]) -> list[str]:
+    """The labelled steps' lines of one game's trajectories, in order."""
+    return [labeled_line(step) for step in _label(config, trajs)]
 
 
 def cmd_estimate(config: ExperimentConfig, run_dir: Path) -> None:
-    """Stage II. With one worker, one pass labels the store a block at a time; with
-    more, one pass finds each game's block and each is a `fan_out` task, largest first."""
-    store, jobs = _store_path(config, run_dir), config.effective_jobs()
-    blocks = [(None, 0)] if jobs == 1 else game_blocks(store)
-    parts = fan_out(partial(_label_lines, config, store), [(lines,) for lines, _ in blocks],
-                    jobs, sizes=[plies for _, plies in blocks])
+    """Stage II: one pass reads the store, and each game's trajectories are a `fan_out`
+    task, sized by their plies, largest first."""
+    blocks = list(read_game_blocks(_store_path(config, run_dir)))
+    plies = [sum(len(t.steps) for t in trajs) for trajs in blocks]
+    parts = fan_out(partial(_label_lines, config), [(trajs,) for trajs in blocks],
+                    config.effective_jobs(), sizes=plies)
     write_labeled(run_dir / "labeled.jsonl", chain.from_iterable(parts))
 
 
@@ -234,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="experiment config file")
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--jobs", type=int,
-                        help="worker processes for interaction, Stage II and Stage III "
-                             "(one task per game each), evaluation and regret (default: "
+                        help="worker processes for interaction, Stage II and Stage III (one "
+                             "task per game, holding its data), evaluation and regret (default: "
                              "every core this process may run on); never changes an artifact")
     parser.add_argument("--out", metavar="DIR", help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,11 +14,11 @@ under training held: it reads the seat labels the store records.
 ``play_sets`` is the one episode scheduler: interaction, matches and regret
 all hand it their (game, agent1, agent2, master seed) sets, and it cuts each
 set's episodes into ranges and runs them through ``fan_out``, the one worker
-pool, over ``jobs`` processes; Stage II and Stage III hand ``fan_out`` one
-task per game, Stage III at every batch size. Every episode's seeds depend on
-its index alone and results come back in task order, so ``jobs`` never
-changes an artifact: a store is reproducible byte-for-byte from (config,
-master seed), sorted by (game, episode index).
+pool, over ``jobs`` processes. Stage II and Stage III hand ``fan_out`` one
+task per game, which gets its game's data in memory. Every episode's seeds
+depend on its index alone and results come back in task order, so ``jobs``
+never changes an artifact: a store is reproducible byte-for-byte from
+(config, master seed), sorted by (game, episode index).
 
 The trajectory store is JSON lines named ``<run-id>.traj.jsonl``, one
 trajectory per line, and it records only what was played: game, episode,
@@ -30,8 +30,7 @@ not end where and as it was recorded. Stage II, Stage III and SPAG read the stor
 and the config alone and derive the rest there; Stage III replays each labelled
 step from the episode and ply that its record names.
 Each game's trajectories are one block of the store, which ``read_game_blocks``
-reads lazily; ``game_blocks`` finds each block's lines, so that a worker can
-read one block alone.
+reads lazily, one block at a time.
 """
 from __future__ import annotations
 
@@ -42,11 +41,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .agents import Agent, is_learner_spec, make_agent
-from .atomic import parse_record, read_records, write_records
+from .atomic import read_records, write_records
 from .games import Game, IllegalActionError, Outcome, Player, get_game, tie_outcome
 from .policy import Policy
 
@@ -153,12 +152,13 @@ def fan_out(fn: Callable, tasks: Sequence[tuple], jobs: int,
             sizes: Sequence[float] | None = None) -> list:
     """``fn(*task)`` for every task, in task order, over ``min(jobs, len(tasks))`` workers.
 
-    Interaction, evaluation and regret hand it their episode ranges, Stage II
-    its game blocks, and Stage III one task per game at every batch size (see
-    ``cmd_estimate`` and ``refine.train_two_stage``). With one worker it runs the
-    tasks in this process, in order, and starts no pool. Otherwise, with `sizes`
-    (one per task), the largest tasks start first; the results still come back in
-    task order, and they must pickle. Workers start by the platform's default
+    Interaction, evaluation and regret hand it their episode ranges. Stage II and
+    Stage III hand it one task per game, and each task gets its game's data in
+    memory: trajectories or labelled steps (see ``cli.cmd_estimate`` and
+    ``refine.train_two_stage``). With one worker it runs the tasks in this
+    process, in order, and starts no pool. Otherwise, with `sizes` (one per
+    task), the largest tasks start first; the results still come back in task
+    order, and they must pickle. Workers start by the platform's default
     method: fork on Linux, a few milliseconds, and the forked workers find `fn`
     and the tasks in the memory they share with this process, so only a task's
     index is sent; with spawn, which would re-import numpy and scopal in every
@@ -251,37 +251,16 @@ def read_trajectories(path) -> list[Trajectory]:
     return list(read_records(path, record_trajectory, "trajectory"))
 
 
-def read_game_blocks(path, lines: range | None = None) -> Iterator[list[Trajectory]]:
-    """The store's trajectories, read lazily, one game's block at a time: of the lines
-    whose 1-based numbers are in `lines` (one of `game_blocks`' ranges), or of every line."""
-    for block in _game_runs(path, read_records(path, record_trajectory, "trajectory", lines),
-                            attrgetter("game")):
-        yield list(block)
-
-
-def game_blocks(path) -> list[tuple[range, int]]:
-    """The line numbers and the number of plies of each game's block of the store, in
-    store order, from one pass that builds no trajectory."""
-    with open(path) as fh:
-        records = [(*parse_record(path, line_no, line, _game_and_plies, "trajectory"), line_no)
-                   for line_no, line in enumerate(fh, 1) if line.strip()]
-    return [(range(block[0][2], block[-1][2] + 1), sum(plies for _, plies, _ in block))
-            for block in map(list, _game_runs(path, records, itemgetter(0)))]
-
-
-def _game_and_plies(data: dict) -> tuple[str, int]:
-    steps = data["steps"]  # `record_trajectory` refuses steps that are not a list
-    return data["game"], len(steps) if isinstance(steps, list) else 0
-
-
-def _game_runs(path, records: Iterable, game_of: Callable) -> Iterator:
-    """The runs of `records` of one game each, refusing a game that reappears."""
+def read_game_blocks(path) -> Iterator[list[Trajectory]]:
+    """The store's trajectories, read lazily, one game's block at a time; a game whose
+    trajectories reappear after another game's block is refused."""
     seen = set()
-    for game, run in groupby(records, key=game_of):
+    for game, block in groupby(read_records(path, record_trajectory, "trajectory"),
+                               key=attrgetter("game")):
         if game in seen:
             raise ValueError(f"{path}: {game} reappears after another game's trajectories")
         seen.add(game)
-        yield run
+        yield list(block)
 
 
 def replay(traj: Trajectory):

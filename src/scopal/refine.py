@@ -17,19 +17,21 @@ Objectives over the labeled step dataset:
 ``train_two_stage`` is the one Stage III entry. ``MODES`` maps each training
 mode to its objectives, run in order on a copy of the policy: two_stage runs
 bc then kto, bc_dpo runs bc then dpo, and direct_kto (kto), joint (KTO plus
-BC, summed), bc_only (bc) and spag run one each. Each objective freezes its
-own reference from the policy as it starts, so KTO after BC measures ratios
-against the post-BC snapshot.
+BC, summed), bc_only (bc) and spag run one each. Each objective is declared
+once, by ``train_<objective>(policy, data, config, lambdas)``: the items it
+takes from one game's data, its batch loss, its gradient accumulation, and the
+(n_D, n_U, lambda_D, lambda_U) its metrics rows report.
 
-Each game owns its parameter block and trains on its own items alone, in a
-``fan_out`` task of its own. Every objective trains through one loop,
-``_descend``: each epoch shuffles one game's items with the seed
-``stable_hash(seed, objective, epoch)``, cuts them into batches of
-``batch_size`` and takes plain gradient steps, accumulating gradients over
-``grad_accum`` batches in the KTO stage. So a batch never mixes games, and a
-game's block does not depend on the other games of the run, with one
-exception: KTO's weights are dataset-wide. They come from the whole labelled
-set and satisfy ``lambda_D n_D = lambda_U n_U`` with the larger weight at 1.0.
+Each game owns its parameter block and trains in a ``fan_out`` task of its
+own, which gets the game's data in memory. Every objective trains through one
+loop, ``_descend``. It freezes the reference from the policy as the objective
+starts, so KTO after BC measures ratios against the post-BC snapshot. Each
+epoch shuffles the game's items with the seed ``stable_hash(seed, objective,
+epoch)``, cuts them into batches of ``batch_size`` and takes plain gradient
+steps. So a batch never mixes games, and a game's block does not depend on the
+other games of the run, with one exception: KTO's weights are dataset-wide.
+They come from the whole labelled set and satisfy ``lambda_D n_D = lambda_U
+n_U`` with the larger weight at 1.0.
 
 Features do not depend on the parameters, so ``_descend`` encodes whole
 batches about ``_CHUNK`` items at a time, in one ``features.encode`` call.
@@ -153,15 +155,16 @@ def kto_mismatch_z0(batch: Sequence[LabeledStep], visits: Sequence[_Visit]) -> f
     """Batch z0 estimate: mean log ratio over cyclically mismatched pairs.
 
     `visits[i]` is the visit of `batch[i]`. The batch is sorted internally, so
-    the estimate is invariant to input permutation. Mismatched actions that are
-    illegal in the paired state (possible here, unlike with free-text outputs)
-    are skipped.
+    the estimate is invariant to input permutation. A neighbour with the step's own
+    key (the step itself in a one-step batch, or a copy) is no mismatch, and
+    mismatched actions that are illegal in the paired state (possible here, unlike
+    with free-text outputs) are skipped.
     """
     order = sorted(range(len(batch)), key=lambda i: (batch[i].game, batch[i].key))
     ratios = []
     for pos, i in enumerate(order):
         step, other, visit = batch[i], batch[order[pos - 1]], visits[i]
-        if other.game != step.game or other.action not in visit.acts:
+        if other.game != step.game or other.key == step.key or other.action not in visit.acts:
             continue
         ratios.append(visit.log_ratio(visit.acts.index(other.action)))
     if not ratios:
@@ -239,6 +242,20 @@ def _log_sigmoid(x: float) -> float:
     if x >= 0:
         return -math.log1p(math.exp(-x))
     return x - math.log1p(math.exp(x))
+
+
+def joint_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
+               rows: dict | None = None, **kto) -> LossReport:
+    """`kto_loss` (given the keywords `kto`) plus `bc_loss` on the batch's desirable
+    steps; z0 is KTO's."""
+    report = kto_loss(policy, reference, batch, rows=rows, **kto)
+    desirable = [s for s in batch if s.label == DESIRABLE]
+    if not desirable:
+        return report
+    bc = bc_loss(policy, desirable, rows)
+    for name, vec in bc.gradient.items():
+        _accumulate(report.gradient, name, vec, 1.0)
+    return LossReport(report.loss + bc.loss, report.gradient, report.z0)
 
 
 # -- discounted self-play baseline ----------------------------------------
@@ -368,30 +385,34 @@ def _apply_gradient(policy: Policy, grads: Mapping[str, np.ndarray], lr: float) 
         block -= lr * vec
 
 
-def _descend(policy: Policy, stage: str, items: Sequence,
-             loss: Callable[..., LossReport], config: ExperimentConfig,
-             accum: int = 1) -> list[list[tuple[float, float | None]]]:
-    """The one Stage III loop: plain gradient descent on one game's `items`.
+def _descend(policy: Policy, objective: str, items: Sequence, loss: Callable[..., LossReport],
+             config: ExperimentConfig, counts: tuple[int, int, float, float],
+             accum: int = 1) -> tuple[tuple, list[list[tuple[float, float | None]]]] | None:
+    """The one Stage III loop: plain gradient descent on one game's `items`, each batch
+    scored by ``loss(reference, batch, rows=...)``; None if there are no items.
 
-    Each epoch shuffles the items with the seed ``stable_hash(config.seed, stage,
+    Each epoch shuffles the items with the seed ``stable_hash(config.seed, objective,
     epoch)`` and cuts them into batches of ``config.batch_size``. A gradient step
-    averages the `accum` batches of one group; a trailing partial group is scaled
-    up to a full one. Returns, per epoch, each batch's (loss, z0).
+    averages the `accum` batches of one group; a trailing partial group is scaled up
+    to a full one. Returns `counts` and, per epoch, each batch's (loss, z0).
     """
+    if not items:
+        return None
+    reference = policy.clone()
     size = config.batch_size
     chunk = max(1, _CHUNK // size) * size
     epochs = []
     for epoch in range(config.epochs):
         order = list(items)
-        random.Random(stable_hash(config.seed, stage, epoch)).shuffle(order)
+        random.Random(stable_hash(config.seed, objective, epoch)).shuffle(order)
         reports: list[tuple[float, float | None]] = []
         grads: dict[str, np.ndarray] = {}
         for start in range(0, len(order), size):
             if start % chunk == 0:
                 rows = _rows(order[start:start + chunk])
-            report = loss(order[start:start + size], rows=rows)
+            report = loss(reference, order[start:start + size], rows=rows)
             if not math.isfinite(report.loss):
-                raise RuntimeError(f"training diverged during {stage}: loss is not finite")
+                raise RuntimeError(f"training diverged during {objective}: loss is not finite")
             for name, vec in report.gradient.items():
                 _accumulate(grads, name, vec, 1.0 / accum)
             reports.append((report.loss, report.z0))
@@ -402,78 +423,58 @@ def _descend(policy: Policy, stage: str, items: Sequence,
             _apply_gradient(policy, {k: v * (accum / pending) for k, v in grads.items()},
                             config.learning_rate)
         epochs.append(reports)
-    return epochs
+    return counts, epochs
 
 
-def train_bc(policy: Policy, steps: Sequence[LabeledStep], config: ExperimentConfig) -> list:
-    return _descend(policy, "bc", steps, partial(bc_loss, policy), config)
+def train_bc(policy: Policy, data: Sequence[LabeledStep], config: ExperimentConfig,
+             lambdas: tuple[float, float] | None) -> tuple | None:
+    """BC on the desirable steps."""
+    steps = [s for s in data if s.label == DESIRABLE]
+    return _descend(policy, "bc", steps, lambda _, batch, rows: bc_loss(policy, batch, rows),
+                    config, (len(steps), 0, 1.0, 0.0))
 
 
-def train_kto(policy: Policy, steps: Sequence[LabeledStep], config: ExperimentConfig,
-              lambdas: tuple[float, float]) -> list:
-    reference = policy.clone()
-    return _descend(policy, "kto", steps,
-                    partial(kto_loss, policy, reference, beta=config.beta,
-                            lambda_d=lambdas[0], lambda_u=lambdas[1]),
-                    config, accum=config.grad_accum)
+def train_kto(policy: Policy, data: Sequence[LabeledStep], config: ExperimentConfig,
+              lambdas: tuple[float, float]) -> tuple | None:
+    """KTO on every step, weighted by the dataset-wide `lambdas`, with gradients
+    accumulated over ``config.grad_accum`` batches."""
+    return _descend(policy, "kto", data, partial(kto_loss, policy, beta=config.beta,
+                                                 lambda_d=lambdas[0], lambda_u=lambdas[1]),
+                    config, (*label_counts(data), *lambdas), accum=config.grad_accum)
 
 
-def train_dpo(policy: Policy, pairs: Sequence[tuple[LabeledStep, LabeledStep]],
-              config: ExperimentConfig) -> list:
-    reference = policy.clone()
-    return _descend(policy, "dpo", pairs, partial(dpo_loss, policy, reference, beta=config.beta),
-                    config)
+def train_joint(policy: Policy, data: Sequence[LabeledStep], config: ExperimentConfig,
+                lambdas: tuple[float, float]) -> tuple | None:
+    """`joint_loss` on every step, weighted by the dataset-wide `lambdas`."""
+    return _descend(policy, "joint", data, partial(joint_loss, policy, beta=config.beta,
+                                                   lambda_d=lambdas[0], lambda_u=lambdas[1]),
+                    config, (*label_counts(data), *lambdas))
 
 
-def train_spag(policy: Policy, steps: Sequence[AdvantageStep], config: ExperimentConfig) -> list:
-    reference = policy.clone()
-    return _descend(policy, "spag", steps,
-                    partial(spag_loss, policy, reference, beta2=config.beta2), config)
+def train_dpo(policy: Policy, data: Sequence[LabeledStep], config: ExperimentConfig,
+              lambdas: tuple[float, float] | None) -> tuple | None:
+    """DPO on the pairs `build_dpo_pairs` makes of the steps."""
+    pairs = build_dpo_pairs(data)
+    return _descend(policy, "dpo", pairs, partial(dpo_loss, policy, beta=config.beta), config,
+                    (len(pairs), len(pairs), 1.0, 1.0))
 
 
-def train_joint(policy: Policy, steps: Sequence[LabeledStep], config: ExperimentConfig,
-                lambdas: tuple[float, float]) -> list:
-    reference = policy.clone()
-
-    def loss(batch, rows):
-        """KTO plus BC on the batch's desirable steps; z0 is KTO's."""
-        report = kto_loss(policy, reference, batch, beta=config.beta, lambda_d=lambdas[0],
-                          lambda_u=lambdas[1], rows=rows)
-        desirable = [s for s in batch if s.label == DESIRABLE]
-        if not desirable:
-            return report
-        bc = bc_loss(policy, desirable, rows)
-        for name, vec in bc.gradient.items():
-            _accumulate(report.gradient, name, vec, 1.0)
-        return LossReport(report.loss + bc.loss, report.gradient, z0=report.z0)
-
-    return _descend(policy, "joint", steps, loss, config)
-
-
-def _items(objective: str, data: Sequence) -> Sequence:
-    """What `objective` trains on: the desirable steps for bc, the DPO pairs for dpo,
-    and `data` itself otherwise."""
-    if objective == "dpo":
-        return build_dpo_pairs(data)
-    if objective == "bc":
-        return [s for s in data if s.label == DESIRABLE]
-    return data
+def train_spag(policy: Policy, data: Sequence[Trajectory], config: ExperimentConfig,
+               lambdas: tuple[float, float] | None) -> tuple | None:
+    """The discounted baseline on the learner-seat advantage steps of the trajectories."""
+    steps = build_advantage_steps(data, gamma=config.gamma)
+    return _descend(policy, "spag", steps, partial(spag_loss, policy, beta2=config.beta2),
+                    config, (len(steps), 0, 1.0, 0.0))
 
 
 def _train_game(config: ExperimentConfig, policy: Policy, lambdas: tuple[float, float] | None,
                 game: str, data: Sequence) -> tuple[np.ndarray, list]:
     """One Stage III task: `policy`'s block of `game` after each objective of the mode
-    trains it in turn on `data`, the game's items; and per objective, None if it has
-    no item of the game, else (its item count, its batch reports per epoch)."""
+    trains it in turn on `data`, the game's data; and what each objective's trainer
+    returned."""
     # looked up per call, so a wrapped module attribute is the one that runs
-    trainers = {"bc": train_bc, "kto": partial(train_kto, lambdas=lambdas), "dpo": train_dpo,
-                "joint": partial(train_joint, lambdas=lambdas), "spag": train_spag}
-    reports = []
-    for objective in MODES[config.mode]:
-        items = _items(objective, data)
-        reports.append((len(items), trainers[objective](policy, items, config))
-                       if items else None)
-    return policy.blocks[game], reports
+    return policy.blocks[game], [globals()[f"train_{objective}"](policy, data, config, lambdas)
+                                 for objective in MODES[config.mode]]
 
 
 def train_two_stage(policy: Policy, data: Sequence,
@@ -482,21 +483,17 @@ def train_two_stage(policy: Policy, data: Sequence,
     in order, its metrics rows); `data` is the labeled set, or the trajectories
     when the mode is spag.
 
-    A game's items move only its own block, so each game is one ``fan_out`` task,
-    largest first, at every batch size and worker count. KTO's weights come from
+    A game's data moves only its own block, so each game is one ``fan_out`` task,
+    largest first, which gets the game's data in memory. KTO's weights come from
     the whole labelled set. An objective's metrics row for an epoch holds the mean
-    loss and z0 over every game's batches, in the order the data lists the games.
+    loss and z0 over every game's batches, in the order the data lists the games,
+    and the sums of the games' n_D and n_U.
     """
     if config.mode not in MODES:
         raise ValueError(f"unknown training mode {config.mode!r}")
-    if config.mode == "spag":
-        data = build_advantage_steps(data, gamma=config.gamma)
-    elif config.balance_games:
+    if config.balance_games:  # the config refuses it in spag mode
         data = balance_by_game(data, config.seed)
-    lambdas = None
-    if config.mode != "spag":
-        n_d, n_u = label_counts(data)
-        lambdas = balance_lambdas(n_d, n_u)
+    lambdas = None if config.mode == "spag" else balance_lambdas(*label_counts(data))
     by_game: dict[str, list] = {}
     for item in data:
         by_game.setdefault(item.game, []).append(item)
@@ -510,16 +507,15 @@ def train_two_stage(policy: Policy, data: Sequence,
         if not games:
             continue
         trained.version += 1
-        n = sum(count for count, _ in games)
-        counts = ((n_d, n_u, *lambdas) if objective in ("kto", "joint") else
-                  (n, n, 1.0, 1.0) if objective == "dpo" else (n, 0, 1.0, 0.0))
+        n_d, n_u = (sum(counts[k] for counts, _ in games) for k in (0, 1))
+        lambda_d, lambda_u = games[0][0][2:]  # every game's trainer reports the same weights
         for epoch in range(config.epochs):
             batches = [batch for _, epochs in games for batch in epochs[epoch]]
             losses = [float(loss) for loss, _ in batches]
             z0s = [z0 for _, z0 in batches]
             z0 = "" if None in z0s else sum(map(float, z0s)) / len(z0s)
-            metrics.append(dict(zip(METRIC_COLUMNS, (objective, epoch,
-                                                     sum(losses) / len(losses), *counts, z0))))
+            metrics.append(dict(zip(METRIC_COLUMNS, (objective, epoch, sum(losses) / len(losses),
+                                                     n_d, n_u, lambda_d, lambda_u, z0))))
     for game, (block, _) in zip(by_game, results):
         trained.blocks[game] = block
     return trained, metrics

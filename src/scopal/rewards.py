@@ -11,8 +11,8 @@ mean discounted return, or the Beta-posterior mean. Keys with reward above
 the threshold are labeled Desirable, the rest Undesirable. Which seats count
 as the learner's comes from the seat labels the store records, so Stage II
 needs the store and the config alone. Keys begin with the game's name, so
-``estimate`` labels the store one game at a time, each game's block in a
-worker of its own when there is more than one.
+``estimate`` reads the store once and labels each game in a task of its own,
+which gets the game's trajectories in memory.
 ``labeled.jsonl`` holds one JSON object per step, sorted by (game, key): game, key,
 reward, label, and where the store recorded the step, its trajectory's episode and
 its 0-based ply in that trajectory's steps. ``read_labeled`` replays that ply of

@@ -379,14 +379,43 @@ def test_each_game_trains_in_a_task_of_its_own_at_every_batch_size(tmp_path, mon
         assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
 
 
-def test_a_corrupt_store_line_is_named_when_a_worker_reads_it(run, capsys):
+def test_estimate_hands_each_game_to_a_task_of_its_own(run, monkeypatch):
+    """Stage II reads the store once and hands `fan_out` one task per game, holding
+    the game's trajectories and sized by their plies, at every worker count."""
+    run.config.write_text(THREE_GAMES)
+    assert run("interact") == 0
+    (run_dir,) = run.out.iterdir()
+    (store,) = run_dir.glob("*.traj.jsonl")
+    trajs = read_trajectories(store)
+    games = list(dict.fromkeys(t.game for t in trajs))
+    blocks = [[(t.game, t.episode) for t in trajs if t.game == game] for game in games]
+    plies = [sum(len(t.steps) for t in trajs if t.game == game) for game in games]
+    tasks, labelled = [], []
+    fan_out = cli.fan_out
+
+    def counted(fn, task_list, jobs, sizes=None):
+        tasks.append(([[(t.game, t.episode) for t in block] for block, in task_list], jobs,
+                      sizes))
+        return fan_out(fn, task_list, jobs, sizes)
+
+    monkeypatch.setattr(cli, "fan_out", counted)
+    for jobs in ("1", "2"):
+        assert main(["--config", str(run.config), "--out", str(run.out), "--jobs", jobs,
+                     "estimate"]) == 0
+        labelled.append((run_dir / "labeled.jsonl").read_bytes())
+    assert len(games) == 3
+    assert tasks == [(blocks, 1, plies), (blocks, 2, plies)]
+    assert labelled[0] == labelled[1]
+
+
+def test_a_corrupt_store_line_is_named_when_estimate_reads_it(run, capsys):
     run.config.write_text(THREE_GAMES)
     assert run("interact") == 0
     (run_dir,) = run.out.iterdir()
     (store,) = run_dir.glob("*.traj.jsonl")
     lines = store.read_text().splitlines()
     record = json.loads(lines[7])
-    del record["seeds"]  # still names its game, so only the worker that reads it sees it
+    del record["seeds"]
     store.write_text("\n".join([*lines[:7], json.dumps(record), *lines[8:]]) + "\n")
     assert main(["--config", str(run.config), "--out", str(run.out), "--jobs", "2",
                  "estimate"]) == 1

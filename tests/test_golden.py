@@ -98,24 +98,24 @@ RUNS["study"] = (STUDY, (["sweep"], ["iterate", "--rounds", "2"],
                          ["head2head", "--agents", "base,random,mcts:5"]))
 
 DIGESTS = {
-    "two_stage/checkpoint.json": "8f77ad8428a2b4df",
+    "two_stage/checkpoint.json": "1327d05e7b3d5ce5",
     "two_stage/labeled.jsonl": "a20e9c77ad2a371f",
     "two_stage/manifest.json": "eb9a0874fe6355dd",
-    "two_stage/metrics.csv": "e5219b14b4c6768f",
+    "two_stage/metrics.csv": "e484bc8912139356",
     "two_stage/regret.csv": "980f3190e0e4223d",
     "two_stage/store": "a9341304b077204c",
     "two_stage/tournament.csv": "fec9e8e3cfad8339",
-    "direct_kto/checkpoint.json": "b6b467d847b1e135",
+    "direct_kto/checkpoint.json": "c30bfcc7c02d798b",
     "direct_kto/labeled.jsonl": "a20e9c77ad2a371f",
     "direct_kto/manifest.json": "1a6acaebe3efe35e",
-    "direct_kto/metrics.csv": "a4fddb4acd01fea9",
+    "direct_kto/metrics.csv": "1e22a9ef84cdc1ed",
     "direct_kto/regret.csv": "980f3190e0e4223d",
     "direct_kto/store": "a9341304b077204c",
     "direct_kto/tournament.csv": "453c12acd7d8cc18",
-    "joint/checkpoint.json": "5dc3222dbbd47498",
+    "joint/checkpoint.json": "7a328b605f9c7b65",
     "joint/labeled.jsonl": "a20e9c77ad2a371f",
     "joint/manifest.json": "945ec664d43d1d02",
-    "joint/metrics.csv": "0d3da763e5602744",
+    "joint/metrics.csv": "84e83db729ad11d0",
     "joint/regret.csv": "980f3190e0e4223d",
     "joint/store": "a9341304b077204c",
     "joint/tournament.csv": "fec9e8e3cfad8339",
@@ -140,17 +140,17 @@ DIGESTS = {
     "spag/regret.csv": "ba0ab41b770da8b6",
     "spag/store": "1bfc29631b0280ed",
     "spag/tournament.csv": "fec9e8e3cfad8339",
-    "discounted_all/checkpoint.json": "64aee0dda01c7faa",
+    "discounted_all/checkpoint.json": "a625249468b91c7c",
     "discounted_all/labeled.jsonl": "1fb6fd144accedcb",
     "discounted_all/manifest.json": "bf844a54d9d05e09",
-    "discounted_all/metrics.csv": "a2718a16a4e11e35",
+    "discounted_all/metrics.csv": "07e41ba4346de80e",
     "discounted_all/regret.csv": "285727489484dffe",
     "discounted_all/store": "1bfc29631b0280ed",
     "discounted_all/tournament.csv": "fec9e8e3cfad8339",
-    "beta_balanced/checkpoint.json": "f1b3a7475f30eb83",
+    "beta_balanced/checkpoint.json": "8850e5b60ec11cef",
     "beta_balanced/labeled.jsonl": "7f2b9ba65bf8cd94",
     "beta_balanced/manifest.json": "c323cc44e9dc08ae",
-    "beta_balanced/metrics.csv": "02f83b1c62eeb246",
+    "beta_balanced/metrics.csv": "7ed8731ce24632b8",
     "beta_balanced/regret.csv": "285727489484dffe",
     "beta_balanced/store": "a9341304b077204c",
     "beta_balanced/tournament.csv": "fec9e8e3cfad8339",
@@ -169,7 +169,7 @@ DIGESTS = {
     "nim_spag/store": "f16ddcbe2b81a850",
     "nim_spag/tournament.csv": "f5097509f71fbeeb",
     "study/checkpoint_round1.json": "31b8b2a8d2ee86ad",
-    "study/checkpoint_round2.json": "eb91430fc33ddb15",
+    "study/checkpoint_round2.json": "1ab9b717561a927b",
     "study/head2head.csv": "1f964f9fdb7e0d3a",
     "study/iterate.csv": "2a51e538e147dc08",
     "study/manifest.json": "ddbb2ea3d41f77df",

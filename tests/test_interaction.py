@@ -242,19 +242,6 @@ def test_forked_workers_run_tasks_that_do_not_pickle():
     assert fan_out(len, [(unpicklable,), ((1, 2),), ("abc",)], jobs=2) == [1, 2, 3]
 
 
-def test_each_game_block_reads_alone_as_in_the_whole_store(tmp_path):
-    trajs = collect_trajectories(["nim", "kuhn_poker", "tictactoe"], "random", "random", 3, 4)
-    path = tmp_path / "run.traj.jsonl"
-    write_trajectories(path, trajs)
-    blocks = interaction.game_blocks(path)
-    assert [lines for lines, _ in blocks] == [range(1, 4), range(4, 7), range(7, 10)]
-    whole = [[trajectory_record(t) for t in block] for block in read_game_blocks(path)]
-    for (lines, plies), block in zip(blocks, whole):
-        (alone,) = read_game_blocks(path, lines)
-        assert [trajectory_record(t) for t in alone] == block
-        assert plies == sum(len(record["steps"]) for record in block)
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_the_process_that_forks_workers_runs_one_thread():
     # a fork copies only the forking thread, so a second thread (OpenBLAS's

@@ -16,8 +16,8 @@ from scopal.interaction import collect_trajectories
 from scopal import refine
 from scopal.policy import new_policy
 from scopal.refine import (MODES, AdvantageStep, balance_by_game, balance_lambdas, bc_loss,
-                           build_advantage_steps, build_dpo_pairs, dpo_loss, kto_loss,
-                           spag_assign_rewards, spag_loss, train_two_stage)
+                           build_advantage_steps, build_dpo_pairs, dpo_loss, joint_loss,
+                           kto_loss, spag_assign_rewards, spag_loss, train_two_stage)
 from scopal.rewards import (DESIRABLE, UNDESIRABLE, LabeledStep, accumulate_stats,
                             collect_representatives, estimate_rewards, label_steps,
                             replay_plies)
@@ -148,8 +148,16 @@ def test_kto_fixed_point_at_reference():
     assert report.z0 == pytest.approx(0.0, abs=1e-12)
     expected = sum((lam_d if s.label == DESIRABLE else lam_u) / 2 for s in batch) / len(batch)
     assert report.loss == pytest.approx(expected, abs=1e-9)
-    for g in report.gradient.values():
-        assert np.abs(g).max() < 1e-9 or True  # gradient nonzero is fine; loss is the fixed point
+    # with r = z0 = 0, each step adds -sign * lambda * beta * sigmoid'(0) / n times its
+    # log-probability gradient, sign +1 for desirable steps and -1 for undesirable ones
+    assert set(report.gradient) == set(GAME_ROTATION)
+    for name in GAME_ROTATION:
+        game = get_game(name)
+        expected = sum((-0.1 * 0.25 * lam_d if s.label == DESIRABLE else 0.1 * 0.25 * lam_u)
+                       * pol.log_prob_and_grad(game, s.state, s.action)[1]
+                       for s in batch if s.game == name) / len(batch)
+        assert np.abs(expected).max() > 0
+        np.testing.assert_allclose(report.gradient[name], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_kto_lambda_balancing_matches_stated_rule():
@@ -226,6 +234,20 @@ def test_kto_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("copies", [1, 2], ids=["alone", "listed_twice"])
+def test_kto_z0_never_pairs_a_step_with_itself(copies):
+    """A batch of one step, alone or listed twice as upsampling can list it, has no
+    mismatched pair, so z0 is 0 even though the step's own log ratio is positive."""
+    from scopal.features import features
+    game = get_game("tictactoe")
+    s = game.initial_state(0)
+    pol, ref = new_policy(["tictactoe"]), new_policy(["tictactoe"])
+    pol.blocks["tictactoe"] += features(game, s, 4)
+    assert pol.log_prob(game, s, 4) > ref.log_prob(game, s, 4)
+    step = LabeledStep("tictactoe", game.canonical_key(s, 4), s, 4, 1.0, DESIRABLE, 0, 0)
+    assert kto_loss(pol, ref, [step] * copies, beta=0.1).z0 == 0.0
+
+
 def test_kto_desirable_only_batch_well_defined():
     rng = random.Random(11)
     pol = rand_policy(["tictactoe"], rng)
@@ -241,6 +263,27 @@ def test_kto_desirable_only_batch_well_defined():
     expected *= -0.1 * 0.25 / len(batch)
     assert report.z0 == 0.0 and np.abs(expected).max() > 0
     np.testing.assert_allclose(report.gradient["tictactoe"], expected, rtol=1e-12, atol=1e-15)
+
+
+# -- joint -----------------------------------------------------------------------
+
+
+def test_joint_gradient_matches_finite_differences():
+    rng = random.Random(17)
+    worst, with_bc = 0.0, 0
+    for point in range(64):
+        name = GAME_ROTATION[point % 3]
+        pol = rand_policy([name], rng)
+        ref = rand_policy([name], random.Random(700 + point))
+        batch = batch_for_game(name, 4, rng)
+        with_bc += any(s.label == DESIRABLE for s in batch)
+        kto = dict(beta=0.3, lambda_d=0.8, lambda_u=0.6)
+        center = joint_loss(pol, ref, batch, **kto)
+        z0 = center.z0  # detached baseline frozen for the difference quotient
+        fd = fd_gradient(lambda: joint_loss(pol, ref, batch, z0_override=z0, **kto).loss,
+                         pol, [name])
+        worst = max(worst, max_rel_err(center.gradient, fd))
+    assert worst < 1e-4 and 0 < with_bc < 64
 
 
 # -- DPO -------------------------------------------------------------------------
