@@ -51,6 +51,6 @@ def read_records(path, parse: Callable[[dict], object], kind: str) -> Iterator:
             if line.strip():
                 try:
                     record = parse(json.loads(line))
-                except (AttributeError, KeyError, SyntaxError, TypeError, ValueError) as err:
+                except (AttributeError, KeyError, TypeError, ValueError) as err:
                     raise ValueError(f"{path}:{line_no}: corrupt {kind} record: {err}") from err
                 yield record

@@ -23,33 +23,35 @@ takes from one game's data, its batch loss, its gradient accumulation, and the
 (n_D, n_U, lambda_D, lambda_U) its metrics rows report.
 
 Each game owns its parameter block and trains in a ``fan_out`` task of its
-own, which gets the game's data in memory. Every objective trains through one
-loop, ``_descend``. It freezes the reference from the policy as the objective
-starts, so KTO after BC measures ratios against the post-BC snapshot. Each
-epoch shuffles the game's items with the seed ``stable_hash(seed, objective,
-epoch)``, cuts them into batches of ``batch_size`` and takes plain gradient
-steps. So a batch never mixes games, and a game's block does not depend on the
-other games of the run, with one exception: KTO's weights are dataset-wide.
-They come from the whole labelled set and satisfy ``lambda_D n_D = lambda_U
-n_U`` with the larger weight at 1.0.
+own, which gets the game's data in memory and a policy of that block alone.
+Every objective trains through one loop, ``_descend``. It freezes the reference
+as the objective starts, so KTO after BC measures ratios against the post-BC
+snapshot. Each epoch shuffles the game's items with the seed
+``stable_hash(seed, objective, epoch)``, cuts them into batches of
+``batch_size`` and takes plain gradient steps. A game's block does not depend
+on the other games of the run, with one exception: KTO's weights are
+dataset-wide. They come from the whole labelled set and satisfy ``lambda_D n_D
+= lambda_U n_U`` with the larger weight at 1.0.
 
-Features do not depend on the parameters, so ``_descend`` encodes whole
-batches about ``_CHUNK`` items at a time, in one ``features.encode`` call.
-``feats @ block`` and the log-softmax stay per state, so the chunk size
-changes no bit of the result.
+A batch holds one game's steps, so each loss returns the gradient of that
+game's block. ``_rows`` checks it as it encodes the batch, or ``_descend``'s
+chunk of about ``_CHUNK`` items, in one ``features.encode`` call. Features do
+not depend on the parameters, and ``feats @ block`` and the log-softmax stay
+per state, so the chunk size changes no bit of the result.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import islice, product
+from operator import iadd
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .games import RETURN, Outcome, Player, get_game, split_key
+from .games import RETURN, Game, Outcome, Player, get_game, split_key
 from .features import encode
 from .interaction import Trajectory, fan_out, learner_seats, replay, stable_hash
 from .policy import Policy, action_index, log_prob_grad, log_softmax
@@ -66,9 +68,9 @@ MODES = {"two_stage": ("bc", "kto"), "direct_kto": ("kto",), "joint": ("joint",)
 
 @dataclass
 class LossReport:
-    """A batch's loss, its gradient per game block, and KTO's z0 (None for the others)."""
+    """A batch's loss, the gradient of its one game's block, and KTO's z0 (or None)."""
     loss: float
-    gradient: dict[str, np.ndarray]
+    gradient: np.ndarray
     z0: float | None = None
 
 
@@ -88,37 +90,32 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _accumulate(grads: dict[str, np.ndarray], name: str, vec: np.ndarray, scale: float) -> None:
-    if name in grads:
-        grads[name] += scale * vec
-    else:
-        grads[name] = scale * vec
-
-
-def _rows(items: Sequence) -> dict[int, tuple[tuple, np.ndarray]]:
-    """``id(state)`` -> (legal actions, feature matrix) for every step in `items`
-    (DPO pairs flattened), with one `encode` call per game."""
-    by_game: dict[str, dict[int, object]] = {}
+def _rows(items: Sequence) -> tuple[Game, dict[int, tuple[tuple, np.ndarray]]]:
+    """The game of `items` and ``id(state)`` -> (legal actions, feature matrix) for each
+    step (DPO pairs flattened), in one `encode` call; where a batch is checked to hold
+    one game's steps, with a ValueError naming the games if it mixes them."""
+    names, states = set(), {}
     for item in items:
         for step in item if isinstance(item, tuple) else (item,):
-            by_game.setdefault(step.game, {})[id(step.state)] = step.state
-    rows = {}
-    for name, states in by_game.items():
-        rows.update(zip(states, encode(get_game(name), list(states.values()))))
-    return rows
+            names.add(step.game)
+            states[id(step.state)] = step.state
+    if len(names) > 1:
+        raise ValueError(f"a batch holds one game's steps, not steps of {sorted(names)}")
+    game = get_game(*names)
+    return game, dict(zip(states, encode(game, list(states.values()))))
 
 
-def bc_loss(policy: Policy, batch: Sequence[LabeledStep], rows: dict | None = None) -> LossReport:
+def bc_loss(policy: Policy, batch: Sequence[LabeledStep], rows: tuple | None = None) -> LossReport:
     """Mean negative log-likelihood of the batch actions at temperature 1."""
     if not batch:
         raise ValueError("bc_loss: empty batch")
-    rows = _rows(batch) if rows is None else rows
-    visits = [_visit(policy, None, rows, step) for step in batch]
+    game, rows = _rows(batch) if rows is None else rows
+    visits = [_visit(policy, None, game, rows, step) for step in batch]
     total = 0.0
     inv = 1.0 / len(batch)
     for visit in visits:
         total -= float(visit.logp[visit.index])
-    return LossReport(total * inv, _gradient((s.game, v, -inv) for s, v in zip(batch, visits)))
+    return LossReport(total * inv, _gradient((v, -inv) for v in visits))
 
 
 class _Visit(NamedTuple):
@@ -134,37 +131,35 @@ class _Visit(NamedTuple):
         return self.logp[i] - self.ref_logp[i]
 
 
-def _visit(policy: Policy, reference: Policy | None, rows: dict, step) -> _Visit:
+def _visit(policy: Policy, reference: Policy | None, game: Game, rows: dict, step) -> _Visit:
     """The policy's and, if given, the reference's log-probs of the step's state, from `rows`."""
-    game = get_game(step.game)
     acts, feats = rows[id(step.state)]
     return _Visit(acts, feats, action_index(game, acts, step.action),
                   log_softmax(feats @ policy.block(game)),
                   None if reference is None else log_softmax(feats @ reference.block(game)))
 
 
-def _gradient(terms: Iterable[tuple[str, _Visit, float]]) -> dict[str, np.ndarray]:
-    """The sum, per game, of scale * the gradient of log pi(action) over (game, visit, scale)."""
-    grads: dict[str, np.ndarray] = {}
-    for name, visit, scale in terms:
-        _accumulate(grads, name, log_prob_grad(visit.feats, visit.logp, visit.index), scale)
-    return grads
+def _gradient(terms: Iterable[tuple[_Visit, float]]) -> np.ndarray:
+    """The sum, in order, of scale * the gradient of log pi(action) over (visit, scale):
+    a gradient with respect to the block of the batch's one game."""
+    return reduce(iadd, (scale * log_prob_grad(visit.feats, visit.logp, visit.index)
+                         for visit, scale in terms))
 
 
 def kto_mismatch_z0(batch: Sequence[LabeledStep], visits: Sequence[_Visit]) -> float:
     """Batch z0 estimate: mean log ratio over cyclically mismatched pairs.
 
-    `visits[i]` is the visit of `batch[i]`. The batch is sorted internally, so
-    the estimate is invariant to input permutation. A neighbour with the step's own
-    key (the step itself in a one-step batch, or a copy) is no mismatch, and
-    mismatched actions that are illegal in the paired state (possible here, unlike
-    with free-text outputs) are skipped.
+    `visits[i]` is the visit of `batch[i]`, and the batch holds one game's steps
+    (``_rows`` checks it). Sorting by key makes the estimate invariant to input
+    permutation. A neighbour with the step's own key (the step itself in a one-step
+    batch, or a copy) is no mismatch, and mismatched actions that are illegal in the
+    paired state (possible here, unlike with free-text outputs) are skipped.
     """
-    order = sorted(range(len(batch)), key=lambda i: (batch[i].game, batch[i].key))
+    order = sorted(range(len(batch)), key=lambda i: batch[i].key)
     ratios = []
     for pos, i in enumerate(order):
         step, other, visit = batch[i], batch[order[pos - 1]], visits[i]
-        if other.game != step.game or other.key == step.key or other.action not in visit.acts:
+        if other.key == step.key or other.action not in visit.acts:
             continue
         ratios.append(visit.log_ratio(visit.acts.index(other.action)))
     if not ratios:
@@ -174,7 +169,7 @@ def kto_mismatch_z0(batch: Sequence[LabeledStep], visits: Sequence[_Visit]) -> f
 
 def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
              beta: float, lambda_d: float = 1.0, lambda_u: float = 1.0,
-             z0_override: float | None = None, rows: dict | None = None) -> LossReport:
+             z0_override: float | None = None, rows: tuple | None = None) -> LossReport:
     """Mean of lambda_y - v(x, y) over the batch, with analytic gradient.
 
     ``z0_override`` freezes the baseline (used by finite-difference checks;
@@ -184,8 +179,8 @@ def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
         raise ValueError("kto_loss: empty batch")
     if beta <= 0:
         raise ValueError("kto_loss: beta must be positive")
-    rows = _rows(batch) if rows is None else rows
-    visits = [_visit(policy, reference, rows, s) for s in batch]
+    game, rows = _rows(batch) if rows is None else rows
+    visits = [_visit(policy, reference, game, rows, s) for s in batch]
     z0 = kto_mismatch_z0(batch, visits) if z0_override is None else z0_override
     total = 0.0
     terms = []
@@ -197,7 +192,7 @@ def kto_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
         sign, lam = (1.0, lambda_d) if step.label == DESIRABLE else (-1.0, lambda_u)
         s = _sigmoid(sign * beta * (visit.log_ratio(visit.index) - z0))
         total += lam * (1.0 - s)
-        terms.append((step.game, visit, -sign * inv * lam * beta * s * (1.0 - s)))
+        terms.append((visit, -sign * inv * lam * beta * s * (1.0 - s)))
     return LossReport(total * inv, _gradient(terms), z0)
 
 
@@ -220,21 +215,21 @@ def build_dpo_pairs(dataset: Sequence[LabeledStep],
 
 def dpo_loss(policy: Policy, reference: Policy,
              pairs: Sequence[tuple[LabeledStep, LabeledStep]], beta: float,
-             rows: dict | None = None) -> LossReport:
+             rows: tuple | None = None) -> LossReport:
     """Mean -log sigmoid(beta * (log-ratio(a+) - log-ratio(a-)))."""
     if not pairs:
         raise ValueError("dpo_loss: no constructible pairs")
-    rows = _rows(pairs) if rows is None else rows
+    game, rows = _rows(pairs) if rows is None else rows
     total = 0.0
     terms = []
     inv = 1.0 / len(pairs)
     for pos, neg in pairs:
-        v_pos = _visit(policy, reference, rows, pos)
-        v_neg = _visit(policy, reference, rows, neg)
+        v_pos = _visit(policy, reference, game, rows, pos)
+        v_neg = _visit(policy, reference, game, rows, neg)
         h = v_pos.log_ratio(v_pos.index) - v_neg.log_ratio(v_neg.index)
         total += -_log_sigmoid(beta * h)
         scale = -inv * beta * _sigmoid(-beta * h)
-        terms += (pos.game, v_pos, scale), (neg.game, v_neg, -scale)
+        terms += (v_pos, scale), (v_neg, -scale)
     return LossReport(total * inv, _gradient(terms))
 
 
@@ -245,7 +240,7 @@ def _log_sigmoid(x: float) -> float:
 
 
 def joint_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], *,
-               rows: dict | None = None, **kto) -> LossReport:
+               rows: tuple | None = None, **kto) -> LossReport:
     """`kto_loss` (given the keywords `kto`) plus `bc_loss` on the batch's desirable
     steps; z0 is KTO's."""
     report = kto_loss(policy, reference, batch, rows=rows, **kto)
@@ -253,9 +248,7 @@ def joint_loss(policy: Policy, reference: Policy, batch: Sequence[LabeledStep], 
     if not desirable:
         return report
     bc = bc_loss(policy, desirable, rows)
-    for name, vec in bc.gradient.items():
-        _accumulate(report.gradient, name, vec, 1.0)
-    return LossReport(report.loss + bc.loss, report.gradient, report.z0)
+    return LossReport(report.loss + bc.loss, report.gradient + bc.gradient, report.z0)
 
 
 # -- discounted self-play baseline ----------------------------------------
@@ -310,37 +303,32 @@ def build_advantage_steps(trajectories: Iterable[Trajectory],
 
 
 def spag_loss(policy: Policy, reference: Policy, steps: Sequence[AdvantageStep],
-              beta2: float, rows: dict | None = None) -> LossReport:
+              beta2: float, rows: tuple | None = None) -> LossReport:
     """Negated seat-averaged mean of ratio*advantage - beta2*KL(pi||pi_ref)."""
     if not steps:
         raise ValueError("spag_loss: no steps")
-    rows = _rows(steps) if rows is None else rows
-    seat_terms: dict[Player, list[float]] = {Player.P1: [], Player.P2: []}
-    seat_grads: dict[Player, dict[str, np.ndarray]] = {Player.P1: {}, Player.P2: {}}
+    game, rows = _rows(steps) if rows is None else rows
+    seats: dict[Player, list[tuple[float, np.ndarray]]] = {Player.P1: [], Player.P2: []}
     for step in steps:
-        visit = _visit(policy, reference, rows, step)
+        visit = _visit(policy, reference, game, rows, step)
         if not np.isfinite(visit.ref_logp[visit.index]):
-            raise ValueError(f"behavior policy assigns zero probability in {step.game}")
+            raise ValueError(f"behavior policy assigns zero probability in {game.name}")
         probs = np.exp(visit.logp)
         log_ratios = visit.logp - visit.ref_logp
         ratio = math.exp(log_ratios[visit.index])
         kl = float(probs @ log_ratios)
-        seat = step.state.to_move
-        seat_terms[seat].append(ratio * step.advantage - beta2 * kl)
         centered = visit.feats - probs @ visit.feats
         grad = (ratio * step.advantage * centered[visit.index]
                 - beta2 * (probs * log_ratios) @ centered)
-        _accumulate(seat_grads[seat], step.game, grad, 1.0)
-    seats = [p for p in Player if seat_terms[p]]
-    weight = 1.0 / len(seats)
+        seats[step.state.to_move].append((ratio * step.advantage - beta2 * kl, grad))
+    played = [seat for seat in seats.values() if seat]
+    weight = 1.0 / len(played)
     loss = 0.0
-    grads: dict[str, np.ndarray] = {}
-    for p in seats:
-        n = len(seat_terms[p])
-        loss -= weight * sum(seat_terms[p]) / n
-        for name, vec in seat_grads[p].items():
-            _accumulate(grads, name, vec, -weight / n)
-    return LossReport(loss, grads)
+    for seat in played:
+        loss -= weight * sum(term for term, _ in seat) / len(seat)
+    # each seat's gradients summed in step order and scaled by -weight / n; then P1's plus P2's
+    sums = (-weight / len(seat) * reduce(iadd, (grad for _, grad in seat)) for seat in played)
+    return LossReport(loss, reduce(iadd, sums))
 
 
 # -- dataset balancing ------------------------------------------------------
@@ -379,17 +367,12 @@ def balance_by_game(dataset: Sequence[LabeledStep], seed: int = 0) -> list[Label
 # -- training loops ---------------------------------------------------------
 
 
-def _apply_gradient(policy: Policy, grads: Mapping[str, np.ndarray], lr: float) -> None:
-    for name, vec in grads.items():
-        block = policy.block(get_game(name))
-        block -= lr * vec
-
-
 def _descend(policy: Policy, objective: str, items: Sequence, loss: Callable[..., LossReport],
              config: ExperimentConfig, counts: tuple[int, int, float, float],
              accum: int = 1) -> tuple[tuple, list[list[tuple[float, float | None]]]] | None:
-    """The one Stage III loop: plain gradient descent on one game's `items`, each batch
-    scored by ``loss(reference, batch, rows=...)``; None if there are no items.
+    """The one Stage III loop: plain gradient descent on `policy`, which holds the block
+    of the game of `items` alone, each batch scored by ``loss(reference, batch,
+    rows=...)``; None if there are no items.
 
     Each epoch shuffles the items with the seed ``stable_hash(config.seed, objective,
     epoch)`` and cuts them into batches of ``config.batch_size``. A gradient step
@@ -399,6 +382,7 @@ def _descend(policy: Policy, objective: str, items: Sequence, loss: Callable[...
     if not items:
         return None
     reference = policy.clone()
+    (block,) = policy.blocks.values()
     size = config.batch_size
     chunk = max(1, _CHUNK // size) * size
     epochs = []
@@ -406,22 +390,20 @@ def _descend(policy: Policy, objective: str, items: Sequence, loss: Callable[...
         order = list(items)
         random.Random(stable_hash(config.seed, objective, epoch)).shuffle(order)
         reports: list[tuple[float, float | None]] = []
-        grads: dict[str, np.ndarray] = {}
+        group: list[np.ndarray] = []
         for start in range(0, len(order), size):
             if start % chunk == 0:
                 rows = _rows(order[start:start + chunk])
             report = loss(reference, order[start:start + size], rows=rows)
             if not math.isfinite(report.loss):
                 raise RuntimeError(f"training diverged during {objective}: loss is not finite")
-            for name, vec in report.gradient.items():
-                _accumulate(grads, name, vec, 1.0 / accum)
+            group.append(1.0 / accum * report.gradient)
             reports.append((report.loss, report.z0))
-            if len(reports) % accum == 0:
-                _apply_gradient(policy, grads, config.learning_rate)
-                grads = {}
-        if pending := len(reports) % accum:
-            _apply_gradient(policy, {k: v * (accum / pending) for k, v in grads.items()},
-                            config.learning_rate)
+            if len(group) == accum:
+                block -= config.learning_rate * reduce(iadd, group)
+                group = []
+        if group:
+            block -= config.learning_rate * (reduce(iadd, group) * (accum / len(group)))
         epochs.append(reports)
     return counts, epochs
 
@@ -470,11 +452,12 @@ def train_spag(policy: Policy, data: Sequence[Trajectory], config: ExperimentCon
 def _train_game(config: ExperimentConfig, policy: Policy, lambdas: tuple[float, float] | None,
                 game: str, data: Sequence) -> tuple[np.ndarray, list]:
     """One Stage III task: `policy`'s block of `game` after each objective of the mode
-    trains it in turn on `data`, the game's data; and what each objective's trainer
-    returned."""
+    trains it in turn on `data`, the game's data, in a policy of that block alone; and
+    what each objective's trainer returned."""
+    own = Policy({game: policy.blocks[game]})
     # looked up per call, so a wrapped module attribute is the one that runs
-    return policy.blocks[game], [globals()[f"train_{objective}"](policy, data, config, lambdas)
-                                 for objective in MODES[config.mode]]
+    return own.blocks[game], [globals()[f"train_{objective}"](own, data, config, lambdas)
+                              for objective in MODES[config.mode]]
 
 
 def train_two_stage(policy: Policy, data: Sequence,

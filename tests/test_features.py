@@ -1,7 +1,7 @@
 """Feature encoders: `encode` pairs each state with its legal actions and rows
 that agree with the per-action encoder, both reproduce checksums recorded from
 the per-action loop encoders, many states encode as each state alone, and each
-Stage III loss encodes its batch in one call per game."""
+Stage III loss encodes its one-game batch in one call."""
 import hashlib
 import random
 
@@ -152,29 +152,25 @@ def matrix_calls(monkeypatch):
 
 @pytest.mark.parametrize("loss", ["bc", "kto", "dpo", "spag"])
 def test_each_loss_builds_one_matrix_per_step(board_steps, matrix_calls, loss):
-    """A loss call encodes its batch in one call per game, at most one state per step."""
+    """A loss call encodes its one-game batch in one call, at most one state per step."""
     labeled, advantage = board_steps
     policy = new_policy(BOARDS)
     reference = policy.clone()
-    if loss == "bc":
-        batch = [s for s in labeled if s.game == "connect4"][:4]
-        batch += [s for s in labeled if s.game == "breakthrough"][:4]
-        bc_loss(policy, batch)
-        steps = len(batch)
-    elif loss == "kto":
-        batch = labeled[::len(labeled) // 8][:8]
-        kto_loss(policy, reference, batch, beta=0.1)
-        steps = len(batch)
-    elif loss == "dpo":
-        all_pairs = build_dpo_pairs(labeled)
-        pairs = [p for p in all_pairs if p[0].game == "connect4"][:2]
-        pairs += [p for p in all_pairs if p[0].game == "breakthrough"][:2]
-        assert len(pairs) == 4
-        dpo_loss(policy, reference, pairs, beta=0.1)
-        steps = 2 * len(pairs)
-    else:
-        batch = advantage[::len(advantage) // 8][:8]
-        spag_loss(policy, reference, batch, beta2=0.2)
-        steps = len(batch)
-    assert sorted(name for name, _ in matrix_calls) == sorted(BOARDS)
-    assert sum(states for _, states in matrix_calls) <= steps
+    for name in BOARDS:
+        matrix_calls.clear()
+        if loss == "bc":
+            batch = [s for s in labeled if s.game == name][:8]
+            bc_loss(policy, batch)
+        elif loss == "kto":
+            batch = [s for s in labeled if s.game == name][::5][:8]
+            kto_loss(policy, reference, batch, beta=0.1)
+        elif loss == "dpo":
+            batch = [p for p in build_dpo_pairs(labeled) if p[0].game == name][:4]
+            assert len(batch) == 4
+            dpo_loss(policy, reference, batch, beta=0.1)
+        else:
+            batch = [s for s in advantage if s.game == name][::5][:8]
+            spag_loss(policy, reference, batch, beta2=0.2)
+        steps = len(batch) * (2 if loss == "dpo" else 1)
+        assert len(matrix_calls) == 1 and matrix_calls[0][0] == name
+        assert 0 < matrix_calls[0][1] <= steps

@@ -54,31 +54,23 @@ def batch_for_game(name, size, rng, label=None):
     return [pool[rng.randrange(len(pool))] for _ in range(size)]
 
 
-def fd_gradient(loss_fn, policy, games, h=1e-5):
-    """Central finite differences of loss_fn() w.r.t. every game block."""
-    grads = {}
-    for name in games:
-        theta = policy.blocks[name]
-        g = np.zeros_like(theta)
-        for i in range(len(theta)):
-            orig = theta[i]
-            theta[i] = orig + h
-            hi = loss_fn()
-            theta[i] = orig - h
-            lo = loss_fn()
-            theta[i] = orig
-            g[i] = (hi - lo) / (2 * h)
-        grads[name] = g
-    return grads
+def fd_gradient(loss_fn, policy, name, h=1e-5):
+    """Central finite differences of loss_fn() w.r.t. the block of game `name`."""
+    theta = policy.blocks[name]
+    g = np.zeros_like(theta)
+    for i in range(len(theta)):
+        orig = theta[i]
+        theta[i] = orig + h
+        hi = loss_fn()
+        theta[i] = orig - h
+        lo = loss_fn()
+        theta[i] = orig
+        g[i] = (hi - lo) / (2 * h)
+    return g
 
 
 def max_rel_err(analytic, fd):
-    worst = 0.0
-    for name, g_fd in fd.items():
-        g_a = analytic.get(name, np.zeros_like(g_fd))
-        denom = max(np.abs(g_fd).max(), 1e-8)
-        worst = max(worst, np.abs(g_a - g_fd).max() / denom)
-    return worst
+    return np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8)
 
 
 # -- behavioral cloning -------------------------------------------------------
@@ -114,7 +106,7 @@ def test_bc_gradient_matches_finite_differences():
         pol = rand_policy([name], rng)
         batch = batch_for_game(name, 4, rng)
         report = bc_loss(pol, batch)
-        fd = fd_gradient(lambda: bc_loss(pol, batch).loss, pol, [name])
+        fd = fd_gradient(lambda: bc_loss(pol, batch).loss, pol, name)
         worst = max(worst, max_rel_err(report.gradient, fd))
     assert worst < 1e-4
 
@@ -127,8 +119,7 @@ def test_bc_drives_unique_desirable_action_probability_up():
     last = 1 / 9
     for _ in range(30):
         report = bc_loss(pol, batch)
-        for name, g in report.gradient.items():
-            pol.blocks[name] -= 0.05 * g
+        pol.blocks["tictactoe"] -= 0.05 * report.gradient
         prob = math.exp(pol.log_prob(game, s, 4))
         assert prob > last
         last = prob
@@ -141,23 +132,21 @@ def test_kto_fixed_point_at_reference():
     pol = rand_policy(GAME_ROTATION, random.Random(1))
     ref = pol.clone()
     rng = random.Random(2)
-    batch = (batch_for_game("tictactoe", 3, rng) + batch_for_game("nim", 3, rng)
-             + batch_for_game("kuhn_poker", 2, rng))
     lam_d, lam_u = 0.7, 0.3
-    report = kto_loss(pol, ref, batch, beta=0.1, lambda_d=lam_d, lambda_u=lam_u)
-    assert report.z0 == pytest.approx(0.0, abs=1e-12)
-    expected = sum((lam_d if s.label == DESIRABLE else lam_u) / 2 for s in batch) / len(batch)
-    assert report.loss == pytest.approx(expected, abs=1e-9)
-    # with r = z0 = 0, each step adds -sign * lambda * beta * sigmoid'(0) / n times its
-    # log-probability gradient, sign +1 for desirable steps and -1 for undesirable ones
-    assert set(report.gradient) == set(GAME_ROTATION)
     for name in GAME_ROTATION:
+        batch = batch_for_game(name, 8, rng)
+        report = kto_loss(pol, ref, batch, beta=0.1, lambda_d=lam_d, lambda_u=lam_u)
+        assert report.z0 == pytest.approx(0.0, abs=1e-12)
+        expected = sum((lam_d if s.label == DESIRABLE else lam_u) / 2 for s in batch) / len(batch)
+        assert report.loss == pytest.approx(expected, abs=1e-9)
+        # with r = z0 = 0, each step adds -sign * lambda * beta * sigmoid'(0) / n times its
+        # log-probability gradient, sign +1 for desirable steps and -1 for undesirable ones
         game = get_game(name)
         expected = sum((-0.1 * 0.25 * lam_d if s.label == DESIRABLE else 0.1 * 0.25 * lam_u)
                        * pol.log_prob_and_grad(game, s.state, s.action)[1]
-                       for s in batch if s.game == name) / len(batch)
+                       for s in batch) / len(batch)
         assert np.abs(expected).max() > 0
-        np.testing.assert_allclose(report.gradient[name], expected, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(report.gradient, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_kto_lambda_balancing_matches_stated_rule():
@@ -209,13 +198,14 @@ def test_kto_invariant_to_batch_permutation():
     rng = random.Random(5)
     pol = rand_policy(GAME_ROTATION, rng)
     ref = rand_policy(GAME_ROTATION, random.Random(6))
-    batch = (batch_for_game("tictactoe", 4, rng) + batch_for_game("nim", 4, rng))
-    report = kto_loss(pol, ref, batch, beta=0.2)
-    shuffled = list(batch)
-    random.Random(9).shuffle(shuffled)
-    report2 = kto_loss(pol, ref, shuffled, beta=0.2)
-    assert report.z0 == report2.z0
-    assert report.loss == pytest.approx(report2.loss, abs=1e-12)
+    for name in GAME_ROTATION:
+        batch = batch_for_game(name, 8, rng)
+        report = kto_loss(pol, ref, batch, beta=0.2)
+        shuffled = list(batch)
+        random.Random(9).shuffle(shuffled)
+        report2 = kto_loss(pol, ref, shuffled, beta=0.2)
+        assert report.z0 == report2.z0
+        assert report.loss == pytest.approx(report2.loss, abs=1e-12)
 
 
 def test_kto_gradient_matches_finite_differences():
@@ -229,7 +219,7 @@ def test_kto_gradient_matches_finite_differences():
         center = kto_loss(pol, ref, batch, beta=0.3)
         z0 = center.z0  # detached baseline frozen for the difference quotient
         fd = fd_gradient(lambda: kto_loss(pol, ref, batch, beta=0.3, z0_override=z0).loss,
-                         pol, [name])
+                         pol, name)
         worst = max(worst, max_rel_err(center.gradient, fd))
     assert worst < 1e-4
 
@@ -262,7 +252,7 @@ def test_kto_desirable_only_batch_well_defined():
     expected = sum(pol.log_prob_and_grad(game, s.state, s.action)[1] for s in batch)
     expected *= -0.1 * 0.25 / len(batch)
     assert report.z0 == 0.0 and np.abs(expected).max() > 0
-    np.testing.assert_allclose(report.gradient["tictactoe"], expected, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(report.gradient, expected, rtol=1e-12, atol=1e-15)
 
 
 # -- joint -----------------------------------------------------------------------
@@ -281,7 +271,7 @@ def test_joint_gradient_matches_finite_differences():
         center = joint_loss(pol, ref, batch, **kto)
         z0 = center.z0  # detached baseline frozen for the difference quotient
         fd = fd_gradient(lambda: joint_loss(pol, ref, batch, z0_override=z0, **kto).loss,
-                         pol, [name])
+                         pol, name)
         worst = max(worst, max_rel_err(center.gradient, fd))
     assert worst < 1e-4 and 0 < with_bc < 64
 
@@ -289,8 +279,8 @@ def test_joint_gradient_matches_finite_differences():
 # -- DPO -------------------------------------------------------------------------
 
 
-def dpo_pairs_from_dataset(min_pairs=4):
-    pairs = build_dpo_pairs(DATASET)
+def dpo_pairs_from_dataset(min_pairs=4, game=None):
+    pairs = build_dpo_pairs([s for s in DATASET if game in (None, s.game)])
     assert len(pairs) >= min_pairs
     return pairs
 
@@ -315,9 +305,10 @@ def test_dpo_pair_cap_limits_per_state():
 def test_dpo_loss_is_ln2_at_reference():
     pol = rand_policy(GAME_ROTATION, random.Random(12))
     ref = pol.clone()
-    pairs = dpo_pairs_from_dataset()[:6]
-    report = dpo_loss(pol, ref, pairs, beta=0.1)
-    assert report.loss == pytest.approx(math.log(2), abs=1e-9)
+    for name in GAME_ROTATION:
+        pairs = dpo_pairs_from_dataset(1, name)[:6]
+        report = dpo_loss(pol, ref, pairs, beta=0.1)
+        assert report.loss == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_dpo_loss_vanishes_when_positive_ratio_saturates():
@@ -340,15 +331,15 @@ def test_dpo_no_pairs_rejected():
 
 def test_dpo_gradient_matches_finite_differences():
     rng = random.Random(13)
-    pairs_all = dpo_pairs_from_dataset()
+    by_game = {name: dpo_pairs_from_dataset(1, name) for name in GAME_ROTATION}
     worst = 0.0
     for point in range(64):
-        pairs = [pairs_all[rng.randrange(len(pairs_all))] for _ in range(3)]
-        games = sorted({p.game for p, _ in pairs})
-        pol = rand_policy(games, rng)
-        ref = rand_policy(games, random.Random(300 + point))
+        name = GAME_ROTATION[point % 3]
+        pairs = [by_game[name][rng.randrange(len(by_game[name]))] for _ in range(3)]
+        pol = rand_policy([name], rng)
+        ref = rand_policy([name], random.Random(300 + point))
         report = dpo_loss(pol, ref, pairs, beta=0.25)
-        fd = fd_gradient(lambda: dpo_loss(pol, ref, pairs, beta=0.25).loss, pol, games)
+        fd = fd_gradient(lambda: dpo_loss(pol, ref, pairs, beta=0.25).loss, pol, name)
         worst = max(worst, max_rel_err(report.gradient, fd))
     assert worst < 1e-4
 
@@ -428,9 +419,35 @@ def test_spag_gradient_matches_finite_differences():
         pol = rand_policy([name], rng)
         ref = rand_policy([name], random.Random(500 + point))
         report = spag_loss(pol, ref, steps, beta2=0.3)
-        fd = fd_gradient(lambda: spag_loss(pol, ref, steps, beta2=0.3).loss, pol, [name])
+        fd = fd_gradient(lambda: spag_loss(pol, ref, steps, beta2=0.3).loss, pol, name)
         worst = max(worst, max_rel_err(report.gradient, fd))
     assert worst < 1e-4
+
+
+# -- one game per batch -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("loss", ["bc", "kto", "dpo", "spag"])
+def test_every_loss_refuses_a_batch_of_two_games(loss):
+    """A batch holds one game's steps: each loss refuses steps of tictactoe and nim
+    together, naming both games."""
+    pol = rand_policy(GAME_ROTATION, random.Random(18))
+    ref = pol.clone()
+    rng = random.Random(19)
+    two = ("tictactoe", "nim")
+    with pytest.raises(ValueError, match="one game") as refused:
+        if loss == "bc":
+            bc_loss(pol, [s for name in two for s in batch_for_game(name, 2, rng)])
+        elif loss == "kto":
+            kto_loss(pol, ref, [s for name in two for s in batch_for_game(name, 2, rng)],
+                     beta=0.1)
+        elif loss == "dpo":
+            dpo_loss(pol, ref, [dpo_pairs_from_dataset(1, name)[0] for name in two], beta=0.1)
+        else:
+            steps = advantage_steps_fixture()
+            spag_loss(pol, ref, [next(s for s in steps if s.game == name) for name in two],
+                      beta2=0.2)
+    assert all(name in str(refused.value) for name in two)
 
 
 # -- balancing ------------------------------------------------------------------
